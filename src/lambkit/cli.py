@@ -73,6 +73,9 @@ EXIT_DESIGN = 4
 EXIT_ALL_FITS_FAILED = 5
 EXIT_STATS = 6
 
+# a larger disperse grid is a typo, not hours of solving or a huge allocation
+MAX_GRID_POINTS = 100_000
+
 
 # ---------------------------------------------------------------------------
 # Shared helpers
@@ -173,8 +176,8 @@ def cmd_disperse(args) -> int:
             f"pitch range [{args.pitch_min:g}, {args.pitch_max:g}] is empty "
             f"or non-positive"
         )
-    if args.points < 2:
-        raise InputError("need at least 2 grid points")
+    if not 2 <= args.points <= MAX_GRID_POINTS:
+        raise InputError(f"--points must be in [2, {MAX_GRID_POINTS}], got {args.points}")
     k_grid = np.linspace(
         math.pi / args.pitch_max, math.pi / args.pitch_min, args.points
     )
@@ -433,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("disperse", parents=[common], help="solve dispersion curves")
     p.add_argument("--pitch-min", type=float, default=1.0e-6)
     p.add_argument("--pitch-max", type=float, default=4.5e-6)
-    p.add_argument("--points", type=int, default=40)
+    p.add_argument("--points", type=int, default=40, help=f"grid size, 2 to {MAX_GRID_POINTS}")
     p.add_argument("--modes", default=",".join(MODE_NAMES))
     p.set_defaults(func=cmd_disperse)
 
@@ -471,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--full-resolve", action="store_true",
-        help="re-solve dispersion per site instead of first-order propagation",
+        help="evaluate dispersion per site instead of first-order propagation",
     )
     p.set_defaults(func=cmd_simulate_wafer)
 

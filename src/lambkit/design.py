@@ -187,7 +187,6 @@ def match_finger_count(
     target_impedance: float = 200.0,
     max_fingers: int = 1000,
     dummy_count_per_side: int = 3,
-    curve=None,
 ) -> ResonatorDesign:
     """Smallest even finger count whose static reactance crosses the target.
 
@@ -198,7 +197,7 @@ def match_finger_count(
     if target_impedance <= 0:
         raise InputError("target impedance must be positive")
     layer = layer_assignment(pitch)
-    f_mid = pitch_to_frequency(pitch, mode, plate, curve=curve)
+    f_mid = pitch_to_frequency(pitch, mode, plate)
     wavelength = 2.0 * pitch
     aperture = APERTURE_WAVELENGTHS * wavelength
     gap = wavelength / 2.0

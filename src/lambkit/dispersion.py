@@ -96,63 +96,35 @@ def _branch_index(mode: str) -> int:
     return int(mode[1])
 
 
-def _even_sin(x2, hh):
-    """sin(x*hh)/x for x = sqrt(x2), even in x; hyperbolic branch is scaled
-    by exp(-|x|*hh).  Vectorized over x2."""
+def _even_sin_cos(x2, hh):
+    """(sin(x*hh)/x, cos(x*hh)) for x = sqrt(x2), both even in x; the
+    hyperbolic branch (x2 < 0) is scaled by exp(-|x|*hh).  Vectorized over x2."""
     x2 = np.asarray(x2, dtype=float)
-    out = np.empty_like(x2)
-    pos = x2 > 0
-    neg = x2 < 0
-    zero = ~pos & ~neg
-    if np.any(pos):
-        x = np.sqrt(x2[pos])
-        out[pos] = np.sin(x * hh) / x
-    if np.any(neg):
-        xi = np.sqrt(-x2[neg])
-        # sinh(xi*hh)/xi * exp(-xi*hh) = (1 - exp(-2*xi*hh)) / (2*xi)
-        out[neg] = -np.expm1(-2.0 * xi * hh) / (2.0 * xi)
-    if np.any(zero):
-        out[zero] = hh
-    return out
+    x = np.sqrt(np.abs(x2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # sinh(x*hh)/x * exp(-x*hh) = (1 - exp(-2*x*hh)) / (2*x)
+        sin = np.where(x2 > 0.0, np.sin(x * hh) / x, -np.expm1(-2.0 * x * hh) / (2.0 * x))
+    # cosh(x*hh) * exp(-x*hh) = (1 + exp(-2*x*hh)) / 2
+    cos = np.where(x2 >= 0.0, np.cos(x * hh), (1.0 + np.exp(-2.0 * x * hh)) / 2.0)
+    return np.where(x2 == 0.0, hh, sin), cos
 
 
-def _even_cos(x2, hh):
-    """cos(x*hh) for x = sqrt(x2), even in x; hyperbolic branch is scaled
-    by exp(-|x|*hh)."""
-    x2 = np.asarray(x2, dtype=float)
-    out = np.empty_like(x2)
-    pos = x2 >= 0
-    neg = ~pos
-    if np.any(pos):
-        x = np.sqrt(x2[pos])
-        out[pos] = np.cos(x * hh)
-    if np.any(neg):
-        xi = np.sqrt(-x2[neg])
-        # cosh(xi*hh) * exp(-xi*hh) = (1 + exp(-2*xi*hh)) / 2
-        out[neg] = (1.0 + np.exp(-2.0 * xi * hh)) / 2.0
-    return out
-
-
-def _residual_terms(w, k: float, plate: PlateSpec, symmetry: str):
-    """Both additive terms of the characteristic function, vectorized.
+def _residual_terms(w, k: float, plate: PlateSpec, symmetry: str, sin_cos=_even_sin_cos):
+    """Both additive terms of the characteristic function.
 
     Their sum is the residual; |t1| + |t2| bounds the magnitude that the sum
     cancels against, which calibrates the rounding-noise floor near omega -> 0
     where the two terms annihilate.
     """
     hh = 0.5 * plate.h
-    vl = plate.material.v_l
-    vt = plate.material.v_t
-    p2 = (w / vl) ** 2 - k * k
-    q2 = (w / vt) ** 2 - k * k
     k2 = k * k
+    p2 = (w / plate.material.v_l) ** 2 - k2
+    q2 = (w / plate.material.v_t) ** 2 - k2
+    sin_p, cos_p = sin_cos(p2, hh)
+    sin_q, cos_q = sin_cos(q2, hh)
     if symmetry == "symmetric":
-        t1 = (q2 - k2) ** 2 * _even_sin(q2, hh) * _even_cos(p2, hh)
-        t2 = (4.0 * k2 * p2) * _even_sin(p2, hh) * _even_cos(q2, hh)
-    else:
-        t1 = (4.0 * k2 * q2) * _even_sin(q2, hh) * _even_cos(p2, hh)
-        t2 = (q2 - k2) ** 2 * _even_sin(p2, hh) * _even_cos(q2, hh)
-    return t1, t2
+        return (q2 - k2) ** 2 * sin_q * cos_p, (4.0 * k2 * p2) * sin_p * cos_q
+    return (4.0 * k2 * q2) * sin_q * cos_p, (q2 - k2) ** 2 * sin_p * cos_q
 
 
 def rayleigh_lamb_residual(omega, k: float, plate: PlateSpec, symmetry: str):
@@ -177,12 +149,12 @@ def rayleigh_lamb_residual(omega, k: float, plate: PlateSpec, symmetry: str):
     return res
 
 
-def _scan_grid(plate: PlateSpec, k: float, n_points: int, hints=()):
+def _scan_grid(plate: PlateSpec, k: float, hints=()):
     vl = plate.material.v_l
     vt = plate.material.v_t
     w_max = 3.0 * vl * k + 4.0 * math.pi * vl / plate.h
-    n_log = int(n_points * _LOG_FRACTION)
-    n_lin = n_points - n_log
+    n_log = int(SCAN_POINTS * _LOG_FRACTION)
+    n_lin = SCAN_POINTS - n_log
     c_plate = 2.0 * vt * math.sqrt(1.0 - (vt / vl) ** 2)
     w_flex = k * k * plate.h * c_plate / (2.0 * math.sqrt(3.0))
     lo = _FLOOR_MARGIN * min(w_flex, 0.9 * vt * k)
@@ -207,39 +179,42 @@ def _scan_grid(plate: PlateSpec, k: float, n_points: int, hints=()):
 _NOISE_MARGIN = 16.0 * np.finfo(float).eps
 
 
-def _roots_at_k(
-    plate: PlateSpec,
-    symmetry: str,
-    k: float,
-    n_roots: int,
-    n_points: int = SCAN_POINTS,
-    hints=(),
-):
+def _even_sin_cos_scalar(x2: float, hh: float):
+    """_even_sin_cos for one float, without numpy's per-call overhead."""
+    if x2 > 0.0:
+        x = math.sqrt(x2)
+        return math.sin(x * hh) / x, math.cos(x * hh)
+    if x2 < 0.0:
+        xi = math.sqrt(-x2)
+        return -math.expm1(-2.0 * xi * hh) / (2.0 * xi), (1.0 + math.exp(-2.0 * xi * hh)) / 2.0
+    return hh, 1.0
+
+
+def _scalar_residual(w: float, k: float, plate: PlateSpec, symmetry: str) -> float:
+    t1, t2 = _residual_terms(w, k, plate, symmetry, _even_sin_cos_scalar)
+    return t1 + t2
+
+
+def _roots_at_k(plate: PlateSpec, symmetry: str, k: float, n_roots: int, hints=()):
     """Lowest n_roots zeros of the residual in the scan window, ascending.
 
     Returns (roots, reliable_count): reliable_count is False when grid points
     below the first accepted root were indistinguishable from rounding noise,
     in which case ascending branch indices above 0 cannot be trusted.
     """
-    grid = _scan_grid(plate, k, n_points, hints)
+    grid = _scan_grid(plate, k, hints)
     t1, t2 = _residual_terms(grid, k, plate, symmetry)
     vals = t1 + t2
     noise = _NOISE_MARGIN * (np.abs(t1) + np.abs(t2))
     resolved = np.abs(vals) > noise
+    brackets = np.flatnonzero(resolved[:-1] & resolved[1:] & (vals[:-1] * vals[1:] < 0.0))
     roots = []
     first_root_idx = None
-    f = lambda w: rayleigh_lamb_residual(float(w), k, plate, symmetry)
-    for i in range(len(grid) - 1):
+    for i in brackets:
         if len(roots) >= n_roots:
             break
-        if not (resolved[i] and resolved[i + 1]):
-            continue
-        a, b = grid[i], grid[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa * fb < 0.0:
-            root = brentq(f, a, b, rtol=_ROOT_RTOL, maxiter=200)
-        else:
-            continue
+        root = brentq(_scalar_residual, grid[i], grid[i + 1], (k, plate, symmetry),
+                      rtol=_ROOT_RTOL, maxiter=200)
         if roots and abs(root - roots[-1]) <= _ROOT_RTOL * root * 10:
             continue
         if first_root_idx is None:
@@ -309,9 +284,7 @@ class DispersionCurve:
         return any(lo <= k <= hi for lo, hi in self.gaps)
 
 
-def solve_mode(
-    plate: PlateSpec, mode: str, k_grid, n_scan: int = SCAN_POINTS
-) -> DispersionCurve:
+def solve_mode(plate: PlateSpec, mode: str, k_grid) -> DispersionCurve:
     """Solve one mode over a strictly increasing positive wavenumber grid.
 
     Wavenumbers where the branch index has no root in the scan window are
@@ -328,7 +301,7 @@ def solve_mode(
     missing_idx = []
     hints = ()
     for i, k in enumerate(ks):
-        roots, reliable = _roots_at_k(plate, fam, float(k), idx + 1, n_scan, hints)
+        roots, reliable = _roots_at_k(plate, fam, float(k), idx + 1, hints)
         if (idx > 0 and not reliable) or len(roots) <= idx:
             missing_idx.append(i)
             continue
@@ -346,21 +319,62 @@ def solve_mode(
     return DispersionCurve(mode, np.array(out_k), np.array(out_f), gaps)
 
 
+# Master lattice: roots obey f*h = F_mode(k*h) for one material.  Node j at
+# k*h = exp(j / _LATTICE_DENSITY) holds ln F (None: no reliable root), solved
+# on a unit-thickness plate when first needed.  Nodes depend only on
+# (material, mode, j), so the shared memo cannot make results order-dependent.
+_LATTICE_DENSITY = 64
+_LATTICE: dict = {}
+
+
+def _lattice_eval(plate: PlateSpec, mode: str, k: float):
+    """(ln F, dlnF/dln(kh)) at k*h from the cubic through the 4 nodes around it.
+
+    Raises DispersionRangeError when any of the 4 nodes has no root.
+    """
+    _mode_family(mode)
+    kh = k * plate.h
+    if not 0.0 < kh < math.inf:
+        raise InputError(f"k*h = {kh!r} is not a positive finite number")
+    nodes = _LATTICE.setdefault((plate.material, mode), {})
+    unit = PlateSpec(plate.material, 1.0)
+    u = math.log(kh) * _LATTICE_DENSITY
+    j0 = math.floor(u)
+    ys = []
+    for j in range(j0 - 1, j0 + 3):
+        if j not in nodes:
+            try:
+                nodes[j] = math.log(solve_at_k(unit, mode, math.exp(j / _LATTICE_DENSITY)))
+            except SolverError:
+                nodes[j] = None
+        if nodes[j] is None:
+            raise DispersionRangeError(f"no reliable {mode} root near k*h = {kh:.6g}")
+        ys.append(nodes[j])
+    # the cubic through nodes t = -1, 0, 1, 2, in powers of t = u - j0
+    y0, y1, y2, y3 = ys
+    c1 = (-2.0 * y0 - 3.0 * y1 + 6.0 * y2 - y3) / 6.0
+    c2 = (y0 - 2.0 * y1 + y2) / 2.0
+    c3 = (-y0 + 3.0 * y1 - 3.0 * y2 + y3) / 6.0
+    t = u - j0
+    value = y1 + t * (c1 + t * (c2 + t * c3))
+    return value, _LATTICE_DENSITY * (c1 + t * (2.0 * c2 + 3.0 * t * c3))
+
+
 def pitch_to_frequency(
     pitch: float, mode: str, plate: PlateSpec, curve: DispersionCurve | None = None
 ) -> float:
     """Frequency at the electrode-pitch-defined wavenumber k = pi/pitch.
 
-    The acoustic wavelength equals twice the pitch.  Evaluation interpolates
-    a solved curve with a monotone cubic (PCHIP); when no curve is supplied a
-    local one is solved around the target wavenumber.
+    The acoustic wavelength equals twice the pitch.  A supplied solved curve
+    is interpolated with a monotone cubic (PCHIP); without one the value is
+    F(k*h)/h from the mode's master lattice, within about 1e-7 of a direct
+    solve.
     """
     if not pitch > 0:
         raise InputError("pitch must be positive")
     k = math.pi / pitch
     if curve is None:
-        grid = k * np.linspace(0.9, 1.1, 11)
-        curve = solve_mode(plate, mode, grid)
+        return math.exp(_lattice_eval(plate, mode, k)[0]) / plate.h
     if curve.mode != mode:
         raise InputError(f"curve is for {curve.mode}, not {mode}")
     if curve.k.size < 2 or k < curve.k[0] or k > curve.k[-1]:
@@ -373,28 +387,19 @@ def pitch_to_frequency(
     return float(interp(k))
 
 
-def sensitivity(plate: PlateSpec, mode: str, k: float, rel_step: float = 1e-4):
+def sensitivity(plate: PlateSpec, mode: str, k: float):
     """Logarithmic sensitivities (dlnf/dlnh, dlnf/dlnpitch) at fixed mode and k.
 
-    Central differences with a relative step on thickness and on pitch
-    (pitch enters through k = pi/pitch).  Euler homogeneity of f(k, h) makes
-    the two sum to -1 up to truncation error.
+    With f = F(k*h)/h and k = pi/pitch, the slope g = dlnF/dln(kh) of the
+    master-lattice cubic gives dlnf/dlnh = g - 1 and dlnf/dlnpitch = -g, so
+    the two sum to -1 up to rounding (Euler homogeneity of f(k, h)).
+    SensitivityError where the lattice has no reliable root near k*h.
     """
-    if not 0 < rel_step < 0.1:
-        raise InputError("rel_step must be in (0, 0.1)")
-    d = rel_step
     try:
-        f_hp = solve_at_k(plate.scaled(1.0 + d), mode, k)
-        f_hm = solve_at_k(plate.scaled(1.0 - d), mode, k)
-        pitch = math.pi / k
-        f_pp = solve_at_k(plate, mode, math.pi / (pitch * (1.0 + d)))
-        f_pm = solve_at_k(plate, mode, math.pi / (pitch * (1.0 - d)))
-    except SolverError as exc:
-        raise SensitivityError(f"perturbed solve failed for {mode}: {exc}") from exc
-    dln = math.log((1.0 + d) / (1.0 - d))
-    dlnf_dlnh = math.log(f_hp / f_hm) / dln
-    dlnf_dlnpitch = math.log(f_pp / f_pm) / dln
-    return dlnf_dlnh, dlnf_dlnpitch
+        _, g = _lattice_eval(plate, mode, k)
+    except DispersionRangeError as exc:
+        raise SensitivityError(f"no sensitivity for {mode}: {exc}") from exc
+    return g - 1.0, -g
 
 
 def thin_plate_s0_velocity(material: PlateMaterial) -> float:

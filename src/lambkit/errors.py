@@ -74,7 +74,7 @@ class DispersionRangeError(LambkitError, ValueError):
 
 
 class SensitivityError(LambkitError):
-    """Finite-difference sensitivity evaluation failed to solve a perturbed case."""
+    """No log sensitivity: the dispersion lattice has no reliable root near k*h."""
 
 
 class DesignError(LambkitError, ValueError):

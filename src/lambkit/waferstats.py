@@ -3,11 +3,11 @@
 Frequency deviation across the wafer is summarized per (mode, pitch) group as
 the population relative standard deviation in percent.  The Monte Carlo model
 samples a quadratic radial thickness profile plus Gaussian noise and a
-per-design pitch jitter, then propagates both to frequency through the
-logarithmic dispersion sensitivities, so a full wafer simulates in
-milliseconds once the nominal curves are solved.  Every random draw comes
-from a per-site stream spawned from one master seed: results are
-bit-reproducible and sites can be evaluated in any order.
+per-design pitch jitter, then maps both to frequency through the log
+sensitivities or, with full_resolve, at each site's own geometry.  Both read
+the memoised dispersion lattice, so a wafer simulates in milliseconds.  Every
+random draw comes from a per-site stream spawned from one master seed:
+results are bit-reproducible and sites can be evaluated in any order.
 """
 
 from __future__ import annotations
@@ -383,9 +383,10 @@ def simulate_wafer(
     its local film thickness from the radial profile plus noise and each
     design on it draws a pitch jitter, all from a per-die stream spawned off
     the master seed.  Frequencies come from first-order log sensitivities
-    around the nominal plate, or from a full dispersion re-solve per site when
-    ``model.full_resolve`` is set.  A site whose perturbed evaluation fails is
-    flagged, not fatal; nominal failures propagate.
+    around the nominal plate, or from the dispersion at each site's own
+    thickness and pitch when ``model.full_resolve`` is set.  A site whose
+    perturbed evaluation fails is flagged, not fatal; nominal failures
+    propagate.
     """
     pitches = [float(p) for p in designs]
     if not pitches:

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -91,6 +94,22 @@ def test_disperse_inverted_range_usage(tmp_path):
          "--pitch-min", "4e-6", "--pitch-max", "2e-6"]
     )
     assert code == 2
+
+
+def test_disperse_huge_points_is_usage_error(tmp_path):
+    # rejected before the grid is allocated: a fresh process, so a
+    # MemoryError traceback would show on stderr
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lambkit.cli", "disperse", "--out", str(tmp_path),
+         "--points", "100000000000"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_USAGE
+    assert "--points" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "dispersion.csv").exists()
 
 
 def test_solver_failure_maps_to_exit_3(tmp_path, monkeypatch):
