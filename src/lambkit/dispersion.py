@@ -13,6 +13,10 @@ turns negative (sin -> sinh, cos -> cosh) and the residual is continuous
 across the sign changes.  Hyperbolic factors are rescaled by exp(-|x|*hh)
 to avoid overflow; the rescaling is a positive common factor per term and
 preserves both roots and signs.
+
+solve_at_k is the one root path; solve_mode loops over it.  pitch_to_frequency
+and sensitivity read a per-mode master lattice of solve_at_k nodes, the only
+interpolator here.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from .errors import DispersionRangeError, InputError, SensitivityError, SolverError
@@ -92,10 +95,6 @@ def _mode_family(mode: str) -> str:
     return "symmetric" if mode.startswith("S") else "antisymmetric"
 
 
-def _branch_index(mode: str) -> int:
-    return int(mode[1])
-
-
 def _even_sin_cos(x2, hh):
     """(sin(x*hh)/x, cos(x*hh)) for x = sqrt(x2), both even in x; the
     hyperbolic branch (x2 < 0) is scaled by exp(-|x|*hh).  Vectorized over x2."""
@@ -149,7 +148,7 @@ def rayleigh_lamb_residual(omega, k: float, plate: PlateSpec, symmetry: str):
     return res
 
 
-def _scan_grid(plate: PlateSpec, k: float, hints=()):
+def _scan_grid(plate: PlateSpec, k: float):
     vl = plate.material.v_l
     vt = plate.material.v_t
     w_max = 3.0 * vl * k + 4.0 * math.pi * vl / plate.h
@@ -160,17 +159,10 @@ def _scan_grid(plate: PlateSpec, k: float, hints=()):
     lo = _FLOOR_MARGIN * min(w_flex, 0.9 * vt * k)
     split = w_max * 0.02
     lo = min(lo, split * 0.5)
-    parts = [
+    return np.concatenate([
         np.geomspace(lo, split, n_log, endpoint=False),
         np.linspace(split, w_max, n_lin),
-    ]
-    # Continuation hints: cluster extra abscissae around roots found at the
-    # previous k so narrow brackets are never stepped over.
-    for w0 in hints:
-        if 0 < w0 < w_max:
-            parts.append(np.linspace(w0 * 0.98, min(w0 * 1.02, w_max), 17))
-    grid = np.unique(np.concatenate(parts))
-    return grid[grid > 0]
+    ])
 
 
 # Sign changes are trusted only where the residual stands clear of the
@@ -195,14 +187,14 @@ def _scalar_residual(w: float, k: float, plate: PlateSpec, symmetry: str) -> flo
     return t1 + t2
 
 
-def _roots_at_k(plate: PlateSpec, symmetry: str, k: float, n_roots: int, hints=()):
+def _roots_at_k(plate: PlateSpec, symmetry: str, k: float, n_roots: int):
     """Lowest n_roots zeros of the residual in the scan window, ascending.
 
     Returns (roots, reliable_count): reliable_count is False when grid points
     below the first accepted root were indistinguishable from rounding noise,
-    in which case ascending branch indices above 0 cannot be trusted.
+    in which case no branch index can be trusted: a lower root may hide there.
     """
-    grid = _scan_grid(plate, k, hints)
+    grid = _scan_grid(plate, k)
     t1, t2 = _residual_terms(grid, k, plate, symmetry)
     vals = t1 + t2
     noise = _NOISE_MARGIN * (np.abs(t1) + np.abs(t2))
@@ -230,14 +222,16 @@ def _roots_at_k(plate: PlateSpec, symmetry: str, k: float, n_roots: int, hints=(
 def solve_at_k(plate: PlateSpec, mode: str, k: float) -> float:
     """Frequency in Hz of one mode at a single wavenumber.
 
-    Raises SolverError if the branch index has no root in the scan window.
+    The only code that picks the branch index and judges its reliability.
+    Raises SolverError if the branch index has no root in the scan window,
+    or if rounding noise near the scan floor makes the indexing unreliable.
     """
     if not k > 0:
         raise InputError("wavenumber must be positive")
     fam = _mode_family(mode)
-    idx = _branch_index(mode)
+    idx = int(mode[1])
     roots, reliable = _roots_at_k(plate, fam, k, idx + 1)
-    if idx > 0 and not reliable:
+    if not reliable:
         raise SolverError(
             f"branch indexing unreliable at k={k:.6g} rad/m: residual is below "
             "the rounding-noise floor near the scan floor (k*h too small)"
@@ -280,14 +274,11 @@ class DispersionCurve:
     def v_phase(self) -> np.ndarray:
         return 2.0 * math.pi * self.f / self.k
 
-    def in_gap(self, k: float) -> bool:
-        return any(lo <= k <= hi for lo, hi in self.gaps)
-
 
 def solve_mode(plate: PlateSpec, mode: str, k_grid) -> DispersionCurve:
     """Solve one mode over a strictly increasing positive wavenumber grid.
 
-    Wavenumbers where the branch index has no root in the scan window are
+    Each point is a solve_at_k call; points where it raises SolverError are
     recorded as gap intervals rather than raising.
     """
     ks = np.asarray(k_grid, dtype=float)
@@ -295,27 +286,20 @@ def solve_mode(plate: PlateSpec, mode: str, k_grid) -> DispersionCurve:
         raise InputError("k grid must be a non-empty 1-D array")
     if np.any(ks <= 0) or np.any(np.diff(ks) <= 0):
         raise InputError("k grid must be positive and strictly increasing")
-    fam = _mode_family(mode)
-    idx = _branch_index(mode)
-    out_k, out_f = [], []
-    missing_idx = []
-    hints = ()
-    for i, k in enumerate(ks):
-        roots, reliable = _roots_at_k(plate, fam, float(k), idx + 1, hints)
-        if (idx > 0 and not reliable) or len(roots) <= idx:
-            missing_idx.append(i)
+    out_k, out_f, gaps = [], [], []
+    for i, k in enumerate(ks.tolist()):
+        try:
+            f = solve_at_k(plate, mode, k)
+        except SolverError:
+            # consecutive missing grid points collapse into one gap interval
+            if gaps and gaps[-1][1] == i - 1:
+                gaps[-1][1] = i
+            else:
+                gaps.append([i, i])
             continue
-        out_k.append(float(k))
-        out_f.append(roots[idx] / (2.0 * math.pi))
-        hints = tuple(roots)
-    # Consecutive missing grid points collapse into one gap interval.
-    gaps = []
-    for i in missing_idx:
-        if gaps and i == gaps[-1][1]:
-            gaps[-1] = (gaps[-1][0], i + 1)
-        else:
-            gaps.append((i, i + 1))
-    gaps = [(float(ks[a]), float(ks[b - 1])) for a, b in gaps]
+        out_k.append(k)
+        out_f.append(f)
+    gaps = [(ks[a], ks[b]) for a, b in gaps]
     return DispersionCurve(mode, np.array(out_k), np.array(out_f), gaps)
 
 
@@ -360,31 +344,16 @@ def _lattice_eval(plate: PlateSpec, mode: str, k: float):
     return value, _LATTICE_DENSITY * (c1 + t * (2.0 * c2 + 3.0 * t * c3))
 
 
-def pitch_to_frequency(
-    pitch: float, mode: str, plate: PlateSpec, curve: DispersionCurve | None = None
-) -> float:
+def pitch_to_frequency(pitch: float, mode: str, plate: PlateSpec) -> float:
     """Frequency at the electrode-pitch-defined wavenumber k = pi/pitch.
 
-    The acoustic wavelength equals twice the pitch.  A supplied solved curve
-    is interpolated with a monotone cubic (PCHIP); without one the value is
-    F(k*h)/h from the mode's master lattice, within about 1e-7 of a direct
-    solve.
+    The acoustic wavelength equals twice the pitch.  The value is F(k*h)/h
+    from the mode's master lattice, within about 1e-7 of a direct solve;
+    DispersionRangeError where the lattice has no reliable root near k*h.
     """
     if not pitch > 0:
         raise InputError("pitch must be positive")
-    k = math.pi / pitch
-    if curve is None:
-        return math.exp(_lattice_eval(plate, mode, k)[0]) / plate.h
-    if curve.mode != mode:
-        raise InputError(f"curve is for {curve.mode}, not {mode}")
-    if curve.k.size < 2 or k < curve.k[0] or k > curve.k[-1]:
-        raise DispersionRangeError(
-            f"k={k:.6g} rad/m outside solved range for {mode}"
-        )
-    if curve.in_gap(k):
-        raise DispersionRangeError(f"k={k:.6g} rad/m falls in a {mode} gap")
-    interp = PchipInterpolator(curve.k, curve.f)
-    return float(interp(k))
+    return math.exp(_lattice_eval(plate, mode, math.pi / pitch)[0]) / plate.h
 
 
 def sensitivity(plate: PlateSpec, mode: str, k: float):

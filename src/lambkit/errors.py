@@ -66,11 +66,11 @@ class DegenerateFixtureError(LambkitError, ValueError):
 
 
 class SolverError(LambkitError):
-    """Dispersion root finding failed (no bracketed root in the scan window)."""
+    """Dispersion root finding failed: no root for the branch, or unreliable indexing."""
 
 
 class DispersionRangeError(LambkitError, ValueError):
-    """Requested wavenumber lies outside the solved curve or inside a gap."""
+    """The dispersion lattice has no reliable root near the requested k*h."""
 
 
 class SensitivityError(LambkitError):

@@ -241,6 +241,14 @@ class _Parser:
         self.advance()
         return payload
 
+    def expect_sized(self, rectype: int, size: int) -> bytes:
+        """expect() for a record whose payload is exactly ``size`` bytes."""
+        off = self.offset
+        payload = self.expect(rectype)
+        if len(payload) != size:
+            raise GdsParseError(f"{_rec_name(rectype)} payload must be {size} bytes", offset=off)
+        return payload
+
 
 def _parse_ascii(payload: bytes, offset: int) -> str:
     try:
@@ -254,20 +262,14 @@ def read_gdsii(data: bytes):
     from .layout import Library, Cell, Polygon, Placement
 
     p = _Parser(data)
-    hdr = p.expect(HEADER)
-    if len(hdr) != 2:
-        raise GdsParseError("HEADER payload must be 2 bytes", offset=0)
-    version = struct.unpack(">h", hdr)[0]
+    version = struct.unpack(">h", p.expect_sized(HEADER, 2))[0]
     if version != GDS_VERSION:
         raise GdsParseError(f"unsupported stream version {version}", offset=0)
     p.expect(BGNLIB)
     name_off = p.offset
     libname = _parse_ascii(p.expect(LIBNAME), name_off)
     units_off = p.offset
-    units = p.expect(UNITS)
-    if len(units) != 16:
-        raise GdsParseError("UNITS payload must be 16 bytes", offset=units_off)
-    uu, mm = struct.unpack(">QQ", units)
+    uu, mm = struct.unpack(">QQ", p.expect_sized(UNITS, 16))
     dbu_uu = decode_real8(uu)
     dbu_m = decode_real8(mm)
     if not math.isclose(dbu_m, DB_UNIT_IN_METERS, rel_tol=1e-9):
@@ -284,11 +286,7 @@ def read_gdsii(data: bytes):
         while p.cur in (BOUNDARY, SREF):
             if p.cur == BOUNDARY:
                 p.expect(BOUNDARY)
-                layer_off = p.offset
-                layer_pl = p.expect(LAYER)
-                if len(layer_pl) != 2:
-                    raise GdsParseError("LAYER payload must be 2 bytes", offset=layer_off)
-                layer = struct.unpack(">h", layer_pl)[0]
+                layer = struct.unpack(">h", p.expect_sized(LAYER, 2))[0]
                 p.expect(DATATYPE)
                 xy_off = p.offset
                 xy = p.expect(XY)
@@ -311,14 +309,12 @@ def read_gdsii(data: bytes):
                 rotation = 0
                 if p.cur == STRANS:
                     strans_off = p.offset
-                    strans = p.expect(STRANS)
-                    if struct.unpack(">H", strans)[0] != 0:
+                    if struct.unpack(">H", p.expect_sized(STRANS, 2))[0] != 0:
                         raise GdsParseError(
                             "mirror/magnification flags unsupported", offset=strans_off
                         )
                     ang_off = p.offset
-                    ang = p.expect(ANGLE)
-                    angle = decode_real8(struct.unpack(">Q", ang)[0])
+                    angle = decode_real8(struct.unpack(">Q", p.expect_sized(ANGLE, 8))[0])
                     rotation = int(round(angle))
                     if rotation not in (0, 90, 180, 270) or not math.isclose(
                         angle, rotation, abs_tol=1e-9
@@ -326,11 +322,7 @@ def read_gdsii(data: bytes):
                         raise GdsParseError(
                             f"rotation {angle} not a right angle", offset=ang_off
                         )
-                xy_off = p.offset
-                xy = p.expect(XY)
-                if len(xy) != 8:
-                    raise GdsParseError("SREF XY must be one point", offset=xy_off)
-                x, y = struct.unpack(">2l", xy)
+                x, y = struct.unpack(">2l", p.expect_sized(XY, 8))
                 p.expect(ENDEL)
                 placements.append(
                     Placement(cell_name=sname, x=x, y=y, rotation=rotation)

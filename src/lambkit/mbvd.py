@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.ndimage import median_filter
 from scipy.optimize import least_squares
 
 from .errors import (
@@ -271,6 +270,11 @@ class FitOptions:
     fit_r0: bool = False
     median_window: int = 5
 
+    def __post_init__(self):
+        w = self.median_window
+        if isinstance(w, bool) or not isinstance(w, int) or w < 1 or w % 2 == 0:
+            raise InputError(f"median_window must be a positive odd integer, got {w!r}")
+
 
 @dataclass
 class FitResult:
@@ -292,7 +296,11 @@ class FitResult:
 def _find_peaks(mag: np.ndarray, n: int, window: int):
     """Indices of the n largest interior local maxima of the median-filtered
     magnitude; ties break toward lower frequency."""
-    sm = median_filter(mag, size=window, mode="nearest")
+    # sliding median over edge-padded input; the window is odd, so the median
+    # is the middle sample of each window
+    half = window // 2
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(mag, half, mode="edge"), window)
+    sm = np.partition(windows, half, axis=1)[:, half]
     cand = [
         i
         for i in range(1, len(sm) - 1)

@@ -701,9 +701,12 @@ def check_compatibility(flow, rates: RateTable | None = None) -> list:
     itself uncovers the sensitive material is still caught.
     """
     flow = tuple(flow)
-    states = simulate_stack(flow, rates)
-    violations = []
+    return _rule_violations(flow, simulate_stack(flow, rates))
 
+
+def _rule_violations(flow: tuple, states: list) -> list:
+    """check_compatibility on a flow whose stack states are already simulated."""
+    violations = []
     for i, step in enumerate(flow):
         pre = states[i - 1].exposed_materials if i > 0 else frozenset()
         post = states[i].exposed_materials
@@ -772,8 +775,7 @@ def check_flow(flow, rates: RateTable | None = None) -> FlowReport:
     """Simulate and rule-check a flow in one call."""
     flow = tuple(flow)
     states = simulate_stack(flow, rates)
-    violations = check_compatibility(flow, rates)
-    return FlowReport(tuple(violations), tuple(states))
+    return FlowReport(tuple(_rule_violations(flow, states)), tuple(states))
 
 
 def etch_budget(

@@ -116,9 +116,9 @@ def parse_touchstone(text) -> TouchstoneFile:
                         raise TouchstoneParseError(
                             f"bad reference impedance {tokens[i + 1]!r}", line=lineno
                         )
-                    if z0 <= 0:
+                    if not 0 < z0 < math.inf:
                         raise TouchstoneParseError(
-                            "reference impedance must be positive", line=lineno
+                            "reference impedance must be positive and finite", line=lineno
                         )
                     i += 1
                 elif tok in ("y", "z", "g", "h", "t"):
@@ -143,6 +143,8 @@ def parse_touchstone(text) -> TouchstoneFile:
             f, a, b = (float(c) for c in cols)
         except ValueError:
             raise TouchstoneParseError(f"non-numeric data {stripped!r}", line=lineno)
+        if not (math.isfinite(f) and math.isfinite(a) and math.isfinite(b)):
+            raise TouchstoneParseError(f"non-finite data {stripped!r}", line=lineno)
         f_hz = f * unit_scale
         if freqs and f_hz <= freqs[-1]:
             raise TouchstoneParseError(
@@ -153,6 +155,8 @@ def parse_touchstone(text) -> TouchstoneFile:
         elif fmt == "MA":
             s = a * complex(math.cos(b * _RAD), math.sin(b * _RAD))
         else:  # DB
+            if a > 6000.0:  # 10 ** (a / 20) overflows a float above ~6165 dB
+                raise TouchstoneParseError(f"dB magnitude out of range {stripped!r}", line=lineno)
             mag = 10.0 ** (a / 20.0)
             s = mag * complex(math.cos(b * _RAD), math.sin(b * _RAD))
         freqs.append(f_hz)

@@ -172,6 +172,8 @@ class WaferSite:
             if not isinstance(m, ModeMetrics):
                 raise InputError("site metrics values must be ModeMetrics")
         failed = tuple(self.failed_modes)
+        if any(mode not in MODE_NAMES for mode in failed):
+            raise InputError(f"unknown mode in failed_modes {failed!r}")
         if set(failed) & set(metrics):
             raise InputError("a mode cannot both fail and carry metrics")
         object.__setattr__(self, "metrics", metrics)
@@ -518,27 +520,48 @@ def sites_to_dict(sites, seed: int | None = None) -> dict:
     return doc
 
 
+def _number(obj: dict, key: str, path: str, default=None):
+    """obj[key] as a JSON number; InputError naming ``path.key`` otherwise."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        problem = f"must be a number, got {value!r}" if key in obj else "is missing"
+        raise InputError(f"{path}.{key} {problem}")
+    return value
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{path} must be an object")
+    return value
+
+
 def sites_from_dict(doc: dict) -> list:
-    if not isinstance(doc, dict) or "sites" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("sites"), list):
         raise InputError("wafer map document must be an object with a 'sites' array")
     sites = []
-    for entry in doc["sites"]:
-        metrics = {
-            mode: ModeMetrics(
-                f_r=m["f_r_hz"], f_a=m["f_a_hz"], q_r=m["q_r"], k_eff_sq=m["k_eff_sq"]
-            )
-            for mode, m in entry.get("metrics", {}).items()
-        }
+    for i, entry in enumerate(doc["sites"]):
+        path = f"sites[{i}]"
+        entry = _object(entry, path)
+        failed = entry.get("failed_modes", [])
+        if not isinstance(failed, list):
+            raise InputError(f"{path}.failed_modes must be an array")
+        metrics = {}
+        for mode, m in _object(entry.get("metrics", {}), f"{path}.metrics").items():
+            m = _object(m, f"{path}.metrics.{mode}")
+            metrics[mode] = ModeMetrics(*(
+                _number(m, key, f"{path}.metrics.{mode}")
+                for key in ("f_r_hz", "f_a_hz", "q_r", "k_eff_sq")
+            ))
         sites.append(
             WaferSite(
-                site_id=entry["site_id"],
-                x_mm=entry["x_mm"],
-                y_mm=entry["y_mm"],
-                pitch_m=entry["pitch_m"],
+                site_id=_number(entry, "site_id", path),
+                x_mm=_number(entry, "x_mm", path),
+                y_mm=_number(entry, "y_mm", path),
+                pitch_m=_number(entry, "pitch_m", path),
                 metrics=metrics,
-                failed_modes=tuple(entry.get("failed_modes", ())),
-                local_thickness_m=entry.get("local_thickness_m", 0.0),
-                local_pitch_m=entry.get("local_pitch_m", 0.0),
+                failed_modes=tuple(failed),
+                local_thickness_m=_number(entry, "local_thickness_m", path, 0.0),
+                local_pitch_m=_number(entry, "local_pitch_m", path, 0.0),
             )
         )
     return sites

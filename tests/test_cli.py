@@ -96,20 +96,37 @@ def test_disperse_inverted_range_usage(tmp_path):
     assert code == 2
 
 
-def test_disperse_huge_points_is_usage_error(tmp_path):
-    # rejected before the grid is allocated: a fresh process, so a
-    # MemoryError traceback would show on stderr
+def run_cli(*argv):
+    """Run the CLI in a fresh process, so a traceback would show on stderr."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "lambkit.cli", "disperse", "--out", str(tmp_path),
-         "--points", "100000000000"],
+    return subprocess.run(
+        [sys.executable, "-m", "lambkit.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_disperse_huge_points_is_usage_error(tmp_path):
+    # rejected before the grid is allocated: a MemoryError would show
+    proc = run_cli("disperse", "--out", str(tmp_path), "--points", "100000000000")
     assert proc.returncode == cli.EXIT_USAGE
     assert "--points" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "dispersion.csv").exists()
+
+
+def test_disperse_a0_at_small_kh_leaves_gaps(tmp_path):
+    # pitches 100-400 um put k*h at 3e-3..1.3e-2 on the packaged plate: A0
+    # is solved above k*h ~ 5.7e-3 and leaves a gap below instead of
+    # jumping to the A1 cutoff
+    proc = run_cli("disperse", "--out", str(tmp_path), "--modes", "A0",
+                   "--pitch-min", "1e-4", "--pitch-max", "4e-4")
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert "Traceback" not in proc.stderr
+    rows = (tmp_path / "dispersion.csv").read_text().splitlines()[1:]
+    fs = [float(r.split(",")[2]) for r in rows]
+    assert 0 < len(fs) < 40
+    assert fs == sorted(fs)
 
 
 def test_solver_failure_maps_to_exit_3(tmp_path, monkeypatch):
@@ -322,6 +339,16 @@ def test_stats_rejects_malformed_json(tmp_path):
     bad = tmp_path / "sites.json"
     bad.write_text("{nope")
     assert cli.main(["stats", str(bad), "--out", str(tmp_path)]) == cli.EXIT_USAGE
+
+
+def test_stats_site_without_x_mm_is_usage_error(tmp_path):
+    sites = tmp_path / "sites.json"
+    sites.write_text(json.dumps({"sites": [{"site_id": 0, "y_mm": 0.0, "pitch_m": 2e-6}]}))
+    proc = run_cli("stats", str(sites), "--out", str(tmp_path))
+    assert proc.returncode == cli.EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "sites[0].x_mm" in proc.stderr
 
 
 def test_stats_empty_sites_exits_6(tmp_path):

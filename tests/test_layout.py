@@ -434,6 +434,33 @@ def test_parse_error_offsets():
         read_gdsii(bytes(corrupted))
 
 
+def _with_payload(data: bytes, rectype: int, payload: bytes) -> tuple:
+    """data with the first ``rectype`` record's payload replaced, and the
+    offset of that record."""
+    pos = 0
+    while pos < len(data):
+        length, rt, dt = struct.unpack_from(">HBB", data, pos)
+        if rt == rectype:
+            rec = struct.pack(">HBB", 4 + len(payload), rt, dt) + payload
+            return data[:pos] + rec + data[pos + length:], pos
+        pos += length
+    raise AssertionError(f"no record 0x{rectype:02X}")
+
+
+@pytest.mark.parametrize("rectype,payload", [
+    (0x1A, b""), (0x1A, b"\x00\x00\x00\x00"), (0x1C, b""), (0x1C, b"\x41\x10\x00\x00"),
+])
+def test_strans_angle_payload_lengths(rectype, payload):
+    lib = Library(name="L")
+    lib.add(Cell(name="SQ", polygons=[square()]))
+    lib.add(Cell(name="TOP", placements=[Placement("SQ", 0, 0, rotation=90)]))
+    data, offset = _with_payload(write_gdsii(lib), rectype, payload)
+    with pytest.raises(GdsParseError) as exc:
+        read_gdsii(data)
+    assert exc.value.offset == offset
+    assert "payload must be" in str(exc.value)
+
+
 def test_unclosed_boundary_rejected():
     lib = Library(name="L")
     lib.add(Cell(name="SQ", polygons=[square()]))

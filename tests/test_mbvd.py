@@ -12,6 +12,7 @@ from lambkit.errors import (
     FitPeakError,
     InputError,
 )
+from lambkit import mbvd
 from lambkit.mbvd import (
     AdmittanceTrace,
     FitOptions,
@@ -246,3 +247,23 @@ def test_fit_rejects_short_trace():
     tr = AdmittanceTrace([1e9, 2e9], [1j * 1e-3, 1j * 2e-3])
     with pytest.raises(InputError):
         fit_mbvd(tr, 1)
+
+
+def test_peak_median_matches_scipy_median_filter():
+    median_filter = pytest.importorskip("scipy.ndimage").median_filter
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        n = int(rng.integers(3, 600))
+        window = int(rng.choice([1, 3, 5, 7, 9, 11]))
+        mag = np.abs(rng.standard_normal(n)) * 10.0 ** rng.uniform(-6, 6)
+        if rng.random() < 0.3:
+            mag = np.round(mag, 1)  # ties
+        _, sm = mbvd._find_peaks(mag, 0, window)
+        want = median_filter(mag, size=window, mode="nearest")
+        assert np.array_equal(sm.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("window", [0, -3, 4, 2.0, True, "5"])
+def test_fit_options_rejects_bad_median_window(window):
+    with pytest.raises(InputError):
+        FitOptions(median_window=window)

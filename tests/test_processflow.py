@@ -5,10 +5,12 @@ from dataclasses import replace
 
 import pytest
 
+from lambkit import processflow
 from lambkit.errors import FlowError, InputError, MissingRateError
 from lambkit.processflow import (
     DEFAULT_RATES,
     GOLDEN_FLOW_NAMES,
+    FlowReport,
     ProcessStep,
     RateTable,
     ashing_time,
@@ -330,6 +332,27 @@ def test_flow_report_serialization():
     lines = report.summary_lines()
     assert lines[-2] == "0 error(s), 1 warning(s)"
     assert "final stack:" in lines[-1]
+
+
+def test_check_flow_simulates_once(monkeypatch):
+    hf = packaged_flow("alscn-ti-adhesion")
+    hf = mutate(hf, find_step(hf, kind="etch_vapor"), kind="etch_wet",
+                chemistry="49%HF/H2O 1:50")
+    flows = [packaged_flow(name) for name in GOLDEN_FLOW_NAMES] + [hf]
+    # the report is the one the two separate public calls give
+    want = [FlowReport(tuple(check_compatibility(f)), tuple(simulate_stack(f)))
+            for f in flows]
+    calls = []
+
+    def counting(flow, rates=None):
+        calls.append(1)
+        return simulate_stack(flow, rates)
+
+    monkeypatch.setattr(processflow, "simulate_stack", counting)
+    for flow, expected in zip(flows, want):
+        calls.clear()
+        assert check_flow(flow) == expected
+        assert len(calls) == 1
 
 
 def test_flow_json_round_trip():

@@ -89,6 +89,27 @@ def test_parse_errors_carry_line_numbers():
     assert "unsupported" in str(exc.value)
 
 
+@pytest.mark.parametrize("row", ["1.1 nan 0", "1.1 0.5 inf", "1.1 -Infinity 0", "nan 0.5 0"])
+def test_parse_rejects_non_finite_data(row):
+    with pytest.raises(TouchstoneParseError) as exc:
+        parse_touchstone(f"# ghz s ri r 50\n1 0.5 0\n{row}\n")
+    assert "line 3" in str(exc.value)
+    assert "non-finite" in str(exc.value)
+
+
+def test_parse_rejects_overflowing_db_magnitude():
+    with pytest.raises(TouchstoneParseError) as exc:
+        parse_touchstone("# ghz s db r 50\n1 -3 0\n1.1 7000 0\n")
+    assert "line 3" in str(exc.value)
+
+
+@pytest.mark.parametrize("z0", ["nan", "inf", "0"])
+def test_parse_rejects_bad_reference_impedance(z0):
+    with pytest.raises(TouchstoneParseError) as exc:
+        parse_touchstone(f"# ghz s ri r {z0}\n1 0.5 0\n")
+    assert "line 1" in str(exc.value)
+
+
 def test_round_trip_all_formats_and_units():
     rng = np.random.default_rng(7)
     for fmt in ("RI", "MA", "DB"):

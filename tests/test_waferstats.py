@@ -1,6 +1,7 @@
 """Tests for wafer-map statistics and the seeded variation model."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -369,3 +370,19 @@ def test_sites_json_round_trip():
     assert again == sites
     with pytest.raises(InputError):
         sites_from_dict({"not_sites": []})
+
+
+@pytest.mark.parametrize("path,mutate", [
+    ("sites[1].x_mm", lambda d: d["sites"][1].pop("x_mm")),
+    ("sites[0].pitch_m", lambda d: d["sites"][0].update(pitch_m="2e-6")),
+    ("sites[0].metrics.S0.q_r", lambda d: d["sites"][0]["metrics"]["S0"].pop("q_r")),
+    ("sites[0].metrics.S0.f_r_hz", lambda d: d["sites"][0]["metrics"]["S0"].update(f_r_hz="1e9")),
+    ("sites[1]", lambda d: d["sites"].__setitem__(1, [])),
+    ("sites[0].failed_modes", lambda d: d["sites"][0].update(failed_modes="A1")),
+    ("failed_modes", lambda d: d["sites"][0].update(failed_modes=["B7"])),
+])
+def test_sites_from_dict_names_the_bad_field(path, mutate):
+    doc = sites_to_dict([make_site(0, {"S0": 1e9}), make_site(1, {"S0": 1.1e9})])
+    mutate(doc)
+    with pytest.raises(InputError, match=re.escape(path)):
+        sites_from_dict(doc)
