@@ -1,4 +1,4 @@
-"""One-port OSL calibration: three-term error box solved per frequency.
+"""One-port OSL calibration: three-term error box, one batched solve per file.
 
 Model:  G_meas = e00 + (e10e01 * G) / (1 - e11 * G)
              = (e00 - de * G) / (1 - e11 * G),   de = e00*e11 - e10e01
@@ -7,6 +7,9 @@ Given measured reflections of the short, open, and load standards, each
 frequency yields one linear 3x3 system in (e00, e11, de):
 
     [1,  G_meas * G,  -G] . [e00, e11, de]^T = G_meas
+
+The (N, 3, 3) stack over the grid is one ``np.linalg.solve`` call, and the
+correction is applied to the whole trace at once.
 
 Standards default to the ideal definitions (-1, +1, 0); an offset model
 with electrical delay and loss is available for characterized standards.
@@ -33,21 +36,36 @@ __all__ = [
 ]
 
 
+_E11_MSG = "source match |e11| must be < 1 for a physical fixture"
+
+
+def _cmul(a, b):
+    """a * b per element, rounded as numpy's scalar complex product is.
+
+    The array multiply may fuse multiply-adds and differ in the last bit.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out[()]
+
+
 @dataclass(frozen=True)
 class ErrorBox:
-    """Directivity, source match, and the combined tracking term."""
+    """Directivity, source match, and tracking: scalars or one entry per frequency."""
 
     e00: complex
     e11: complex
     de: complex  # e00*e11 - e10e01
 
     def __post_init__(self):
-        if abs(self.e11) >= 1.0:
-            raise InputError("source match |e11| must be < 1 for a physical fixture")
+        if np.any(np.abs(self.e11) >= 1.0):
+            raise InputError(_E11_MSG)
 
     @property
-    def e10e01(self) -> complex:
-        return self.e00 * self.e11 - self.de
+    def e10e01(self):
+        return _cmul(self.e00, self.e11) - self.de
 
     @classmethod
     def identity(cls) -> "ErrorBox":
@@ -94,50 +112,55 @@ def osl_solve(
     meas_open,
     meas_load,
     standards: OslStandards = IDEAL_STANDARDS,
-):
-    """Error boxes per frequency from the three measured standards."""
+) -> ErrorBox:
+    """One error box over the grid (length-N fields) from the measured standards.
+
+    Raises CalibrationError naming the first frequency whose standards are
+    degenerate, whose system is singular, or whose box has |e11| >= 1.
+    """
     f = np.asarray(f_hz, dtype=float)
     ms = np.asarray(meas_short, dtype=complex)
     mo = np.asarray(meas_open, dtype=complex)
     ml = np.asarray(meas_load, dtype=complex)
     if not (f.shape == ms.shape == mo.shape == ml.shape) or f.ndim != 1:
         raise InputError("frequency and standard arrays must share one shape")
-    boxes = []
-    for i in range(f.size):
-        meas = (ms[i], mo[i], ml[i])
-        gact = (
-            standards.short.gamma(f[i]),
-            standards.open.gamma(f[i]),
-            standards.load.gamma(f[i]),
-        )
-        if len({meas[0], meas[1], meas[2]}) < 3:
-            raise CalibrationError(
-                f"degenerate standards at {f[i]:.6g} Hz: two measured values equal"
-            )
-        a = np.array(
-            [[1.0, m * g, -g] for m, g in zip(meas, gact)], dtype=complex
-        )
-        b = np.array(meas, dtype=complex)
-        try:
-            e00, e11, de = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError as exc:
-            raise CalibrationError(
-                f"singular calibration system at {f[i]:.6g} Hz: {exc}"
-            ) from exc
-        try:
-            boxes.append(ErrorBox(e00=e00, e11=e11, de=de))
-        except InputError as exc:
-            raise CalibrationError(
-                f"unphysical error box at {f[i]:.6g} Hz: {exc}"
-            ) from exc
-    return boxes
+    meas = np.stack([ms, mo, ml], axis=-1)
+    stds = (standards.short, standards.open, standards.load)
+    gact = np.stack([std.gamma(f) for std in stds], axis=-1)
+    a = np.empty(f.shape + (3, 3), dtype=complex)
+    a[..., 0] = 1.0
+    a[..., 1] = _cmul(meas, gact)
+    a[..., 2] = -gact
+    degenerate = (ms == mo) | (mo == ml) | (ms == ml)
+    singular = np.zeros(f.shape, dtype=bool)
+    x = np.full(f.shape + (3,), np.nan, dtype=complex)
+    try:
+        x[...] = np.linalg.solve(a, meas[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        # det runs the same LU factorisation as the solver, so it is exactly
+        # zero where the solve failed; solve the rest for the checks below
+        reason = exc
+        singular = np.linalg.det(a) == 0
+        x[~singular] = np.linalg.solve(a[~singular], meas[~singular][..., None])[..., 0]
+    e00, e11, de = x.T.copy()
+    unphysical = np.abs(e11) >= 1.0
+    bad = degenerate | singular | unphysical
+    if bad.any():
+        i = int(np.argmax(bad))
+        at = f"{f[i]:.6g} Hz"
+        if degenerate[i]:
+            raise CalibrationError(f"degenerate standards at {at}: two measured values equal")
+        if singular[i]:
+            raise CalibrationError(f"singular calibration system at {at}: {reason}")
+        raise CalibrationError(f"unphysical error box at {at}: {_E11_MSG}")
+    return ErrorBox(e00=e00, e11=e11, de=de)
 
 
 def apply_correction(box: ErrorBox, s_meas):
     """Invert the bilinear model: G = (s - e00) / (e10e01 + e11 (s - e00))."""
     s = np.asarray(s_meas, dtype=complex)
     num = s - box.e00
-    den = box.e10e01 + box.e11 * num
+    den = box.e10e01 + _cmul(box.e11, num)
     if np.any(den == 0):
         raise CorrectionError("singular correction denominator")
     g = num / den
@@ -162,10 +185,8 @@ def calibrate_file(
     _check_same_grid("short", dut, short)
     _check_same_grid("open", dut, open_std)
     _check_same_grid("load", dut, load)
-    boxes = osl_solve(dut.frequencies, short.s11, open_std.s11, load.s11, standards)
-    corrected = np.array(
-        [apply_correction(box, s) for box, s in zip(boxes, dut.s11)], dtype=complex
-    )
+    box = osl_solve(dut.frequencies, short.s11, open_std.s11, load.s11, standards)
+    corrected = apply_correction(box, dut.s11)
     return TouchstoneFile(
         frequencies=dut.frequencies.copy(),
         s11=corrected,

@@ -253,14 +253,12 @@ def cmd_layout(args) -> int:
 
 def _load_cal_files(args):
     given = [args.cal_short, args.cal_open, args.cal_load]
-    if not any(given):
-        if args.cal_through:
-            _warn("through standard ignored: one-port OSL uses short/open/load")
-        return None
-    if not all(given):
+    if any(given) and not all(given):
         raise InputError("calibration needs all of --cal-short/--cal-open/--cal-load")
     if args.cal_through:
         _warn("through standard ignored: one-port OSL uses short/open/load")
+    if not any(given):
+        return None
     loaded = []
     for path in given:
         with open(path, "r", encoding="utf-8") as fh:

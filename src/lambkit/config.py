@@ -9,6 +9,7 @@ ignored settings.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -311,17 +312,21 @@ def default_config_dict() -> dict:
     return _read_packaged("default_config.json")
 
 
+def _read_file(path, what: str):
+    try:
+        with open(path, "r") as fh:
+            return json.load(fh)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{what} file not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} file is not valid JSON: {exc}") from exc
+
+
 def load_config(path=None) -> ToolkitConfig:
     """Load a config file (or the packaged defaults when path is None)."""
     if path is None:
         return ToolkitConfig.default()
-    try:
-        with open(path, "r") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    raw = _read_file(path, "config")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     return ToolkitConfig.from_dict(raw)
@@ -329,19 +334,13 @@ def load_config(path=None) -> ToolkitConfig:
 
 def load_catalog(path=None) -> dict:
     """Design catalog: pitch sweep plus as-fabricated reference counts."""
-    if path is None:
-        raw = _read_packaged("design_catalog.json")
-    else:
-        try:
-            with open(path, "r") as fh:
-                raw = json.load(fh)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"catalog file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"catalog file is not valid JSON: {exc}") from exc
-    pitches = raw.get("pitches_m")
-    if not isinstance(pitches, list) or not pitches or any(p <= 0 for p in pitches):
+    raw = _read_packaged("design_catalog.json") if path is None else _read_file(path, "catalog")
+    pitches = raw.get("pitches_m") if isinstance(raw, dict) else None
+    if not isinstance(pitches, list) or not pitches:
         raise ConfigError("catalog pitches_m must be a non-empty list of positive numbers")
+    for i, p in enumerate(pitches):
+        if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0 < p < math.inf:
+            raise ConfigError(f"catalog pitches_m[{i}] must be a positive finite number, got {p!r}")
     if sorted(pitches) != pitches:
         raise ConfigError("catalog pitches_m must be sorted ascending")
     return raw

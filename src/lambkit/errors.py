@@ -1,4 +1,4 @@
-"""Exception taxonomy shared by all lambkit modules.
+"""Exception taxonomy shared by all lambkit modules, and one JSON loader check.
 
 Every error raised on a documented failure path derives from LambkitError so
 callers (and the CLI) can map failures to exit codes without string matching.
@@ -26,6 +26,7 @@ __all__ = [
     "StatisticsError",
     "FlowError",
     "MissingRateError",
+    "json_object",
 ]
 
 
@@ -135,3 +136,10 @@ class FlowError(LambkitError, ValueError):
 
 class MissingRateError(FlowError):
     """No etch/ash rate entry for a (material, chemistry) pair."""
+
+
+def json_object(value, path: str) -> dict:
+    """``value`` if it is a JSON object; InputError naming ``path`` otherwise."""
+    if not isinstance(value, dict):
+        raise InputError(f"{path} must be an object")
+    return value

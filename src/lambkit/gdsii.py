@@ -63,25 +63,10 @@ DT_ASCII = 0x06
 # fixed library/structure timestamp: 12 int16 (mod + access, y m d h m s)
 _TIMESTAMP = (2022, 1, 1, 0, 0, 0) * 2
 
-_REC_NAMES = {
-    HEADER: "HEADER",
-    BGNLIB: "BGNLIB",
-    LIBNAME: "LIBNAME",
-    UNITS: "UNITS",
-    ENDLIB: "ENDLIB",
-    BGNSTR: "BGNSTR",
-    STRNAME: "STRNAME",
-    ENDSTR: "ENDSTR",
-    BOUNDARY: "BOUNDARY",
-    SREF: "SREF",
-    LAYER: "LAYER",
-    DATATYPE: "DATATYPE",
-    XY: "XY",
-    ENDEL: "ENDEL",
-    SNAME: "SNAME",
-    STRANS: "STRANS",
-    ANGLE: "ANGLE",
-}
+_REC_NAMES = {globals()[name]: name for name in (
+    "HEADER BGNLIB LIBNAME UNITS ENDLIB BGNSTR STRNAME ENDSTR BOUNDARY SREF "
+    "LAYER DATATYPE XY ENDEL SNAME STRANS ANGLE"
+).split()}
 
 
 def encode_real8(value: float) -> int:

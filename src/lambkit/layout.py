@@ -158,6 +158,14 @@ class Placement:
             raise InputError("rotation must be one of 0, 90, 180, 270 degrees")
 
 
+def _union_bbox(polygons):
+    """(x0, y0, x1, y1) around every polygon, None when there are none."""
+    boxes = [p.bbox() for p in polygons]
+    if not boxes:
+        return None
+    return tuple(f(b[i] for b in boxes) for i, f in enumerate((min, min, max, max)))
+
+
 @dataclass
 class Cell:
     name: str
@@ -170,15 +178,7 @@ class Cell:
 
     def bbox_local(self):
         """Bounding box of this cell's own polygons only, None if empty."""
-        if not self.polygons:
-            return None
-        boxes = [p.bbox() for p in self.polygons]
-        return (
-            min(b[0] for b in boxes),
-            min(b[1] for b in boxes),
-            max(b[2] for b in boxes),
-            max(b[3] for b in boxes),
-        )
+        return _union_bbox(self.polygons)
 
 
 class Library:
@@ -252,16 +252,7 @@ class Library:
         return out
 
     def bbox(self, cell_name: str):
-        polys = self.flatten(cell_name)
-        if not polys:
-            return None
-        boxes = [p.bbox() for p in polys]
-        return (
-            min(b[0] for b in boxes),
-            min(b[1] for b in boxes),
-            max(b[2] for b in boxes),
-            max(b[3] for b in boxes),
-        )
+        return _union_bbox(self.flatten(cell_name))
 
 
 def _rotate_point(x: int, y: int, rotation: int):

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 
-from .errors import FlowError, InputError, MissingRateError
+from .errors import FlowError, InputError, MissingRateError, json_object
 
 __all__ = [
     "STEP_KINDS",
@@ -122,6 +122,17 @@ def classify_chemistry(chemistry: str) -> str:
     return "other"
 
 
+_STEP_TEXT = frozenset({"kind", "material", "chemistry", "tool", "note"})
+_STEP_NUMBERS = frozenset({"thickness_m", "temperature_c", "duration_s", "repeats", "pulses"})
+
+
+def _finite(value, path: str):
+    """value as a finite JSON number; InputError naming ``path`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise InputError(f"{path} must be a finite number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ProcessStep:
     """One fabrication step.
@@ -204,31 +215,27 @@ class ProcessStep:
         return out
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ProcessStep":
-        if not isinstance(data, dict):
-            raise InputError("process step must be a JSON object")
-        known = {
-            "kind",
-            "material",
-            "thickness_m",
-            "chemistry",
-            "temperature_c",
-            "duration_s",
-            "tool",
-            "recipe",
-            "repeats",
-            "pulses",
-            "note",
-        }
-        extra = set(data) - known
+    def from_dict(cls, data: dict, path: str = "step") -> "ProcessStep":
+        """Step from its JSON object; InputError names ``path.<field>``."""
+        extra = set(json_object(data, path)) - _STEP_TEXT - _STEP_NUMBERS - {"recipe"}
         if extra:
             raise InputError(f"unknown process step field(s): {sorted(extra)}")
         if "kind" not in data:
             raise InputError("process step needs a kind")
-        kwargs = dict(data)
-        if "recipe" in kwargs:
-            kwargs["recipe"] = tuple(tuple(seg) for seg in kwargs["recipe"])
-        return cls(**kwargs)
+        for key, value in data.items():
+            if key in _STEP_TEXT and not isinstance(value, str):
+                raise InputError(f"{path}.{key} must be a string, got {value!r}")
+            if key in _STEP_NUMBERS and not (key == "temperature_c" and value is None):
+                _finite(value, f"{path}.{key}")
+        recipe = data.get("recipe", ())
+        if not isinstance(recipe, (list, tuple)):
+            raise InputError(f"{path}.recipe must be an array of [angle_deg, seconds] pairs")
+        for j, seg in enumerate(recipe):
+            if not isinstance(seg, (list, tuple)) or len(seg) != 2:
+                raise InputError(f"{path}.recipe[{j}] must be an [angle_deg, seconds] pair")
+            for value in seg:
+                _finite(value, f"{path}.recipe[{j}]")
+        return cls(**{**data, "recipe": tuple(tuple(seg) for seg in recipe)})
 
 
 @dataclass(frozen=True)
@@ -354,16 +361,22 @@ class RateTable:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RateTable":
-        if not isinstance(data, dict):
-            raise InputError("rate table must be a JSON object")
-        extra = set(data) - {"processes", "ashing_nm_min"}
+        extra = set(json_object(data, "rate table")) - {"processes", "ashing_nm_min"}
         if extra:
             raise InputError(f"unknown rate table field(s): {sorted(extra)}")
         entries = {}
-        for process, materials in dict(data.get("processes", {})).items():
-            for material, rate in dict(materials).items():
-                entries[(material, process)] = rate
-        return cls(entries=entries, ashing_nm_min=data.get("ashing_nm_min", {}))
+        for process, materials in json_object(data.get("processes", {}), "processes").items():
+            path = f"processes.{process}"
+            for material, rate in json_object(materials, path).items():
+                entries[(material, process)] = _finite(rate, f"{path}.{material}")
+        ashing = json_object(data.get("ashing_nm_min", {}), "ashing_nm_min")
+        for temp, rate in ashing.items():
+            _finite(rate, f"ashing_nm_min.{temp}")
+            try:
+                float(temp)
+            except ValueError:
+                raise InputError(f"ashing_nm_min key {temp!r} must be a temperature in degC") from None
+        return cls(entries=entries, ashing_nm_min=ashing)
 
 
 # Milling rates keep the documented ordering only: resists <= SiO2, AlN and
@@ -406,12 +419,7 @@ class Violation:
             raise InputError("severity must be 'error' or 'warning'")
 
     def to_dict(self) -> dict:
-        return {
-            "code": self.code,
-            "step_index": self.step_index,
-            "message": self.message,
-            "severity": self.severity,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -424,14 +432,7 @@ class EtchBudgetReport:
     passes: bool
 
     def to_dict(self) -> dict:
-        return {
-            "mask_material": self.mask_material,
-            "target_material": self.target_material,
-            "etch_time_s": self.etch_time_s,
-            "consumed_mask_m": self.consumed_mask_m,
-            "remaining_mask_m": self.remaining_mask_m,
-            "passes": self.passes,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -840,7 +841,9 @@ def steps_from_dict(data: dict) -> tuple:
         raise InputError("flow document must be an object with a 'steps' array")
     if not isinstance(data["steps"], list):
         raise InputError("'steps' must be an array")
-    return tuple(ProcessStep.from_dict(entry) for entry in data["steps"])
+    return tuple(
+        ProcessStep.from_dict(entry, f"steps[{i}]") for i, entry in enumerate(data["steps"])
+    )
 
 
 def load_flow(path) -> tuple:

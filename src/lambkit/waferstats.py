@@ -29,6 +29,7 @@ from .errors import (
     InputError,
     SolverError,
     StatisticsError,
+    json_object,
 )
 from .layout import gen_wafer_map
 from .mbvd import ModeMetrics
@@ -529,25 +530,19 @@ def _number(obj: dict, key: str, path: str, default=None):
     return value
 
 
-def _object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise InputError(f"{path} must be an object")
-    return value
-
-
 def sites_from_dict(doc: dict) -> list:
     if not isinstance(doc, dict) or not isinstance(doc.get("sites"), list):
         raise InputError("wafer map document must be an object with a 'sites' array")
     sites = []
     for i, entry in enumerate(doc["sites"]):
         path = f"sites[{i}]"
-        entry = _object(entry, path)
+        entry = json_object(entry, path)
         failed = entry.get("failed_modes", [])
         if not isinstance(failed, list):
             raise InputError(f"{path}.failed_modes must be an array")
         metrics = {}
-        for mode, m in _object(entry.get("metrics", {}), f"{path}.metrics").items():
-            m = _object(m, f"{path}.metrics.{mode}")
+        for mode, m in json_object(entry.get("metrics", {}), f"{path}.metrics").items():
+            m = json_object(m, f"{path}.metrics.{mode}")
             metrics[mode] = ModeMetrics(*(
                 _number(m, key, f"{path}.metrics.{mode}")
                 for key in ("f_r_hz", "f_a_hz", "q_r", "k_eff_sq")

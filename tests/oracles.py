@@ -52,3 +52,21 @@ def lamb_roots_scan(k, v_l, v_t, h, symmetry, n_roots, n_scan=200_000):
         if len(roots) >= n_roots:
             break
     return np.asarray(roots)
+
+
+def osl_correct_reference(meas, gammas, s_dut):
+    """OSL-corrected S11, one 3x3 solve and one scalar correction per point.
+
+    ``meas`` and ``gammas`` are (short, open, load) triples of length-N arrays:
+    the measured standards and their actual reflections.  Every product is a
+    numpy complex128 scalar product, as a per-frequency loop computes it.
+    """
+    out = np.empty(len(s_dut), dtype=complex)
+    for i in range(len(s_dut)):
+        m = [np.complex128(x[i]) for x in meas]
+        g = [np.complex128(x[i]) for x in gammas]
+        a = np.array([[1.0, m[j] * g[j], -g[j]] for j in range(3)], dtype=complex)
+        e00, e11, de = np.linalg.solve(a, np.array(m, dtype=complex))
+        num = np.complex128(s_dut[i]) - e00
+        out[i] = num / (e00 * e11 - de + e11 * num)
+    return out

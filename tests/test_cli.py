@@ -403,3 +403,39 @@ def test_flow_check_malformed_json_exits_2(tmp_path):
 
 def test_flow_check_missing_file_exits_2(tmp_path):
     assert cli.main(["flow-check", str(tmp_path / "absent.json")]) == 2
+
+
+def _assert_one_line_usage_error(proc, json_path):
+    assert proc.returncode == cli.EXIT_USAGE, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert json_path in proc.stderr
+
+
+def test_catalog_non_numeric_pitch_is_usage_error(tmp_path):
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps({"pitches_m": ["abc", 2e-6]}))
+    proc = run_cli("design", "--catalog", str(catalog), "--out", str(tmp_path))
+    _assert_one_line_usage_error(proc, "pitches_m[0]")
+
+
+def test_flow_step_string_thickness_is_usage_error(tmp_path):
+    flow = tmp_path / "flow.json"
+    flow.write_text(json.dumps({"steps": [
+        {"kind": "deposit", "material": "Al", "thickness_m": 1e-7},
+        {"kind": "deposit", "material": "Pt", "thickness_m": "10e-9"},
+    ]}))
+    proc = run_cli("flow-check", str(flow), "--out", str(tmp_path))
+    _assert_one_line_usage_error(proc, "steps[1].thickness_m")
+
+
+@pytest.mark.parametrize("processes, json_path", [
+    ({"ibe": 5}, "processes.ibe"),
+    ({"ibe": {"Pt": "fast"}}, "processes.ibe.Pt"),
+])
+def test_rates_malformed_process_entry_is_usage_error(tmp_path, processes, json_path):
+    rates = tmp_path / "rates.json"
+    rates.write_text(json.dumps({"processes": processes}))
+    proc = run_cli("flow-check", "alscn-ti-adhesion", "--rates", str(rates),
+                   "--out", str(tmp_path))
+    _assert_one_line_usage_error(proc, json_path)

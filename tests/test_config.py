@@ -69,6 +69,20 @@ def test_catalog_loads():
     assert counts[4.0e-6] == 44
 
 
+@pytest.mark.parametrize("pitches, index", [
+    (["abc", 2e-6], 0),
+    ([1e-6, True], 1),
+    ([1e-6, None], 1),
+    ([1e-6, float("nan")], 1),
+    ([1e-6, -2e-6], 1),
+])
+def test_catalog_names_the_bad_pitch(tmp_path, pitches, index):
+    p = tmp_path / "cat.json"
+    p.write_text(json.dumps({"pitches_m": pitches}))
+    with pytest.raises(ConfigError, match=rf"pitches_m\[{index}\]"):
+        load_catalog(p)
+
+
 def test_catalog_rejects_unsorted(tmp_path):
     p = tmp_path / "cat.json"
     p.write_text(json.dumps({"pitches_m": [2e-6, 1e-6]}))

@@ -1,6 +1,7 @@
 """Tests for process-flow simulation, compatibility rules, and etch budgets."""
 
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -80,6 +81,24 @@ def test_step_round_trip():
     assert again == step
     with pytest.raises(InputError):
         ProcessStep.from_dict({"kind": "deposit", "material": "Al", "thick": 1})
+
+
+
+@pytest.mark.parametrize("field, value, json_path", [
+    ("thickness_m", "10e-9", "steps[2].thickness_m"),
+    ("temperature_c", [150], "steps[2].temperature_c"),
+    ("duration_s", float("inf"), "steps[2].duration_s"),
+    ("pulses", True, "steps[2].pulses"),
+    ("material", 5, "steps[2].material"),
+    ("recipe", [[10, "60"]], "steps[2].recipe[0]"),
+    ("recipe", [[10]], "steps[2].recipe[0]"),
+    ("recipe", "fast", "steps[2].recipe"),
+])
+def test_steps_from_dict_names_the_bad_field(field, value, json_path):
+    doc = steps_to_dict(packaged_flow("alscn-ti-adhesion"))
+    doc["steps"][2][field] = value
+    with pytest.raises(InputError, match=re.escape(json_path)):
+        steps_from_dict(doc)
 
 
 def test_classify_chemistry():
@@ -536,3 +555,16 @@ def test_rate_table_round_trip():
         RateTable(entries={("Al", "ibe"): -1.0}, ashing_nm_min={})
     with pytest.raises(InputError):
         RateTable.from_dict({"procs": {}})
+
+
+
+@pytest.mark.parametrize("doc, json_path", [
+    ({"processes": {"ibe": 5}}, "processes.ibe"),
+    ({"processes": {"ibe": {"Pt": "fast"}}}, "processes.ibe.Pt"),
+    ({"processes": []}, "processes"),
+    ({"ashing_nm_min": {"150": "slow"}}, "ashing_nm_min.150"),
+    ({"ashing_nm_min": {"hot": 40.0}}, "ashing_nm_min key 'hot'"),
+])
+def test_rate_table_names_the_bad_entry(doc, json_path):
+    with pytest.raises(InputError, match=re.escape(json_path)):
+        RateTable.from_dict(doc)

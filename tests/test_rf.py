@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import osl_correct_reference
 
 from lambkit.calibration import (
     IDEAL_STANDARDS,
@@ -162,11 +163,12 @@ def test_error_box_identity_and_validation():
 
 def test_osl_identity_fixture():
     f = np.array([1e9, 2e9])
-    boxes = osl_solve(f, [-1, -1], [1, 1], [0, 0])
-    for box in boxes:
-        assert box.e00 == pytest.approx(0, abs=1e-14)
-        assert box.e11 == pytest.approx(0, abs=1e-14)
-        assert box.e10e01 == pytest.approx(1, abs=1e-14)
+    box = osl_solve(f, [-1, -1], [1, 1], [0, 0])
+    assert box.e00.shape == box.e11.shape == box.de.shape == f.shape
+    for i in range(f.size):
+        assert box.e00[i] == pytest.approx(0, abs=1e-14)
+        assert box.e11[i] == pytest.approx(0, abs=1e-14)
+        assert box.e10e01[i] == pytest.approx(1, abs=1e-14)
 
 
 def test_osl_round_trip_synthetic_box():
@@ -182,19 +184,98 @@ def test_osl_round_trip_synthetic_box():
     ms = np.array([forward(-1 + 0j, i) for i in range(f.size)])
     mo = np.array([forward(1 + 0j, i) for i in range(f.size)])
     ml = np.array([forward(0j, i) for i in range(f.size)])
-    boxes = osl_solve(f, ms, mo, ml)
+    box = osl_solve(f, ms, mo, ml)
     g_dut = 0.4 * np.exp(1j * rng.uniform(-math.pi, math.pi, f.size))
-    for i, box in enumerate(boxes):
-        assert box.e00 == pytest.approx(e00[i], rel=1e-11, abs=1e-12)
-        assert box.e11 == pytest.approx(e11[i], rel=1e-11, abs=1e-12)
-        meas = forward(g_dut[i], i)
-        assert apply_correction(box, meas) == pytest.approx(g_dut[i], rel=1e-11)
+    corrected = apply_correction(box, [forward(g_dut[i], i) for i in range(f.size)])
+    for i in range(f.size):
+        assert box.e00[i] == pytest.approx(e00[i], rel=1e-11, abs=1e-12)
+        assert box.e11[i] == pytest.approx(e11[i], rel=1e-11, abs=1e-12)
+        assert corrected[i] == pytest.approx(g_dut[i], rel=1e-11)
 
 
 def test_osl_degenerate_standards():
     f = np.array([1e9])
     with pytest.raises(CalibrationError):
         osl_solve(f, [0.5], [0.5], [0.0])
+
+
+def _random_box(seed, n):
+    rng = np.random.default_rng(seed)
+    e00 = 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    e11 = rng.uniform(0.0, 0.3, n) * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+    e10e01 = rng.uniform(0.5, 1.0, n) * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+    dut = 0.9 * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+    return (lambda g: e00 + e10e01 * g / (1.0 - e11 * g)), dut
+
+
+def _touchstone(f, s11):
+    return TouchstoneFile(frequencies=f.copy(), s11=np.asarray(s11, dtype=complex),
+                          z0=50.0, frequency_unit="Hz", fmt="RI")
+
+
+def _calibrate_both(f, forward, dut, standards):
+    gammas = [np.broadcast_to(std.gamma(f), f.shape)
+              for std in (standards.short, standards.open, standards.load)]
+    meas = [forward(g) for g in gammas]
+    out = calibrate_file(_touchstone(f, forward(dut)),
+                         *(_touchstone(f, m) for m in meas), standards)
+    return out.s11, osl_correct_reference(meas, gammas, forward(dut))
+
+
+def test_calibrate_file_bit_identical_to_per_point_loop():
+    f = np.linspace(0.5e9, 3e9, 1601)
+    for seed in range(20):
+        got, want = _calibrate_both(f, *_random_box(seed, f.size), IDEAL_STANDARDS)
+        assert np.array_equal(got.view(float), want.view(float)), seed
+
+
+def test_calibrate_file_offset_standards_match_per_point_loop():
+    f = np.linspace(0.5e9, 3e9, 1601)
+    standards = OslStandards(
+        short=OffsetStandard(gamma0=-1 + 0j, delay_s=4e-12, loss_np_per_hz=2e-12),
+        open=OffsetStandard(gamma0=1 + 0j, delay_s=6e-12, loss_np_per_hz=1e-12),
+        load=OffsetStandard(gamma0=0.02 + 0.01j, delay_s=1e-12),
+    )
+    for seed in range(20):
+        got, want = _calibrate_both(f, *_random_box(seed, f.size), standards)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def test_osl_degenerate_standards_names_frequency():
+    f = np.array([1e9, 2e9, 3e9])
+    with pytest.raises(CalibrationError, match="degenerate standards at 2e\\+09 Hz"):
+        osl_solve(f, [-0.9, 0.5, -0.9], [0.9, 0.5, 0.9], [0.0, 0.0, 0.0])
+
+
+def test_osl_singular_system_names_frequency():
+    # the short's loss underflows its reflection to zero at 100 GHz, where
+    # its row then equals the load's
+    f = np.array([1e9, 1e11])
+    standards = OslStandards(
+        short=OffsetStandard(gamma0=-1 + 0j, loss_np_per_hz=4e-9),
+        open=IDEAL_STANDARDS.open,
+        load=IDEAL_STANDARDS.load,
+    )
+    assert standards.short.gamma(f)[1] == 0
+    forward = lambda g: 0.01 + 0.9 * g / (1.0 - 0.1 * g)
+    ms = forward(standards.short.gamma(f))
+    ms[1] = -0.5
+    with pytest.raises(CalibrationError, match="singular calibration system at 1e\\+11 Hz"):
+        osl_solve(f, ms, forward(np.ones(2)), forward(np.zeros(2)), standards)
+
+
+def test_osl_unphysical_box_names_frequency():
+    f = np.array([1e9, 2e9])
+    e11 = np.array([0.1, 1.5])
+    forward = lambda g: 0.01 + 0.9 * g / (1.0 - e11 * g)
+    with pytest.raises(CalibrationError, match="unphysical error box at 2e\\+09 Hz"):
+        osl_solve(f, forward(-1.0), forward(1.0), forward(0.0))
+
+
+def test_apply_correction_array_singularity():
+    box = ErrorBox(e00=np.zeros(3, complex), e11=np.full(3, 0.5 + 0j), de=np.zeros(3, complex))
+    with pytest.raises(CorrectionError, match="singular correction denominator"):
+        apply_correction(box, [0.1, 0j, 0.2])
 
 
 def test_offset_standard_model():
