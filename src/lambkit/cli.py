@@ -12,6 +12,10 @@ stable exit-code registry:
     4  design, packing, or layer-assignment failure
     5  every file in a fit batch failed
     6  statistics failure
+   70  internal error (a bug: any other exception)
+
+Subcommands import what they run in their own bodies, so --help and
+flow-check load no numpy, scipy or jsonschema.
 """
 
 import argparse
@@ -21,48 +25,10 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from .calibration import calibrate_file
-from .config import load_catalog, load_config
-from .design import CapacitanceModel, match_finger_count
-from .dispersion import (
-    MODE_NAMES,
-    curve_to_csv_rows,
-    solve_mode,
-)
+from . import MODE_NAMES
 from .errors import (
-    CoordinateError,
-    DesignError,
-    DispersionRangeError,
-    InputError,
-    LambkitError,
-    PackingError,
-    SensitivityError,
-    SolverError,
-    StatisticsError,
-)
-from .gdsii import read_gdsii, write_gdsii
-from .layout import build_reticle, gen_chip, gen_wafer_map
-from .mbvd import fit_mbvd, mbvd_admittance, resonance_metrics
-from .processflow import (
-    GOLDEN_FLOW_NAMES,
-    RateTable,
-    check_flow,
-    load_flow,
-    packaged_flow,
-)
-from .touchstone import parse_touchstone, touchstone_to_trace
-from .waferstats import (
-    VariationModel,
-    deviation_csv_rows,
-    heatmap_csv_rows,
-    metrics_vs_frequency,
-    per_mode_deviation,
-    simulate_wafer,
-    sites_from_dict,
-    sites_to_dict,
-    trend_csv_rows,
+    CoordinateError, DesignError, DispersionRangeError, InputError, LambkitError,
+    PackingError, SensitivityError, SolverError, StatisticsError,
 )
 
 EXIT_OK = 0
@@ -72,6 +38,7 @@ EXIT_SOLVER = 3
 EXIT_DESIGN = 4
 EXIT_ALL_FITS_FAILED = 5
 EXIT_STATS = 6
+EXIT_INTERNAL = 70  # EX_SOFTWARE
 
 # a larger disperse grid is a typo, not hours of solving or a huge allocation
 MAX_GRID_POINTS = 100_000
@@ -144,19 +111,27 @@ def _parse_modes(text: str) -> tuple:
 
 
 def _catalog_pitches(args) -> tuple:
+    from .config import load_catalog
+
     if args.pitches is not None:
         return _parse_pitches(args.pitches)
     return tuple(load_catalog(args.catalog)["pitches_m"])
 
 
-def _build_designs(cfg, pitches, mode: str):
+def _build_designs(args):
+    """The config, and one impedance-matched design per requested pitch."""
+    from .config import load_config
+    from .design import CapacitanceModel, match_finger_count
+
+    cfg = load_config(args.config)
+    pitches = _catalog_pitches(args)
     cap_model = CapacitanceModel(eps_r=cfg.eps_r, h_piezo=cfg.plate.h)
-    return [
+    return cfg, [
         match_finger_count(
             pitch,
             cfg.plate,
             cap_model,
-            mode=mode,
+            mode=args.mode,
             target_impedance=cfg.matching.target_impedance_ohm,
             max_fingers=cfg.matching.max_fingers,
             dummy_count_per_side=cfg.matching.dummy_count_per_side,
@@ -169,6 +144,11 @@ def _build_designs(cfg, pitches, mode: str):
 # Subcommands
 
 def cmd_disperse(args) -> int:
+    import numpy as np
+
+    from .config import load_config
+    from .dispersion import curve_to_csv_rows, solve_mode
+
     cfg = load_config(args.config)
     modes = _parse_modes(args.modes)
     if not (0 < args.pitch_min < args.pitch_max):
@@ -197,9 +177,7 @@ def cmd_disperse(args) -> int:
 
 
 def cmd_design(args) -> int:
-    cfg = load_config(args.config)
-    pitches = _catalog_pitches(args)
-    designs = _build_designs(cfg, pitches, args.mode)
+    cfg, designs = _build_designs(args)
     for d in designs:
         _say(
             args,
@@ -218,9 +196,10 @@ def cmd_design(args) -> int:
 
 
 def cmd_layout(args) -> int:
-    cfg = load_config(args.config)
-    pitches = _catalog_pitches(args)
-    designs = _build_designs(cfg, pitches, args.mode)
+    from .gdsii import read_gdsii, write_gdsii
+    from .layout import build_reticle, gen_chip, gen_wafer_map
+
+    cfg, designs = _build_designs(args)
     out = _out_dir(args)
 
     chip_lib = gen_chip(designs, cfg.chip, cfg.layers)
@@ -252,6 +231,8 @@ def cmd_layout(args) -> int:
 
 
 def _load_cal_files(args):
+    from .touchstone import parse_touchstone
+
     given = [args.cal_short, args.cal_open, args.cal_load]
     if any(given) and not all(given):
         raise InputError("calibration needs all of --cal-short/--cal-open/--cal-load")
@@ -267,6 +248,10 @@ def _load_cal_files(args):
 
 
 def _fit_one(path: str, args, out: str, cal) -> None:
+    from .calibration import calibrate_file
+    from .mbvd import fit_mbvd, mbvd_admittance, resonance_metrics
+    from .touchstone import parse_touchstone, touchstone_to_trace
+
     with open(path, "r", encoding="utf-8") as fh:
         tf = parse_touchstone(fh.read())
     if cal is not None:
@@ -338,6 +323,9 @@ def _parse_heatmap(spec: str):
 
 
 def _write_reports(args, out: str, sites) -> None:
+    from .waferstats import (
+        deviation_csv_rows, metrics_vs_frequency, per_mode_deviation, trend_csv_rows)
+
     report = per_mode_deviation(sites)
     _write_lines(os.path.join(out, "deviation.csv"), deviation_csv_rows(report))
     trend = metrics_vs_frequency(sites)
@@ -355,6 +343,8 @@ def _write_reports(args, out: str, sites) -> None:
 
 
 def cmd_stats(args) -> int:
+    from .waferstats import heatmap_csv_rows, sites_from_dict
+
     doc = _read_json(args.sites)
     sites = sites_from_dict(doc)
     out = _out_dir(args)
@@ -374,6 +364,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_simulate_wafer(args) -> int:
+    from .config import load_config
+    from .waferstats import VariationModel, simulate_wafer, sites_to_dict
+
     cfg = load_config(args.config)
     model = VariationModel.from_config(cfg)
     if args.seed is not None:
@@ -391,6 +384,9 @@ def cmd_simulate_wafer(args) -> int:
 
 
 def cmd_flow_check(args) -> int:
+    from .processflow import (
+        GOLDEN_FLOW_NAMES, RateTable, check_flow, load_flow, packaged_flow)
+
     if args.flow in GOLDEN_FLOW_NAMES:
         flow = packaged_flow(args.flow)
     else:
@@ -508,6 +504,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-import jsonschema
-
 from .dispersion import PlateMaterial, PlateSpec
 from .errors import ConfigError
 
@@ -246,6 +244,8 @@ class ToolkitConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ToolkitConfig":
+        import jsonschema
+
         merged = _deep_merge(default_config_dict(), raw)
         try:
             jsonschema.validate(merged, CONFIG_SCHEMA)

@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from . import MODE_NAMES
 from .errors import DispersionRangeError, InputError, SensitivityError, SolverError
 
 __all__ = [
@@ -42,8 +42,6 @@ __all__ = [
     "thin_plate_s0_velocity",
     "curve_to_csv_rows",
 ]
-
-MODE_NAMES = ("A0", "A1", "S0", "S1")
 
 # Scan-window recipe for root bracketing: omega in (0, 3*v_l*k + 4*pi*v_l/h]
 # sampled with SCAN_POINTS abscissae.  The low end uses log spacing because
@@ -90,7 +88,7 @@ class PlateSpec:
 
 
 def _mode_family(mode: str) -> str:
-    if mode not in ("A0", "A1", "S0", "S1"):
+    if mode not in MODE_NAMES:
         raise InputError(f"unknown mode name {mode!r}")
     return "symmetric" if mode.startswith("S") else "antisymmetric"
 
@@ -187,6 +185,59 @@ def _scalar_residual(w: float, k: float, plate: PlateSpec, symmetry: str) -> flo
     return t1 + t2
 
 
+def _brentq(f, xa, xb, args=(), maxiter=200):
+    """Zero of f(x, *args) in [xa, xb] by Brent's method.
+
+    A step-for-step transliteration of scipy's brentq.c, so roots are
+    bit-identical to scipy.optimize.brentq(..., rtol=_ROOT_RTOL).  Where scipy
+    raises, this raises SolverError: no sign change, a NaN value, or no
+    convergence in maxiter iterations.
+    """
+    def call(x):
+        fx = f(x, *args)
+        if math.isnan(fx):
+            raise SolverError(f"residual is NaN at omega={x:.6g}")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise SolverError(f"no sign change in [{xpre:.6g}, {xcur:.6g}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (2e-12 + _ROOT_RTOL * abs(xcur)) / 2.0  # scipy's default xtol
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise SolverError(f"root polish did not converge in {maxiter} iterations")
+
+
 def _roots_at_k(plate: PlateSpec, symmetry: str, k: float, n_roots: int):
     """Lowest n_roots zeros of the residual in the scan window, ascending.
 
@@ -205,8 +256,7 @@ def _roots_at_k(plate: PlateSpec, symmetry: str, k: float, n_roots: int):
     for i in brackets:
         if len(roots) >= n_roots:
             break
-        root = brentq(_scalar_residual, grid[i], grid[i + 1], (k, plate, symmetry),
-                      rtol=_ROOT_RTOL, maxiter=200)
+        root = _brentq(_scalar_residual, grid[i], grid[i + 1], (k, plate, symmetry))
         if roots and abs(root - roots[-1]) <= _ROOT_RTOL * root * 10:
             continue
         if first_root_idx is None:

@@ -4,31 +4,6 @@ Every error raised on a documented failure path derives from LambkitError so
 callers (and the CLI) can map failures to exit codes without string matching.
 """
 
-__all__ = [
-    "LambkitError",
-    "InputError",
-    "ConfigError",
-    "FitPeakError",
-    "FitConvergenceError",
-    "DegenerateFixtureError",
-    "DispersionRangeError",
-    "SolverError",
-    "SensitivityError",
-    "DesignError",
-    "DoseRangeError",
-    "LayerAssignmentError",
-    "PackingError",
-    "CoordinateError",
-    "GdsParseError",
-    "TouchstoneParseError",
-    "CalibrationError",
-    "CorrectionError",
-    "StatisticsError",
-    "FlowError",
-    "MissingRateError",
-    "json_object",
-]
-
 
 class LambkitError(Exception):
     """Base class for all toolkit errors."""

@@ -242,6 +242,15 @@ def _parse_ascii(payload: bytes, offset: int) -> str:
         raise GdsParseError(f"non-ascii string payload: {exc}", offset=offset)
 
 
+def _at(offset: int, make, *args, **kwargs):
+    """make(*args, **kwargs), with an InputError from its checks re-raised as
+    a GdsParseError at the offset of the record the value came from."""
+    try:
+        return make(*args, **kwargs)
+    except InputError as exc:
+        raise GdsParseError(str(exc), offset=offset) from exc
+
+
 def read_gdsii(data: bytes):
     """Parse GDSII bytes back into a layout library."""
     from .layout import Library, Cell, Polygon, Placement
@@ -286,7 +295,7 @@ def read_gdsii(data: bytes):
                         "BOUNDARY XY list is not closed", offset=xy_off
                     )
                 p.expect(ENDEL)
-                polygons.append(Polygon(layer=layer, vertices=pts[:-1]))
+                polygons.append(_at(xy_off, Polygon, layer=layer, vertices=pts[:-1]))
             else:
                 p.expect(SREF)
                 sname_off = p.offset
@@ -313,11 +322,11 @@ def read_gdsii(data: bytes):
                     Placement(cell_name=sname, x=x, y=y, rotation=rotation)
                 )
         p.expect(ENDSTR)
-        cells.append(Cell(name=cellname, polygons=polygons, placements=placements))
+        cells.append((cell_off, _at(cell_off, Cell, cellname, polygons, placements)))
     p.expect(ENDLIB)
     if p.cur is not None:
         raise GdsParseError("data after ENDLIB", offset=p.offset)
-    lib = Library(name=libname, user_unit_dbu=dbu_uu)
-    for cell in cells:
-        lib.add(cell)
+    lib = _at(name_off, Library, name=libname, user_unit_dbu=dbu_uu)
+    for cell_off, cell in cells:
+        _at(cell_off, lib.add, cell)
     return lib

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import (
     DegenerateFixtureError,
@@ -391,6 +390,8 @@ def fit_mbvd(
     On hitting the iteration cap a FitConvergenceError is raised that carries
     the best model found so far.
     """
+    from scipy.optimize import least_squares
+
     if n_branches < 0:
         raise InputError("n_branches must be >= 0")
     options = options or FitOptions()

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import ChipConfig, ToolkitConfig, WaferConfig
 from .dispersion import (
     MODE_NAMES,
     PlateSpec,
@@ -31,8 +31,10 @@ from .errors import (
     StatisticsError,
     json_object,
 )
-from .layout import gen_wafer_map
 from .mbvd import ModeMetrics
+
+if TYPE_CHECKING:  # annotations only: stats needs neither config nor layout
+    from .config import ChipConfig, ToolkitConfig, WaferConfig
 
 __all__ = [
     "VariationModel",
@@ -391,6 +393,8 @@ def simulate_wafer(
     perturbed evaluation fails is flagged, not fatal; nominal failures
     propagate.
     """
+    from .layout import gen_wafer_map
+
     pitches = [float(p) for p in designs]
     if not pitches:
         raise InputError("no designs to simulate")

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import importlib
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from lambkit import cli
+from lambkit import cli, dispersion, processflow
 from lambkit.errors import SolverError
 from lambkit.gdsii import read_gdsii
 from lambkit.mbvd import MbvdModel, MotionalBranch, StaticNetwork
@@ -96,14 +97,18 @@ def test_disperse_inverted_range_usage(tmp_path):
     assert code == 2
 
 
-def run_cli(*argv):
-    """Run the CLI in a fresh process, so a traceback would show on stderr."""
+def run_python(*args):
+    """Run a fresh interpreter with lambkit importable."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
-        [sys.executable, "-m", "lambkit.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def run_cli(*argv):
+    """Run the CLI in a fresh process, so a traceback would show on stderr."""
+    return run_python("-m", "lambkit.cli", *argv)
 
 
 def test_disperse_huge_points_is_usage_error(tmp_path):
@@ -133,7 +138,7 @@ def test_solver_failure_maps_to_exit_3(tmp_path, monkeypatch):
     def boom(plate, mode, k_grid):
         raise SolverError("no bracketed root in the scan window")
 
-    monkeypatch.setattr(cli, "solve_mode", boom)
+    monkeypatch.setattr(dispersion, "solve_mode", boom)
     code = cli.main(["disperse", "--out", str(tmp_path), "--modes", "S0"])
     assert code == cli.EXIT_SOLVER
 
@@ -439,3 +444,107 @@ def test_rates_malformed_process_entry_is_usage_error(tmp_path, processes, json_
     proc = run_cli("flow-check", "alscn-ti-adhesion", "--rates", str(rates),
                    "--out", str(tmp_path))
     _assert_one_line_usage_error(proc, json_path)
+
+
+# ------------------------------------------------------- internal errors
+
+
+def test_unexpected_exception_exits_70(monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(processflow, "check_flow", boom)
+    assert cli.main(["flow-check", "alscn-ti-adhesion"]) == cli.EXIT_INTERNAL == 70
+    err = capsys.readouterr().err
+    assert err == "error: internal: ZeroDivisionError: float division by zero\n"
+
+
+def test_unexpected_exception_is_one_line_in_a_fresh_process():
+    proc = run_python("-c", (
+        "import sys\n"
+        "from lambkit import cli, processflow\n"
+        "def boom(*args, **kwargs):\n"
+        "    raise ZeroDivisionError('float division by zero')\n"
+        "processflow.check_flow = boom\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    ), "flow-check", "alscn-ti-adhesion")
+    assert proc.returncode == cli.EXIT_INTERNAL
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: internal: ZeroDivisionError: float division by zero"]
+
+
+# --------------------------------------------------------- import sets
+
+# The names ``lambkit`` exported when its __init__ imported every module
+# eagerly, by the module that defines them.
+EXPORTS = {
+    "calibration": "ErrorBox IDEAL_STANDARDS OffsetStandard OslStandards "
+                   "apply_correction calibrate_file osl_solve",
+    "config": "ToolkitConfig load_catalog load_config",
+    "design": "CapacitanceModel IdtSpec LayerBand ResonatorDesign layer_assignment "
+              "match_finger_count recommend_dose static_capacitance",
+    "dispersion": "MODE_NAMES DispersionCurve PlateMaterial PlateSpec pitch_to_frequency "
+                  "sensitivity solve_at_k solve_mode thin_plate_s0_velocity",
+    "errors": "ConfigError InputError LambkitError",
+    "gdsii": "read_gdsii write_gdsii",
+    "layout": "Cell ChipPlacement Library Placement Polygon ReticleSpec "
+              "build_reticle gen_chip gen_wafer_map",
+    "mbvd": "AdmittanceTrace FitOptions FitResult MbvdModel ModeMetrics MotionalBranch "
+            "StaticNetwork de_embed_open_short fit_mbvd mbvd_admittance resonance_metrics",
+    "processflow": "GOLDEN_FLOW_NAMES FlowReport ProcessStep RateTable StackState Violation "
+                   "ashing_time check_compatibility check_flow classify_chemistry "
+                   "etch_budget load_flow packaged_flow simulate_stack",
+    "touchstone": "TouchstoneFile parse_touchstone s11_to_y serialize_touchstone "
+                  "touchstone_to_trace y_to_s11",
+    "waferstats": "DeviationReport VariationModel WaferSite metrics_vs_frequency "
+                  "per_mode_deviation relstd simulate_wafer sites_from_dict sites_to_dict",
+}
+
+
+def test_every_package_export_is_the_module_attribute():
+    import lambkit
+
+    names = [(m, n) for m, text in EXPORTS.items() for n in text.split()]
+    assert len(names) == 81
+    assert sorted(lambkit.__all__) == sorted(n for _, n in names)
+    for module, name in names:
+        ns = {}
+        exec(f"from lambkit import {name}", ns)
+        assert ns[name] is getattr(importlib.import_module(f"lambkit.{module}"), name)
+        assert name in dir(lambkit)
+    with pytest.raises(AttributeError):
+        lambkit.no_such_export
+
+
+def loaded_by(*argv):
+    """Top-level module names loaded once main(argv) returns, in a fresh process."""
+    proc = run_python("-c", (
+        "import json, sys\n"
+        "from lambkit import cli\n"
+        "rc = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([rc, sorted({m.split('.')[0] for m in sys.modules})]))\n"
+    ), *argv)
+    rc, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == cli.EXIT_OK, proc.stderr
+    return set(modules)
+
+
+def test_import_lambkit_loads_no_numpy():
+    proc = run_python("-c", "import sys, lambkit; print('numpy' in sys.modules)")
+    assert proc.stdout.strip() == "False", proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["flow-check", "alscn-ti-adhesion"]])
+def test_help_and_flow_check_load_no_numpy_scipy_or_jsonschema(argv):
+    assert not loaded_by(*argv) & {"numpy", "scipy", "jsonschema"}
+
+
+def test_dispersion_and_wafer_commands_load_no_scipy(tmp_path):
+    out = ["--out", str(tmp_path), "--quiet"]
+    pitch = ["--pitches", "2e-6,3e-6"]
+    for argv in (["disperse", "--points", "5"], ["design", *pitch], ["layout", *pitch],
+                 ["simulate-wafer", *pitch]):
+        assert "scipy" not in loaded_by(*argv, *out), argv
+    modules = loaded_by("stats", str(tmp_path / "sites.json"), *out)
+    assert not modules & {"scipy", "jsonschema"}

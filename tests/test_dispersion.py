@@ -296,3 +296,61 @@ def test_a0_small_kh_is_flexural_or_raises():
         f_flex = k * k * PLATE.h * c_plate / (2.0 * math.sqrt(3.0)) / (2.0 * math.pi)
         assert f == pytest.approx(f_flex, rel=1e-2)
     assert solved
+
+
+# ------------------------------------------------------- Brent root polish
+
+
+def test_brentq_bit_identical_to_scipy_on_residual_brackets():
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    rng = np.random.default_rng(8071)
+    checked = 0
+    while checked < 2000:
+        k = rng.uniform(1e-3, 60.0) / DEVICE_PLATE.h
+        for symmetry in ("symmetric", "antisymmetric"):
+            grid = dispersion._scan_grid(DEVICE_PLATE, k)
+            t1, t2 = dispersion._residual_terms(grid, k, DEVICE_PLATE, symmetry)
+            vals = t1 + t2
+            for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)[:3]:
+                args = (grid[i], grid[i + 1], (k, DEVICE_PLATE, symmetry))
+                want = brentq(dispersion._scalar_residual, *args, rtol=1e-12, maxiter=200)
+                got = dispersion._brentq(dispersion._scalar_residual, *args)
+                assert got == want and type(got) is float
+                checked += 1
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: x * x - 2.0, 0.0, 2.0),
+    (math.cos, 0.0, 2.0),
+    (lambda x: x ** 3 - x - 1.0, 1.0, 2.0),
+    (lambda x: math.exp(x) - 1e3, -5.0, 20.0),
+    (lambda x: math.atan(1e6 * (x - 0.3)), 0.0, 1.0),
+    (lambda x: x - 1.0, 1.0, 2.0),  # root exactly at the lower end
+    (lambda x: x - 1.0, 0.0, 1.0),  # root exactly at the upper end
+])
+def test_brentq_bit_identical_to_scipy_on_analytic_functions(f, a, b):
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    want = brentq(f, a, b, rtol=1e-12, maxiter=200)
+    assert dispersion._brentq(f, a, b) == want
+
+
+@pytest.mark.parametrize("f, a, b, maxiter", [
+    (lambda x: x * x + 1.0, 0.0, 1.0, 200),  # no sign change
+    (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0, 200),  # NaN value
+    (math.cos, 0.0, 2.0, 2),  # maxiter exhausted
+])
+def test_brentq_failures_raise_solver_error(f, a, b, maxiter):
+    # scipy raises a bare ValueError or RuntimeError in each of these cases
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    with pytest.raises((ValueError, RuntimeError)):
+        brentq(f, a, b, rtol=1e-12, maxiter=maxiter)
+    with pytest.raises(SolverError):
+        dispersion._brentq(f, a, b, maxiter=maxiter)
+
+
+def test_root_polish_failure_is_a_gap(monkeypatch):
+    monkeypatch.setattr(dispersion, "_scalar_residual", lambda w, k, plate, sym: math.nan)
+    k = np.geomspace(0.5, 2.0, 5) / PLATE.h
+    curve = solve_mode(PLATE, "S0", k)
+    assert curve.k.size == 0
+    assert curve.gaps == ((k[0], k[-1]),)

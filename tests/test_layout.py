@@ -475,3 +475,44 @@ def test_unclosed_boundary_rejected():
         pos += length
     with pytest.raises(GdsParseError):
         read_gdsii(bytes(data))
+
+
+def _fuzz_library():
+    lib = Library(name="FUZZ")
+    tri = Polygon(1, ((0, 0), (400, 0), (0, 300)))
+    ell = Polygon(3, ((0, 0), (200, 0), (200, 50), (50, 50), (50, 200), (0, 200)))
+    lib.add(Cell("A", polygons=[tri, square(2), ell]))
+    lib.add(Cell("B", polygons=[square(2)], placements=[Placement("A", 10, -20, 90)]))
+    lib.add(Cell("TOP", placements=[Placement("B", 0, 0), Placement("A", 500, 500, 270)]))
+    return lib
+
+
+@pytest.mark.parametrize("rectype, payload, message", [
+    (0x10, struct.pack(">10l", 0, 0, 0, 100, 100, 100, 100, 0, 0, 0), "counter-clockwise"),
+    (0x06, b"A/B\0", "cell name"),
+    (0x02, b"L:B\0", "library name"),
+])
+def test_constructor_checks_name_the_record_offset(rectype, payload, message):
+    data, offset = _with_payload(write_gdsii(_fuzz_library()), rectype, payload)
+    with pytest.raises(GdsParseError) as exc:
+        read_gdsii(data)
+    assert exc.value.offset == offset
+    assert message in str(exc.value)
+
+
+def test_mutated_streams_raise_only_gds_parse_errors_with_offsets():
+    data = write_gdsii(_fuzz_library())
+    rng = np.random.default_rng(3000)
+    messages = []
+    for _ in range(2500):
+        buf = bytearray(data)
+        for _ in range(int(rng.integers(1, 5))):
+            buf[int(rng.integers(len(buf)))] = int(rng.integers(256))
+        try:
+            read_gdsii(bytes(buf))
+        except GdsParseError as exc:
+            assert exc.offset is not None, exc
+            messages.append(str(exc))
+    # mutations reach the geometry and name checks, not only the tokenizer
+    for check in ("counter-clockwise", "self-intersecting", "is not GDSII-legal"):
+        assert any(check in m for m in messages), check
