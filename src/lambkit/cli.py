@@ -247,6 +247,22 @@ def _load_cal_files(args):
     return tuple(loaded)
 
 
+def _overlay_rows(frequencies, y_measured, y_model) -> list:
+    """Overlay CSV lines: frequency, measured |Y| and model |Y|."""
+    import numpy as np
+
+    # np.hypot gives the same doubles as scalar abs() of a complex; np.abs does not
+    def mag(y):
+        return np.hypot(y.real, y.imag).tolist()
+
+    rows = ["f_hz,y_abs_measured,y_abs_model"]
+    rows.extend(
+        f"{f:.9e},{ym:.9e},{yf:.9e}"
+        for f, ym, yf in zip(frequencies.tolist(), mag(y_measured), mag(y_model))
+    )
+    return rows
+
+
 def _fit_one(path: str, args, out: str, cal) -> None:
     from .calibration import calibrate_file
     from .mbvd import fit_mbvd, mbvd_admittance, resonance_metrics
@@ -272,13 +288,7 @@ def _fit_one(path: str, args, out: str, cal) -> None:
     }
     _write_json(os.path.join(out, f"{stem}_metrics.json"), doc)
     model_trace = mbvd_admittance(result.model, trace.frequencies)
-    rows = ["f_hz,y_abs_measured,y_abs_model"]
-    rows.extend(
-        f"{f:.9e},{abs(ym):.9e},{abs(yf):.9e}"
-        for f, ym, yf in zip(
-            trace.frequencies, trace.admittance, model_trace.admittance
-        )
-    )
+    rows = _overlay_rows(trace.frequencies, trace.admittance, model_trace.admittance)
     _write_lines(os.path.join(out, f"{stem}_overlay.csv"), rows)
     for i, m in enumerate(metrics):
         _say(

@@ -244,14 +244,16 @@ class ToolkitConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ToolkitConfig":
-        import jsonschema
+        from jsonschema.exceptions import best_match
+        from jsonschema.validators import validator_for
 
         merged = _deep_merge(default_config_dict(), raw)
-        try:
-            jsonschema.validate(merged, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-            raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
+        # jsonschema.validate without its check_schema pass: CONFIG_SCHEMA is
+        # a constant, checked against the metaschema by the test suite
+        error = best_match(validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA).iter_errors(merged))
+        if error is not None:
+            path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+            raise ConfigError(f"config invalid at {path}: {error.message}") from error
         mat = merged["material"]
         material = PlateMaterial(
             rho=mat["rho_kg_m3"],

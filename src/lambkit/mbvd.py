@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -277,38 +277,52 @@ class FitOptions:
 
 @dataclass
 class FitResult:
+    """status 1: cost reductions below ftol, 2: step below step_tol, 0: cap hit."""
+
     model: MbvdModel
     residual_norm: float
-    iterations: int
-    converged: bool
+    nfev: int
+    njev: int
+    status: int
     confidence_scale: dict = field(default_factory=dict)
+
+    @property
+    def converged(self) -> bool:
+        return self.status > 0
+
+    @property
+    def iterations(self) -> int:
+        return self.nfev
 
     def report_dict(self) -> dict:
         return {
             "residual_norm": self.residual_norm,
             "iterations": self.iterations,
+            "nfev": self.nfev,
+            "njev": self.njev,
+            "status": self.status,
             "converged": self.converged,
             "confidence_scale": self.confidence_scale,
         }
 
 
-def _find_peaks(mag: np.ndarray, n: int, window: int):
-    """Indices of the n largest interior local maxima of the median-filtered
-    magnitude; ties break toward lower frequency."""
-    # sliding median over edge-padded input; the window is odd, so the median
-    # is the middle sample of each window
+def _sliding_median(values: np.ndarray, window: int) -> np.ndarray:
+    """Median over an odd window of edge-padded input, one value per sample."""
     half = window // 2
-    windows = np.lib.stride_tricks.sliding_window_view(np.pad(mag, half, mode="edge"), window)
-    sm = np.partition(windows, half, axis=1)[:, half]
-    cand = [
-        i
-        for i in range(1, len(sm) - 1)
-        if sm[i] > sm[i - 1] and sm[i] >= sm[i + 1]
-    ]
-    if len(cand) < n:
-        raise FitPeakError(found=len(cand), requested=n)
-    cand.sort(key=lambda i: (-sm[i], i))
-    picked = sorted(cand[:n])
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(values, half, mode="edge"), window)
+    return np.partition(windows, half, axis=1)[:, half]
+
+
+def _find_peaks(values: np.ndarray, n: int, window: int):
+    """Indices of the n largest interior local maxima of the median-filtered
+    values; ties break toward lower frequency."""
+    sm = _sliding_median(values, window)
+    mid = sm[1:-1]
+    cand = np.flatnonzero((mid > sm[:-2]) & (mid >= sm[2:])) + 1
+    if cand.size < n:
+        raise FitPeakError(found=int(cand.size), requested=n)
+    # a stable sort of ascending indices keeps the lower index first on ties
+    picked = sorted(cand[np.argsort(-sm[cand], kind="stable")[:n]].tolist())
     return picked, sm
 
 
@@ -328,8 +342,11 @@ def _initial_model(trace: AdmittanceTrace, n_branches: int, options: FitOptions)
     rs = max(rs, 1e-6)
     branches = []
     if n_branches > 0:
+        # Resonances are conductance peaks: c_0 adds nothing to Re(Y), so its
+        # w*c_0 background cannot outrank a weak branch as it does in |Y|.
+        peaks, _ = _find_peaks(np.maximum(y.real, 0.0), n_branches, options.median_window)
         mag = np.abs(y)
-        peaks, sm = _find_peaks(mag, n_branches, options.median_window)
+        sm = _sliding_median(mag, options.median_window)
         for j, i_pk in enumerate(peaks):
             f_r = f[i_pk]
             hi = peaks[j + 1] if j + 1 < len(peaks) else len(f)
@@ -358,19 +375,17 @@ def _pack(c0, rs, r0, branches, fit_r0):
 _LOG_PARAM_CAP = 250.0  # keeps exp() finite when the optimizer probes far out
 
 
-def _unpack(theta, n_branches, fit_r0):
+def _split(theta, fit_r0):
+    """c_0, r_s, r_0 and the (n, 3) rows of branch (r_m, l_m, c_m) of theta."""
     vals = np.exp(np.clip(theta, -_LOG_PARAM_CAP, _LOG_PARAM_CAP))
-    c0, rs = vals[0], vals[1]
-    k = 2
-    r0 = 0.0
-    if fit_r0:
-        r0 = vals[2]
-        k = 3
-    branches = []
-    for i in range(n_branches):
-        rm, lm, cm = vals[k + 3 * i : k + 3 * i + 3]
-        branches.append(MotionalBranch(r_m=rm, l_m=lm, c_m=cm))
-    return MbvdModel(StaticNetwork(c_0=c0, r_0=r0, r_s=rs), tuple(branches))
+    r0 = vals[2] if fit_r0 else 0.0
+    return vals[0], vals[1], r0, vals[3 if fit_r0 else 2 :].reshape(-1, 3)
+
+
+def _unpack(theta, fit_r0):
+    c0, rs, r0, rows = _split(theta, fit_r0)
+    branches = tuple(MotionalBranch(r_m=rm, l_m=lm, c_m=cm) for rm, lm, cm in rows)
+    return MbvdModel(StaticNetwork(c_0=c0, r_0=r0, r_s=rs), branches)
 
 
 def _param_names(n_branches, fit_r0):
@@ -380,18 +395,97 @@ def _param_names(n_branches, fit_r0):
     return names
 
 
+def _residual_jacobian(theta, jw, y, absy, fit_r0):
+    """Residual (Y_model - y)/|y| and its Jacobian in the log-parameters, both
+    with real parts stacked over imaginary parts.
+
+    With Y = 1/(r_s + 1/Y_inner) and Y_inner = Y_static + sum Y_b, the chain
+    rule needs only dY/dY_inner = (Y/Y_inner)^2, dY/dr_s = -Y^2 and
+    dY_x/dp = -Y_x^2 dZ_x/dp for each impedance Z_x = 1/Y_x.
+    """
+    c0, rs, r0, branch_vals = _split(theta, fit_r0)
+    ys = 1.0 / (r0 + 1.0 / (jw * c0))
+    y_inner = ys
+    y_b = []
+    for rm, lm, cm in branch_vals:
+        y_b.append(1.0 / (rm + jw * lm + 1.0 / (jw * cm)))
+        y_inner = y_inner + y_b[-1]
+    y_model = 1.0 / (rs + 1.0 / y_inner)
+    g = (y_model / y_inner) ** 2 / absy
+    gs = g * ys * ys
+    cols = [gs / (jw * c0), -y_model * y_model * rs / absy]
+    if fit_r0:
+        cols.append(-gs * r0)
+    for (rm, lm, cm), yb in zip(branch_vals, y_b):
+        gb = g * yb * yb
+        cols.extend([-gb * rm, -gb * jw * lm, gb / (jw * cm)])
+    d = (y_model - y) / absy
+    jac = np.stack(cols, axis=1)
+    return np.concatenate([d.real, d.imag]), np.concatenate([jac.real, jac.imag])
+
+
+def _levenberg_marquardt(fun_jac, x0, xtol, ftol, max_nfev):
+    """Minimise |f(x)|^2 by Levenberg-Marquardt with Marquardt's diagonal
+    scaling and Nielsen's damping update (Madsen, Nielsen & Tingleff 2004,
+    section 3.2).  ``fun_jac(x)`` returns (f, J).
+
+    Returns (x, f, J, nfev, njev, status), f and J at the returned x.  status
+    2: the scaled step |D h| <= xtol |D x|; 1: the actual and the predicted
+    reduction are both <= ftol * cost; 0: max_nfev evaluations made.
+    """
+    x = np.asarray(x0, dtype=float)
+    f, jac = fun_jac(x)
+    nfev = njev = 1
+    cost = f @ f
+    a, g = jac.T @ jac, jac.T @ f
+    # D^2 is the running maximum of diag(J^T J), as MINPACK keeps it
+    d2 = np.where(np.diag(a) > 0, np.diag(a), 1.0)
+    mu, nu = 1e-3, 2.0
+    while nfev < max_nfev:
+        d2 = np.maximum(d2, np.diag(a))
+        try:
+            h = np.linalg.solve(a + mu * np.diag(d2), -g)
+        except np.linalg.LinAlgError:
+            h = None
+        if h is None or not np.all(np.isfinite(h)):
+            if not math.isfinite(mu * nu):
+                break
+            mu, nu = mu * nu, 2.0 * nu
+            continue
+        dnorm = math.sqrt(d2 @ (h * h))
+        if dnorm <= xtol * math.sqrt(d2 @ (x * x)):
+            return x, f, jac, nfev, njev, 2
+        f_new, jac_new = fun_jac(x + h)
+        nfev += 1
+        njev += 1
+        cost_new = f_new @ f_new
+        predicted = -(h @ (2.0 * g + a @ h))
+        actual = cost - cost_new if math.isfinite(cost_new) else -math.inf
+        converged = abs(actual) <= ftol * cost and predicted <= ftol * cost
+        if actual > 0:
+            rho = actual / predicted
+            x, f, jac, cost = x + h, f_new, jac_new, cost_new
+            a, g = jac.T @ jac, jac.T @ f
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu = 2.0
+        else:
+            mu, nu = mu * nu, 2.0 * nu
+        if converged:
+            return x, f, jac, nfev, njev, 1
+    return x, f, jac, nfev, njev, 0
+
+
 def fit_mbvd(
     trace: AdmittanceTrace, n_branches: int, options: FitOptions | None = None
 ) -> FitResult:
     """Fit an mBVD model to a trace with a known number of branches.
 
-    Initialization picks the n largest |Y| peaks (5-point median prefilter)
-    for the branch resonances and seeds c_0 from the off-resonance Im(Y)/w.
-    On hitting the iteration cap a FitConvergenceError is raised that carries
-    the best model found so far.
+    Initialization picks the n largest conductance (Re Y) peaks, after the
+    median prefilter, for the branch resonances and seeds c_0 from the
+    off-resonance Im(Y)/w.  Levenberg-Marquardt with the analytic Jacobian
+    then refines the log-parameters.  On hitting the evaluation cap a
+    FitConvergenceError is raised that carries the best model found so far.
     """
-    from scipy.optimize import least_squares
-
     if n_branches < 0:
         raise InputError("n_branches must be >= 0")
     options = options or FitOptions()
@@ -400,51 +494,32 @@ def fit_mbvd(
         raise InputError("trace too short for the requested branch count")
     c0, rs, branches = _initial_model(trace, n_branches, options)
     theta0 = _pack(c0, rs, 1e-3, branches, options.fit_r0)
-    f = trace.frequencies
+    jw = 2j * math.pi * trace.frequencies
     y = trace.admittance
     absy = np.abs(y)
     if np.any(absy == 0):
         raise InputError("zero-magnitude admittance sample cannot be weighted")
 
-    def residuals(theta):
-        model = _unpack(theta, n_branches, options.fit_r0)
-        d = (model.admittance(f) - y) / absy
-        return np.concatenate([d.real, d.imag])
-
-    res = least_squares(
-        residuals,
+    x, fun, jac, nfev, njev, status = _levenberg_marquardt(
+        lambda theta: _residual_jacobian(theta, jw, y, absy, options.fit_r0),
         theta0,
-        method="lm",
         xtol=options.step_tol,
         ftol=1e-14,
-        gtol=1e-14,
         max_nfev=options.max_iterations * (n_params + 1),
     )
-    model = _unpack(res.x, n_branches, options.fit_r0)
-    norm = float(np.linalg.norm(res.fun))
-    confidence = {}
+    model = _unpack(x, options.fit_r0)
+    norm = float(np.linalg.norm(fun))
+    names = _param_names(n_branches, options.fit_r0)
     try:
-        jtj = res.jac.T @ res.jac
-        dof = max(res.fun.size - n_params, 1)
-        cov = np.linalg.inv(jtj) * (norm * norm / dof)
-        for name, var in zip(_param_names(n_branches, options.fit_r0), np.diag(cov)):
-            confidence[name] = float(math.sqrt(max(var, 0.0)))
+        dof = max(fun.size - n_params, 1)
+        cov = np.linalg.inv(jac.T @ jac) * (norm * norm / dof)
+        confidence = {name: float(math.sqrt(max(var, 0.0))) for name, var in zip(names, np.diag(cov))}
     except np.linalg.LinAlgError:
-        confidence = {
-            name: math.inf for name in _param_names(n_branches, options.fit_r0)
-        }
-    result = FitResult(
-        model=model,
-        residual_norm=norm,
-        iterations=int(res.nfev),
-        converged=res.status > 0,
-        confidence_scale=confidence,
-    )
-    if res.status <= 0:
+        confidence = {name: math.inf for name in names}
+    result = FitResult(model, norm, nfev, njev, status, confidence)
+    if status == 0:
         raise FitConvergenceError(
-            f"iteration cap reached after {res.nfev} evaluations",
-            model=model,
-            report=result,
+            f"iteration cap reached after {nfev} evaluations", model=model, report=result
         )
     return result
 

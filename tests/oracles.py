@@ -6,7 +6,7 @@ paths share no code.  Roots are located by brute-force dense sign scans.
 """
 
 import numpy as np
-from scipy.optimize import brentq
+import pytest
 
 TINY = 1e-280
 
@@ -38,6 +38,7 @@ def lamb_residual_reference(omega, k, v_l, v_t, h, symmetry):
 
 def lamb_roots_scan(k, v_l, v_t, h, symmetry, n_roots, n_scan=200_000):
     """First n_roots angular frequencies by dense linear sign scan + brentq."""
+    brentq = pytest.importorskip("scipy.optimize").brentq
     w_max = 3.0 * v_l * k + 4.0 * np.pi * v_l / h
     grid = np.linspace(w_max * 1e-7, w_max, n_scan)
     vals = lamb_residual_reference(grid, k, v_l, v_t, h, symmetry)

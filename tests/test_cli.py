@@ -237,6 +237,21 @@ def test_fit_recovers_synthetic_model(tmp_path):
     assert len(overlay) == 1 + f.size
 
 
+def test_overlay_rows_match_scalar_abs():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        n = 500
+        f = np.sort(rng.uniform(1e8, 1e10, n))
+        y = [10 ** rng.uniform(-6, 2, n) * np.exp(1j * rng.uniform(0, 2 * math.pi, n))
+             for _ in range(2)]
+        want = ["f_hz,y_abs_measured,y_abs_model"] + [
+            f"{fi:.9e},{abs(a):.9e},{abs(b):.9e}" for fi, a, b in zip(f, *y)
+        ]
+        assert cli._overlay_rows(f, *y) == want
+        # the doubles agree too, not only their 10-digit renderings
+        assert np.hypot(y[0].real, y[0].imag).tolist() == [abs(v) for v in y[0]]
+
+
 def test_fit_batch_isolates_bad_file(tmp_path, capsys):
     dut, _ = write_dut(tmp_path)
     bad = tmp_path / "broken.s1p"
@@ -548,3 +563,13 @@ def test_dispersion_and_wafer_commands_load_no_scipy(tmp_path):
         assert "scipy" not in loaded_by(*argv, *out), argv
     modules = loaded_by("stats", str(tmp_path / "sites.json"), *out)
     assert not modules & {"scipy", "jsonschema"}
+
+
+def test_fit_loads_no_scipy(tmp_path):
+    dut, f = write_dut(tmp_path)
+    cal = []
+    for flag, gamma in (("--cal-short", -1), ("--cal-open", 1), ("--cal-load", 0)):
+        cal += [flag, write_s1p(tmp_path / f"{flag[6:]}.s1p", f, np.full(f.size, gamma + 0j))]
+    modules = loaded_by("fit", dut, *cal, "--out", str(tmp_path), "--quiet")
+    assert "scipy" not in modules
+    assert (tmp_path / "dut_metrics.json").exists()

@@ -1,10 +1,19 @@
 """Config loading, deep-merge override behavior, schema rejection."""
 
+import copy
 import json
 
+import numpy as np
 import pytest
 
-from lambkit.config import ToolkitConfig, load_catalog, load_config
+from lambkit.config import (
+    CONFIG_SCHEMA,
+    ToolkitConfig,
+    _deep_merge,
+    default_config_dict,
+    load_catalog,
+    load_config,
+)
 from lambkit.errors import ConfigError
 
 
@@ -88,3 +97,58 @@ def test_catalog_rejects_unsorted(tmp_path):
     p.write_text(json.dumps({"pitches_m": [2e-6, 1e-6]}))
     with pytest.raises(ConfigError):
         load_catalog(p)
+
+
+def test_config_schema_is_a_valid_schema():
+    validators = pytest.importorskip("jsonschema.validators")
+    validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+
+_BAD_VALUES = ("x", -1, 0, -1e300, 1e300, 2.5, True, None, [], {}, [1.0], [-1.0, 2.0, 3.0])
+
+
+def _mutate(doc, rng):
+    """Apply one random edit to a random node of a config document."""
+    node = doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        key = keys[int(rng.integers(len(keys)))]
+        child = node[key]
+        if not isinstance(child, (dict, list)) or not child or rng.random() < 0.25:
+            break
+        node = child
+    roll = rng.random()
+    if roll < 0.15 and isinstance(node, dict):
+        node[f"unknown_{int(rng.integers(100))}"] = 1
+    elif roll < 0.25 and isinstance(node, list):
+        node.append(node[-1])
+    else:
+        node[key] = copy.deepcopy(_BAD_VALUES[int(rng.integers(len(_BAD_VALUES)))])
+
+
+def test_config_errors_match_jsonschema_validate():
+    jsonschema = pytest.importorskip("jsonschema")
+    rng = np.random.default_rng(5150)
+    n_invalid = 0
+    for _ in range(120):
+        doc = default_config_dict()
+        for _ in range(int(rng.integers(1, 4))):
+            _mutate(doc, rng)
+        try:
+            jsonschema.validate(_deep_merge(default_config_dict(), doc), CONFIG_SCHEMA)
+            want = None
+        except jsonschema.ValidationError as exc:
+            path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+            want = f"config invalid at {path}: {exc.message}"
+        try:
+            ToolkitConfig.from_dict(doc)
+            got = None
+        except ConfigError as exc:
+            got = str(exc)
+        if want is None:
+            # valid for the schema; a semantic check may still reject it
+            assert got is None or not got.startswith("config invalid at"), got
+        else:
+            n_invalid += 1
+            assert got == want
+    assert n_invalid > 90

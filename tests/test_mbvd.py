@@ -267,3 +267,158 @@ def test_peak_median_matches_scipy_median_filter():
 def test_fit_options_rejects_bad_median_window(window):
     with pytest.raises(InputError):
         FitOptions(median_window=window)
+
+
+def test_fit_report_counts_evaluations():
+    res = fit_mbvd(mbvd_admittance(make_model(r_s=0.5), np.linspace(0.9e9, 1.2e9, 400)), 1)
+    report = res.report_dict()
+    assert report["iterations"] == report["nfev"] == res.nfev > 1
+    assert report["njev"] == res.njev >= 1
+    assert report["status"] in (1, 2) and report["converged"] is True
+    json.dumps(report)
+
+
+def test_fit_iteration_cap_message_names_evaluations():
+    tr = mbvd_admittance(make_model(r_s=0.5), np.linspace(0.9e9, 1.2e9, 400))
+    with pytest.raises(FitConvergenceError, match=r"iteration cap reached after 6 evaluations"):
+        fit_mbvd(tr, 1, FitOptions(max_iterations=1))
+
+
+def _weak_resonator(f_r, k2, q, c0=1e-12, rs=1.5):
+    c_m = k2 / (1.0 - k2) * c0
+    w = 2.0 * math.pi * f_r
+    r_m = 1.0 / (w * c_m * q) - rs
+    return MbvdModel(StaticNetwork(c_0=c0, r_s=rs), (MotionalBranch(r_m=r_m, l_m=1.0 / (w * w * c_m), c_m=c_m),))
+
+
+@pytest.mark.parametrize("f_r,k2,q", [(1.0e9, 0.005, 250.0), (0.8e9, 0.004, 220.0), (1.3e9, 0.008, 300.0)])
+def test_fit_weak_resonator_on_wide_sweep(f_r, k2, q):
+    # a weak, low-Q branch low in a wide sweep: its |Y| peak is below the
+    # w*c_0 background at the top edge, its conductance peak is not
+    truth = _weak_resonator(f_r, k2, q)
+    want = resonance_metrics(truth, 0)
+    f = np.linspace(0.6e9, 3.4e9, 1601)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        noise = 0.005 / math.sqrt(2) * (rng.standard_normal(f.size) + 1j * rng.standard_normal(f.size))
+        got = resonance_metrics(fit_mbvd(AdmittanceTrace(f, truth.admittance(f) * (1.0 + noise)), 1).model, 0)
+        assert abs(got.f_r - want.f_r) / want.f_r <= 5e-4, seed
+        assert abs(got.k_eff_sq - want.k_eff_sq) / want.k_eff_sq <= 0.05, seed
+        assert abs(got.q_r - want.q_r) / want.q_r <= 0.10, seed
+
+
+def test_initial_model_seeds_on_conductance_peak():
+    truth = _weak_resonator(1.0e9, 0.005, 250.0)
+    f = np.linspace(0.6e9, 3.4e9, 1601)
+    _, _, (branch,) = mbvd._initial_model(AdmittanceTrace(f, truth.admittance(f)), 1, FitOptions())
+    assert branch.f_r == pytest.approx(1.0e9, rel=2e-3)
+
+
+def _jacobian_case(n_branches, fit_r0, seed):
+    rng = np.random.default_rng(seed)
+    c0 = 10 ** rng.uniform(-12.3, -11.7)
+    branches = []
+    for f_r in np.sort(rng.uniform(0.8e9, 3.0e9, n_branches)):
+        c_m = rng.uniform(0.004, 0.08) * c0
+        w = 2.0 * math.pi * f_r
+        r_m = 1.0 / (w * c_m * rng.uniform(250.0, 1000.0))
+        branches.append(MotionalBranch(r_m=r_m, l_m=1.0 / (w * w * c_m), c_m=c_m))
+    theta = mbvd._pack(c0, rng.uniform(0.5, 3.0), rng.uniform(0.1, 5.0), branches, fit_r0)
+    theta += rng.normal(0.0, 1e-3, theta.size)
+    f = np.linspace(0.7e9, 3.3e9, 400)
+    y = MbvdModel(StaticNetwork(c_0=c0), tuple(branches)).admittance(f)
+    return theta, 2j * math.pi * f, y, np.abs(y)
+
+
+@pytest.mark.parametrize("fit_r0", [False, True])
+@pytest.mark.parametrize("n_branches", [1, 2, 3, 4])
+def test_analytic_jacobian_matches_central_differences(n_branches, fit_r0):
+    theta, jw, y, absy = _jacobian_case(n_branches, fit_r0, 100 * n_branches + fit_r0)
+    fun, jac = mbvd._residual_jacobian(theta, jw, y, absy, fit_r0)
+    assert jac.shape == (fun.size, theta.size)
+    step = 1e-7
+    for i in range(theta.size):
+        e = np.zeros_like(theta)
+        e[i] = step
+        fd = (mbvd._residual_jacobian(theta + e, jw, y, absy, fit_r0)[0]
+              - mbvd._residual_jacobian(theta - e, jw, y, absy, fit_r0)[0]) / (2.0 * step)
+        scale = np.max(np.abs(jac[:, i]))
+        assert np.max(np.abs(fd - jac[:, i])) <= 1e-6 * scale, i
+
+
+def test_residual_matches_model_admittance():
+    theta, jw, y, absy = _jacobian_case(3, True, 7)
+    fun, _ = mbvd._residual_jacobian(theta, jw, y, absy, True)
+    model = mbvd._unpack(theta, True)
+    d = (model.admittance(jw.imag / (2.0 * math.pi)) - y) / absy
+    np.testing.assert_allclose(fun, np.concatenate([d.real, d.imag]), rtol=0, atol=1e-12 * np.max(np.abs(fun)))
+
+
+def _rosenbrock(x):
+    return (np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
+            np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]))
+
+
+def test_levenberg_marquardt_solves_rosenbrock():
+    x, fun, jac, nfev, njev, status = mbvd._levenberg_marquardt(
+        _rosenbrock, np.array([-1.2, 1.0]), xtol=1e-12, ftol=1e-14, max_nfev=500)
+    assert status in (1, 2)
+    np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-8)
+    np.testing.assert_array_equal(fun, _rosenbrock(x)[0])
+    np.testing.assert_array_equal(jac, _rosenbrock(x)[1])
+    assert nfev == njev <= 500
+
+
+def test_levenberg_marquardt_stops_at_evaluation_cap():
+    x0 = np.array([-1.2, 1.0])
+    x, fun, _, nfev, _, status = mbvd._levenberg_marquardt(_rosenbrock, x0, 1e-12, 1e-14, 8)
+    assert (status, nfev) == (0, 8)
+    assert fun @ fun < _rosenbrock(x0)[0] @ _rosenbrock(x0)[0]
+
+
+def test_levenberg_marquardt_backs_off_non_finite_trials():
+    # Gauss-Newton on atan overshoots from x = 3 into a region returning NaN
+    def fun_jac(x):
+        if abs(x[0]) > 5.0:
+            return np.array([math.nan]), np.array([[math.nan]])
+        return np.array([math.atan(x[0])]), np.array([[1.0 / (1.0 + x[0] ** 2)]])
+
+    x, fun, _, _, _, status = mbvd._levenberg_marquardt(fun_jac, np.array([3.0]), 1e-12, 1e-14, 200)
+    assert status in (1, 2)
+    assert abs(x[0]) < 1e-8 and np.all(np.isfinite(fun))
+
+
+def test_levenberg_marquardt_keeps_a_parameter_without_influence():
+    # an all-zero Jacobian column makes J^T J singular; the unit scale for
+    # that column keeps the damped system solvable and the parameter still
+    def fun_jac(x):
+        return np.array([x[0] - 2.0, 3.0 * (x[0] - 2.0)]), np.array([[1.0, 0.0], [3.0, 0.0]])
+
+    x, _, _, _, _, status = mbvd._levenberg_marquardt(fun_jac, np.array([0.0, 5.0]), 1e-12, 1e-14, 100)
+    assert status in (1, 2)
+    assert x[0] == pytest.approx(2.0, abs=1e-10) and x[1] == 5.0
+
+
+def test_levenberg_marquardt_no_worse_than_scipy_on_criterion_1_set():
+    least_squares = pytest.importorskip("scipy.optimize").least_squares
+    from test_acceptance import _random_mbvd, _structured_grid
+
+    rng = np.random.default_rng(18230)
+    for case in range(100):
+        truth = _random_mbvd(rng)
+        grid = _structured_grid(truth)
+        noise = 0.005 / math.sqrt(2) * (
+            rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+        )
+        trace = AdmittanceTrace(grid, truth.admittance(grid) * (1.0 + noise))
+        n = truth.n_branches
+        c0, rs, branches = mbvd._initial_model(trace, n, FitOptions())
+        theta0 = mbvd._pack(c0, rs, 1e-3, branches, False)
+        jw = 2j * math.pi * grid
+        absy = np.abs(trace.admittance)
+        want = least_squares(
+            lambda th: mbvd._residual_jacobian(th, jw, trace.admittance, absy, False)[0],
+            theta0, method="lm", xtol=1e-10, ftol=1e-14, gtol=1e-14, max_nfev=200 * (3 * n + 3),
+        )
+        got = fit_mbvd(trace, n)
+        assert got.residual_norm <= np.linalg.norm(want.fun) * (1.0 + 1e-9), case
