@@ -15,7 +15,7 @@ stable exit-code registry:
    70  internal error (a bug: any other exception)
 
 Subcommands import what they run in their own bodies, so --help and
-flow-check load no numpy, scipy or jsonschema.
+flow-check load no numpy and no command loads scipy.
 """
 
 import argparse

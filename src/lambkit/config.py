@@ -3,13 +3,16 @@
 A user config file may specify any subset of sections; missing keys fall
 back to the packaged defaults (deep merge, then schema validation).  Unknown
 keys are rejected so typos surface as ConfigError rather than silently
-ignored settings.
+ignored settings.  The validator is in-repo: it checks the JSON Schema
+keywords CONFIG_SCHEMA uses, with jsonschema's messages, and unlike JSON
+Schema it rejects NaN and the infinities, which json.load accepts.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from importlib import resources
 
@@ -244,55 +247,97 @@ class ToolkitConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ToolkitConfig":
-        from jsonschema.exceptions import best_match
-        from jsonschema.validators import validator_for
-
         merged = _deep_merge(default_config_dict(), raw)
-        # jsonschema.validate without its check_schema pass: CONFIG_SCHEMA is
-        # a constant, checked against the metaschema by the test suite
-        error = best_match(validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA).iter_errors(merged))
-        if error is not None:
-            path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-            raise ConfigError(f"config invalid at {path}: {error.message}") from error
-        mat = merged["material"]
+        errors = list(_schema_errors(CONFIG_SCHEMA, merged))
+        if errors:
+            # jsonschema's best_match: the shallowest path, the greatest of
+            # equally deep paths, and the first failing keyword at that path
+            path, message = max(errors, key=lambda e: (-len(e[0]), e[0]))
+            where = "/".join(map(str, path)) or "<root>"
+            raise ConfigError(f"config invalid at {where}: {message}")
+        doc = _typed(CONFIG_SCHEMA, merged)
+        mat = doc["material"]
         material = PlateMaterial(
             rho=mat["rho_kg_m3"],
             v_l=mat["v_l_m_s"],
             v_t=mat["v_t_m_s"],
             name=mat["name"],
         )
-        var = merged["variation"]
         return cls(
             material=material,
-            plate=PlateSpec(material=material, h=merged["plate"]["thickness_m"]),
-            eps_r=merged["capacitance"]["eps_r"],
-            matching=MatchingConfig(
-                target_impedance_ohm=merged["matching"]["target_impedance_ohm"],
-                max_fingers=merged["matching"]["max_fingers"],
-                dummy_count_per_side=merged["matching"]["dummy_count_per_side"],
-            ),
-            layers=LayerMap(**merged["layers"]),
-            chip=ChipConfig(**merged["chip"]),
-            wafer=WaferConfig(
-                diameter_m=merged["wafer"]["diameter_m"],
-                edge_exclusion_m=merged["wafer"]["edge_exclusion_m"],
-                keepout_m=tuple(merged["wafer"]["keepout_m"]),
-                grid_anchor_m=tuple(merged["wafer"]["grid_anchor_m"]),
-            ),
-            reticle=ReticleConfig(
-                image_field_m=tuple(merged["reticle"]["image_field_m"]),
-                demag=merged["reticle"]["demag"],
-            ),
-            variation=VariationConfig(
-                thickness_center_m=var["thickness_center_m"],
-                thickness_edge_drop_m=var["thickness_edge_drop_m"],
-                thickness_noise_sigma_m=var["thickness_noise_sigma_m"],
-                pitch_sigma_m=var["pitch_sigma_m"],
-                full_resolve=var["full_resolve"],
-                mode_quality={k: dict(v) for k, v in var["mode_quality"].items()},
-            ),
-            seed=merged["seed"],
+            plate=PlateSpec(material=material, h=doc["plate"]["thickness_m"]),
+            eps_r=doc["capacitance"]["eps_r"],
+            matching=MatchingConfig(**doc["matching"]),
+            layers=LayerMap(**doc["layers"]),
+            chip=ChipConfig(**doc["chip"]),
+            wafer=WaferConfig(**doc["wafer"]),
+            reticle=ReticleConfig(**doc["reticle"]),
+            variation=VariationConfig(**doc["variation"]),
+            seed=doc["seed"],
         )
+
+
+def _is_number(value) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and math.isfinite(value))
+
+
+_IS_TYPE = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and v == int(v),
+}
+
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum"),
+    "maximum": (operator.gt, "greater than the maximum"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum"),
+}
+
+
+def _schema_errors(schema: dict, value, path: tuple = ()):
+    """Yield (path, message) for each keyword of schema that value fails.
+
+    Covers the keywords CONFIG_SCHEMA uses, in keyword order, with
+    jsonschema's messages; number and integer exclude NaN and the infinities.
+    """
+    for key, arg in schema.items():
+        if key == "type":
+            if not _IS_TYPE[arg](value):
+                yield path, f"{value!r} is not of type {arg!r}"
+        elif key == "additionalProperties" and isinstance(value, dict):
+            extra = sorted(set(value) - set(schema["properties"]))
+            if extra:
+                names = ", ".join(map(repr, extra))
+                verb = "was" if len(extra) == 1 else "were"
+                yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        elif key == "properties" and isinstance(value, dict):
+            for name, sub in arg.items():
+                if name in value:
+                    yield from _schema_errors(sub, value[name], path + (name,))
+        elif key == "items" and isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from _schema_errors(arg, item, path + (i,))
+        elif key == "minItems" and isinstance(value, list) and len(value) < arg:
+            yield path, f"{value!r} is too short"
+        elif key == "maxItems" and isinstance(value, list) and len(value) > arg:
+            yield path, f"{value!r} is too long"
+        elif key in _BOUNDS and _is_number(value) and _BOUNDS[key][0](value, arg):
+            yield path, f"{value!r} is {_BOUNDS[key][1]} of {arg!r}"
+
+
+def _typed(schema: dict, value):
+    """A valid document with its arrays as tuples and its integers as int
+    (JSON Schema counts 7.0 as an integer)."""
+    if schema["type"] == "object":
+        return {k: _typed(schema["properties"][k], v) for k, v in value.items()}
+    if schema["type"] == "array":
+        return tuple(_typed(schema["items"], v) for v in value)
+    return int(value) if schema["type"] == "integer" else value
 
 
 def _deep_merge(base: dict, override: dict) -> dict:

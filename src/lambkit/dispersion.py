@@ -157,6 +157,8 @@ def _scan_grid(plate: PlateSpec, k: float):
     lo = _FLOOR_MARGIN * min(w_flex, 0.9 * vt * k)
     split = w_max * 0.02
     lo = min(lo, split * 0.5)
+    if not lo > 0.0:
+        raise SolverError(f"scan floor underflows to 0 at k={k:.6g} rad/m (k*h too small)")
     return np.concatenate([
         np.geomspace(lo, split, n_log, endpoint=False),
         np.linspace(split, w_max, n_lin),

@@ -143,6 +143,60 @@ def test_solver_failure_maps_to_exit_3(tmp_path, monkeypatch):
     assert code == cli.EXIT_SOLVER
 
 
+
+def test_scan_floor_underflow_exits_3(tmp_path):
+    # pitch 1e300 puts k*h near 1e-306, where the solver's scan floor underflows
+    proc = run_cli("simulate-wafer", "--pitches", "1e300", "--quiet", "--out", str(tmp_path))
+    assert proc.returncode == cli.EXIT_SOLVER
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+    # disperse records the underflowing grid point as a gap and solves the rest
+    proc = run_cli("disperse", "--pitch-min", "1e-6", "--pitch-max", "1e300", "--points", "5",
+                   "--modes", "S0", "--out", str(tmp_path))
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert "S0: 4 of 5 points solved" in proc.stdout
+
+
+@pytest.mark.parametrize("argv, doc, where", [
+    (["layout"], {"chip": {"margin_m": float("nan")}}, "chip/margin_m"),
+    (["design"], {"capacitance": {"eps_r": float("nan")}}, "capacitance/eps_r"),
+    (["layout", "--wafer-map"], {"wafer": {"diameter_m": float("inf")}}, "wafer/diameter_m"),
+    (["design"], {"matching": {"target_impedance_ohm": float("inf")}},
+     "matching/target_impedance_ohm"),
+    (["simulate-wafer"], {"wafer": {"keepout_m": [0, 0, float("-inf"), 0]}}, "wafer/keepout_m/2"),
+])
+def test_non_finite_config_number_is_usage_error(tmp_path, argv, doc, where):
+    # json.load accepts NaN and Infinity; the config boundary does not
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    proc = run_cli(*argv, "--config", str(cfg), "--pitches", "2e-6", "--out", str(tmp_path))
+    assert proc.returncode == cli.EXIT_USAGE
+    assert proc.stderr.startswith(f"error: config invalid at {where}: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not any(p.name != "cfg.json" for p in tmp_path.iterdir())
+
+
+def test_integer_fields_spelled_as_floats_give_identical_outputs(tmp_path):
+    ints = {"seed": 7, "matching": {"max_fingers": 1000, "dummy_count_per_side": 3},
+            "layers": {"small_idt": 1, "large_idt": 2, "pads": 3, "bottom_electrode": 4,
+                       "outline": 5},
+            "reticle": {"demag": 4}}
+    # JSON Schema counts 7.0 as an integer; json.dumps writes the float as 7.0
+    floats = {k: {n: float(x) for n, x in v.items()} if isinstance(v, dict) else float(v)
+              for k, v in ints.items()}
+    outputs = []
+    for name, doc in (("ints", ints), ("floats", floats)):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / name
+        for argv in (["design"], ["layout", "--wafer-map"], ["simulate-wafer"]):
+            assert cli.main([*argv, "--config", str(cfg), "--pitches", "2e-6,4.5e-6",
+                             "--quiet", "--out", str(out)]) == cli.EXIT_OK, argv
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(outputs[0]) == 7
+    assert outputs[0] == outputs[1]
+
+
 # ------------------------------------------------------------------ design
 
 
@@ -558,9 +612,11 @@ def test_help_and_flow_check_load_no_numpy_scipy_or_jsonschema(argv):
 def test_dispersion_and_wafer_commands_load_no_scipy(tmp_path):
     out = ["--out", str(tmp_path), "--quiet"]
     pitch = ["--pitches", "2e-6,3e-6"]
+    # jsonschema and the packages it pulls in
+    validator = {"jsonschema", "attrs", "attr", "referencing", "rpds", "jsonschema_specifications"}
     for argv in (["disperse", "--points", "5"], ["design", *pitch], ["layout", *pitch],
                  ["simulate-wafer", *pitch]):
-        assert "scipy" not in loaded_by(*argv, *out), argv
+        assert not loaded_by(*argv, *out) & ({"scipy"} | validator), argv
     modules = loaded_by("stats", str(tmp_path / "sites.json"), *out)
     assert not modules & {"scipy", "jsonschema"}
 

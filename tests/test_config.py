@@ -99,6 +99,50 @@ def test_catalog_rejects_unsorted(tmp_path):
         load_catalog(p)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"zeta": 1, "alpha": {}},
+     "<root>: Additional properties are not allowed ('alpha', 'zeta' were unexpected)"),
+    ({"chip": {"margin_m": -1.0}, "bogus": 1},
+     "<root>: Additional properties are not allowed ('bogus' was unexpected)"),
+    ({"material": {"rho_kg_m3": 0}, "plate": {"thickness_m": "x"}},
+     "plate/thickness_m: 'x' is not of type 'number'"),
+    ({"chip": {"margin_m": -1.0, "spacing_m": -2.0}},
+     "chip/spacing_m: -2.0 is less than the minimum of 0"),
+    ({"chip": {"width_m": True}}, "chip/width_m: True is not of type 'number'"),
+    ({"seed": True}, "seed: True is not of type 'integer'"),
+    ({"reticle": {"demag": 2.5}}, "reticle/demag: 2.5 is not of type 'integer'"),
+    ({"reticle": {"demag": 2.0}}, None),
+    ({"reticle": {"demag": 0}}, "reticle/demag: 0 is less than the minimum of 1"),
+    ({"layers": {"pads": 256}}, "layers/pads: 256 is greater than the maximum of 255"),
+    ({"variation": {"mode_quality": {"S0": {"k_eff_sq": 1}}}},
+     "variation/mode_quality/S0/k_eff_sq: 1 is greater than or equal to the maximum of 1"),
+    ({"reticle": {"image_field_m": [-1.0]}}, "reticle/image_field_m: [-1.0] is too short"),
+    ({"wafer": {"grid_anchor_m": [0, 0, 0]}}, "wafer/grid_anchor_m: [0, 0, 0] is too long"),
+    ({"reticle": {"image_field_m": [1.0, -1.0]}},
+     "reticle/image_field_m/1: -1.0 is less than or equal to the minimum of 0"),
+    ({"variation": {"full_resolve": 1}}, "variation/full_resolve: 1 is not of type 'boolean'"),
+    ({"material": []}, "material: [] is not of type 'object'"),
+    ({"chip": {"margin_m": float("nan")}}, "chip/margin_m: nan is not of type 'number'"),
+    ({"seed": float("inf")}, "seed: inf is not of type 'integer'"),
+    ({"plate": {"thickness_m": float("-inf")}}, "plate/thickness_m: -inf is not of type 'number'"),
+])
+def test_config_error_selection(doc, message):
+    if message is None:
+        assert ToolkitConfig.from_dict(doc).reticle.demag == 2
+        return
+    with pytest.raises(ConfigError) as exc:
+        ToolkitConfig.from_dict(doc)
+    assert str(exc.value) == f"config invalid at {message}"
+
+
+def test_integer_fields_are_stored_as_int():
+    cfg = ToolkitConfig.from_dict({"seed": 7.0, "layers": {"small_idt": 9.0},
+                                   "matching": {"max_fingers": 50.0}})
+    for value in (cfg.seed, cfg.layers.small_idt, cfg.matching.max_fingers, cfg.reticle.demag):
+        assert type(value) is int
+    assert cfg.wafer.keepout_m == (-0.009, -0.009, 0.009, 0.009)
+
+
 def test_config_schema_is_a_valid_schema():
     validators = pytest.importorskip("jsonschema.validators")
     validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)

@@ -110,6 +110,17 @@ def test_branch_index_unreliable_at_tiny_k():
         solve_at_k(PLATE, "A1", 1e-4 / PLATE.h)
 
 
+def test_scan_floor_underflow_is_a_solver_error():
+    # below k*h ~ 1e-150 the flexural scan floor k^2*h*c underflows to 0
+    with pytest.raises(SolverError, match="underflows"):
+        solve_at_k(DEVICE_PLATE, "A0", 1e-200)
+    curve = solve_mode(DEVICE_PLATE, "S0", [1e-200, 1e6])
+    assert curve.gaps == ((1e-200, 1e-200),)
+    assert curve.k.size == 1
+    with pytest.raises(DispersionRangeError):
+        pitch_to_frequency(1e300, "A0", DEVICE_PLATE)
+
+
 def test_solve_mode_curve():
     k = np.linspace(0.3, 1.5, 13) / PLATE.h
     curve = solve_mode(PLATE, "S0", k)
