@@ -1,4 +1,4 @@
-"""One-port OSL calibration: three-term error box, one batched solve per file.
+"""One-port OSL calibration: three-term error box, one batched solve per command.
 
 Model:  G_meas = e00 + (e10e01 * G) / (1 - e11 * G)
              = (e00 - de * G) / (1 - e11 * G),   de = e00*e11 - e10e01
@@ -8,11 +8,15 @@ frequency yields one linear 3x3 system in (e00, e11, de):
 
     [1,  G_meas * G,  -G] . [e00, e11, de]^T = G_meas
 
-The (N, 3, 3) stack over the grid is one ``np.linalg.solve`` call, and the
-correction is applied to the whole trace at once.
+The (N, 3, 3) stack over the grid is one ``np.linalg.solve`` call.
+``OslCalibration`` solves it once, on the short's grid, for a set of
+standard files and then corrects any number of DUT files on that grid,
+each in one array pass;
+``calibrate_file`` is the same two steps for a single DUT.
 
-Standards default to the ideal definitions (-1, +1, 0); an offset model
-with electrical delay and loss is available for characterized standards.
+Standards default to the ideal definitions (-1, +1, 0), whose box does not
+depend on the frequency values; an offset model with electrical delay and
+loss is available for characterized standards.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError, CorrectionError, InputError
+from .errors import CalibrationError, CorrectionError, InputError, LambkitError
 from .touchstone import TouchstoneFile
 
 __all__ = [
@@ -32,6 +36,7 @@ __all__ = [
     "IDEAL_STANDARDS",
     "osl_solve",
     "apply_correction",
+    "OslCalibration",
     "calibrate_file",
 ]
 
@@ -174,6 +179,44 @@ def _check_same_grid(name: str, a: TouchstoneFile, b: TouchstoneFile):
         raise CalibrationError(f"{name} standard frequency grid differs from the DUT")
 
 
+class OslCalibration:
+    """The error box of three measured standard files, solved once on the
+    short's grid.
+
+    A solve failure is kept, and ``correct`` raises it for each DUT after
+    that DUT's grid checks, as a per-file solve would.
+    """
+
+    def __init__(
+        self,
+        short: TouchstoneFile,
+        open_std: TouchstoneFile,
+        load: TouchstoneFile,
+        standards: OslStandards = IDEAL_STANDARDS,
+    ):
+        self.files = (("short", short), ("open", open_std), ("load", load))
+        self.box = self.error = None
+        try:
+            self.box = osl_solve(short.frequencies, short.s11, open_std.s11, load.s11, standards)
+        except LambkitError as exc:  # unequal lengths fail every grid check first
+            self.error = exc
+
+    def correct(self, dut: TouchstoneFile) -> TouchstoneFile:
+        """The OSL-corrected DUT; its grid must match every standard's."""
+        for name, std in self.files:
+            _check_same_grid(name, dut, std)
+        if self.error is not None:
+            raise self.error.with_traceback(None)
+        return TouchstoneFile(
+            frequencies=dut.frequencies.copy(),
+            s11=apply_correction(self.box, dut.s11),
+            z0=dut.z0,
+            frequency_unit=dut.frequency_unit,
+            fmt=dut.fmt,
+            comments=dut.comments,
+        )
+
+
 def calibrate_file(
     dut: TouchstoneFile,
     short: TouchstoneFile,
@@ -182,16 +225,4 @@ def calibrate_file(
     standards: OslStandards = IDEAL_STANDARDS,
 ) -> TouchstoneFile:
     """OSL-correct a measured DUT file against three standard files."""
-    _check_same_grid("short", dut, short)
-    _check_same_grid("open", dut, open_std)
-    _check_same_grid("load", dut, load)
-    box = osl_solve(dut.frequencies, short.s11, open_std.s11, load.s11, standards)
-    corrected = apply_correction(box, dut.s11)
-    return TouchstoneFile(
-        frequencies=dut.frequencies.copy(),
-        s11=corrected,
-        z0=dut.z0,
-        frequency_unit=dut.frequency_unit,
-        fmt=dut.fmt,
-        comments=dut.comments,
-    )
+    return OslCalibration(short, open_std, load, standards).correct(dut)

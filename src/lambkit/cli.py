@@ -231,6 +231,8 @@ def cmd_layout(args) -> int:
 
 
 def _load_cal_files(args):
+    """The command's OSL calibration, solved once for all its files, or None."""
+    from .calibration import OslCalibration
     from .touchstone import parse_touchstone
 
     given = [args.cal_short, args.cal_open, args.cal_load]
@@ -244,7 +246,7 @@ def _load_cal_files(args):
     for path in given:
         with open(path, "r", encoding="utf-8") as fh:
             loaded.append(parse_touchstone(fh.read()))
-    return tuple(loaded)
+    return OslCalibration(*loaded)
 
 
 def _overlay_rows(frequencies, y_measured, y_model) -> list:
@@ -252,27 +254,21 @@ def _overlay_rows(frequencies, y_measured, y_model) -> list:
     import numpy as np
 
     # np.hypot gives the same doubles as scalar abs() of a complex; np.abs does not
-    def mag(y):
-        return np.hypot(y.real, y.imag).tolist()
-
-    rows = ["f_hz,y_abs_measured,y_abs_model"]
-    rows.extend(
-        f"{f:.9e},{ym:.9e},{yf:.9e}"
-        for f, ym, yf in zip(frequencies.tolist(), mag(y_measured), mag(y_model))
-    )
-    return rows
+    columns = (frequencies, np.hypot(y_measured.real, y_measured.imag),
+               np.hypot(y_model.real, y_model.imag))
+    flat = np.column_stack(columns).ravel().tolist()
+    body = "%.9e,%.9e,%.9e\n" * len(frequencies) % tuple(flat)
+    return ["f_hz,y_abs_measured,y_abs_model", *body.splitlines()]
 
 
 def _fit_one(path: str, args, out: str, cal) -> None:
-    from .calibration import calibrate_file
     from .mbvd import fit_mbvd, mbvd_admittance, resonance_metrics
     from .touchstone import parse_touchstone, touchstone_to_trace
 
     with open(path, "r", encoding="utf-8") as fh:
         tf = parse_touchstone(fh.read())
     if cal is not None:
-        short, open_std, load = cal
-        tf = calibrate_file(tf, short, open_std, load)
+        tf = cal.correct(tf)
     trace = touchstone_to_trace(tf)
     result = fit_mbvd(trace, args.branches)
     metrics = [

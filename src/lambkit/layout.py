@@ -47,7 +47,9 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9_?$]{1,32}$")
 
 def to_dbu(x_m: float) -> int:
     """Meters to integer nanometer database units, range-checked."""
-    v = round(x_m * 1e9)
+    v = x_m * 1e9
+    if math.isfinite(v):  # round() of inf or nan raises; the range check catches them
+        v = round(v)
     if not INT32_MIN <= v <= INT32_MAX:
         raise CoordinateError(f"{x_m} m exceeds 32-bit database units")
     return v
@@ -482,6 +484,7 @@ def gen_wafer_map(chip_cfg: ChipConfig, wafer: WaferConfig) -> list:
     order is row-major bottom-to-top, left-to-right.  Zero placements is a
     valid result.
     """
+    to_dbu(wafer.radius_m)  # a wafer beyond the coordinate range has no finite grid
     w = chip_cfg.width_m
     h = chip_cfg.height_m
     r_eff = wafer.radius_m - wafer.edge_exclusion_m

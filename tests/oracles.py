@@ -5,8 +5,15 @@ sin, cos) instead of the branch-split real forms in the package, so the two
 paths share no code.  Roots are located by brute-force dense sign scans.
 """
 
+import math
+
 import numpy as np
 import pytest
+
+from lambkit.errors import TouchstoneParseError
+from lambkit.touchstone import FORMATS, FREQ_UNITS, TouchstoneFile
+
+_RAD = math.pi / 180.0
 
 TINY = 1e-280
 
@@ -71,3 +78,121 @@ def osl_correct_reference(meas, gammas, s_dut):
         num = np.complex128(s_dut[i]) - e00
         out[i] = num / (e00 * e11 - de + e11 * num)
     return out
+
+
+def parse_touchstone_reference(text) -> TouchstoneFile:
+    """Line-by-line .s1p parser: each data line is split, converted and
+    checked before the next is read, so the first faulty line always wins.
+
+    Every error type, message and line number of ``parse_touchstone`` must
+    match this; so must its frequencies and S11, bit for bit.  The polar
+    product is spelled ``complex(a, 0.0) * z``: the float-times-complex rule
+    of CPython 3.10-3.13, which 3.14 no longer follows for signed zeros.
+    """
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise TouchstoneParseError(f"not ascii text: {exc}")
+    comments = []
+    option = None
+    freqs = []
+    vals = []
+    unit_scale = 1e9
+    unit_name = "GHz"
+    fmt = "MA"
+    z0 = 50.0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("!"):
+            comments.append(stripped[1:].strip())
+            continue
+        if "!" in stripped:
+            stripped = stripped[: stripped.index("!")].strip()
+            if not stripped:
+                continue
+        if stripped.startswith("#"):
+            if option is not None:
+                raise TouchstoneParseError("second option line", line=lineno)
+            if freqs:
+                raise TouchstoneParseError("option line after data", line=lineno)
+            option = stripped
+            tokens = stripped[1:].split()
+            i = 0
+            seen_param = False
+            while i < len(tokens):
+                tok = tokens[i].lower()
+                if tok in FREQ_UNITS:
+                    unit_name, unit_scale = FREQ_UNITS[tok]
+                elif tok.upper() in FORMATS:
+                    fmt = tok.upper()
+                elif tok == "s":
+                    seen_param = True
+                elif tok == "r":
+                    if i + 1 >= len(tokens):
+                        raise TouchstoneParseError("R token missing value", line=lineno)
+                    try:
+                        z0 = float(tokens[i + 1])
+                    except ValueError:
+                        raise TouchstoneParseError(
+                            f"bad reference impedance {tokens[i + 1]!r}", line=lineno
+                        )
+                    if not 0 < z0 < math.inf:
+                        raise TouchstoneParseError(
+                            "reference impedance must be positive and finite", line=lineno
+                        )
+                    i += 1
+                elif tok in ("y", "z", "g", "h", "t"):
+                    raise TouchstoneParseError(
+                        f"parameter {tok.upper()!r} unsupported, only S", line=lineno
+                    )
+                else:
+                    raise TouchstoneParseError(
+                        f"unknown option token {tokens[i]!r}", line=lineno
+                    )
+                i += 1
+            del seen_param
+            continue
+        if option is None:
+            raise TouchstoneParseError("data before option line", line=lineno)
+        cols = stripped.split()
+        if len(cols) != 3:
+            raise TouchstoneParseError(
+                f"expected 3 columns, found {len(cols)}", line=lineno
+            )
+        try:
+            f, a, b = (float(c) for c in cols)
+        except ValueError:
+            raise TouchstoneParseError(f"non-numeric data {stripped!r}", line=lineno)
+        if not (math.isfinite(f) and math.isfinite(a) and math.isfinite(b)):
+            raise TouchstoneParseError(f"non-finite data {stripped!r}", line=lineno)
+        f_hz = f * unit_scale
+        if freqs and f_hz <= freqs[-1]:
+            raise TouchstoneParseError(
+                f"frequency {f!r} not strictly increasing", line=lineno
+            )
+        if fmt == "RI":
+            s = complex(a, b)
+        elif fmt == "MA":
+            s = complex(a, 0.0) * complex(math.cos(b * _RAD), math.sin(b * _RAD))
+        else:  # DB
+            if a > 6000.0:  # 10 ** (a / 20) overflows a float above ~6165 dB
+                raise TouchstoneParseError(f"dB magnitude out of range {stripped!r}", line=lineno)
+            mag = 10.0 ** (a / 20.0)
+            s = complex(mag, 0.0) * complex(math.cos(b * _RAD), math.sin(b * _RAD))
+        freqs.append(f_hz)
+        vals.append(s)
+    if option is None:
+        raise TouchstoneParseError("missing option line")
+    if not freqs:
+        raise TouchstoneParseError("no data points")
+    return TouchstoneFile(
+        frequencies=np.array(freqs),
+        s11=np.array(vals),
+        z0=z0,
+        frequency_unit=unit_name,
+        fmt=fmt,
+        comments=tuple(comments),
+    )

@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -97,18 +98,18 @@ def test_disperse_inverted_range_usage(tmp_path):
     assert code == 2
 
 
-def run_python(*args):
+def run_python(*args, timeout=120):
     """Run a fresh interpreter with lambkit importable."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 
-def run_cli(*argv):
+def run_cli(*argv, timeout=120):
     """Run the CLI in a fresh process, so a traceback would show on stderr."""
-    return run_python("-m", "lambkit.cli", *argv)
+    return run_python("-m", "lambkit.cli", *argv, timeout=timeout)
 
 
 def test_disperse_huge_points_is_usage_error(tmp_path):
@@ -174,6 +175,21 @@ def test_non_finite_config_number_is_usage_error(tmp_path, argv, doc, where):
     assert proc.stderr.startswith(f"error: config invalid at {where}: ")
     assert len(proc.stderr.splitlines()) == 1
     assert not any(p.name != "cfg.json" for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, doc, value", [
+    (["layout"], {"chip": {"margin_m": 1e300}}, "1e+300"),
+    (["layout", "--wafer-map"], {"wafer": {"diameter_m": 1e300}}, "5e+299"),
+])
+def test_finite_length_beyond_int32_exits_4(tmp_path, argv, doc, value):
+    # finite, so the config accepts it; the database-unit range does not.
+    # The wafer map is refused before its grid loop, so this ends in seconds.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    proc = run_cli(*argv, "--config", str(cfg), "--pitches", "2e-6", "--quiet",
+                   "--out", str(tmp_path / "out"), timeout=30)
+    assert proc.returncode == cli.EXIT_DESIGN
+    assert proc.stderr == f"error: {value} m exceeds 32-bit database units\n"
 
 
 def test_integer_fields_spelled_as_floats_give_identical_outputs(tmp_path):
@@ -349,6 +365,58 @@ def test_fit_identity_calibration_matches_raw(tmp_path, capsys):
     assert cal["branches"][0]["f_r_hz"] == pytest.approx(
         raw["branches"][0]["f_r_hz"], rel=1e-9
     )
+
+
+def ideal_standards(tmp_path, f):
+    """Paths of short, open and load files measuring the ideal standards on f."""
+    return [write_s1p(tmp_path / f"{name}.s1p", f, np.full(f.size, gamma, dtype=complex))
+            for name, gamma in (("short", -1), ("open", 1), ("load", 0))]
+
+
+def test_fit_solves_the_error_box_once_per_command(tmp_path, monkeypatch):
+    from lambkit import calibration
+
+    dut, f = write_dut(tmp_path)
+    duts = [dut, *(str(shutil.copy(dut, tmp_path / f"dut{i}.s1p")) for i in range(3))]
+    solve = calibration.osl_solve
+    calls = []
+    monkeypatch.setattr(calibration, "osl_solve",
+                        lambda *args: calls.append(args) or solve(*args))
+    short, open_std, load = ideal_standards(tmp_path, f)
+    code = cli.main(["fit", *duts, "--cal-short", short, "--cal-open", open_std,
+                     "--cal-load", load, "--quiet", "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_OK
+    assert len(calls) == 1
+    assert len(list((tmp_path / "out").glob("*_metrics.json"))) == 4
+
+
+def test_fit_calibration_failures_stay_per_file(tmp_path):
+    dut, f = write_dut(tmp_path)
+    off = write_s1p(tmp_path / "off.s1p", f * (1 + 1e-6), y_to_s11(synth_model().admittance(f)))
+    short, open_std, load = ideal_standards(tmp_path, f)
+    half = write_s1p(tmp_path / "half.s1p", f[:200], np.zeros(200, dtype=complex))
+
+    def fit(*cal):
+        flags = [x for name, path in zip(("--cal-short", "--cal-open", "--cal-load"), cal)
+                 for x in (name, path)]
+        return run_cli("fit", dut, off, *flags, "--quiet", "--out", str(tmp_path / "out"))
+
+    # an open measured as a second short: each DUT on the grid names the first
+    # frequency, and a DUT on another grid still reports its grid first
+    proc = fit(short, short, load)
+    assert proc.returncode == cli.EXIT_ALL_FITS_FAILED
+    assert proc.stderr == (
+        "failed dut.s1p: degenerate standards at 8e+08 Hz: two measured values equal\n"
+        "failed off.s1p: short standard frequency grid differs from the DUT\n")
+    proc = fit(short, open_std, load)
+    assert proc.returncode == cli.EXIT_OK
+    assert proc.stderr == "failed off.s1p: short standard frequency grid differs from the DUT\n"
+    # standards of unequal length have no box; every DUT fails its grid check
+    proc = fit(short, open_std, half)
+    assert proc.returncode == cli.EXIT_ALL_FITS_FAILED
+    assert proc.stderr == (
+        "failed dut.s1p: load standard frequency grid differs from the DUT\n"
+        "failed off.s1p: short standard frequency grid differs from the DUT\n")
 
 
 def test_fit_partial_cal_set_is_usage_error(tmp_path):

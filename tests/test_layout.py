@@ -72,6 +72,15 @@ def test_polygon_rejects_overflow():
         to_dbu(3.0)  # 3e9 nm
 
 
+def test_to_dbu_rejects_every_value_outside_int32():
+    assert to_dbu(-2.147483648) == -(2**31)
+    assert to_dbu(2.147483647) == 2**31 - 1
+    # 1e300 m overflows the product to inf, which round() cannot take
+    for x_m in (2.2, -2.2, 1e300, -1e300, math.inf, -math.inf, math.nan):
+        with pytest.raises(CoordinateError):
+            to_dbu(x_m)
+
+
 def test_rotation_values():
     sq = square()
     assert sq.rotated(90).vertices[1] == (0, 100)
@@ -212,6 +221,16 @@ def test_packing_error_names_design():
 def test_wafer_map_frozen_count():
     sites = gen_wafer_map(CFG.chip, CFG.wafer)
     assert len(sites) == 83
+
+
+def test_wafer_map_rejects_radius_beyond_int32():
+    from dataclasses import replace
+
+    # checked before the grid loop, which would otherwise never end
+    with pytest.raises(CoordinateError):
+        gen_wafer_map(CFG.chip, replace(CFG.wafer, diameter_m=1e300))
+    with pytest.raises(CoordinateError):
+        gen_wafer_map(CFG.chip, replace(CFG.wafer, diameter_m=4.3))  # radius 2.15e9 nm
 
 
 def test_wafer_map_geometry_rules():

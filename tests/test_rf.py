@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import osl_correct_reference
+from oracles import osl_correct_reference, parse_touchstone_reference
 
 from lambkit.calibration import (
     IDEAL_STANDARDS,
@@ -21,6 +21,7 @@ from lambkit.errors import (
     TouchstoneParseError,
 )
 from lambkit.touchstone import (
+    FORMATS,
     TouchstoneFile,
     parse_touchstone,
     s11_to_y,
@@ -130,6 +131,125 @@ def test_round_trip_all_formats_and_units():
             np.testing.assert_allclose(back.s11, s, rtol=1e-12)
             if fmt == "RI":
                 np.testing.assert_array_equal(back.s11, s)
+
+
+def _parse_outcome(parse, text):
+    """What a parser makes of text: its error, or the parsed file bit for bit."""
+    try:
+        tf = parse(text)
+    except Exception as exc:  # the exception type is part of the outcome
+        return type(exc), str(exc), getattr(exc, "line", None)
+    # int64 views compare every bit, signed zeros included
+    return (tf.frequencies.view(np.int64).tolist(), tf.s11.view(np.int64).tolist(),
+            tf.z0, tf.frequency_unit, tf.fmt, tf.comments)
+
+
+_SPELLINGS = (repr, "{:.12e}".format, "{:.17g}".format, "{:g}".format, "{:+.6f}".format,
+              "{:E}".format)
+
+
+def _seeded_s1p(rng, fmt: str, unit: str, n: int = 60) -> list:
+    """Lines of a valid .s1p file with varied spellings, comments and spacing."""
+    f = np.cumsum(rng.uniform(0.01, 3.0, n)) * 10.0 ** rng.integers(-3, 10)
+    a = rng.uniform(-60, 20, n) if fmt == "DB" else rng.uniform(-1.5, 1.5, n)
+    b = rng.uniform(-720, 720, n)
+    # exact zeros of either sign, integers and the angles where cos or sin is 0
+    a[rng.integers(0, n, 6)] = rng.choice([0.0, -0.0, 1.0, -1.0], 6)
+    b[rng.integers(0, n, 10)] = rng.choice([0.0, -0.0, 90.0, -90.0, 180.0, 270.0, 360.0], 10)
+    tokens = rng.permutation(["S", fmt, unit, "R 50"]).tolist()
+    tokens = [t.lower() if rng.random() < 0.5 else t for t in tokens]
+    lines = ["! measured on a seeded bench", "!", f"  # {' '.join(tokens)}  "]
+    for fi, ai, bi in zip(f.tolist(), a.tolist(), b.tolist()):
+        spell = [_SPELLINGS[i] for i in rng.integers(0, len(_SPELLINGS), 2)]
+        row = f"{fi!r}{' ' * rng.integers(1, 3)}{spell[0](ai)}\t{spell[1](bi)}"
+        roll = rng.random()
+        if roll < 0.1:
+            row += " ! inline note"
+        elif roll < 0.2:
+            lines.append(rng.choice(["", "   ", "! between rows", "\t! indented comment"]))
+        lines.append(row)
+    return lines
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_parse_matches_line_parser_bit_for_bit(fmt):
+    rng = np.random.default_rng([11, FORMATS.index(fmt)])
+    for unit in ("Hz", "kHz", "MHz", "GHz"):
+        for newline in ("\n", "\r\n"):
+            text = newline.join(_seeded_s1p(rng, fmt, unit)) + newline
+            want = _parse_outcome(parse_touchstone_reference, text)
+            assert isinstance(want[0], list), want
+            assert _parse_outcome(parse_touchstone, text) == want
+            assert _parse_outcome(parse_touchstone, text.encode("ascii")) == want
+
+
+_BAD_TOKENS = ("nan", "-inf", "Infinity", "abc", "1e999", "7000", "6000", "0", "-1", "1,5",
+               "1_0", "-0.0", "1e-320", "1e300", "0x10", "--1")
+_BAD_LINES = ("# GHz S RI R 50", "# hz s db r 0", "# ghz s ma r", "# ghz s ri r x", "# mhz y ri",
+              "#", "1 2", "1 2 3 4", "x y z", "5 1 1", "1e300 0 0", "! c", "", "  ! ", "0.5 1 1")
+
+
+def _mutate(rng, lines: list) -> list:
+    """One seeded edit: a bad token, a dropped, repeated, swapped or inserted
+    line, a dropped token, or a stray '!'."""
+    lines = list(lines)
+    i = int(rng.integers(0, len(lines)))
+    op = rng.integers(0, 7)
+    if op == 0:
+        toks = lines[i].split() or [""]
+        toks[rng.integers(0, len(toks))] = str(rng.choice(_BAD_TOKENS))
+        lines[i] = " ".join(toks)
+    elif op == 1:
+        del lines[i]
+    elif op == 2:
+        lines.insert(i, lines[i])
+    elif op == 3:
+        j = int(rng.integers(0, len(lines)))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif op == 4:
+        lines.insert(i, str(rng.choice(_BAD_LINES)))
+    elif op == 5:
+        toks = lines[i].split()
+        if toks:
+            del toks[rng.integers(0, len(toks))]
+        lines[i] = " ".join(toks)
+    else:
+        k = int(rng.integers(0, len(lines[i]) + 1))
+        lines[i] = lines[i][:k] + "!" + lines[i][k:]
+    return lines or ["1 1 1"]
+
+
+def test_parse_mutations_fail_as_the_line_parser_does():
+    rng = np.random.default_rng(2024)
+    kinds = set()
+    for case in range(900):
+        fmt = FORMATS[case % 3]
+        unit = ("Hz", "kHz", "MHz", "GHz")[case // 3 % 4]
+        lines = _seeded_s1p(rng, fmt, unit, n=8)
+        for _ in range(rng.integers(1, 4)):
+            lines = _mutate(rng, lines)
+        text = ("\r\n" if case % 2 else "\n").join(lines) + "\n"
+        want = _parse_outcome(parse_touchstone_reference, text)
+        assert _parse_outcome(parse_touchstone, text) == want, text
+        if not isinstance(want[0], list):
+            kinds.add((want[0], want[1].split(": ", 1)[-1].split(" ")[0]))
+    # the edits reach every kind of fault, not only the first check
+    assert len(kinds) >= 12, kinds
+
+
+def test_parse_earliest_faulty_line_wins():
+    head = "# ghz s ri r 50\n1 0 0\n"
+    cases = {
+        "2 nan 0\n3 0\n": (3, "non-finite"),  # a value fault before a column fault
+        "0.5 0 0\n# ghz s ri r 50\n": (3, "not strictly increasing"),
+        "2 x 0\n1 0 0\n": (3, "non-numeric"),
+        "2 0 0\n1 0 0\n3 x 0\n": (4, "not strictly increasing"),
+        "2 0 0\n3 0\n4 x 0\n": (4, "expected 3 columns"),
+    }
+    for tail, (line, what) in cases.items():
+        with pytest.raises(TouchstoneParseError) as exc:
+            parse_touchstone(head + tail)
+        assert exc.value.line == line and what in str(exc.value), tail
 
 
 def test_s11_to_y_values():
