@@ -79,7 +79,7 @@ def _read_json(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -262,7 +262,7 @@ def _overlay_rows(frequencies, y_measured, y_model) -> list:
 
 
 def _fit_one(path: str, args, out: str, cal) -> None:
-    from .mbvd import fit_mbvd, mbvd_admittance, resonance_metrics
+    from .mbvd import fit_mbvd, resonance_metrics
     from .touchstone import parse_touchstone, touchstone_to_trace
 
     with open(path, "r", encoding="utf-8") as fh:
@@ -283,8 +283,8 @@ def _fit_one(path: str, args, out: str, cal) -> None:
         "branches": [m.to_dict() for m in metrics],
     }
     _write_json(os.path.join(out, f"{stem}_metrics.json"), doc)
-    model_trace = mbvd_admittance(result.model, trace.frequencies)
-    rows = _overlay_rows(trace.frequencies, trace.admittance, model_trace.admittance)
+    y_model = result.model.admittance(trace.frequencies)
+    rows = _overlay_rows(trace.frequencies, trace.admittance, y_model)
     _write_lines(os.path.join(out, f"{stem}_overlay.csv"), rows)
     for i, m in enumerate(metrics):
         _say(
@@ -323,8 +323,8 @@ def _parse_heatmap(spec: str):
         pitch = float(pitch_text)
     except ValueError:
         raise InputError(f"bad heatmap pitch {pitch_text!r}") from None
-    if pitch <= 0:
-        raise InputError("heatmap pitch must be positive")
+    if not (pitch > 0 and math.isfinite(pitch)):
+        raise InputError("heatmap pitch must be positive and finite")
     return mode, pitch
 
 
@@ -351,14 +351,15 @@ def _write_reports(args, out: str, sites) -> None:
 def cmd_stats(args) -> int:
     from .waferstats import heatmap_csv_rows, sites_from_dict
 
+    heatmap = _parse_heatmap(args.heatmap) if args.heatmap else None
     doc = _read_json(args.sites)
     sites = sites_from_dict(doc)
     out = _out_dir(args)
     if "seed" in doc:
         _say(args, f"seed {doc['seed']}")
     _write_reports(args, out, sites)
-    if args.heatmap:
-        mode, pitch = _parse_heatmap(args.heatmap)
+    if heatmap:
+        mode, pitch = heatmap
         rows = heatmap_csv_rows(sites, mode, pitch)
         if len(rows) < 2:
             raise StatisticsError(

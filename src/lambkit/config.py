@@ -11,8 +11,8 @@ Schema it rejects NaN and the infinities, which json.load accepts.
 from __future__ import annotations
 
 import json
-import math
 import operator
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
@@ -278,8 +278,9 @@ class ToolkitConfig:
 
 
 def _is_number(value) -> bool:
-    return (isinstance(value, int) and not isinstance(value, bool)
-            or isinstance(value, float) and math.isfinite(value))
+    # finite as a float: nan, infinities and ints beyond the float range fail
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 _IS_TYPE = {
@@ -361,11 +362,11 @@ def default_config_dict() -> dict:
 
 def _read_file(path, what: str):
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"{what} file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"{what} file is not valid JSON: {exc}") from exc
 
 
@@ -386,7 +387,7 @@ def load_catalog(path=None) -> dict:
     if not isinstance(pitches, list) or not pitches:
         raise ConfigError("catalog pitches_m must be a non-empty list of positive numbers")
     for i, p in enumerate(pitches):
-        if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0 < p < math.inf:
+        if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0 < p <= sys.float_info.max:
             raise ConfigError(f"catalog pitches_m[{i}] must be a positive finite number, got {p!r}")
     if sorted(pitches) != pitches:
         raise ConfigError("catalog pitches_m must be sorted ascending")

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 import struct
+from itertools import chain
 
-from .errors import CoordinateError, GdsParseError, InputError
+from .errors import GdsParseError, InputError
 
 __all__ = [
     "write_gdsii",
@@ -29,9 +30,6 @@ __all__ = [
 GDS_VERSION = 600
 DB_UNIT_IN_USER_UNITS = 1e-3  # user unit = um
 DB_UNIT_IN_METERS = 1e-9  # 1 nm database unit
-
-INT32_MIN = -(2**31)
-INT32_MAX = 2**31 - 1
 
 # record types
 HEADER = 0x00
@@ -118,14 +116,8 @@ def _ascii_payload(text: str) -> bytes:
     return raw
 
 
-def _check_i32(v: int) -> int:
-    if not INT32_MIN <= v <= INT32_MAX:
-        raise CoordinateError(f"coordinate {v} exceeds 32-bit database units")
-    return v
-
-
 def write_gdsii(library) -> bytes:
-    """Serialize a layout library (see layout.Library) to GDSII bytes."""
+    """Serialize a layout library (see layout.Library, which range-checks) to GDSII bytes."""
     out = bytearray()
     out += _record(HEADER, DT_INT16, struct.pack(">h", GDS_VERSION))
     out += _record(BGNLIB, DT_INT16, struct.pack(">12h", *_TIMESTAMP))
@@ -146,12 +138,9 @@ def write_gdsii(library) -> bytes:
             out += _record(BOUNDARY, DT_NONE)
             out += _record(LAYER, DT_INT16, struct.pack(">h", poly.layer))
             out += _record(DATATYPE, DT_INT16, struct.pack(">h", 0))
-            pts = list(poly.vertices) + [poly.vertices[0]]
-            flat = []
-            for x, y in pts:
-                flat.append(_check_i32(x))
-                flat.append(_check_i32(y))
-            out += _record(XY, DT_INT32, struct.pack(f">{len(flat)}l", *flat))
+            closed = poly.vertices + poly.vertices[:1]
+            xy = struct.pack(f">{2 * len(closed)}l", *chain.from_iterable(closed))
+            out += _record(XY, DT_INT32, xy)
             out += _record(ENDEL, DT_NONE)
         for ref in cell.placements:
             out += _record(SREF, DT_NONE)
@@ -159,11 +148,7 @@ def write_gdsii(library) -> bytes:
             if ref.rotation:
                 out += _record(STRANS, DT_BITARRAY, struct.pack(">H", 0))
                 out += _record(ANGLE, DT_REAL8, struct.pack(">Q", encode_real8(float(ref.rotation))))
-            out += _record(
-                XY,
-                DT_INT32,
-                struct.pack(">2l", _check_i32(ref.x), _check_i32(ref.y)),
-            )
+            out += _record(XY, DT_INT32, struct.pack(">2l", ref.x, ref.y))
             out += _record(ENDEL, DT_NONE)
         out += _record(ENDSTR, DT_NONE)
     out += _record(ENDLIB, DT_NONE)

@@ -1,14 +1,18 @@
 """Mask geometry: validated polygons, cells, libraries, and the generators
 for IDT devices, de-embedding twins, chips, reticle plans, and wafer maps.
 
-All coordinates are integer database units of 1 nm.  Polygons are stored
-open (closure vertex is added at serialization) and must be simple and
-counter-clockwise.
+All coordinates are integer database units of 1 nm within int32; this module
+is the only place that range is checked.  Polygons are stored open (closure
+vertex is added at serialization) and must be simple and counter-clockwise.
+`Polygon(...)`, as built by callers and by `read_gdsii`, runs the full check;
+copies from `translated`, right-angle `rotated` and integer `scaled`, and the
+generators' rectangles, are valid by construction and get only the range check.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -55,6 +59,19 @@ def to_dbu(x_m: float) -> int:
     return v
 
 
+def _check_int32(points, what: str = "vertex") -> None:
+    for x, y in points:
+        if not (INT32_MIN <= x <= INT32_MAX and INT32_MIN <= y <= INT32_MAX):
+            raise CoordinateError(f"{what} ({x}, {y}) exceeds 32-bit range")
+
+
+def _integer(value, what: str) -> int:
+    """value as a plain int; InputError for a bool or a non-integer."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _orient(ax, ay, bx, by, cx, cy) -> int:
     v = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     return (v > 0) - (v < 0)
@@ -97,9 +114,7 @@ class Polygon:
         for i in range(n):
             if verts[i] == verts[(i + 1) % n]:
                 raise InputError("polygon has consecutive duplicate vertices")
-        for x, y in verts:
-            if not (INT32_MIN <= x <= INT32_MAX and INT32_MIN <= y <= INT32_MAX):
-                raise CoordinateError(f"vertex ({x}, {y}) exceeds 32-bit range")
+        _check_int32(verts)
         if self.signed_area2() <= 0:
             raise InputError("polygon must be counter-clockwise")
         # pairwise segment check, adjacent pairs excluded
@@ -126,26 +141,31 @@ class Polygon:
         ys = [v[1] for v in self.vertices]
         return min(xs), min(ys), max(xs), max(ys)
 
+    @classmethod
+    def _trusted(cls, layer: int, vertices: tuple) -> "Polygon":
+        """Polygon valid by construction, from int pairs: checks the int32 range only."""
+        _check_int32(vertices)
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "layer", layer)
+        object.__setattr__(poly, "vertices", vertices)
+        return poly
+
     def translated(self, dx: int, dy: int) -> "Polygon":
-        return Polygon(self.layer, tuple((x + dx, y + dy) for x, y in self.vertices))
+        dx, dy = _integer(dx, "translation"), _integer(dy, "translation")
+        return Polygon._trusted(self.layer, tuple((x + dx, y + dy) for x, y in self.vertices))
 
     def rotated(self, rotation: int) -> "Polygon":
         if rotation == 0:
             return self
-        if rotation == 90:
-            f = lambda x, y: (-y, x)
-        elif rotation == 180:
-            f = lambda x, y: (-x, -y)
-        elif rotation == 270:
-            f = lambda x, y: (y, -x)
-        else:
-            raise InputError(f"rotation {rotation} not a right angle")
-        return Polygon(self.layer, tuple(f(x, y) for x, y in self.vertices))
+        turned = tuple(_rotate_point(x, y, rotation) for x, y in self.vertices)
+        return Polygon._trusted(self.layer, turned)
 
     def scaled(self, factor: int) -> "Polygon":
-        return Polygon(
-            self.layer, tuple((x * factor, y * factor) for x, y in self.vertices)
-        )
+        """Copy magnified about the origin by a positive integer factor."""
+        k = _integer(factor, "scale factor")
+        if k < 1:
+            raise InputError(f"scale factor must be positive, got {factor!r}")
+        return Polygon._trusted(self.layer, tuple((x * k, y * k) for x, y in self.vertices))
 
 
 @dataclass(frozen=True)
@@ -158,6 +178,7 @@ class Placement:
     def __post_init__(self):
         if self.rotation not in (0, 90, 180, 270):
             raise InputError("rotation must be one of 0, 90, 180, 270 degrees")
+        _check_int32(((self.x, self.y),), "placement")
 
 
 def _union_bbox(polygons):
@@ -272,7 +293,7 @@ def _rotate_point(x: int, y: int, rotation: int):
 def _rect(layer: int, x0: int, y0: int, x1: int, y1: int) -> Polygon:
     if not (x0 < x1 and y0 < y1):
         raise InputError("rectangle has non-positive extent")
-    return Polygon(layer, ((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
+    return Polygon._trusted(layer, ((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
 
 
 def _idt_frame(design: ResonatorDesign, layers: LayerMap):

@@ -200,13 +200,10 @@ class AdmittanceTrace:
 
 
 def mbvd_admittance(model: MbvdModel, frequencies) -> AdmittanceTrace:
-    """Evaluate the model on a grid, returning a validated trace."""
-    f = np.asarray(frequencies, dtype=float)
-    if f.ndim != 1 or f.size < 2:
-        raise InputError("need at least two frequency points")
-    if np.any(f <= 0) or np.any(np.diff(f) <= 0):
-        raise InputError("frequencies must be positive and strictly increasing")
-    return AdmittanceTrace(f, model.admittance(f))
+    """The model evaluated on a grid, as a trace that checks the grid first."""
+    trace = AdmittanceTrace(frequencies, np.zeros(np.size(frequencies), dtype=complex))
+    trace.admittance = model.admittance(trace.frequencies)
+    return trace
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ their full thickness and simply stop blocking the layers below them.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 
@@ -128,7 +128,8 @@ _STEP_NUMBERS = frozenset({"thickness_m", "temperature_c", "duration_s", "repeat
 
 def _finite(value, path: str):
     """value as a finite JSON number; InputError naming ``path`` otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    # the bound also rejects nan, infinities and ints too large for a float
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
         raise InputError(f"{path} must be a finite number, got {value!r}")
     return value
 
@@ -853,7 +854,7 @@ def load_flow(path) -> tuple:
             data = json.load(fh)
     except FileNotFoundError:
         raise InputError(f"flow file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise InputError(f"flow file is not valid JSON: {exc}") from None
     return steps_from_dict(data)
 

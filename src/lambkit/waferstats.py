@@ -13,6 +13,7 @@ results are bit-reproducible and sites can be evaluated in any order.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -227,25 +228,38 @@ class DeviationReport:
         }
 
 
-def _grouped(sites):
-    """(mode, pitch) -> canonical list of (site_id, ModeMetrics), plus exclusions.
+def _usable_groups(sites):
+    """((mode, pitch), [ModeMetrics], n_excluded) for every group with at least
+    two usable sites, sorted by (mode, pitch), and one warning per omitted group.
 
-    Values are sorted by (site_id, f_r) so every aggregate is evaluated in the
+    Metrics are sorted by (site_id, f_r) so every aggregate is evaluated in the
     same order no matter how the caller ordered the sites.
     """
+    sites = list(sites)
+    if not sites:
+        raise StatisticsError("no sites to aggregate")
     groups: dict = {}
     excluded: dict = {}
     for site in sites:
         for mode, m in site.metrics.items():
-            key = (mode, site.pitch_m)
-            groups.setdefault(key, []).append((site.site_id, m))
+            groups.setdefault((mode, site.pitch_m), []).append((site.site_id, m))
         for mode in site.failed_modes:
             key = (mode, site.pitch_m)
             excluded[key] = excluded.get(key, 0) + 1
             groups.setdefault(key, [])
-    for values in groups.values():
-        values.sort(key=lambda item: (item[0], item[1].f_r))
-    return groups, excluded
+    usable = []
+    warnings = []
+    for key in sorted(groups):
+        values = sorted(groups[key], key=lambda item: (item[0], item[1].f_r))
+        n_excl = excluded.get(key, 0)
+        if len(values) < 2:
+            warnings.append(
+                f"group ({key[0]}, {key[1] * 1e9:.6g} nm): "
+                f"{len(values)} usable site(s), {n_excl} excluded; omitted"
+            )
+            continue
+        usable.append((key, [m for _, m in values], n_excl))
+    return usable, tuple(warnings)
 
 
 def per_mode_deviation(sites) -> DeviationReport:
@@ -254,22 +268,10 @@ def per_mode_deviation(sites) -> DeviationReport:
     Fit-failed sites are excluded and counted; groups left with fewer than two
     sites are omitted with a warning entry instead of a row.
     """
-    sites = list(sites)
-    if not sites:
-        raise StatisticsError("no sites to aggregate")
-    groups, excluded = _grouped(sites)
+    groups, warnings = _usable_groups(sites)
     rows = []
-    warnings = []
-    for key in sorted(groups, key=lambda k: (k[0], k[1])):
-        mode, pitch = key
-        values = [m.f_r for _, m in groups[key]]
-        n_excl = excluded.get(key, 0)
-        if len(values) < 2:
-            warnings.append(
-                f"group ({mode}, {pitch * 1e9:.6g} nm): "
-                f"{len(values)} usable site(s), {n_excl} excluded; omitted"
-            )
-            continue
+    for (mode, pitch), ms, n_excl in groups:
+        values = [m.f_r for m in ms]
         rows.append(
             DeviationRow(
                 mode=mode,
@@ -280,7 +282,7 @@ def per_mode_deviation(sites) -> DeviationReport:
                 excluded=n_excl,
             )
         )
-    return DeviationReport(tuple(rows), tuple(warnings))
+    return DeviationReport(tuple(rows), warnings)
 
 
 @dataclass(frozen=True)
@@ -332,21 +334,9 @@ class TrendSeries:
 
 def metrics_vs_frequency(sites) -> TrendSeries:
     """Aggregate q_r and k_eff_sq bands per (mode, pitch), ordered by mean f_r."""
-    sites = list(sites)
-    if not sites:
-        raise StatisticsError("no sites to aggregate")
-    groups, excluded = _grouped(sites)
+    groups, warnings = _usable_groups(sites)
     per_mode: dict = {}
-    warnings = []
-    for key in sorted(groups, key=lambda k: (k[0], k[1])):
-        mode, pitch = key
-        ms = [m for _, m in groups[key]]
-        if len(ms) < 2:
-            warnings.append(
-                f"group ({mode}, {pitch * 1e9:.6g} nm): "
-                f"{len(ms)} usable site(s), {excluded.get(key, 0)} excluded; omitted"
-            )
-            continue
+    for (mode, pitch), ms, _ in groups:
         fs = [m.f_r for m in ms]
         qs = [m.q_r for m in ms]
         ks = [m.k_eff_sq for m in ms]
@@ -365,7 +355,7 @@ def metrics_vs_frequency(sites) -> TrendSeries:
     for mode, pts in per_mode.items():
         pts.sort(key=lambda p: p.mean_f_hz)
         per_mode[mode] = tuple(pts)
-    return TrendSeries(per_mode, tuple(warnings))
+    return TrendSeries(per_mode, warnings)
 
 
 def _mode_metrics(model: VariationModel, mode: str, f_r: float) -> ModeMetrics:
@@ -531,6 +521,8 @@ def _number(obj: dict, key: str, path: str, default=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         problem = f"must be a number, got {value!r}" if key in obj else "is missing"
         raise InputError(f"{path}.{key} {problem}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise InputError(f"{path}.{key} is outside the float range")
     return value
 
 

@@ -514,6 +514,34 @@ def test_stats_bad_heatmap_spec_usage(tmp_path):
     assert code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["stats", "flow-check"])
+def test_json_file_that_is_not_utf8_is_usage_error(tmp_path, command):
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(b'{"steps": [], "sites": ["\xff"]}')
+    proc = run_cli(command, str(doc), "--out", str(tmp_path))
+    assert proc.returncode == cli.EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.strip().splitlines()
+    assert "is not valid JSON" in line
+
+
+@pytest.mark.parametrize("pitch", ["nan", "inf", "1e400"])
+def test_stats_non_finite_heatmap_pitch_is_usage_error(tmp_path, pitch):
+    sites = tmp_path / "sites.json"
+    sites.write_text(json.dumps({"sites": [
+        {"site_id": i, "x_mm": 0.0, "y_mm": 0.0, "pitch_m": 2e-6,
+         "metrics": {"S0": {"f_r_hz": 1e9, "f_a_hz": 1.01e9, "q_r": 300.0, "k_eff_sq": 0.05}}}
+        for i in range(2)
+    ]}))
+    proc = run_cli("stats", str(sites), "--out", str(tmp_path / "out"), "--quiet",
+                   "--heatmap", f"S0:{pitch}")
+    assert proc.returncode == cli.EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [
+        "error: heatmap pitch must be positive and finite"]
+    assert not (tmp_path / "out").exists()  # rejected before any report is written
+
+
 # -------------------------------------------------------------- flow-check
 
 

@@ -125,6 +125,8 @@ def test_catalog_rejects_unsorted(tmp_path):
     ({"chip": {"margin_m": float("nan")}}, "chip/margin_m: nan is not of type 'number'"),
     ({"seed": float("inf")}, "seed: inf is not of type 'integer'"),
     ({"plate": {"thickness_m": float("-inf")}}, "plate/thickness_m: -inf is not of type 'number'"),
+    # JSON integers have no size limit; this one has no float value
+    ({"plate": {"thickness_m": 10**400}}, f"plate/thickness_m: {10**400} is not of type 'number'"),
 ])
 def test_config_error_selection(doc, message):
     if message is None:

@@ -89,6 +89,102 @@ def test_rotation_values():
         Placement(cell_name="A", x=0, y=0, rotation=45)
 
 
+def _valid_polygons(seed=2024, n_each=40):
+    """Seeded valid polygons: rectangles, L-shapes and star-shaped polygons."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n_each):
+        x, y = (int(v) for v in rng.integers(-10**6, 10**6, 2))
+        w, h = (int(v) for v in rng.integers(1, 10**5, 2))
+        out.append(Polygon(int(rng.integers(0, 64)), ((x, y), (x + w, y), (x + w, y + h), (x, y + h))))
+        a, b = int(rng.integers(1, w + 1)), int(rng.integers(1, h + 1))
+        if a < w and b < h:
+            out.append(Polygon(2, ((x, y), (x + w, y), (x + w, y + b), (x + a, y + b),
+                                   (x + a, y + h), (x, y + h))))
+    while len(out) < 3 * n_each:
+        n = int(rng.integers(3, 12))
+        angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+        radii = rng.uniform(10.0, 5e4, n)
+        cx, cy = rng.integers(-10**6, 10**6, 2)
+        verts = tuple((int(cx + round(r * math.cos(t))), int(cy + round(r * math.sin(t))))
+                      for r, t in zip(radii, angles))
+        try:
+            out.append(Polygon(5, verts))
+        except InputError:
+            continue  # rounding made it degenerate or the angles left a reflex gap
+    return out
+
+
+_TURNS = {0: lambda x, y: (x, y), 90: lambda x, y: (-y, x),
+          180: lambda x, y: (-x, -y), 270: lambda x, y: (y, -x)}
+
+
+def _copies(poly):
+    """(copy, the vertices it should have) for every transform."""
+    v = poly.vertices
+    for dx, dy in ((0, 0), (123, -456), (-10**6, 10**6), (7, 0)):
+        yield poly.translated(dx, dy), [(x + dx, y + dy) for x, y in v]
+    for rotation, turn in _TURNS.items():
+        yield poly.rotated(rotation), [turn(x, y) for x, y in v]
+    for k in range(1, 9):
+        yield poly.scaled(k), [(x * k, y * k) for x, y in v]
+    yield poly.scaled(4).translated(-3, 5).rotated(270), [(y * 4 + 5, 3 - x * 4) for x, y in v]
+
+
+def test_transformed_copies_equal_fully_checked_polygons():
+    polys = _valid_polygons()
+    assert len(polys) > 100
+    for poly in polys:
+        for copy, expected in _copies(poly):
+            assert all(type(c) is int for v in copy.vertices for c in v)
+            assert copy == Polygon(poly.layer, expected)  # the full check passes
+
+
+def test_rectangles_skip_nothing_the_full_check_would_catch():
+    from lambkit.layout import _rect
+
+    rect = _rect(3, -5, -7, 11, 13)
+    assert rect == Polygon(3, rect.vertices)
+    for args in ((0, 0, 0, 5), (0, 5, 5, 0), (5, 0, 0, 5)):
+        with pytest.raises(InputError):
+            _rect(3, *args)
+    with pytest.raises(CoordinateError):
+        _rect(3, 0, 0, 2**31, 5)
+
+
+def test_copies_past_int32_raise_coordinate_error():
+    edge = Polygon(1, ((-(2**31), 0), (0, 0), (0, 10)))
+    with pytest.raises(CoordinateError):
+        edge.rotated(180)  # x = -2**31 maps to 2**31
+    with pytest.raises(CoordinateError):
+        square(x=2**31 - 101).translated(1, 0)
+    with pytest.raises(CoordinateError):
+        square().translated(0, -(2**31) - 1)
+    with pytest.raises(CoordinateError):
+        square(size=2**28).scaled(8)
+
+
+def test_transforms_reject_bad_arguments():
+    sq = square()
+    for factor in (0, -2, 1.5, True):
+        with pytest.raises(InputError):
+            sq.scaled(factor)
+    for dx in (0.5, "1", None):
+        with pytest.raises(InputError):
+            sq.translated(dx, 0)
+    with pytest.raises(InputError):
+        sq.rotated(45)
+    assert sq.scaled(np.int64(2)) == sq.scaled(2)
+    assert sq.translated(np.int64(3), 0) == sq.translated(3, 0)
+
+
+def test_placement_rejects_coordinates_outside_int32():
+    Placement(cell_name="A", x=2**31 - 1, y=-(2**31))
+    for x, y in ((2**31, 0), (0, -(2**31) - 1), (math.nan, 0)):
+        with pytest.raises(CoordinateError):
+            Placement(cell_name="A", x=x, y=y)
+
+
 # ---------------------------------------------------------------------------
 # IDT construction
 

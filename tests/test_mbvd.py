@@ -130,6 +130,19 @@ def test_trace_validation():
         AdmittanceTrace([-1e9, 1e9], [1j, 2j])
 
 
+def test_mbvd_admittance_checks_the_grid_before_evaluating():
+    import warnings
+
+    model = make_model()
+    f = np.linspace(0.9e9, 1.1e9, 5)
+    np.testing.assert_array_equal(mbvd_admittance(model, f).admittance, model.admittance(f))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a zero frequency would divide by zero
+        for bad in ([0.0, 1e9], [1e9], [2e9, 1e9], np.ones((2, 2))):
+            with pytest.raises(InputError):
+                mbvd_admittance(model, bad)
+
+
 def test_trace_json_round_trip():
     tr = mbvd_admittance(make_model(), np.linspace(0.9e9, 1.1e9, 5))
     back = AdmittanceTrace.from_dict(tr.to_dict())
