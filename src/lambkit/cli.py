@@ -28,7 +28,7 @@ from dataclasses import replace
 from . import MODE_NAMES
 from .errors import (
     CoordinateError, DesignError, DispersionRangeError, InputError, LambkitError,
-    PackingError, SensitivityError, SolverError, StatisticsError,
+    PackingError, SensitivityError, SolverError, StatisticsError, read_json,
 )
 
 EXIT_OK = 0
@@ -71,16 +71,6 @@ def _write_json(path: str, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-
-
-def _read_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"file not found: {path}") from None
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-        raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _parse_pitches(text: str) -> tuple:
@@ -230,10 +220,18 @@ def cmd_layout(args) -> int:
     return EXIT_OK
 
 
+def _read_s1p(path: str):
+    """The parsed .s1p file at path; bytes that are not UTF-8 are a
+    TouchstoneParseError, as any other fault in its content is."""
+    from .touchstone import parse_touchstone
+
+    with open(path, "rb") as fh:
+        return parse_touchstone(fh.read())
+
+
 def _load_cal_files(args):
     """The command's OSL calibration, solved once for all its files, or None."""
     from .calibration import OslCalibration
-    from .touchstone import parse_touchstone
 
     given = [args.cal_short, args.cal_open, args.cal_load]
     if any(given) and not all(given):
@@ -242,11 +240,7 @@ def _load_cal_files(args):
         _warn("through standard ignored: one-port OSL uses short/open/load")
     if not any(given):
         return None
-    loaded = []
-    for path in given:
-        with open(path, "r", encoding="utf-8") as fh:
-            loaded.append(parse_touchstone(fh.read()))
-    return OslCalibration(*loaded)
+    return OslCalibration(*map(_read_s1p, given))
 
 
 def _overlay_rows(frequencies, y_measured, y_model) -> list:
@@ -263,10 +257,9 @@ def _overlay_rows(frequencies, y_measured, y_model) -> list:
 
 def _fit_one(path: str, args, out: str, cal) -> None:
     from .mbvd import fit_mbvd, resonance_metrics
-    from .touchstone import parse_touchstone, touchstone_to_trace
+    from .touchstone import touchstone_to_trace
 
-    with open(path, "r", encoding="utf-8") as fh:
-        tf = parse_touchstone(fh.read())
+    tf = _read_s1p(path)
     if cal is not None:
         tf = cal.correct(tf)
     trace = touchstone_to_trace(tf)
@@ -352,7 +345,7 @@ def cmd_stats(args) -> int:
     from .waferstats import heatmap_csv_rows, sites_from_dict
 
     heatmap = _parse_heatmap(args.heatmap) if args.heatmap else None
-    doc = _read_json(args.sites)
+    doc = read_json(args.sites, "sites")
     sites = sites_from_dict(doc)
     out = _out_dir(args)
     if "seed" in doc:
@@ -400,7 +393,7 @@ def cmd_flow_check(args) -> int:
         flow = load_flow(args.flow)
     rates = None
     if args.rates:
-        rates = RateTable.from_dict(_read_json(args.rates))
+        rates = RateTable.from_dict(read_json(args.rates, "rates"))
     report = check_flow(flow, rates)
     for line in report.summary_lines():
         _say(args, line)

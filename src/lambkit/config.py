@@ -4,20 +4,19 @@ A user config file may specify any subset of sections; missing keys fall
 back to the packaged defaults (deep merge, then schema validation).  Unknown
 keys are rejected so typos surface as ConfigError rather than silently
 ignored settings.  The validator is in-repo: it checks the JSON Schema
-keywords CONFIG_SCHEMA uses, with jsonschema's messages, and unlike JSON
-Schema it rejects NaN and the infinities, which json.load accepts.
+keywords CONFIG_SCHEMA uses, with jsonschema's messages; unlike JSON Schema,
+a number must pass the finite-number rule of ``lambkit.errors``.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-import sys
 from dataclasses import dataclass
 from importlib import resources
 
 from .dispersion import PlateMaterial, PlateSpec
-from .errors import ConfigError
+from .errors import ConfigError, InputError, is_json_number, read_json
 
 __all__ = [
     "ToolkitConfig",
@@ -257,12 +256,11 @@ class ToolkitConfig:
             raise ConfigError(f"config invalid at {where}: {message}")
         doc = _typed(CONFIG_SCHEMA, merged)
         mat = doc["material"]
-        material = PlateMaterial(
-            rho=mat["rho_kg_m3"],
-            v_l=mat["v_l_m_s"],
-            v_t=mat["v_t_m_s"],
-            name=mat["name"],
-        )
+        try:
+            material = PlateMaterial(
+                rho=mat["rho_kg_m3"], v_l=mat["v_l_m_s"], v_t=mat["v_t_m_s"], name=mat["name"])
+        except InputError as exc:  # v_t not below v_l: a check across two fields
+            raise ConfigError(str(exc)) from None
         return cls(
             material=material,
             plate=PlateSpec(material=material, h=doc["plate"]["thickness_m"]),
@@ -277,19 +275,13 @@ class ToolkitConfig:
         )
 
 
-def _is_number(value) -> bool:
-    # finite as a float: nan, infinities and ints beyond the float range fail
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
 _IS_TYPE = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
     "string": lambda v: isinstance(v, str),
     "boolean": lambda v: isinstance(v, bool),
-    "number": _is_number,
-    "integer": lambda v: _is_number(v) and v == int(v),
+    "number": is_json_number,
+    "integer": lambda v: is_json_number(v) and v == int(v),
 }
 
 _BOUNDS = {
@@ -327,7 +319,7 @@ def _schema_errors(schema: dict, value, path: tuple = ()):
             yield path, f"{value!r} is too short"
         elif key == "maxItems" and isinstance(value, list) and len(value) > arg:
             yield path, f"{value!r} is too long"
-        elif key in _BOUNDS and _is_number(value) and _BOUNDS[key][0](value, arg):
+        elif key in _BOUNDS and is_json_number(value) and _BOUNDS[key][0](value, arg):
             yield path, f"{value!r} is {_BOUNDS[key][1]} of {arg!r}"
 
 
@@ -360,21 +352,11 @@ def default_config_dict() -> dict:
     return _read_packaged("default_config.json")
 
 
-def _read_file(path, what: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"{what} file not found: {path}") from exc
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-        raise ConfigError(f"{what} file is not valid JSON: {exc}") from exc
-
-
 def load_config(path=None) -> ToolkitConfig:
     """Load a config file (or the packaged defaults when path is None)."""
     if path is None:
         return ToolkitConfig.default()
-    raw = _read_file(path, "config")
+    raw = read_json(path, "config", ConfigError)
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     return ToolkitConfig.from_dict(raw)
@@ -382,12 +364,13 @@ def load_config(path=None) -> ToolkitConfig:
 
 def load_catalog(path=None) -> dict:
     """Design catalog: pitch sweep plus as-fabricated reference counts."""
-    raw = _read_packaged("design_catalog.json") if path is None else _read_file(path, "catalog")
+    raw = (_read_packaged("design_catalog.json") if path is None
+           else read_json(path, "catalog", ConfigError))
     pitches = raw.get("pitches_m") if isinstance(raw, dict) else None
     if not isinstance(pitches, list) or not pitches:
         raise ConfigError("catalog pitches_m must be a non-empty list of positive numbers")
     for i, p in enumerate(pitches):
-        if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0 < p <= sys.float_info.max:
+        if not (is_json_number(p) and p > 0):
             raise ConfigError(f"catalog pitches_m[{i}] must be a positive finite number, got {p!r}")
     if sorted(pitches) != pitches:
         raise ConfigError("catalog pitches_m must be sorted ascending")

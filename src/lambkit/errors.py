@@ -1,8 +1,17 @@
-"""Exception taxonomy shared by all lambkit modules, and one JSON loader check.
+"""Exception taxonomy shared by all lambkit modules, and the input boundary.
 
 Every error raised on a documented failure path derives from LambkitError so
 callers (and the CLI) can map failures to exit codes without string matching.
+
+It also owns the input boundary for JSON documents (config, catalog, flow,
+rate table, sites): ``read_json`` is the one place a user JSON file is opened,
+and ``is_json_number`` the one rule for a number: finite as a float, so not
+the NaN, Infinity and huge integers (``10**400``) that ``json.load`` reads.
+Loaders name the JSON path of a bad value.  Stdlib only: no numpy is loaded.
 """
+
+import json
+import sys
 
 
 class LambkitError(Exception):
@@ -111,6 +120,32 @@ class FlowError(LambkitError, ValueError):
 
 class MissingRateError(FlowError):
     """No etch/ash rate entry for a (material, chemistry) pair."""
+
+
+def read_json(path, what: str, error=InputError):
+    """The JSON document in the file at ``path``; a missing file, bytes that
+    are not UTF-8 and text that is not JSON raise ``error`` naming ``what``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise error(f"{what} file not found: {path}") from None
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise error(f"{what} file is not valid JSON: {exc}") from None
+
+
+def is_json_number(value) -> bool:
+    """True for an int or float that is finite as a float; False for a bool,
+    NaN, the infinities and an int beyond the float range."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def json_number(value, path: str):
+    """``value`` if it is a finite JSON number; InputError naming ``path`` otherwise."""
+    if not is_json_number(value):
+        raise InputError(f"{path} must be a finite number, got {value!r}")
+    return value
 
 
 def json_object(value, path: str) -> dict:

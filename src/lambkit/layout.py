@@ -106,7 +106,8 @@ class Polygon:
     vertices: tuple  # ((x, y), ...) open, CCW
 
     def __post_init__(self):
-        verts = tuple((int(x), int(y)) for x, y in self.vertices)
+        verts = tuple((_integer(x, "vertex coordinate"), _integer(y, "vertex coordinate"))
+                      for x, y in self.vertices)
         object.__setattr__(self, "vertices", verts)
         if len(set(verts)) < 3:
             raise InputError("polygon needs at least 3 distinct vertices")

@@ -216,8 +216,8 @@ class ModeMetrics:
     k_eff_sq: float
 
     def __post_init__(self):
-        if not (0 < self.f_r < self.f_a):
-            raise InputError("need 0 < f_r < f_a")
+        if not (0 < self.f_r < self.f_a < math.inf):
+            raise InputError("need 0 < f_r < f_a < inf")
         if not self.q_r > 0:
             raise InputError("q_r must be positive")
         if not 0 < self.k_eff_sq < 1:
@@ -230,15 +230,6 @@ class ModeMetrics:
             "q_r": self.q_r,
             "k_eff_sq": self.k_eff_sq,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModeMetrics":
-        return cls(
-            f_r=float(d["f_r_hz"]),
-            f_a=float(d["f_a_hz"]),
-            q_r=float(d["q_r"]),
-            k_eff_sq=float(d["k_eff_sq"]),
-        )
 
 
 def resonance_metrics(model: MbvdModel, branch_index: int) -> ModeMetrics:

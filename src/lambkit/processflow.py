@@ -12,11 +12,11 @@ their full thickness and simply stop blocking the layers below them.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 
-from .errors import FlowError, InputError, MissingRateError, json_object
+from .errors import (
+    FlowError, InputError, MissingRateError, is_json_number, json_number, json_object, read_json)
 
 __all__ = [
     "STEP_KINDS",
@@ -126,14 +126,6 @@ _STEP_TEXT = frozenset({"kind", "material", "chemistry", "tool", "note"})
 _STEP_NUMBERS = frozenset({"thickness_m", "temperature_c", "duration_s", "repeats", "pulses"})
 
 
-def _finite(value, path: str):
-    """value as a finite JSON number; InputError naming ``path`` otherwise."""
-    # the bound also rejects nan, infinities and ints too large for a float
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-        raise InputError(f"{path} must be a finite number, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class ProcessStep:
     """One fabrication step.
@@ -227,7 +219,7 @@ class ProcessStep:
             if key in _STEP_TEXT and not isinstance(value, str):
                 raise InputError(f"{path}.{key} must be a string, got {value!r}")
             if key in _STEP_NUMBERS and not (key == "temperature_c" and value is None):
-                _finite(value, f"{path}.{key}")
+                json_number(value, f"{path}.{key}")
         recipe = data.get("recipe", ())
         if not isinstance(recipe, (list, tuple)):
             raise InputError(f"{path}.recipe must be an array of [angle_deg, seconds] pairs")
@@ -235,7 +227,7 @@ class ProcessStep:
             if not isinstance(seg, (list, tuple)) or len(seg) != 2:
                 raise InputError(f"{path}.recipe[{j}] must be an [angle_deg, seconds] pair")
             for value in seg:
-                _finite(value, f"{path}.recipe[{j}]")
+                json_number(value, f"{path}.recipe[{j}]")
         return cls(**{**data, "recipe": tuple(tuple(seg) for seg in recipe)})
 
 
@@ -369,14 +361,16 @@ class RateTable:
         for process, materials in json_object(data.get("processes", {}), "processes").items():
             path = f"processes.{process}"
             for material, rate in json_object(materials, path).items():
-                entries[(material, process)] = _finite(rate, f"{path}.{material}")
+                entries[(material, process)] = json_number(rate, f"{path}.{material}")
         ashing = json_object(data.get("ashing_nm_min", {}), "ashing_nm_min")
         for temp, rate in ashing.items():
-            _finite(rate, f"ashing_nm_min.{temp}")
+            json_number(rate, f"ashing_nm_min.{temp}")
             try:
-                float(temp)
+                celsius = float(temp)
             except ValueError:
-                raise InputError(f"ashing_nm_min key {temp!r} must be a temperature in degC") from None
+                celsius = None
+            if not is_json_number(celsius):  # "nan", "inf" and "1e400" read as floats too
+                raise InputError(f"ashing_nm_min key {temp!r} must be a temperature in degC")
         return cls(entries=entries, ashing_nm_min=ashing)
 
 
@@ -849,14 +843,7 @@ def steps_from_dict(data: dict) -> tuple:
 
 def load_flow(path) -> tuple:
     """Read a flow JSON document from disk."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"flow file not found: {path}") from None
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-        raise InputError(f"flow file is not valid JSON: {exc}") from None
-    return steps_from_dict(data)
+    return steps_from_dict(read_json(path, "flow"))
 
 
 GOLDEN_FLOW_NAMES = ("alscn-aln-adhesion", "alscn-ti-adhesion")

@@ -162,7 +162,7 @@ def _s11(data, fmt: str):
 
 
 def parse_touchstone(text) -> TouchstoneFile:
-    """Parse .s1p content (str or bytes).  Errors carry 1-based line numbers.
+    """Parse .s1p content (str, or UTF-8 bytes).  Errors carry 1-based line numbers.
 
     One loop sorts the lines and collects the data tokens; one
     ``map(float, ...)`` converts them and the checks run on arrays.  When a
@@ -170,9 +170,10 @@ def parse_touchstone(text) -> TouchstoneFile:
     """
     if isinstance(text, bytes):
         try:
-            text = text.decode("ascii")
+            text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise TouchstoneParseError(f"not ascii text: {exc}")
+            raise TouchstoneParseError(f"byte {text[exc.start]:#04x} is not UTF-8",
+                                       line=text.count(b"\n", 0, exc.start) + 1) from None
     comments = []
     seen_option = False
     unit_name, unit_scale, fmt, z0 = "GHz", 1e9, "MA", 50.0

@@ -13,7 +13,6 @@ results are bit-reproducible and sites can be evaluated in any order.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -30,6 +29,7 @@ from .errors import (
     InputError,
     SolverError,
     StatisticsError,
+    json_number,
     json_object,
 )
 from .mbvd import ModeMetrics
@@ -163,12 +163,14 @@ class WaferSite:
     local_pitch_m: float = 0.0
 
     def __post_init__(self):
-        if self.site_id < 0:
-            raise InputError("site_id must be >= 0")
-        if not self.pitch_m > 0.0:
-            raise InputError("site pitch must be positive")
+        if isinstance(self.site_id, bool) or not hasattr(self.site_id, "__index__") or self.site_id < 0:
+            raise InputError(f"site_id must be a non-negative integer, got {self.site_id!r}")
+        if not 0.0 < self.pitch_m < math.inf:
+            raise InputError("site pitch must be positive and finite")
         if not (math.isfinite(self.x_mm) and math.isfinite(self.y_mm)):
             raise InputError("site coordinates must be finite")
+        if not (math.isfinite(self.local_thickness_m) and math.isfinite(self.local_pitch_m)):
+            raise InputError("local thickness and pitch must be finite")
         metrics = dict(self.metrics)
         for mode, m in metrics.items():
             if mode not in MODE_NAMES:
@@ -515,18 +517,10 @@ def sites_to_dict(sites, seed: int | None = None) -> dict:
     return doc
 
 
-def _number(obj: dict, key: str, path: str, default=None):
-    """obj[key] as a JSON number; InputError naming ``path.key`` otherwise."""
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        problem = f"must be a number, got {value!r}" if key in obj else "is missing"
-        raise InputError(f"{path}.{key} {problem}")
-    if isinstance(value, int) and abs(value) > sys.float_info.max:
-        raise InputError(f"{path}.{key} is outside the float range")
-    return value
-
-
 def sites_from_dict(doc: dict) -> list:
+    """Sites from a wafer map document; InputError names the JSON path of a
+    bad value.  Every number must be finite, except a q_r of Infinity: the
+    lossless branch of ModeMetrics, which sites_to_dict writes that way."""
     if not isinstance(doc, dict) or not isinstance(doc.get("sites"), list):
         raise InputError("wafer map document must be an object with a 'sites' array")
     sites = []
@@ -540,19 +534,24 @@ def sites_from_dict(doc: dict) -> list:
         for mode, m in json_object(entry.get("metrics", {}), f"{path}.metrics").items():
             m = json_object(m, f"{path}.metrics.{mode}")
             metrics[mode] = ModeMetrics(*(
-                _number(m, key, f"{path}.metrics.{mode}")
+                m[key] if key == "q_r" and m.get(key) == math.inf
+                else json_number(m.get(key), f"{path}.metrics.{mode}.{key}")
                 for key in ("f_r_hz", "f_a_hz", "q_r", "k_eff_sq")
             ))
+        site_id = json_number(entry.get("site_id"), f"{path}.site_id")
+        if site_id < 0 or site_id != int(site_id):
+            raise InputError(f"{path}.site_id must be a non-negative integer, got {site_id!r}")
         sites.append(
             WaferSite(
-                site_id=_number(entry, "site_id", path),
-                x_mm=_number(entry, "x_mm", path),
-                y_mm=_number(entry, "y_mm", path),
-                pitch_m=_number(entry, "pitch_m", path),
+                site_id=int(site_id),
+                x_mm=json_number(entry.get("x_mm"), f"{path}.x_mm"),
+                y_mm=json_number(entry.get("y_mm"), f"{path}.y_mm"),
+                pitch_m=json_number(entry.get("pitch_m"), f"{path}.pitch_m"),
                 metrics=metrics,
                 failed_modes=tuple(failed),
-                local_thickness_m=_number(entry, "local_thickness_m", path, 0.0),
-                local_pitch_m=_number(entry, "local_pitch_m", path, 0.0),
+                local_thickness_m=json_number(entry.get("local_thickness_m", 0.0),
+                                              f"{path}.local_thickness_m"),
+                local_pitch_m=json_number(entry.get("local_pitch_m", 0.0), f"{path}.local_pitch_m"),
             )
         )
     return sites

@@ -419,6 +419,25 @@ def test_fit_calibration_failures_stay_per_file(tmp_path):
         "failed off.s1p: short standard frequency grid differs from the DUT\n")
 
 
+@pytest.mark.parametrize("flag", ["--cal-short", "--cal-open", "--cal-load"])
+def test_standard_that_is_not_utf8_is_usage_error(tmp_path, flag):
+    dut, f = write_dut(tmp_path)
+    cal = dict(zip(("--cal-short", "--cal-open", "--cal-load"), ideal_standards(tmp_path, f)))
+    bad = tmp_path / "bad.s1p"
+    bad.write_bytes(b"! \xff\n" + open(cal[flag], "rb").read())
+    cal[flag] = str(bad)
+    out = tmp_path / "out"
+    proc = run_cli("fit", dut, *(x for item in cal.items() for x in item), "--quiet",
+                   "--out", str(out))
+    assert proc.returncode == cli.EXIT_USAGE
+    assert proc.stderr == "error: line 1: byte 0xff is not UTF-8\n"
+    assert not out.exists()
+    # the same bytes as a DUT are one failed file, as any unparsable DUT is
+    proc = run_cli("fit", str(bad), "--quiet", "--out", str(out))
+    assert proc.returncode == cli.EXIT_ALL_FITS_FAILED
+    assert proc.stderr == "failed bad.s1p: line 1: byte 0xff is not UTF-8\n"
+
+
 def test_fit_partial_cal_set_is_usage_error(tmp_path):
     dut, f = write_dut(tmp_path)
     short = write_s1p(tmp_path / "short.s1p", f, np.full(f.size, -1 + 0j))
@@ -491,6 +510,33 @@ def test_stats_site_without_x_mm_is_usage_error(tmp_path):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     assert "sites[0].x_mm" in proc.stderr
+
+
+_SITE_NUMBERS = ("site_id", "x_mm", "y_mm", "pitch_m", "local_thickness_m", "local_pitch_m",
+                 "metrics.S0.f_r_hz", "metrics.S0.f_a_hz", "metrics.S0.q_r",
+                 "metrics.S0.k_eff_sq")
+
+
+# q_r = Infinity is a lossless branch, the one non-finite value a sites document takes
+@pytest.mark.parametrize("field, value", [
+    (field, value) for field in _SITE_NUMBERS for value in ("NaN", "Infinity", "-Infinity")
+    if (field, value) != ("metrics.S0.q_r", "Infinity")
+])
+def test_stats_non_finite_site_number_is_usage_error(tmp_path, capsys, field, value):
+    site = {"site_id": 0, "x_mm": 0.0, "y_mm": 0.0, "pitch_m": 2e-6,
+            "local_thickness_m": 5e-7, "local_pitch_m": 2e-6,
+            "metrics": {"S0": {"f_r_hz": 1e9, "f_a_hz": 1.01e9, "q_r": 300.0, "k_eff_sq": 0.05}}}
+    node = site
+    *parents, key = field.split(".")
+    for name in parents:
+        node = node[name]
+    node[key] = "@"
+    sites = tmp_path / "sites.json"
+    sites.write_text(json.dumps({"sites": [site, {**site, "site_id": 1}]}).replace('"@"', value))
+    assert cli.main(["stats", str(sites), "--quiet", "--out", str(tmp_path / "out")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: sites[0].{field} must be a finite number, got ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_stats_empty_sites_exits_6(tmp_path):

@@ -137,6 +137,11 @@ def test_config_error_selection(doc, message):
     assert str(exc.value) == f"config invalid at {message}"
 
 
+def test_material_check_across_fields_is_a_config_error():
+    with pytest.raises(ConfigError, match="transverse velocity must be below longitudinal"):
+        ToolkitConfig.from_dict({"material": {"v_t_m_s": 1e6}})
+
+
 def test_integer_fields_are_stored_as_int():
     cfg = ToolkitConfig.from_dict({"seed": 7.0, "layers": {"small_idt": 9.0},
                                    "matching": {"max_fingers": 50.0}})

@@ -65,6 +65,19 @@ def test_polygon_rejects_self_intersection():
         Polygon(1, ((0, 0), (10, 10), (10, 0), (0, 10)))
 
 
+@pytest.mark.parametrize("vertex", [(10.2, 5), (10, "5"), (10, 5.0), (True, 5)])
+def test_polygon_rejects_non_integer_vertices(vertex):
+    # a float or string vertex is refused, not truncated to a moved vertex
+    with pytest.raises(InputError, match="must be an integer"):
+        Polygon(1, ((0, 0), (10, 0), vertex))
+
+
+def test_polygon_takes_numpy_integer_vertices():
+    poly = Polygon(1, tuple((np.int64(x), np.int32(y)) for x, y in ((0, 0), (10, 0), (10, 5))))
+    assert poly == Polygon(1, ((0, 0), (10, 0), (10, 5)))
+    assert all(type(c) is int for v in poly.vertices for c in v)
+
+
 def test_polygon_rejects_overflow():
     with pytest.raises(CoordinateError):
         Polygon(1, ((0, 0), (2**31, 0), (2**31, 10), (0, 10)))

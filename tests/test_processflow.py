@@ -564,6 +564,8 @@ def test_rate_table_round_trip():
     ({"processes": []}, "processes"),
     ({"ashing_nm_min": {"150": "slow"}}, "ashing_nm_min.150"),
     ({"ashing_nm_min": {"hot": 40.0}}, "ashing_nm_min key 'hot'"),
+    ({"ashing_nm_min": {"nan": 40.0}}, "ashing_nm_min key 'nan'"),
+    ({"ashing_nm_min": {"1e400": 40.0}}, "ashing_nm_min key '1e400'"),
 ])
 def test_rate_table_names_the_bad_entry(doc, json_path):
     with pytest.raises(InputError, match=re.escape(json_path)):

@@ -1,5 +1,6 @@
 """Tests for wafer-map statistics and the seeded variation model."""
 
+import json
 import math
 import re
 from dataclasses import replace
@@ -386,3 +387,48 @@ def test_sites_from_dict_names_the_bad_field(path, mutate):
     mutate(doc)
     with pytest.raises(InputError, match=re.escape(path)):
         sites_from_dict(doc)
+
+
+def test_sites_from_dict_rejects_nan_and_fractional_site_ids_and_nan_locals():
+    site = {"x_mm": 0.0, "y_mm": 0.0, "pitch_m": 2e-6,
+            "metrics": {"S0": {"f_r_hz": 1e9, "f_a_hz": 1.01e9, "q_r": 300.0, "k_eff_sq": 0.05}}}
+    doc = {"sites": [{**site, "site_id": math.nan},
+                     {**site, "site_id": 1.5, "local_thickness_m": math.nan}]}
+    with pytest.raises(InputError, match=re.escape("sites[0].site_id")):
+        sites_from_dict(doc)
+    doc["sites"][0]["site_id"] = 0
+    with pytest.raises(InputError, match=re.escape("sites[1].site_id must be a non-negative integer")):
+        sites_from_dict(doc)
+    doc["sites"][1]["site_id"] = 1
+    with pytest.raises(InputError, match=re.escape("sites[1].local_thickness_m")):
+        sites_from_dict(doc)
+    # an integer written as a float is the integer, as in the config
+    doc["sites"][1].update(site_id=1.0, local_thickness_m=5e-7)
+    assert [type(s.site_id) for s in sites_from_dict(doc)] == [int, int]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("site_id", math.nan), ("site_id", 1.5), ("site_id", -1), ("site_id", True),
+    ("local_thickness_m", math.nan), ("local_pitch_m", math.inf), ("pitch_m", math.inf),
+])
+def test_wafer_site_rejects_what_the_loader_rejects(field, value):
+    with pytest.raises(InputError):
+        replace(make_site(0, {"S0": 1e9}), **{field: value})
+
+
+def test_mode_metrics_reject_an_infinite_antiresonance():
+    with pytest.raises(InputError):
+        ModeMetrics(f_r=1e9, f_a=math.inf, q_r=300.0, k_eff_sq=0.05)
+
+
+def test_lossless_site_round_trips_through_json_text():
+    # ModeMetrics documents q_r = inf for a lossless branch; sites_to_dict
+    # writes it as Infinity, the one non-finite number a sites document takes
+    sites = [make_site(0, {"S0": 1e9}), WaferSite(
+        site_id=1, x_mm=1.0, y_mm=2.0, pitch_m=2e-6,
+        metrics={"S0": make_metrics(1.1e9, q_r=math.inf)})]
+    text = json.dumps(sites_to_dict(sites))
+    assert '"q_r": Infinity' in text
+    assert sites_from_dict(json.loads(text)) == sites
+    with pytest.raises(InputError, match=re.escape("sites[1].metrics.S0.q_r")):
+        sites_from_dict(json.loads(text.replace("Infinity", "-Infinity")))
