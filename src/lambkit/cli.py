@@ -14,7 +14,7 @@ stable exit-code registry:
     6  statistics failure
    70  internal error (a bug: any other exception)
 
-Subcommands import what they run in their own bodies, so --help and
+Subcommands import what they run in their own bodies, so --help, stats and
 flow-check load no numpy and no command loads scipy.
 """
 
@@ -63,8 +63,7 @@ def _out_dir(args) -> str:
 
 def _write_lines(path: str, lines) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        fh.write("\n".join([*lines, ""]))
 
 
 def _write_json(path: str, doc: dict) -> None:

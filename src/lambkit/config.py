@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .dispersion import PlateMaterial, PlateSpec
-from .errors import ConfigError, InputError, is_json_number, read_json
+from .errors import ConfigError, InputError, is_json_number, read_json, shown
 
 __all__ = [
     "ToolkitConfig",
@@ -301,7 +301,7 @@ def _schema_errors(schema: dict, value, path: tuple = ()):
     for key, arg in schema.items():
         if key == "type":
             if not _IS_TYPE[arg](value):
-                yield path, f"{value!r} is not of type {arg!r}"
+                yield path, f"{shown(value)} is not of type {arg!r}"
         elif key == "additionalProperties" and isinstance(value, dict):
             extra = sorted(set(value) - set(schema["properties"]))
             if extra:
@@ -316,11 +316,11 @@ def _schema_errors(schema: dict, value, path: tuple = ()):
             for i, item in enumerate(value):
                 yield from _schema_errors(arg, item, path + (i,))
         elif key == "minItems" and isinstance(value, list) and len(value) < arg:
-            yield path, f"{value!r} is too short"
+            yield path, f"{shown(value)} is too short"
         elif key == "maxItems" and isinstance(value, list) and len(value) > arg:
-            yield path, f"{value!r} is too long"
+            yield path, f"{shown(value)} is too long"
         elif key in _BOUNDS and is_json_number(value) and _BOUNDS[key][0](value, arg):
-            yield path, f"{value!r} is {_BOUNDS[key][1]} of {arg!r}"
+            yield path, f"{shown(value)} is {_BOUNDS[key][1]} of {arg!r}"
 
 
 def _typed(schema: dict, value):
@@ -371,7 +371,7 @@ def load_catalog(path=None) -> dict:
         raise ConfigError("catalog pitches_m must be a non-empty list of positive numbers")
     for i, p in enumerate(pitches):
         if not (is_json_number(p) and p > 0):
-            raise ConfigError(f"catalog pitches_m[{i}] must be a positive finite number, got {p!r}")
+            raise ConfigError(f"catalog pitches_m[{i}] must be a positive finite number, got {shown(p)}")
     if sorted(pitches) != pitches:
         raise ConfigError("catalog pitches_m must be sorted ascending")
     return raw

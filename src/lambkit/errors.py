@@ -141,10 +141,19 @@ def is_json_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
+def shown(value) -> str:
+    """repr(value), or a placeholder where repr fails: an int over 4300 digits."""
+    try:
+        return repr(value)
+    except ValueError:  # the int itself, or a list holding one
+        size = f" of {value.bit_length()} bits" if isinstance(value, int) else ""
+        return f"<{type(value).__name__}{size}>"
+
+
 def json_number(value, path: str):
     """``value`` if it is a finite JSON number; InputError naming ``path`` otherwise."""
     if not is_json_number(value):
-        raise InputError(f"{path} must be a finite number, got {value!r}")
+        raise InputError(f"{path} must be a finite number, got {shown(value)}")
     return value
 
 

@@ -109,6 +109,13 @@ class Polygon:
         verts = tuple((_integer(x, "vertex coordinate"), _integer(y, "vertex coordinate"))
                       for x, y in self.vertices)
         object.__setattr__(self, "vertices", verts)
+        if len(verts) == 4:  # an axis-aligned CCW rectangle passes every check below
+            (x0, y0), (x1, y1), (x2, y2), (x3, y3) = verts
+            if ((y0 == y1 and x1 == x2 and y2 == y3 and x3 == x0 and (x1 - x0) * (y2 - y1) > 0)
+                    or (x0 == x1 and y1 == y2 and x2 == x3 and y3 == y0
+                        and (x1 - x2) * (y1 - y0) > 0)):
+                _check_int32(verts)
+                return
         if len(set(verts)) < 3:
             raise InputError("polygon needs at least 3 distinct vertices")
         n = len(verts)

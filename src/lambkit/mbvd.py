@@ -36,6 +36,7 @@ from .errors import (
     FitPeakError,
     InputError,
 )
+from .waferstats import ModeMetrics
 
 __all__ = [
     "MotionalBranch",
@@ -204,32 +205,6 @@ def mbvd_admittance(model: MbvdModel, frequencies) -> AdmittanceTrace:
     trace = AdmittanceTrace(frequencies, np.zeros(np.size(frequencies), dtype=complex))
     trace.admittance = model.admittance(trace.frequencies)
     return trace
-
-
-@dataclass(frozen=True)
-class ModeMetrics:
-    """Per-branch scalar metrics.  q_r is math.inf for a lossless branch."""
-
-    f_r: float
-    f_a: float
-    q_r: float
-    k_eff_sq: float
-
-    def __post_init__(self):
-        if not (0 < self.f_r < self.f_a < math.inf):
-            raise InputError("need 0 < f_r < f_a < inf")
-        if not self.q_r > 0:
-            raise InputError("q_r must be positive")
-        if not 0 < self.k_eff_sq < 1:
-            raise InputError("k_eff_sq must be in (0, 1)")
-
-    def to_dict(self) -> dict:
-        return {
-            "f_r_hz": self.f_r,
-            "f_a_hz": self.f_a,
-            "q_r": self.q_r,
-            "k_eff_sq": self.k_eff_sq,
-        }
 
 
 def resonance_metrics(model: MbvdModel, branch_index: int) -> ModeMetrics:

@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 
 from .errors import (
-    FlowError, InputError, MissingRateError, is_json_number, json_number, json_object, read_json)
+    FlowError, InputError, MissingRateError, is_json_number, json_number, json_object, read_json,
+    shown)
 
 __all__ = [
     "STEP_KINDS",
@@ -150,7 +151,11 @@ class ProcessStep:
 
     def __post_init__(self):
         if self.kind not in STEP_KINDS:
-            raise InputError(f"unknown step kind {self.kind!r}")
+            raise InputError(f"unknown step kind {shown(self.kind)}")
+        for key in sorted(_STEP_NUMBERS):  # the loader's rule, for steps built in process
+            value = getattr(self, key)
+            if not (is_json_number(value) or key == "temperature_c" and value is None):
+                raise InputError(f"{key} must be a finite number, got {shown(value)}")
         if self.kind in ADDITIVE_KINDS:
             if not self.material:
                 raise InputError(f"{self.kind} step must name a material")
@@ -166,8 +171,8 @@ class ProcessStep:
             raise InputError("pulses must be >= 0")
         recipe = tuple((float(a), float(t)) for a, t in self.recipe)
         for angle, seconds in recipe:
-            if seconds <= 0.0:
-                raise InputError("recipe segment time must be > 0")
+            if not (is_json_number(seconds) and seconds > 0.0):
+                raise InputError("recipe segment time must be finite and > 0")
             if not -90.0 <= angle <= 90.0:
                 raise InputError("recipe angle must be within +-90 deg")
         object.__setattr__(self, "recipe", recipe)
@@ -217,7 +222,7 @@ class ProcessStep:
             raise InputError("process step needs a kind")
         for key, value in data.items():
             if key in _STEP_TEXT and not isinstance(value, str):
-                raise InputError(f"{path}.{key} must be a string, got {value!r}")
+                raise InputError(f"{path}.{key} must be a string, got {shown(value)}")
             if key in _STEP_NUMBERS and not (key == "temperature_c" and value is None):
                 json_number(value, f"{path}.{key}")
         recipe = data.get("recipe", ())
@@ -314,14 +319,20 @@ class RateTable:
         entries = {}
         for key, rate in dict(self.entries).items():
             material, process = key
-            if rate <= 0.0:
-                raise InputError(f"rate for {material}/{process} must be > 0")
+            if not (is_json_number(rate) and rate > 0.0):
+                raise InputError(f"rate for {material}/{process} must be finite and > 0")
             entries[(str(material), str(process))] = float(rate)
         ashing = {}
         for temp, rate in dict(self.ashing_nm_min).items():
-            if rate <= 0.0:
-                raise InputError(f"ashing rate at {temp} degC must be > 0")
-            ashing[float(temp)] = float(rate)
+            try:
+                celsius = float(temp)
+            except (TypeError, ValueError, OverflowError):
+                celsius = None
+            if not is_json_number(celsius):  # "nan", "inf" and "1e400" read as floats too
+                raise InputError(f"ashing_nm_min key {shown(temp)} must be a temperature in degC")
+            if not (is_json_number(rate) and rate > 0.0):
+                raise InputError(f"ashing rate at {temp} degC must be finite and > 0")
+            ashing[celsius] = float(rate)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "ashing_nm_min", ashing)
 
@@ -365,12 +376,6 @@ class RateTable:
         ashing = json_object(data.get("ashing_nm_min", {}), "ashing_nm_min")
         for temp, rate in ashing.items():
             json_number(rate, f"ashing_nm_min.{temp}")
-            try:
-                celsius = float(temp)
-            except ValueError:
-                celsius = None
-            if not is_json_number(celsius):  # "nan", "inf" and "1e400" read as floats too
-                raise InputError(f"ashing_nm_min key {temp!r} must be a temperature in degC")
         return cls(entries=entries, ashing_nm_min=ashing)
 
 

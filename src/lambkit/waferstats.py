@@ -1,43 +1,36 @@
 """Wafer-map frequency statistics and a seeded thickness/pitch variation model.
 
 Frequency deviation across the wafer is summarized per (mode, pitch) group as
-the population relative standard deviation in percent.  The Monte Carlo model
-samples a quadratic radial thickness profile plus Gaussian noise and a
-per-design pitch jitter, then maps both to frequency through the log
-sensitivities or, with full_resolve, at each site's own geometry.  Both read
-the memoised dispersion lattice, so a wafer simulates in milliseconds.  Every
-random draw comes from a per-site stream spawned from one master seed:
+the population relative standard deviation in percent, reduced with a stdlib
+copy of numpy's pairwise sum: numpy's doubles, and no numpy loaded to reduce
+a sites document.  Only simulate_wafer imports numpy and dispersion.  Its
+Monte Carlo model samples a quadratic radial thickness profile plus Gaussian
+noise and a per-design pitch jitter, then maps both to frequency through the
+log sensitivities or, with full_resolve, at each site's own geometry.  Both
+read the memoised dispersion lattice, so a wafer simulates in milliseconds.
+Every random draw comes from a per-site stream spawned from one master seed:
 results are bit-reproducible and sites can be evaluated in any order.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .dispersion import (
-    MODE_NAMES,
-    PlateSpec,
-    pitch_to_frequency,
-    sensitivity,
-)
+from . import MODE_NAMES
 from .errors import (
-    DispersionRangeError,
-    InputError,
-    SolverError,
-    StatisticsError,
-    json_number,
-    json_object,
-)
-from .mbvd import ModeMetrics
+    DispersionRangeError, InputError, SolverError, StatisticsError, json_number, json_object, shown)
 
-if TYPE_CHECKING:  # annotations only: stats needs neither config nor layout
+if TYPE_CHECKING:  # annotations only: stats loads no numpy, config or layout
     from .config import ChipConfig, ToolkitConfig, WaferConfig
+    from .dispersion import PlateSpec
 
 __all__ = [
+    "ModeMetrics",
     "VariationModel",
     "WaferSite",
     "DeviationRow",
@@ -64,23 +57,64 @@ _DEFAULT_MODE_QUALITY = {
 }
 
 
+def _sum(x) -> float:
+    """numpy's pairwise sum (loops_utils.h.src), so the mean and std match numpy's
+    bit for bit without loading it; not sum(), compensated since Python 3.12."""
+    n = len(x)
+    if n < 8:
+        return reduce(add, x, 0.0)
+    if n <= 128:  # eight interleaved accumulators, then the tail
+        m = n - n % 8
+        r = [reduce(add, x[j:m:8]) for j in range(8)]
+        return reduce(add, x[m:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    half = n // 2 - n // 2 % 8
+    return _sum(x[:half]) + _sum(x[half:])
+
+
+def _mean_std(x) -> tuple:
+    """Mean and population standard deviation of a list of floats."""
+    mean = _sum(x) / len(x)
+    return mean, math.sqrt(_sum([d * d for d in (v - mean for v in x)]) / len(x))
+
+
 def relstd(values) -> float:
     """Population standard deviation over mean, in percent.
 
     Needs at least two positive values; constant data gives exactly 0.
     """
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size < 2:
-        raise StatisticsError(f"relstd needs >= 2 values, got {arr.size}")
-    if not np.all(arr > 0.0):
+    values = [float(v) for v in values]
+    if len(values) < 2:
+        raise StatisticsError(f"relstd needs >= 2 values, got {len(values)}")
+    if not all(v > 0.0 for v in values):
         raise StatisticsError("relstd needs strictly positive values")
-    spread = float(np.std(arr))
-    mean = float(np.mean(arr))
+    mean, spread = _mean_std(values)
     # identical values can leave rounding dust when the pairwise-summed mean
     # lands an ulp off; snap that to an honest zero
-    if spread <= 16.0 * np.finfo(float).eps * mean:
+    if spread <= 16.0 * sys.float_info.epsilon * mean:
         return 0.0
-    return float(spread / mean * 100.0)
+    return spread / mean * 100.0
+
+
+@dataclass(frozen=True)
+class ModeMetrics:
+    """Per-branch scalar metrics.  q_r is math.inf for a lossless branch."""
+
+    f_r: float
+    f_a: float
+    q_r: float
+    k_eff_sq: float
+
+    def __post_init__(self):
+        if not (0 < self.f_r < self.f_a < math.inf):
+            raise InputError("need 0 < f_r < f_a < inf")
+        if not self.q_r > 0:
+            raise InputError("q_r must be positive")
+        if not 0 < self.k_eff_sq < 1:
+            raise InputError("k_eff_sq must be in (0, 1)")
+
+    def to_dict(self) -> dict:
+        return {"f_r_hz": self.f_r, "f_a_hz": self.f_a, "q_r": self.q_r,
+                "k_eff_sq": self.k_eff_sq}
 
 
 @dataclass(frozen=True)
@@ -164,7 +198,7 @@ class WaferSite:
 
     def __post_init__(self):
         if isinstance(self.site_id, bool) or not hasattr(self.site_id, "__index__") or self.site_id < 0:
-            raise InputError(f"site_id must be a non-negative integer, got {self.site_id!r}")
+            raise InputError(f"site_id must be a non-negative integer, got {shown(self.site_id)}")
         if not 0.0 < self.pitch_m < math.inf:
             raise InputError("site pitch must be positive and finite")
         if not (math.isfinite(self.x_mm) and math.isfinite(self.y_mm)):
@@ -179,7 +213,7 @@ class WaferSite:
                 raise InputError("site metrics values must be ModeMetrics")
         failed = tuple(self.failed_modes)
         if any(mode not in MODE_NAMES for mode in failed):
-            raise InputError(f"unknown mode in failed_modes {failed!r}")
+            raise InputError(f"unknown mode in failed_modes {shown(failed)}")
         if set(failed) & set(metrics):
             raise InputError("a mode cannot both fail and carry metrics")
         object.__setattr__(self, "metrics", metrics)
@@ -278,7 +312,7 @@ def per_mode_deviation(sites) -> DeviationReport:
             DeviationRow(
                 mode=mode,
                 pitch_m=pitch,
-                mean_f_hz=float(np.mean(values)),
+                mean_f_hz=_sum(values) / len(values),
                 relstd_pct=relstd(values),
                 n=len(values),
                 excluded=n_excl,
@@ -340,17 +374,17 @@ def metrics_vs_frequency(sites) -> TrendSeries:
     per_mode: dict = {}
     for (mode, pitch), ms, _ in groups:
         fs = [m.f_r for m in ms]
-        qs = [m.q_r for m in ms]
-        ks = [m.k_eff_sq for m in ms]
+        q_mean, q_std = _mean_std([m.q_r for m in ms])
+        k_mean, k_std = _mean_std([m.k_eff_sq for m in ms])
         per_mode.setdefault(mode, []).append(
             TrendPoint(
                 mode=mode,
                 pitch_m=pitch,
-                mean_f_hz=float(np.mean(fs)),
-                q_mean=float(np.mean(qs)),
-                q_std=float(np.std(qs)),
-                k_mean=float(np.mean(ks)),
-                k_std=float(np.std(ks)),
+                mean_f_hz=_sum(fs) / len(fs),
+                q_mean=q_mean,
+                q_std=q_std,
+                k_mean=k_mean,
+                k_std=k_std,
                 n=len(ms),
             )
         )
@@ -385,6 +419,9 @@ def simulate_wafer(
     perturbed evaluation fails is flagged, not fatal; nominal failures
     propagate.
     """
+    import numpy as np
+
+    from .dispersion import PlateSpec, pitch_to_frequency, sensitivity
     from .layout import gen_wafer_map
 
     pitches = [float(p) for p in designs]
@@ -497,15 +534,7 @@ def sites_to_dict(sites, seed: int | None = None) -> dict:
             "x_mm": s.x_mm,
             "y_mm": s.y_mm,
             "pitch_m": s.pitch_m,
-            "metrics": {
-                mode: {
-                    "f_r_hz": m.f_r,
-                    "f_a_hz": m.f_a,
-                    "q_r": m.q_r,
-                    "k_eff_sq": m.k_eff_sq,
-                }
-                for mode, m in sorted(s.metrics.items())
-            },
+            "metrics": {mode: m.to_dict() for mode, m in sorted(s.metrics.items())},
         }
         if s.failed_modes:
             entry["failed_modes"] = list(s.failed_modes)

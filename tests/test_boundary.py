@@ -7,9 +7,9 @@ import re
 
 import pytest
 
-from lambkit.config import load_catalog, load_config
+from lambkit.config import ToolkitConfig, load_catalog, load_config
 from lambkit.errors import ConfigError, InputError, is_json_number, json_number, read_json
-from lambkit.processflow import RateTable, load_flow
+from lambkit.processflow import RateTable, load_flow, steps_from_dict
 from lambkit.waferstats import sites_from_dict
 
 _SITE = {"site_id": 0, "x_mm": 0.0, "y_mm": 0.0, "pitch_m": "@",
@@ -55,6 +55,44 @@ def test_everything_else_fails_naming_the_path(value):
     assert not is_json_number(value)
     with pytest.raises(InputError, match=re.escape("a.b[0] must be a finite number")):
         json_number(value, "a.b[0]")
+
+
+def _put(doc, value):
+    """doc with value where "@" is."""
+    if isinstance(doc, dict):
+        return {k: _put(v, value) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_put(v, value) for v in doc]
+    return value if doc == "@" else doc
+
+
+# the document-level loaders of LOADERS, which an in-process caller reaches
+# with values json.load never makes
+FROM_DICT = {"config": ToolkitConfig.from_dict, "flow": steps_from_dict,
+             "rates": RateTable.from_dict, "sites": sites_from_dict}
+
+
+@pytest.mark.parametrize("loader", sorted(FROM_DICT))
+def test_an_int_too_long_to_print_is_rejected_naming_its_path(loader):
+    # repr() of an int over 4300 digits raises ValueError; the message shows its size
+    _, doc, error, path = LOADERS[loader]
+    with pytest.raises(error, match=re.escape(path)):
+        FROM_DICT[loader](_put(doc, 10**5000))
+
+
+@pytest.mark.parametrize("load, doc, message", [
+    (sites_from_dict, {"sites": [{"site_id": 10**5000}]},
+     "sites[0].site_id must be a finite number, got <int of 16610 bits>"),
+    (steps_from_dict, {"steps": [{"kind": 10**5000}]},
+     "steps[0].kind must be a string, got <int of 16610 bits>"),
+    (steps_from_dict, {"steps": [{"kind": "deposit", "note": 10**5000}]},
+     "steps[0].note must be a string, got <int of 16610 bits>"),
+    (sites_from_dict, {"sites": [{**_SITE, "pitch_m": 2e-6, "failed_modes": [10**5000]}]},
+     "unknown mode in failed_modes <tuple>"),
+])
+def test_an_int_too_long_to_print_is_an_input_error_that_shows_its_size(load, doc, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        load(doc)
 
 
 def test_read_json_faults_name_what_the_file_is(tmp_path):

@@ -751,6 +751,19 @@ def test_help_and_flow_check_load_no_numpy_scipy_or_jsonschema(argv):
     assert not loaded_by(*argv) & {"numpy", "scipy", "jsonschema"}
 
 
+def test_stats_loads_no_numpy(tmp_path):
+    from lambkit.waferstats import ModeMetrics, WaferSite, sites_to_dict
+
+    sites = [WaferSite(site_id=i, x_mm=i, y_mm=0.0, pitch_m=2e-6, metrics={
+        "S0": ModeMetrics(f_r=f, f_a=1.05 * f, q_r=300.0, k_eff_sq=0.05)})
+        for i, f in enumerate((1.00e9, 1.01e9, 0.99e9))]
+    (tmp_path / "sites.json").write_text(json.dumps(sites_to_dict(sites, seed=7)))
+    modules = loaded_by("stats", str(tmp_path / "sites.json"), "--heatmap", "S0:2e-6",
+                        "--out", str(tmp_path), "--quiet")
+    assert not modules & {"numpy", "scipy", "jsonschema"}
+    assert (tmp_path / "heatmap.csv").read_text().count("\n") == 4
+
+
 def test_dispersion_and_wafer_commands_load_no_scipy(tmp_path):
     out = ["--out", str(tmp_path), "--quiet"]
     pitch = ["--pitches", "2e-6,3e-6"]

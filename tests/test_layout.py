@@ -85,6 +85,37 @@ def test_polygon_rejects_overflow():
         to_dbu(3.0)  # 3e9 nm
 
 
+@pytest.mark.parametrize("vertices", [
+    ((0, 0), (10, 0), (10, 5), (0, 5)),
+    ((0, 0), (0, -5), (10, -5), (10, 0)),
+])
+def test_polygon_accepts_ccw_rectangles_from_either_edge(vertices):
+    assert Polygon(1, vertices).signed_area2() == 100
+
+
+@pytest.mark.parametrize("vertices, error, message", [
+    # clockwise, from a horizontal and from a vertical first edge
+    (((0, 0), (0, 5), (10, 5), (10, 0)), InputError, "polygon must be counter-clockwise"),
+    (((0, 0), (10, 0), (10, -5), (0, -5)), InputError, "polygon must be counter-clockwise"),
+    # zero area, including axis-aligned shapes that fold back on themselves
+    (((0, 0), (10, 0), (10, 0), (0, 0)), InputError, "at least 3 distinct vertices"),
+    (((0, 0), (0, 5), (0, 5), (0, 0)), InputError, "at least 3 distinct vertices"),
+    (((0, 0), (10, 0), (20, 0), (5, 0)), InputError, "polygon must be counter-clockwise"),
+    # duplicate vertices, next to each other or not
+    (((0, 0), (0, 0), (10, 5), (0, 5)), InputError, "consecutive duplicate vertices"),
+    (((0, 0), (10, 0), (0, 0), (0, 5)), InputError, "polygon must be counter-clockwise"),
+    (((0, 0), (0, 1), (1, 0), (0, 2)), InputError, "polygon is self-intersecting"),
+    (((0, 0), (10.0, 0), (10, 5), (0, 5)), InputError, "must be an integer, got 10.0"),
+    (((0, 0), (2**31, 0), (2**31, 5), (0, 5)), CoordinateError, r"\(2147483648, 0\) exceeds"),
+    (((0, 0), (0, -5), (-(2**31) - 1, -5), (-(2**31) - 1, 0)), CoordinateError,
+     r"\(-2147483649, -5\) exceeds"),
+])
+def test_four_vertex_polygons_get_every_rejection(vertices, error, message):
+    # an axis-aligned CCW rectangle skips the generic checks; nothing else may
+    with pytest.raises(error, match=message):
+        Polygon(1, vertices)
+
+
 def test_to_dbu_rejects_every_value_outside_int32():
     assert to_dbu(-2.147483648) == -(2**31)
     assert to_dbu(2.147483647) == 2**31 - 1

@@ -558,6 +558,29 @@ def test_rate_table_round_trip():
 
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["thickness_m", "temperature_c", "duration_s", "repeats",
+                                   "pulses", "recipe"])
+def test_step_constructor_rejects_what_the_loader_rejects(field, bad):
+    # built in process, not loaded from JSON: the same finite-number rule
+    value = ((0.0, bad),) if field == "recipe" else bad
+    with pytest.raises(InputError):
+        ProcessStep(kind="etch_wet", material="Al", chemistry="HF", **{field: value})
+    with pytest.raises(InputError):
+        steps_from_dict({"steps": [{"kind": "etch_wet", "material": "Al", "chemistry": "HF",
+                                    field: [[0.0, bad]] if field == "recipe" else bad}]})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rate_table_constructor_rejects_what_the_loader_rejects(bad):
+    with pytest.raises(InputError, match="rate for Al/ibe"):
+        RateTable(entries={("Al", "ibe"): bad}, ashing_nm_min={})
+    with pytest.raises(InputError, match="ashing rate at 150"):
+        RateTable(entries={}, ashing_nm_min={150.0: bad})
+    with pytest.raises(InputError, match="ashing_nm_min key"):
+        RateTable(entries={}, ashing_nm_min={bad: 40.0})
+
+
 @pytest.mark.parametrize("doc, json_path", [
     ({"processes": {"ibe": 5}}, "processes.ibe"),
     ({"processes": {"ibe": {"Pt": "fast"}}}, "processes.ibe.Pt"),

@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import lambkit
+from lambkit import mbvd, waferstats
 from lambkit.config import load_config
 from lambkit.errors import InputError, StatisticsError
 from lambkit.mbvd import ModeMetrics
@@ -75,6 +80,42 @@ def test_relstd_rejects_bad_input():
         relstd([])
     with pytest.raises(StatisticsError):
         relstd([1.0e9, -1.0e9])
+
+
+# numpy's pairwise summation changes at 8 and 128 elements and splits above
+# 128, so the sizes straddle those points and the first split levels
+PAIRWISE_SIZES = [*range(2, 18), *range(120, 137), *range(250, 261), *range(1000, 1101)]
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e10])
+def test_mean_and_std_are_numpys_bit_for_bit(scale):
+    # numpy is the oracle: the reductions must give its doubles without loading it
+    rng = np.random.default_rng(11)
+    for n in PAIRWISE_SIZES:
+        for x in (scale * (1.0 + 0.01 * rng.standard_normal(n)), scale * rng.random(n)):
+            values = x.tolist()
+            assert waferstats._mean_std(values) == (np.mean(x), np.std(x)), n
+            std_pct = np.std(x) / np.mean(x) * 100.0
+            assert relstd(values) == std_pct, n
+
+
+@pytest.mark.parametrize("value", [0.1, 0.3, 3.3e-9, 1.1e9])
+def test_relstd_snaps_constant_data_to_zero(value):
+    for n in PAIRWISE_SIZES:
+        mean, std = waferstats._mean_std([value] * n)
+        assert (mean, std) == (np.mean([value] * n), np.std([value] * n)), n
+        assert relstd([value] * n) == 0.0, n
+
+
+def test_mode_metrics_is_one_class_under_every_name():
+    assert lambkit.ModeMetrics is mbvd.ModeMetrics is waferstats.ModeMetrics
+
+
+def test_import_waferstats_loads_no_numpy():
+    code = "import sys, lambkit.waferstats; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(waferstats.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.stdout.strip() == "False", proc.stderr
 
 
 # ------------------------------------------------------------------- types
