@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from importlib import resources
 
+from . import MODE_NAMES
 from .dispersion import PlateMaterial, PlateSpec
 from .errors import ConfigError, InputError, is_json_number, read_json, shown
 
@@ -30,6 +31,25 @@ __all__ = [
     "default_config_dict",
     "load_catalog",
 ]
+
+
+@dataclass(frozen=True)
+class LayerMap:
+    """GDS layer id of each mask layer.  These fields are the only list of the
+    layer names: the schema reads them, and their order is the order of the
+    reticle windows."""
+
+    small_idt: int
+    large_idt: int
+    pads: int
+    bottom_electrode: int
+    outline: int
+
+    def __post_init__(self):
+        ids = astuple(self)
+        if len(set(ids)) != len(ids):
+            raise ConfigError("layer ids must be distinct")
+
 
 _NONNEG = {"type": "number", "minimum": 0}
 _POS = {"type": "number", "exclusiveMinimum": 0}
@@ -71,8 +91,8 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                k: {"type": "integer", "minimum": 0, "maximum": 255}
-                for k in ("small_idt", "large_idt", "pads", "bottom_electrode", "outline")
+                f.name: {"type": "integer", "minimum": 0, "maximum": 255}
+                for f in fields(LayerMap)
             },
         },
         "chip": {
@@ -143,7 +163,7 @@ CONFIG_SCHEMA = {
                                 },
                             },
                         }
-                        for m in ("A0", "S0", "A1", "S1")
+                        for m in MODE_NAMES
                     },
                 },
             },
@@ -158,26 +178,6 @@ class MatchingConfig:
     target_impedance_ohm: float
     max_fingers: int
     dummy_count_per_side: int
-
-
-@dataclass(frozen=True)
-class LayerMap:
-    small_idt: int
-    large_idt: int
-    pads: int
-    bottom_electrode: int
-    outline: int
-
-    def __post_init__(self):
-        ids = (
-            self.small_idt,
-            self.large_idt,
-            self.pads,
-            self.bottom_electrode,
-            self.outline,
-        )
-        if len(set(ids)) != len(ids):
-            raise ConfigError("layer ids must be distinct")
 
 
 @dataclass(frozen=True)
@@ -223,7 +223,7 @@ class VariationConfig:
     mode_quality: dict  # mode -> {"q_r": float, "k_eff_sq": float}
 
     def __post_init__(self):
-        if self.thickness_center_m - max(self.thickness_edge_drop_m, 0.0) <= 0:
+        if not self.thickness_center_m - self.thickness_edge_drop_m > 0.0:
             raise ConfigError("thickness profile goes non-positive at the wafer edge")
 
 

@@ -152,7 +152,7 @@ def _scan_grid(plate: PlateSpec, k: float):
     w_max = 3.0 * vl * k + 4.0 * math.pi * vl / plate.h
     n_log = int(SCAN_POINTS * _LOG_FRACTION)
     n_lin = SCAN_POINTS - n_log
-    c_plate = 2.0 * vt * math.sqrt(1.0 - (vt / vl) ** 2)
+    c_plate = thin_plate_s0_velocity(plate.material)
     w_flex = k * k * plate.h * c_plate / (2.0 * math.sqrt(3.0))
     lo = _FLOOR_MARGIN * min(w_flex, 0.9 * vt * k)
     split = w_max * 0.02

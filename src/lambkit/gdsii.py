@@ -248,8 +248,7 @@ def read_gdsii(data: bytes):
     name_off = p.offset
     libname = _parse_ascii(p.expect(LIBNAME), name_off)
     units_off = p.offset
-    uu, mm = struct.unpack(">QQ", p.expect_sized(UNITS, 16))
-    dbu_uu = decode_real8(uu)
+    _, mm = struct.unpack(">QQ", p.expect_sized(UNITS, 16))
     dbu_m = decode_real8(mm)
     if not math.isclose(dbu_m, DB_UNIT_IN_METERS, rel_tol=1e-9):
         raise GdsParseError(
@@ -311,7 +310,7 @@ def read_gdsii(data: bytes):
     p.expect(ENDLIB)
     if p.cur is not None:
         raise GdsParseError("data after ENDLIB", offset=p.offset)
-    lib = _at(name_off, Library, name=libname, user_unit_dbu=dbu_uu)
+    lib = _at(name_off, Library, name=libname)
     for cell_off, cell in cells:
         _at(cell_off, lib.add, cell)
     return lib

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 from .config import ChipConfig, LayerMap, ReticleConfig, WaferConfig
 from .design import ResonatorDesign, LayerBand
@@ -215,11 +215,10 @@ class Cell:
 class Library:
     """Ordered collection of uniquely named cells."""
 
-    def __init__(self, name: str = "LAMBKIT", user_unit_dbu: float = 1e-3):
+    def __init__(self, name: str = "LAMBKIT"):
         if not _NAME_RE.match(name):
             raise InputError(f"library name {name!r} is not GDSII-legal")
         self.name = name
-        self.user_unit_dbu = user_unit_dbu
         self.cells = []
         self._by_name = {}
 
@@ -580,19 +579,13 @@ def build_reticle(
     layers: LayerMap,
     reticle_cfg: ReticleConfig,
 ):
-    """Reticle plan for the chip: one ReMa window per mask layer, the chip
-    image repeated per window with only that layer's polygons, magnified by
-    the demag factor.
+    """Reticle plan for the chip: one ReMa window per mask layer, in LayerMap
+    field order from the bottom up, the chip image repeated per window with
+    only that layer's polygons, magnified by the demag factor.
 
     Returns (ReticleSpec, Library) where the library holds the flat mask cell.
     """
-    layer_ids = [
-        layers.small_idt,
-        layers.large_idt,
-        layers.pads,
-        layers.bottom_electrode,
-        layers.outline,
-    ]
+    layer_ids = astuple(layers)
     wf, hf = reticle_cfg.image_field_m
     cw, ch = chip_cfg.width_m, chip_cfg.height_m
     n = len(layer_ids)

@@ -2,17 +2,19 @@
 
 A process flow is a flat list of steps (deposits, lithography, etches, strips,
 release).  ``simulate_stack`` replays the flow against a 1-D layer stack and
-records which materials a chemistry can reach at every step; the rule registry
-in ``check_compatibility`` turns known failure modes (developer attack on Al,
-wet HF on Ti, missing post-chlorine rinse, oxidizing ash, over-ash before a
-wet strip) into structured violations.  No topography: patterned layers keep
-their full thickness and simply stop blocking the layers below them.
+records which materials a chemistry can reach at every step; ``check_flow``
+then evaluates every rule of ``RULE_REGISTRY`` (developer attack on Al, wet HF
+on Ti, missing post-chlorine rinse, oxidizing ash, over-ash before a wet
+strip) in one pass and turns each hit into a structured violation.  The
+registry alone gives each rule its severity, chemistry class and watched
+material.  No topography: patterned layers keep their full thickness and
+simply stop blocking the layers below them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 
 from .errors import (
@@ -189,27 +191,12 @@ class ProcessStep:
         return self.duration_s
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        if self.material:
-            out["material"] = self.material
-        if self.thickness_m:
-            out["thickness_m"] = self.thickness_m
-        if self.chemistry:
-            out["chemistry"] = self.chemistry
-        if self.temperature_c is not None:
-            out["temperature_c"] = self.temperature_c
-        if self.duration_s:
-            out["duration_s"] = self.duration_s
-        if self.tool:
-            out["tool"] = self.tool
-        if self.recipe:
-            out["recipe"] = [list(seg) for seg in self.recipe]
-        if self.repeats != 1:
-            out["repeats"] = self.repeats
-        if self.pulses:
-            out["pulses"] = self.pulses
-        if self.note:
-            out["note"] = self.note
+        """Every field that differs from its declared default, in field order."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value != f.default:
+                out[f.name] = [list(seg) for seg in value] if f.name == "recipe" else value
         return out
 
     @classmethod
@@ -249,6 +236,21 @@ class Layer:
             raise InputError("layer thickness must be >= 0")
 
 
+def _exposed_indices(layers) -> list:
+    """Indices of the layers a chemistry applied from above can reach, top first.
+
+    Walks down from the top: every patterned layer is reachable through its
+    openings and the walk continues; the first unpatterned layer is reachable
+    on its top face and blocks everything below it.
+    """
+    out = []
+    for i in range(len(layers) - 1, -1, -1):
+        out.append(i)
+        if not layers[i].patterned:
+            break
+    return out
+
+
 @dataclass(frozen=True)
 class StackState:
     """Layer stack after one step.  ``layers[0]`` is always the substrate.
@@ -269,18 +271,8 @@ class StackState:
 
     @property
     def exposed_materials(self) -> frozenset:
-        """Materials a chemistry applied from above can reach.
-
-        Walks down from the top: every patterned layer is reachable through
-        its openings and the walk continues; the first unpatterned layer is
-        reachable on its top face and blocks everything below it.
-        """
-        out = []
-        for layer in reversed(self.layers):
-            out.append(layer.material)
-            if not layer.patterned:
-                break
-        return frozenset(out)
+        """Materials a chemistry applied from above can reach."""
+        return frozenset(self.layers[i].material for i in _exposed_indices(self.layers))
 
     @property
     def materials(self) -> tuple:
@@ -512,16 +504,6 @@ def _erode_masks(layers, top_index, process, rates, duration_s, notes):
         notes.append("mask stack fully consumed before end of etch")
 
 
-def _exposed_indices(layers) -> list:
-    """Indices reachable from the top, mirroring StackState.exposed_materials."""
-    out = []
-    for i in range(len(layers) - 1, -1, -1):
-        out.append(i)
-        if not layers[i].patterned:
-            break
-    return out
-
-
 def _apply_etch(layers, step, rates, notes):
     target = step.material
     if not target:
@@ -667,116 +649,66 @@ def simulate_stack(flow, rates: RateTable | None = None) -> list:
     return states
 
 
-# Rule registry: code -> (severity, chemistry class, watched material).  The
-# check functions below consult the registry so adding a rule of an existing
-# shape needs no engine change.
+# Rule registry: code -> (severity, chemistry class, watched material; the
+# over-ash rule watches the set of resists).  check_flow reads all three from
+# here: a rule is evaluated only at steps of its chemistry class, it looks for
+# its watched material, and its violations carry its severity.
 RULE_REGISTRY = {
     "DEVELOPER_ATTACKS_AL": ("error", "developer", "Al"),
     "HF_ATTACKS_TI": ("error", "hf", "Ti"),
     "POST_CL_RINSE": ("error", "chlorine", "Al"),
     "AL_OXIDATION": ("warning", "oxygen", "Al"),
-    "OVERASH_BEFORE_WET": ("warning", "oxygen", "resist"),
+    "OVERASH_BEFORE_WET": ("warning", "oxygen", RESIST_MATERIALS),
 }
 
 
-def _exposure_rule(code, step, index, exposed_union, extra_ok=lambda s: True):
-    severity, chem_class, material = RULE_REGISTRY[code]
-    if step.chemistry_class != chem_class or not extra_ok(step):
-        return None
-    if material not in exposed_union:
-        return None
-    return Violation(
-        code,
-        index,
-        f"{step.chemistry or step.kind} reaches exposed {material}",
-        severity,
-    )
+def check_flow(flow, rates: RateTable | None = None) -> FlowReport:
+    """Simulate a flow, then evaluate every registered rule at every step.
+
+    Violations are data, ordered by (step index, code); none means the flow
+    is chemically clean.  Exposure rules consider the union of the stack's
+    exposed materials before and after the step, so a step that itself
+    uncovers the watched material is still caught.
+    """
+    flow = tuple(flow)
+    states = simulate_stack(flow, rates)
+    violations = []
+    for i, step in enumerate(flow):
+        before = states[i - 1].exposed_materials if i else frozenset()
+        exposed = before | states[i].exposed_materials
+        for code, (severity, chemistry, watched) in RULE_REGISTRY.items():
+            if step.chemistry_class != chemistry:
+                continue
+            if code == "POST_CL_RINSE":
+                hit = (step.material == watched and i + 1 < len(flow)
+                       and flow[i + 1].chemistry_class != "rinse")
+                message = (f"{chemistry} etch of {watched} must be followed immediately"
+                           " by a DI rinse")
+            elif code == "OVERASH_BEFORE_WET":
+                burnt = sorted({l.material for l in states[i - 1].layers if l.material in watched}
+                               - set(states[i].materials))
+                hit = step.kind == "strip_ash" and burnt and any(
+                    later.kind == "strip_wet" and later.chemistry_class == "remover"
+                    for later in flow[i + 1:])
+                message = (f"O2 ash fully removes {', '.join(burnt)};"
+                           " burnt residues will survive the later wet strip")
+            elif code == "AL_OXIDATION":
+                hit = watched in exposed
+                message = f"O2 plasma with {watched} exposed oxidizes the electrode surface"
+            else:  # the chemistry reaches the exposed material; the anhydrous
+                # vapor etch spares the adhesion metal under the bottom electrode
+                hit = watched in exposed and not (code == "HF_ATTACKS_TI"
+                                                  and step.kind == "etch_vapor")
+                message = f"{step.chemistry or step.kind} reaches exposed {watched}"
+            if hit:
+                violations.append(Violation(code, i, message, severity))
+    violations.sort(key=lambda v: (v.step_index, v.code))
+    return FlowReport(tuple(violations), tuple(states))
 
 
 def check_compatibility(flow, rates: RateTable | None = None) -> list:
-    """Evaluate every registered rule at every step of ``flow``.
-
-    Violations are data, ordered by (step index, code); an empty list means
-    the flow is chemically clean.  Exposure-based rules consider the union of
-    the stack's exposed materials before and after the step, so a step that
-    itself uncovers the sensitive material is still caught.
-    """
-    flow = tuple(flow)
-    return _rule_violations(flow, simulate_stack(flow, rates))
-
-
-def _rule_violations(flow: tuple, states: list) -> list:
-    """check_compatibility on a flow whose stack states are already simulated."""
-    violations = []
-    for i, step in enumerate(flow):
-        pre = states[i - 1].exposed_materials if i > 0 else frozenset()
-        post = states[i].exposed_materials
-        union = pre | post
-
-        v = _exposure_rule("DEVELOPER_ATTACKS_AL", step, i, union)
-        if v:
-            violations.append(v)
-
-        # Anhydrous vapor HF does not attack Ti under the bottom electrode.
-        v = _exposure_rule(
-            "HF_ATTACKS_TI", step, i, union, lambda s: s.kind != "etch_vapor"
-        )
-        if v:
-            violations.append(v)
-
-        v = _exposure_rule("AL_OXIDATION", step, i, union)
-        if v:
-            violations.append(
-                replace(v, message="O2 plasma with Al exposed oxidizes the electrode surface")
-            )
-
-        if (
-            step.chemistry_class == "chlorine"
-            and step.material == "Al"
-            and i + 1 < len(flow)
-            and flow[i + 1].chemistry_class != "rinse"
-        ):
-            violations.append(
-                Violation(
-                    "POST_CL_RINSE",
-                    i,
-                    "chlorine etch of Al must be followed immediately by a DI rinse",
-                    "error",
-                )
-            )
-
-        if step.kind == "strip_ash" and step.chemistry_class == "oxygen":
-            before = {
-                l.material for l in states[i - 1].layers if l.material in RESIST_MATERIALS
-            }
-            after = {
-                l.material for l in states[i].layers if l.material in RESIST_MATERIALS
-            }
-            burnt = sorted(before - after)
-            wet_later = any(
-                later.kind == "strip_wet" and later.chemistry_class == "remover"
-                for later in flow[i + 1 :]
-            )
-            if burnt and wet_later:
-                violations.append(
-                    Violation(
-                        "OVERASH_BEFORE_WET",
-                        i,
-                        f"O2 ash fully removes {', '.join(burnt)};"
-                        " burnt residues will survive the later wet strip",
-                        "warning",
-                    )
-                )
-
-    violations.sort(key=lambda v: (v.step_index, v.code))
-    return violations
-
-
-def check_flow(flow, rates: RateTable | None = None) -> FlowReport:
-    """Simulate and rule-check a flow in one call."""
-    flow = tuple(flow)
-    states = simulate_stack(flow, rates)
-    return FlowReport(tuple(_rule_violations(flow, states)), tuple(states))
+    """The violations of ``check_flow(flow, rates)``, as a list."""
+    return list(check_flow(flow, rates).violations)
 
 
 def etch_budget(

@@ -9,14 +9,16 @@ noise and a per-design pitch jitter, then maps both to frequency through the
 log sensitivities or, with full_resolve, at each site's own geometry.  Both
 read the memoised dispersion lattice, so a wafer simulates in milliseconds.
 Every random draw comes from a per-site stream spawned from one master seed:
-results are bit-reproducible and sites can be evaluated in any order.
+results are bit-reproducible and sites can be evaluated in any order.  Each
+mode's q_r and k_eff_sq come from the model's mode_quality, which has no
+default here: the packaged config is the one home of those values.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import add
 from typing import TYPE_CHECKING
@@ -47,14 +49,6 @@ __all__ = [
     "sites_to_dict",
     "sites_from_dict",
 ]
-
-# Flat fallback when a variation model does not override per-mode quality.
-_DEFAULT_MODE_QUALITY = {
-    "A0": {"q_r": 700.0, "k_eff_sq": 0.008},
-    "S0": {"q_r": 300.0, "k_eff_sq": 0.07},
-    "A1": {"q_r": 250.0, "k_eff_sq": 0.04},
-    "S1": {"q_r": 250.0, "k_eff_sq": 0.05},
-}
 
 
 def _sum(x) -> float:
@@ -122,8 +116,9 @@ class VariationModel:
     """Across-wafer variation: quadratic radial thickness profile plus noise.
 
     Local thickness at radius r is center - edge_drop * (r/R)^2 plus Gaussian
-    noise; local pitch is the design pitch plus Gaussian jitter.  mode_quality
-    supplies the (q_r, k_eff_sq) pair reported for each simulated mode.
+    noise (a negative drop thickens the edge); local pitch is the design pitch
+    plus Gaussian jitter.  mode_quality supplies the (q_r, k_eff_sq) pair
+    reported for each simulated mode; the packaged config holds the defaults.
     """
 
     thickness_center_m: float
@@ -131,15 +126,13 @@ class VariationModel:
     thickness_noise_sigma_m: float
     pitch_sigma_m: float
     seed: int
+    mode_quality: dict
     full_resolve: bool = False
-    mode_quality: dict = field(default_factory=lambda: dict(_DEFAULT_MODE_QUALITY))
 
     def __post_init__(self):
         if self.thickness_center_m <= 0.0:
             raise InputError("thickness_center_m must be positive")
-        if self.thickness_edge_drop_m < 0.0:
-            raise InputError("thickness_edge_drop_m must be >= 0")
-        if self.thickness_center_m - self.thickness_edge_drop_m <= 0.0:
+        if not self.thickness_center_m - self.thickness_edge_drop_m > 0.0:
             raise InputError("thickness profile goes non-positive at the wafer edge")
         if self.thickness_noise_sigma_m < 0.0 or self.pitch_sigma_m < 0.0:
             raise InputError("noise sigmas must be >= 0")
@@ -246,22 +239,6 @@ class DeviationReport:
             if r.mode == mode and math.isclose(r.pitch_m, pitch_m, rel_tol=1e-9):
                 return r
         raise KeyError(f"no group ({mode}, {pitch_m})")
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "mode": r.mode,
-                    "pitch_m": r.pitch_m,
-                    "mean_f_hz": r.mean_f_hz,
-                    "relstd_pct": r.relstd_pct,
-                    "n": r.n,
-                    "excluded": r.excluded,
-                }
-                for r in self.rows
-            ],
-            "warnings": list(self.warnings),
-        }
 
 
 def _usable_groups(sites):

@@ -2,11 +2,12 @@
 
 import math
 import struct
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 
-from lambkit.config import ToolkitConfig
+from lambkit.config import LayerMap, ToolkitConfig
 from lambkit.design import CapacitanceModel, match_finger_count
 from lambkit.errors import (
     CoordinateError,
@@ -427,6 +428,23 @@ def test_reticle_windows_and_mask():
     wy0 = to_dbu(spec.rema_windows[1][1]) * 4
     expect = tuple((x * 4 + wx0, y * 4 + wy0) for x, y in large.vertices)
     assert any(m.vertices == expect for m in mask.polygons)
+
+
+def test_reticle_windows_follow_the_layer_map_field_order():
+    # reversed ids: a window order taken from the ids instead of the fields would flip
+    layers = LayerMap(*reversed(astuple(CFG.layers)))
+    lib = gen_chip([make_design()], CFG.chip, layers)
+    spec, mask_lib = build_reticle(lib, CFG.chip, layers, CFG.reticle)
+    assert len(spec.rema_windows) == len(fields(LayerMap))
+    by_layer = {}
+    for poly in mask_lib["RETICLE"].polygons:
+        by_layer.setdefault(poly.layer, []).append(poly)
+    assert len(by_layer) == 4  # one design uses one of the two IDT layers
+    for f, (x0, y0, x1, y1) in zip(fields(LayerMap), spec.rema_windows):
+        for poly in by_layer.get(getattr(layers, f.name), []):
+            bx0, by0, bx1, by1 = poly.bbox()
+            assert to_dbu(x0) * 4 <= bx0 and bx1 <= to_dbu(x1) * 4, f.name
+            assert to_dbu(y0) * 4 <= by0 and by1 <= to_dbu(y1) * 4, f.name
 
 
 def test_reticle_spec_validation():

@@ -1,12 +1,13 @@
 """Tests for process-flow simulation, compatibility rules, and etch budgets."""
 
+import json
 import math
 import re
 from dataclasses import replace
 
 import pytest
 
-from lambkit import processflow
+from lambkit import cli, processflow
 from lambkit.errors import FlowError, InputError, MissingRateError
 from lambkit.processflow import (
     DEFAULT_RATES,
@@ -82,6 +83,17 @@ def test_step_round_trip():
     with pytest.raises(InputError):
         ProcessStep.from_dict({"kind": "deposit", "material": "Al", "thick": 1})
 
+
+
+def test_step_to_dict_writes_the_fields_that_differ_from_their_defaults():
+    assert ProcessStep(kind="expose").to_dict() == {"kind": "expose"}
+    step = ProcessStep(kind="strip_ash", chemistry="O2", temperature_c=0.0, duration_s=60.0,
+                       repeats=1, pulses=0)
+    assert list(step.to_dict().items()) == [
+        ("kind", "strip_ash"), ("chemistry", "O2"), ("temperature_c", 0.0), ("duration_s", 60.0)]
+    mill = ProcessStep(kind="etch_ibe", material="AlScN", recipe=((10, 60),), repeats=3)
+    assert mill.to_dict() == {"kind": "etch_ibe", "material": "AlScN",
+                              "recipe": [[10.0, 60.0]], "repeats": 3}
 
 
 @pytest.mark.parametrize("field, value, json_path", [
@@ -455,6 +467,36 @@ def test_mutation_overash_before_wet_strip():
     hit = [v for v in check_compatibility(mutated) if v.code == "OVERASH_BEFORE_WET"]
     assert [v.step_index for v in hit] == [i]
     assert hit[0].severity == "warning"
+
+
+def missing_rinse(golden):
+    rinse = find_step(golden, kind="strip_wet", chemistry="DI water")
+    return golden[:rinse] + golden[rinse + 1 :]
+
+
+def overash(golden):
+    i = find_step(golden, kind="strip_ash", temperature_c=120.0, duration_s=60.0)
+    return mutate(golden, i, chemistry="O2", temperature_c=250.0)
+
+
+@pytest.mark.parametrize("code, mutation", [("POST_CL_RINSE", missing_rinse),
+                                            ("OVERASH_BEFORE_WET", overash)])
+def test_severity_comes_from_the_registry(tmp_path, monkeypatch, capsys, code, mutation):
+    golden = packaged_flow("alscn-aln-adhesion")
+    flow = mutation(golden)
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(steps_to_dict(flow)))
+    severity = processflow.RULE_REGISTRY[code][0]
+    other = {"error": "warning", "warning": "error"}[severity]
+    errors = check_flow(flow).error_count
+    monkeypatch.setitem(processflow.RULE_REGISTRY, code,
+                        (other, *processflow.RULE_REGISTRY[code][1:]))
+    report = check_flow(flow)
+    assert [v.severity for v in report.violations if v.code == code] == [other]
+    assert report.error_count == errors + (1 if other == "error" else -1)
+    assert cli.main(["flow-check", str(path)]) == (
+        cli.EXIT_FLOW_ERRORS if report.error_count else cli.EXIT_OK)
+    assert f"{other} {code}" in capsys.readouterr().out
 
 
 def test_rule_evaluation_monotone_under_append():

@@ -134,6 +134,23 @@ def test_variation_model_validation():
         model(mode_quality={})
 
 
+def test_negative_edge_drop_thickens_the_edge():
+    # the rule is center - drop > 0, the same as the config's
+    m = model(thickness_edge_drop_m=-1e-8)
+    assert m.thickness_at(1.0, 1.0) == pytest.approx(4.3e-7)
+    with pytest.raises(InputError, match="non-positive at the wafer edge"):
+        model(thickness_edge_drop_m=4.2e-7)
+
+
+def test_mode_quality_has_no_default():
+    # the packaged config is the one home of the per-mode defaults
+    kwargs = dict(thickness_center_m=4.2e-7, thickness_edge_drop_m=0.0,
+                  thickness_noise_sigma_m=0.0, pitch_sigma_m=0.0, seed=1)
+    with pytest.raises(TypeError, match="mode_quality"):
+        VariationModel(**kwargs)
+    assert VariationModel.from_config(CFG).mode_quality == CFG.variation.mode_quality
+
+
 def test_variation_model_from_config():
     m = VariationModel.from_config(CFG)
     assert m.seed == CFG.seed
