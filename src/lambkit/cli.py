@@ -15,7 +15,11 @@ stable exit-code registry:
    70  internal error (a bug: any other exception)
 
 Subcommands import what they run in their own bodies, so --help, stats and
-flow-check load no numpy and no command loads scipy.
+flow-check load no numpy and no command loads scipy.  main() pins OpenBLAS to
+one thread before a command imports numpy: starting its thread pool costs
+about 70 ms of each command, and the largest BLAS call here is a 14-column
+normal matrix.  An OPENBLAS_NUM_THREADS the user set wins, and a caller that
+has already loaded numpy keeps its environment as it is.
 """
 
 import argparse
@@ -86,6 +90,9 @@ def _parse_pitches(text: str) -> tuple:
         raise InputError("pitch list is empty")
     if any(v <= 0 or not math.isfinite(v) for v in vals):
         raise InputError("pitches must be positive and finite")
+    for i, v in enumerate(vals):
+        if v in vals[:i]:  # each die would be counted twice in the statistics
+            raise InputError(f"pitch {v:g} is given twice")
     return tuple(vals)
 
 
@@ -93,9 +100,11 @@ def _parse_modes(text: str) -> tuple:
     modes = tuple(m.strip() for m in text.split(",") if m.strip())
     if not modes:
         raise InputError("at least one mode is required")
-    for mode in modes:
+    for i, mode in enumerate(modes):
         if mode not in MODE_NAMES:
             raise InputError(f"unknown mode {mode!r} (known: {MODE_NAMES})")
+        if mode in modes[:i]:
+            raise InputError(f"mode {mode} is given twice")
     return modes
 
 
@@ -490,6 +499,8 @@ def _exit_code(exc: LambkitError) -> int:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:  # the variable is read once, as numpy loads
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

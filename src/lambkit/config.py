@@ -372,6 +372,8 @@ def load_catalog(path=None) -> dict:
     for i, p in enumerate(pitches):
         if not (is_json_number(p) and p > 0):
             raise ConfigError(f"catalog pitches_m[{i}] must be a positive finite number, got {shown(p)}")
-    if sorted(pitches) != pitches:
-        raise ConfigError("catalog pitches_m must be sorted ascending")
+    for i in range(1, len(pitches)):
+        if not pitches[i] > pitches[i - 1]:
+            raise ConfigError(f"catalog pitches_m must be strictly ascending, but "
+                              f"pitches_m[{i}] = {shown(pitches[i])} follows {shown(pitches[i - 1])}")
     return raw

@@ -14,6 +14,7 @@ simply stop blocking the layers below them.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 
@@ -93,6 +94,16 @@ _SEC_PER_MIN = 60.0
 # matters: fluorocarbon tokens are tested before the bare "hf" substring so
 # "CHF3" does not read as hydrofluoric acid.
 _FLUOROCARBON_TOKENS = ("c4f8", "cf4", "chf3", "sf6", "nf3")
+# A lower-cased formula token: element symbols, each with an optional count.
+# No symbol here starts with "l", so a "cl" in such a token is chlorine.
+_FORMULA_TOKEN = re.compile(r"(?:(?:al|ar|br|b|cl|c|f|he|h|n|o|si|s|ti)\d*)+")
+
+
+def _names_chlorine(s: str) -> bool:
+    """Whether lower-cased text names Cl in a formula (cl2, bcl3, hcl) or
+    the word chlorine; "clean" and "cycle" do not."""
+    return any(tok == "chlorine" or ("cl" in tok and _FORMULA_TOKEN.fullmatch(tok))
+               for tok in re.split(r"[^a-z0-9]+", s))
 
 
 def classify_chemistry(chemistry: str) -> str:
@@ -114,7 +125,7 @@ def classify_chemistry(chemistry: str) -> str:
         return "fluorine"
     if "hf" in s:
         return "hf"
-    if "cl" in s:
+    if _names_chlorine(s):
         return "chlorine"
     if "forming" in s or ("n2" in s and "h2" in s):
         return "forming_gas"

@@ -130,6 +130,8 @@ class VariationModel:
     full_resolve: bool = False
 
     def __post_init__(self):
+        if self.seed < 0:  # the config schema's rule, for a --seed override too
+            raise InputError(f"seed must be >= 0, got {shown(self.seed)}")
         if self.thickness_center_m <= 0.0:
             raise InputError("thickness_center_m must be positive")
         if not self.thickness_center_m - self.thickness_edge_drop_m > 0.0:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import hashlib
 import importlib
 import json
 import math
@@ -99,18 +100,24 @@ def test_disperse_inverted_range_usage(tmp_path):
     assert code == 2
 
 
-def run_python(*args, timeout=120):
-    """Run a fresh interpreter with lambkit importable."""
+def run_python(*args, timeout=120, env=None):
+    """Run a fresh interpreter with lambkit importable.  ``env`` sets
+    variables on top of this process's environment; a None value unsets one."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    full = dict(os.environ, PYTHONPATH=src)
+    for name, value in (env or {}).items():
+        if value is None:
+            full.pop(name, None)
+        else:
+            full[name] = value
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout,
+        [sys.executable, *args], capture_output=True, text=True, env=full, timeout=timeout,
     )
 
 
-def run_cli(*argv, timeout=120):
+def run_cli(*argv, timeout=120, env=None):
     """Run the CLI in a fresh process, so a traceback would show on stderr."""
-    return run_python("-m", "lambkit.cli", *argv, timeout=timeout)
+    return run_python("-m", "lambkit.cli", *argv, timeout=timeout, env=env)
 
 
 def test_disperse_huge_points_is_usage_error(tmp_path):
@@ -493,6 +500,30 @@ def test_simulate_wafer_edge_drop_rule(tmp_path, drop, code, stderr):
     assert (out / "sites.json").exists() == (code == cli.EXIT_OK)
 
 
+def test_negative_seed_is_usage_error(tmp_path):
+    # the config schema's seed >= 0 rule holds for the --seed override too
+    proc = run_cli("simulate-wafer", "--seed", "-1", "--pitches", "2e-6", "--out", str(tmp_path))
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_USAGE, "error: seed must be >= 0, got -1\n")
+    assert not (tmp_path / "sites.json").exists()
+
+
+@pytest.mark.parametrize("argv, catalog, stderr", [
+    (["simulate-wafer", "--pitches", "2e-6,3e-6,2.0e-6"], None, "error: pitch 2e-06 is given twice\n"),
+    (["simulate-wafer"], [2e-6, 2e-6], "error: catalog pitches_m must be strictly ascending, "
+                                       "but pitches_m[1] = 2e-06 follows 2e-06\n"),
+    (["disperse", "--modes", "S0,A0,S0"], None, "error: mode S0 is given twice\n"),
+])
+def test_repeated_pitch_or_mode_is_usage_error(tmp_path, argv, catalog, stderr):
+    # a repeated pitch would count each die twice in the deviation statistics
+    if catalog is not None:
+        (tmp_path / "catalog.json").write_text(json.dumps({"pitches_m": catalog}))
+        argv = [*argv, "--catalog", str(tmp_path / "catalog.json")]
+    out = tmp_path / "out"
+    proc = run_cli(*argv, "--out", str(out))
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_USAGE, stderr)
+    assert not out.exists()
+
+
 def test_stats_reproduces_simulation_report(tmp_path, capsys):
     sim = tmp_path / "sim"
     assert cli.main(
@@ -813,3 +844,94 @@ def test_fit_loads_no_scipy(tmp_path):
     modules = loaded_by("fit", dut, *cal, "--out", str(tmp_path), "--quiet")
     assert "scipy" not in modules
     assert (tmp_path / "dut_metrics.json").exists()
+
+
+# ----------------------------------------------------------- BLAS threads
+
+# What a fresh interpreter holds once main(argv) returns.
+BLAS_PROBE = (
+    "import json, os, sys\n"
+    "from lambkit import cli\n"
+    "rc = cli.main(sys.argv[1:])\n"
+    "task = '/proc/self/task'\n"
+    "threads = len(os.listdir(task)) if os.path.isdir(task) else None\n"
+    "print(json.dumps([rc, 'numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'),"
+    " threads]))\n"
+)
+
+
+def blas_probe(tmp_path, preset):
+    proc = run_python("-c", BLAS_PROBE, "design", "--pitches", "2e-6", "--out", str(tmp_path),
+                      "--quiet", env={"OPENBLAS_NUM_THREADS": preset})
+    rc, numpy_loaded, value, threads = json.loads(proc.stdout.splitlines()[-1])
+    assert (rc, numpy_loaded) == (cli.EXIT_OK, True), proc.stderr
+    return value, threads
+
+
+def test_numpy_command_runs_blas_on_one_thread(tmp_path):
+    value, threads = blas_probe(tmp_path, None)
+    assert value == "1"
+    if threads is None:
+        pytest.skip("no /proc/self/task to count threads in")
+    assert threads == 1
+
+
+def test_users_blas_thread_count_wins(tmp_path):
+    assert blas_probe(tmp_path, "2")[0] == "2"
+
+
+def test_in_process_main_with_numpy_loaded_leaves_environ_alone(tmp_path, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    assert "numpy" in sys.modules
+    assert cli.main(["design", "--pitches", "2e-6", "--out", str(tmp_path), "--quiet"]) == 0
+    assert dict(os.environ) == before
+
+
+def three_branch_osl_files(tmp_path):
+    """A raw 1601-point three-branch DUT and its measured short, open and
+    load, through a fixed cabled error box, with 0.5 % complex noise.  The
+    branches sit over 8 % apart, as in criterion 1."""
+    f = np.linspace(0.6e9, 3.4e9, 1601)
+    rng = np.random.default_rng(1601)
+    c_0 = 1e-12
+    branches = []
+    for f_r, k2, q in ((1.0e9, 0.05, 250.0), (1.6e9, 0.02, 300.0), (2.4e9, 0.01, 400.0)):
+        c_m = k2 / (1 - k2) * c_0
+        w = 2 * math.pi * f_r
+        branches.append(MotionalBranch(r_m=1.0 / (w * c_m * q) - 1.5, l_m=1.0 / (w * w * c_m),
+                                       c_m=c_m))
+    model = MbvdModel(static_net=StaticNetwork(c_0=c_0, r_0=0.0, r_s=1.5),
+                      branches=tuple(branches))
+    y = model.admittance(f) * (1.0 + 0.005 / math.sqrt(2) * (
+        rng.standard_normal(f.size) + 1j * rng.standard_normal(f.size)))
+    e00 = 0.04 * np.exp(1j * (0.3 - 2 * math.pi * f * 0.3e-9))
+    e11 = 0.06 * np.exp(1j * (1.1 - 2 * math.pi * f * 0.2e-9))
+    e10e01 = 0.85 * np.exp(-2j * math.pi * f * 1.2e-9)
+
+    def measured(gamma):
+        return e00 + e10e01 * gamma / (1.0 - e11 * gamma)
+
+    cal = []
+    for flag, gamma in (("--cal-short", -1.0), ("--cal-open", 1.0), ("--cal-load", 0.0)):
+        path = write_s1p(tmp_path / f"{flag[6:]}.s1p", f, measured(np.full(f.size, gamma + 0j)))
+        cal += [flag, path]
+    return [write_s1p(tmp_path / "dut3.s1p", f, measured(y_to_s11(y))), *cal]
+
+
+def output_digests(out):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("command", ["fit", "simulate-wafer"])
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, command):
+    argv = (["fit", *three_branch_osl_files(tmp_path), "--branches", "3"] if command == "fit"
+            else ["simulate-wafer", "--seed", "7"])
+    digests = []
+    for preset in (None, "2"):  # pinned by main(), and the user's own two threads
+        out = tmp_path / f"out-{preset or 'pinned'}"
+        proc = run_cli(*argv, "--out", str(out), env={"OPENBLAS_NUM_THREADS": preset})
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        digests.append((proc.stdout, output_digests(out)))
+    assert digests[0] == digests[1]
+    assert len(digests[0][1]) == (2 if command == "fit" else 3)

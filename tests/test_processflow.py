@@ -129,9 +129,20 @@ def test_classify_chemistry():
         "XeF2": "xef2",
         "Ar": "other",
         "": "",
+        # Cl only as an element of a formula token, or the word chlorine
+        "HCl": "chlorine",
+        "hcl": "chlorine",
+        "bcl3": "chlorine",
+        "cl2": "chlorine",
+        "SiCl4": "chlorine",
+        "Chlorine plasma": "chlorine",
+        "DI water clean": "rinse",
+        "O2 descum cycle": "oxygen",
+        "cyclic O2 ash": "oxygen",
     }
     for chem, want in cases.items():
         assert classify_chemistry(chem) == want, chem
+    assert classify_chemistry("H2O2 clean") != "chlorine"
 
 
 def test_ibe_recipe_beam_time():
