@@ -251,8 +251,8 @@ def _load_cal_files(args):
     return OslCalibration(*map(_read_s1p, given))
 
 
-def _overlay_rows(frequencies, y_measured, y_model) -> list:
-    """Overlay CSV lines: frequency, measured |Y| and model |Y|."""
+def _overlay_csv(frequencies, y_measured, y_model) -> str:
+    """Overlay CSV text: frequency, measured |Y| and model |Y|."""
     import numpy as np
 
     # np.hypot gives the same doubles as scalar abs() of a complex; np.abs does not
@@ -260,10 +260,10 @@ def _overlay_rows(frequencies, y_measured, y_model) -> list:
                np.hypot(y_model.real, y_model.imag))
     flat = np.column_stack(columns).ravel().tolist()
     body = "%.9e,%.9e,%.9e\n" * len(frequencies) % tuple(flat)
-    return ["f_hz,y_abs_measured,y_abs_model", *body.splitlines()]
+    return "f_hz,y_abs_measured,y_abs_model\n" + body
 
 
-def _fit_one(path: str, args, out: str, cal) -> None:
+def _fit_one(path: str, stem: str, args, out: str, cal) -> None:
     from .mbvd import fit_mbvd, resonance_metrics
     from .touchstone import touchstone_to_trace
 
@@ -275,7 +275,6 @@ def _fit_one(path: str, args, out: str, cal) -> None:
     metrics = [
         resonance_metrics(result.model, i) for i in range(args.branches)
     ]
-    stem = os.path.splitext(os.path.basename(path))[0]
     doc = {
         "source": os.path.basename(path),
         "n_branches": args.branches,
@@ -285,8 +284,8 @@ def _fit_one(path: str, args, out: str, cal) -> None:
     }
     _write_json(os.path.join(out, f"{stem}_metrics.json"), doc)
     y_model = result.model.admittance(trace.frequencies)
-    rows = _overlay_rows(trace.frequencies, trace.admittance, y_model)
-    _write_lines(os.path.join(out, f"{stem}_overlay.csv"), rows)
+    with open(os.path.join(out, f"{stem}_overlay.csv"), "w", encoding="utf-8") as fh:
+        fh.write(_overlay_csv(trace.frequencies, trace.admittance, y_model))
     for i, m in enumerate(metrics):
         _say(
             args,
@@ -298,12 +297,18 @@ def _fit_one(path: str, args, out: str, cal) -> None:
 def cmd_fit(args) -> int:
     if args.branches < 0:
         raise InputError("--branches must be >= 0")
+    stems = [os.path.splitext(os.path.basename(path))[0] for path in args.files]
+    first = {}
+    for path, stem in zip(args.files, stems):
+        if stem in first:  # the second fit would overwrite the first one's outputs
+            raise InputError(f"{first[stem]} and {path} share the output stem {stem!r}")
+        first[stem] = path
     cal = _load_cal_files(args)
     out = _out_dir(args)
     failures = []
-    for path in args.files:
+    for path, stem in zip(args.files, stems):
         try:
-            _fit_one(path, args, out, cal)
+            _fit_one(path, stem, args, out, cal)
         except (LambkitError, ValueError, OSError) as exc:
             failures.append((os.path.basename(path), str(exc)))
     for name, why in failures:

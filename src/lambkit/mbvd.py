@@ -276,6 +276,15 @@ def _sliding_median(values: np.ndarray, window: int) -> np.ndarray:
     return np.partition(windows, half, axis=1)[:, half]
 
 
+def _median(values: np.ndarray):
+    """np.median of a 1-d array to the bit, without the numpy.ma it imports."""
+    half = values.size // 2
+    part = np.partition(values, (half - 1, half, -1))
+    if np.isnan(part[-1]):  # NaN sorts last
+        return part[-1]
+    return part[half - 1 + values.size % 2 : half + 1].mean()
+
+
 def _find_peaks(values: np.ndarray, n: int, window: int):
     """Indices of the n largest interior local maxima of the median-filtered
     values; ties break toward lower frequency."""
@@ -294,12 +303,12 @@ def _initial_model(trace: AdmittanceTrace, n_branches: int, options: FitOptions)
     y = trace.admittance
     w = 2.0 * math.pi * f
     # Off resonance Im(Y)/w ~ c_0; the median rides out the resonant swings.
-    c0 = float(np.median(y.imag / w))
+    c0 = float(_median(y.imag / w))
     if not c0 > 0:
         c0 = float(np.abs(y[0]) / w[0])
     # Off resonance Re(1/Y) ~ r_s (r_0 = 0).
     with np.errstate(divide="ignore", invalid="ignore"):
-        rs = float(np.median((1.0 / y).real))
+        rs = float(_median((1.0 / y).real))
     if not math.isfinite(rs) or rs <= 0:
         rs = 1e-6
     rs = max(rs, 1e-6)
@@ -358,33 +367,37 @@ def _param_names(n_branches, fit_r0):
     return names
 
 
-def _residual_jacobian(theta, jw, y, absy, fit_r0):
-    """Residual (Y_model - y)/|y| and its Jacobian in the log-parameters, both
-    with real parts stacked over imaginary parts.
-
-    With Y = 1/(r_s + 1/Y_inner) and Y_inner = Y_static + sum Y_b, the chain
-    rule needs only dY/dY_inner = (Y/Y_inner)^2, dY/dr_s = -Y^2 and
-    dY_x/dp = -Y_x^2 dZ_x/dp for each impedance Z_x = 1/Y_x.
+def _residual_jacobian(theta, jw, inv_jw, y, inv_absy, fit_r0):
+    """Residual (Y_model - y)/|y| and its Jacobian in the log-parameters, as
+    float views that interleave each sample's real and imaginary part: (2n,)
+    and (2n, p).  With Y = 1/(r_s + Z_inner), Z_inner = 1/(Y_static + sum Y_b),
+    the chain rule needs dY/dY_inner = (Y Z_inner)^2, dY/d ln r_s = -Y^2 r_s
+    and dY_x/d ln p = -Y_x^2 dZ_x/d ln p, which is r, jwl and -1/(jwc) for a
+    resistance, inductance and capacitance.  Given 1/jw and 1/|y|, one complex
+    reciprocal per branch and two for the outer network make an evaluation.
     """
     c0, rs, r0, branch_vals = _split(theta, fit_r0)
-    ys = 1.0 / (r0 + 1.0 / (jw * c0))
-    y_inner = ys
-    y_b = []
-    for rm, lm, cm in branch_vals:
-        y_b.append(1.0 / (rm + jw * lm + 1.0 / (jw * cm)))
-        y_inner = y_inner + y_b[-1]
-    y_model = 1.0 / (rs + 1.0 / y_inner)
-    g = (y_model / y_inner) ** 2 / absy
+    z_c0 = inv_jw * (1.0 / c0)
+    ys = 1.0 / (r0 + z_c0)
+    z_b = [(rm, jw * lm, inv_jw * (1.0 / cm)) for rm, lm, cm in branch_vals]
+    y_b = [1.0 / (rm + z_l + z_c) for rm, z_l, z_c in z_b]
+    z_inner = 1.0 / sum(y_b, ys)
+    y_model = 1.0 / (rs + z_inner)
+    yy = y_model * y_model * inv_absy
+    g = yy * z_inner * z_inner
+    jac = np.empty((theta.size, y.size), dtype=complex)
     gs = g * ys * ys
-    cols = [gs / (jw * c0), -y_model * y_model * rs / absy]
+    np.multiply(gs, z_c0, out=jac[0])
+    np.multiply(yy, -rs, out=jac[1])
     if fit_r0:
-        cols.append(-gs * r0)
-    for (rm, lm, cm), yb in zip(branch_vals, y_b):
+        np.multiply(gs, -r0, out=jac[2])
+    branch_rows = jac[3 if fit_r0 else 2 :].reshape(-1, 3, y.size)
+    for (rm, z_l, z_c), yb, rows in zip(z_b, y_b, branch_rows):
         gb = g * yb * yb
-        cols.extend([-gb * rm, -gb * jw * lm, gb / (jw * cm)])
-    d = (y_model - y) / absy
-    jac = np.stack(cols, axis=1)
-    return np.concatenate([d.real, d.imag]), np.concatenate([jac.real, jac.imag])
+        np.multiply(gb, -rm, out=rows[0])
+        np.multiply(gb, -z_l, out=rows[1])
+        np.multiply(gb, z_c, out=rows[2])
+    return ((y_model - y) * inv_absy).view(float), jac.view(float).T
 
 
 def _levenberg_marquardt(fun_jac, x0, xtol, ftol, max_nfev):
@@ -462,9 +475,10 @@ def fit_mbvd(
     absy = np.abs(y)
     if np.any(absy == 0):
         raise InputError("zero-magnitude admittance sample cannot be weighted")
+    inv_jw, inv_absy = 1.0 / jw, 1.0 / absy
 
     x, fun, jac, nfev, njev, status = _levenberg_marquardt(
-        lambda theta: _residual_jacobian(theta, jw, y, absy, options.fit_r0),
+        lambda theta: _residual_jacobian(theta, jw, inv_jw, y, inv_absy, options.fit_r0),
         theta0,
         xtol=options.step_tol,
         ftol=1e-14,

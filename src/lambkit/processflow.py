@@ -99,11 +99,11 @@ _FLUOROCARBON_TOKENS = ("c4f8", "cf4", "chf3", "sf6", "nf3")
 _FORMULA_TOKEN = re.compile(r"(?:(?:al|ar|br|b|cl|c|f|he|h|n|o|si|s|ti)\d*)+")
 
 
-def _names_chlorine(s: str) -> bool:
-    """Whether lower-cased text names Cl in a formula (cl2, bcl3, hcl) or
+def _names_chlorine(tokens: list) -> bool:
+    """Whether lower-cased tokens name Cl in a formula (cl2, bcl3, hcl) or
     the word chlorine; "clean" and "cycle" do not."""
     return any(tok == "chlorine" or ("cl" in tok and _FORMULA_TOKEN.fullmatch(tok))
-               for tok in re.split(r"[^a-z0-9]+", s))
+               for tok in tokens)
 
 
 def classify_chemistry(chemistry: str) -> str:
@@ -125,11 +125,12 @@ def classify_chemistry(chemistry: str) -> str:
         return "fluorine"
     if "hf" in s:
         return "hf"
-    if _names_chlorine(s):
+    tokens = re.split(r"[^a-z0-9]+", s)
+    if _names_chlorine(tokens):
         return "chlorine"
     if "forming" in s or ("n2" in s and "h2" in s):
         return "forming_gas"
-    if "o2" in s or "oxygen" in s:
+    if "o2" in tokens or "oxygen" in tokens:  # O2 itself, not H2O2, CO2 or H2SO4
         return "oxygen"
     if "rinse" in s or "water" in s or s == "di":
         return "rinse"

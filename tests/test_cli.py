@@ -325,7 +325,7 @@ def test_overlay_rows_match_scalar_abs():
         want = ["f_hz,y_abs_measured,y_abs_model"] + [
             f"{fi:.9e},{abs(a):.9e},{abs(b):.9e}" for fi, a, b in zip(f, *y)
         ]
-        assert cli._overlay_rows(f, *y) == want
+        assert cli._overlay_csv(f, *y) == "".join(line + "\n" for line in want)
         # the doubles agree too, not only their 10-digit renderings
         assert np.hypot(y[0].real, y[0].imag).tolist() == [abs(v) for v in y[0]]
 
@@ -444,6 +444,19 @@ def test_standard_that_is_not_utf8_is_usage_error(tmp_path, flag):
     proc = run_cli("fit", str(bad), "--quiet", "--out", str(out))
     assert proc.returncode == cli.EXIT_ALL_FITS_FAILED
     assert proc.stderr == "failed bad.s1p: line 1: byte 0xff is not UTF-8\n"
+
+
+def test_fit_inputs_sharing_an_output_stem_are_a_usage_error(tmp_path, capsys):
+    dut, _ = write_dut(tmp_path)
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        shutil.copy(dut, tmp_path / sub / "dut.s1p")
+    out = tmp_path / "out"
+    code = cli.main(["fit", str(tmp_path / "a" / "dut.s1p"), str(tmp_path / "b" / "dut.s1p"),
+                     "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    assert "output stem 'dut'" in capsys.readouterr().err
+    assert not out.exists()  # refused before any file is fitted
 
 
 def test_fit_partial_cal_set_is_usage_error(tmp_path):
@@ -789,16 +802,17 @@ def test_every_traced_name_is_a_module_attribute():
 
 
 def loaded_by(*argv):
-    """Top-level module names loaded once main(argv) returns, in a fresh process."""
+    """Names of the modules, dotted and top-level, loaded once main(argv)
+    returns, in a fresh process."""
     proc = run_python("-c", (
         "import json, sys\n"
         "from lambkit import cli\n"
         "rc = cli.main(sys.argv[1:])\n"
-        "print(json.dumps([rc, sorted({m.split('.')[0] for m in sys.modules})]))\n"
+        "print(json.dumps([rc, sorted(sys.modules)]))\n"
     ), *argv)
     rc, modules = json.loads(proc.stdout.splitlines()[-1])
     assert rc == cli.EXIT_OK, proc.stderr
-    return set(modules)
+    return set(modules) | {m.split(".")[0] for m in modules}
 
 
 def test_import_lambkit_loads_no_numpy():
@@ -836,14 +850,24 @@ def test_dispersion_and_wafer_commands_load_no_scipy(tmp_path):
     assert not modules & {"scipy", "jsonschema"}
 
 
-def test_fit_loads_no_scipy(tmp_path):
+def calibrated_fit_modules(tmp_path):
     dut, f = write_dut(tmp_path)
     cal = []
     for flag, gamma in (("--cal-short", -1), ("--cal-open", 1), ("--cal-load", 0)):
         cal += [flag, write_s1p(tmp_path / f"{flag[6:]}.s1p", f, np.full(f.size, gamma + 0j))]
     modules = loaded_by("fit", dut, *cal, "--out", str(tmp_path), "--quiet")
-    assert "scipy" not in modules
     assert (tmp_path / "dut_metrics.json").exists()
+    return modules
+
+
+def test_fit_loads_no_scipy(tmp_path):
+    assert "scipy" not in calibrated_fit_modules(tmp_path)
+
+
+def test_fit_loads_no_numpy_ma(tmp_path):
+    # np.median imports numpy.ma on its first call; the fit's seed does not
+    modules = calibrated_fit_modules(tmp_path)
+    assert "numpy.linalg" in modules and "numpy.ma" not in modules
 
 
 # ----------------------------------------------------------- BLAS threads

@@ -276,6 +276,21 @@ def test_peak_median_matches_scipy_median_filter():
         assert np.array_equal(sm.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 1600, 1601])
+def test_median_is_numpy_median_to_the_bit(n):
+    rng = np.random.default_rng(n)
+    specials = [math.inf, -math.inf, math.nan, 0.0, -0.0]
+    for trial in range(200):
+        values = rng.standard_normal(n) * 10.0 ** rng.uniform(-12, 3)
+        if trial % 2:
+            values = np.round(values, 1)  # repeated values
+        for _ in range(int(rng.integers(0, 3))):
+            values[rng.integers(n)] = specials[rng.integers(len(specials))]
+        with np.errstate(invalid="ignore"):  # inf - inf in the mean of the middle pair
+            want, got = np.median(values), mbvd._median(values.copy())
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), values
+
+
 @pytest.mark.parametrize("window", [0, -3, 4, 2.0, True, "5"])
 def test_fit_options_rejects_bad_median_window(window):
     with pytest.raises(InputError):
@@ -343,28 +358,36 @@ def _jacobian_case(n_branches, fit_r0, seed):
     return theta, 2j * math.pi * f, y, np.abs(y)
 
 
+def _kernel_args(jw, y, absy):
+    """The per-trace arguments of _residual_jacobian after theta, as fit_mbvd passes them."""
+    return jw, 1.0 / jw, y, 1.0 / absy
+
+
 @pytest.mark.parametrize("fit_r0", [False, True])
 @pytest.mark.parametrize("n_branches", [1, 2, 3, 4])
 def test_analytic_jacobian_matches_central_differences(n_branches, fit_r0):
     theta, jw, y, absy = _jacobian_case(n_branches, fit_r0, 100 * n_branches + fit_r0)
-    fun, jac = mbvd._residual_jacobian(theta, jw, y, absy, fit_r0)
-    assert jac.shape == (fun.size, theta.size)
+    args = _kernel_args(jw, y, absy)
+    fun, jac = mbvd._residual_jacobian(theta, *args, fit_r0)
+    assert fun.shape == (2 * y.size,) and jac.shape == (fun.size, theta.size)
     step = 1e-7
     for i in range(theta.size):
         e = np.zeros_like(theta)
         e[i] = step
-        fd = (mbvd._residual_jacobian(theta + e, jw, y, absy, fit_r0)[0]
-              - mbvd._residual_jacobian(theta - e, jw, y, absy, fit_r0)[0]) / (2.0 * step)
+        fd = (mbvd._residual_jacobian(theta + e, *args, fit_r0)[0]
+              - mbvd._residual_jacobian(theta - e, *args, fit_r0)[0]) / (2.0 * step)
         scale = np.max(np.abs(jac[:, i]))
         assert np.max(np.abs(fd - jac[:, i])) <= 1e-6 * scale, i
 
 
 def test_residual_matches_model_admittance():
     theta, jw, y, absy = _jacobian_case(3, True, 7)
-    fun, _ = mbvd._residual_jacobian(theta, jw, y, absy, True)
+    fun, _ = mbvd._residual_jacobian(theta, *_kernel_args(jw, y, absy), True)
     model = mbvd._unpack(theta, True)
     d = (model.admittance(jw.imag / (2.0 * math.pi)) - y) / absy
-    np.testing.assert_allclose(fun, np.concatenate([d.real, d.imag]), rtol=0, atol=1e-12 * np.max(np.abs(fun)))
+    # the real and imaginary part of each sample side by side
+    want = np.column_stack([d.real, d.imag]).ravel()
+    np.testing.assert_allclose(fun, want, rtol=0, atol=1e-12 * np.max(np.abs(fun)))
 
 
 def _rosenbrock(x):
@@ -427,10 +450,9 @@ def test_levenberg_marquardt_no_worse_than_scipy_on_criterion_1_set():
         n = truth.n_branches
         c0, rs, branches = mbvd._initial_model(trace, n, FitOptions())
         theta0 = mbvd._pack(c0, rs, 1e-3, branches, False)
-        jw = 2j * math.pi * grid
-        absy = np.abs(trace.admittance)
+        args = _kernel_args(2j * math.pi * grid, trace.admittance, np.abs(trace.admittance))
         want = least_squares(
-            lambda th: mbvd._residual_jacobian(th, jw, trace.admittance, absy, False)[0],
+            lambda th: mbvd._residual_jacobian(th, *args, False)[0],
             theta0, method="lm", xtol=1e-10, ftol=1e-14, gtol=1e-14, max_nfev=200 * (3 * n + 3),
         )
         got = fit_mbvd(trace, n)

@@ -139,6 +139,12 @@ def test_classify_chemistry():
         "DI water clean": "rinse",
         "O2 descum cycle": "oxygen",
         "cyclic O2 ash": "oxygen",
+        # oxygen only as O2 itself or the word: peroxide, CO2 and acids hold O2 in a formula
+        "oxygen plasma": "oxygen",
+        "O2/Ar": "oxygen",
+        "H2O2 clean": "other",
+        "Piranha H2SO4/H2O2": "other",
+        "CO2 snow clean": "other",
     }
     for chem, want in cases.items():
         assert classify_chemistry(chem) == want, chem
