@@ -71,9 +71,7 @@ def _write_lines(path: str, lines) -> None:
 
 
 def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_lines(path, [json.dumps(doc, indent=1)])
 
 
 def _parse_pitches(text: str) -> tuple:
@@ -378,7 +376,7 @@ def cmd_stats(args) -> int:
 
 def cmd_simulate_wafer(args) -> int:
     from .config import load_config
-    from .waferstats import VariationModel, simulate_wafer, sites_to_dict
+    from .waferstats import VariationModel, simulate_wafer, sites_json
 
     cfg = load_config(args.config)
     model = VariationModel.from_config(cfg)
@@ -391,7 +389,7 @@ def cmd_simulate_wafer(args) -> int:
     out = _out_dir(args)
     _say(args, f"seed {model.seed}")
     _say(args, f"{len(sites)} site(s), {len(pitches)} design pitch(es)")
-    _write_json(os.path.join(out, "sites.json"), sites_to_dict(sites, seed=model.seed))
+    _write_lines(os.path.join(out, "sites.json"), [sites_json(sites, seed=model.seed)])
     _write_reports(args, out, sites)
     return EXIT_OK
 

@@ -94,16 +94,18 @@ def _mode_family(mode: str) -> str:
 
 
 def _even_sin_cos(x2, hh):
-    """(sin(x*hh)/x, cos(x*hh)) for x = sqrt(x2), both even in x; the
-    hyperbolic branch (x2 < 0) is scaled by exp(-|x|*hh).  Vectorized over x2."""
+    """(sin(x*hh)/x, cos(x*hh)) for x = sqrt(x2), both even in x; the hyperbolic branch
+    (x2 < 0) is scaled by exp(-|x|*hh).  Vectorized over x2, 0-d too: one branch per point."""
     x2 = np.asarray(x2, dtype=float)
-    x = np.sqrt(np.abs(x2))
+    pos, neg, zero = x2 > 0.0, x2 < 0.0, x2 == 0.0
+    sin, cos = np.where(zero, hh, np.nan), np.where(zero, 1.0, np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # sinh(x*hh)/x * exp(-x*hh) = (1 - exp(-2*x*hh)) / (2*x)
-        sin = np.where(x2 > 0.0, np.sin(x * hh) / x, -np.expm1(-2.0 * x * hh) / (2.0 * x))
-    # cosh(x*hh) * exp(-x*hh) = (1 + exp(-2*x*hh)) / 2
-    cos = np.where(x2 >= 0.0, np.cos(x * hh), (1.0 + np.exp(-2.0 * x * hh)) / 2.0)
-    return np.where(x2 == 0.0, hh, sin), cos
+        x = np.sqrt(x2[pos])
+        sin[pos], cos[pos] = np.sin(x * hh) / x, np.cos(x * hh)
+        x = np.sqrt(-x2[neg])  # sinh(x*hh)/x and cosh(x*hh), each times exp(-x*hh)
+        sin[neg] = -np.expm1(-2.0 * x * hh) / (2.0 * x)
+        cos[neg] = (1.0 + np.exp(-2.0 * x * hh)) / 2.0
+    return sin, cos
 
 
 def _residual_terms(w, k: float, plate: PlateSpec, symmetry: str, sin_cos=_even_sin_cos):

@@ -137,6 +137,8 @@ def read_json(path, what: str, error=InputError):
 def is_json_number(value) -> bool:
     """True for an int or float that is finite as a float; False for a bool,
     NaN, the infinities and an int beyond the float range."""
+    if type(value) is float:  # what json.load makes, so tested first
+        return abs(value) <= sys.float_info.max
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
 

@@ -16,6 +16,7 @@ default here: the packaged config is the one home of those values.
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from dataclasses import dataclass
@@ -24,8 +25,8 @@ from operator import add
 from typing import TYPE_CHECKING
 
 from . import MODE_NAMES
-from .errors import (
-    DispersionRangeError, InputError, SolverError, StatisticsError, json_number, json_object, shown)
+from .errors import (DispersionRangeError, InputError, SolverError, StatisticsError,
+                     is_json_number, json_number, json_object, shown)
 
 if TYPE_CHECKING:  # annotations only: stats loads no numpy, config or layout
     from .config import ChipConfig, ToolkitConfig, WaferConfig
@@ -47,6 +48,7 @@ __all__ = [
     "trend_csv_rows",
     "heatmap_csv_rows",
     "sites_to_dict",
+    "sites_json",
     "sites_from_dict",
 ]
 
@@ -525,6 +527,25 @@ def sites_to_dict(sites, seed: int | None = None) -> dict:
     return doc
 
 
+def sites_json(sites, seed: int | None = None) -> str:
+    """sites_to_dict as JSON text, one site per line, each from json.dumps with
+    default settings: the C encoder, and Infinity for a lossless q_r."""
+    doc = sites_to_dict(sites, seed)
+    body = ",\n".join(map(json.dumps, doc.pop("sites")))
+    rest = "".join(f", {json.dumps(key)}: {json.dumps(value)}" for key, value in doc.items())
+    return f'{{"sites": [\n{body}\n]{rest}}}'
+
+
+def _numbers(obj: dict, keys, path: str, default=None) -> list:
+    """obj's values at keys; InputError names path.key of the first non-number (q_r may be inf)."""
+    values = [obj.get(key, default) for key in keys]
+    if not all(map(is_json_number, values)):
+        for key, value in zip(keys, values):
+            if not (key == "q_r" and value == math.inf):
+                json_number(value, f"{path}.{key}")
+    return values
+
+
 def sites_from_dict(doc: dict) -> list:
     """Sites from a wafer map document; InputError names the JSON path of a
     bad value.  Every number must be finite, except a q_r of Infinity: the
@@ -540,26 +561,13 @@ def sites_from_dict(doc: dict) -> list:
             raise InputError(f"{path}.failed_modes must be an array")
         metrics = {}
         for mode, m in json_object(entry.get("metrics", {}), f"{path}.metrics").items():
-            m = json_object(m, f"{path}.metrics.{mode}")
-            metrics[mode] = ModeMetrics(*(
-                m[key] if key == "q_r" and m.get(key) == math.inf
-                else json_number(m.get(key), f"{path}.metrics.{mode}.{key}")
-                for key in ("f_r_hz", "f_a_hz", "q_r", "k_eff_sq")
-            ))
-        site_id = json_number(entry.get("site_id"), f"{path}.site_id")
+            at = f"{path}.metrics.{mode}"
+            values = _numbers(json_object(m, at), ("f_r_hz", "f_a_hz", "q_r", "k_eff_sq"), at)
+            metrics[mode] = ModeMetrics(*values)
+        (site_id,) = _numbers(entry, ("site_id",), path)
         if site_id < 0 or site_id != int(site_id):
             raise InputError(f"{path}.site_id must be a non-negative integer, got {site_id!r}")
-        sites.append(
-            WaferSite(
-                site_id=int(site_id),
-                x_mm=json_number(entry.get("x_mm"), f"{path}.x_mm"),
-                y_mm=json_number(entry.get("y_mm"), f"{path}.y_mm"),
-                pitch_m=json_number(entry.get("pitch_m"), f"{path}.pitch_m"),
-                metrics=metrics,
-                failed_modes=tuple(failed),
-                local_thickness_m=json_number(entry.get("local_thickness_m", 0.0),
-                                              f"{path}.local_thickness_m"),
-                local_pitch_m=json_number(entry.get("local_pitch_m", 0.0), f"{path}.local_pitch_m"),
-            )
-        )
+        x, y, pitch = _numbers(entry, ("x_mm", "y_mm", "pitch_m"), path)
+        local = _numbers(entry, ("local_thickness_m", "local_pitch_m"), path, 0.0)
+        sites.append(WaferSite(int(site_id), x, y, pitch, metrics, tuple(failed), *local))
     return sites

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
@@ -478,9 +479,13 @@ def test_simulate_wafer_echoes_seed_and_writes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "seed 77" in out
     assert "83 site(s)" in out
-    doc = json.loads((tmp_path / "sites.json").read_text())
+    text = (tmp_path / "sites.json").read_text()
+    doc = json.loads(text)
     assert doc["seed"] == 77
     assert len(doc["sites"]) == 83
+    lines = text.splitlines()  # one site per line
+    assert (lines[0], lines[-1], text[-1]) == ('{"sites": [', '], "seed": 77}', "\n")
+    assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] == doc["sites"]
     dev = (tmp_path / "deviation.csv").read_text().splitlines()
     assert dev[0] == "mode,pitch,mean_f_Hz,relstd_pct,n"
     assert len(dev) == 1 + 4  # one row per default mode
@@ -554,6 +559,39 @@ def test_stats_reproduces_simulation_report(tmp_path, capsys):
     heat = (red / "heatmap.csv").read_text().splitlines()
     assert heat[0] == "x_mm,y_mm,f_Hz"
     assert len(heat) == 1 + 83
+
+
+def test_stats_reads_the_indented_sites_layout_to_identical_reports(tmp_path):
+    # sites.json files written one value per line (json.dump indent=1) stay readable
+    sim = tmp_path / "sim"
+    assert cli.main(["simulate-wafer", "--pitches", "2e-6,4.5e-6", "--seed", "424242",
+                     "--quiet", "--out", str(sim)]) == cli.EXIT_OK
+    indented = tmp_path / "indented.json"
+    with open(indented, "w", encoding="utf-8") as fh:
+        json.dump(json.loads((sim / "sites.json").read_text()), fh, indent=1)
+        fh.write("\n")
+    for name, path in (("lines", sim / "sites.json"), ("indented", indented)):
+        assert cli.main(["stats", str(path), "--heatmap", "S0:2e-6", "--quiet",
+                         "--out", str(tmp_path / name)]) == cli.EXIT_OK
+    for report in ("deviation.csv", "trend.csv", "heatmap.csv"):
+        assert (tmp_path / "lines" / report).read_bytes() \
+            == (tmp_path / "indented" / report).read_bytes()
+
+
+def test_json_outputs_are_the_indented_encoder_bytes(tmp_path):
+    # one write of json.dumps(indent=1) gives the bytes json.dump(indent=1) streams
+    def dumped(doc):
+        buf = io.StringIO()
+        json.dump(doc, buf, indent=1)
+        return buf.getvalue() + "\n"
+
+    dut, _ = write_dut(tmp_path)
+    assert cli.main(["fit", dut, "--branches", "1", "--quiet", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "dut_metrics.json").read_text(encoding="utf-8")
+    assert text == dumped(json.loads(text))
+    doc = {"q_r": math.inf, "rows": [[1, 2.5e-9], []], "name": "\u00b5m", "none": None, "empty": {}}
+    cli._write_json(str(tmp_path / "doc.json"), doc)
+    assert (tmp_path / "doc.json").read_text(encoding="utf-8") == dumped(doc)
 
 
 def test_stats_rejects_malformed_json(tmp_path):

@@ -365,3 +365,47 @@ def test_root_polish_failure_is_a_gap(monkeypatch):
     curve = solve_mode(PLATE, "S0", k)
     assert curve.k.size == 0
     assert curve.gaps == ((k[0], k[-1]),)
+
+
+def _where_sin_cos(x2, hh):
+    """The np.where form of _even_sin_cos: every branch at every point, then a pick."""
+    x2 = np.asarray(x2, dtype=float)
+    x = np.sqrt(np.abs(x2))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sin = np.where(x2 > 0.0, np.sin(x * hh) / x, -np.expm1(-2.0 * x * hh) / (2.0 * x))
+        cos = np.where(x2 >= 0.0, np.cos(x * hh), (1.0 + np.exp(-2.0 * x * hh)) / 2.0)
+    return np.where(x2 == 0.0, hh, sin), cos
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("hh", [0.5, 0.2])
+def test_even_sin_cos_matches_the_where_form_bit_for_bit_on_scan_grids(hh):
+    plate = PlateSpec(DEVICE_PLATE.material, 2.0 * hh)
+    signs = set()
+    for kh in np.geomspace(0.005, 80.0, 40):
+        k = kh / plate.h
+        grid = dispersion._scan_grid(plate, k)
+        for v in (plate.material.v_l, plate.material.v_t):
+            x2 = (grid / v) ** 2 - k * k
+            signs.update(np.sign(x2).tolist())
+            new, ref = dispersion._even_sin_cos(x2, hh), _where_sin_cos(x2, hh)
+            assert all(map(_same_bits, new, ref)), (kh, v)
+    assert signs == {-1.0, 1.0}  # both branches ran
+
+
+@pytest.mark.parametrize("hh", [0.5, 0.2])
+def test_even_sin_cos_at_edge_values_and_0d_input(hh):
+    edges = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, math.inf, -math.inf]
+    new, ref = dispersion._even_sin_cos(np.array(edges), hh), _where_sin_cos(np.array(edges), hh)
+    assert all(map(_same_bits, new, ref))
+    for x2 in edges:  # rayleigh_lamb_residual hands it 0-d arrays
+        new, ref = dispersion._even_sin_cos(np.float64(x2), hh), _where_sin_cos(np.float64(x2), hh)
+        assert all(map(_same_bits, new, ref)), x2
+        assert all(r.ndim == 0 for r in new)
+    sin, cos = dispersion._even_sin_cos(np.array([math.nan, 1.0]), hh)
+    assert np.isnan(sin[0]) and np.isnan(cos[0])
+    assert all(map(_same_bits, (sin[1:], cos[1:]), _where_sin_cos(np.array([1.0]), hh)))

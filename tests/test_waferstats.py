@@ -27,6 +27,7 @@ from lambkit.waferstats import (
     relstd,
     simulate_wafer,
     sites_from_dict,
+    sites_json,
     sites_to_dict,
     trend_csv_rows,
 )
@@ -465,6 +466,36 @@ def test_sites_from_dict_rejects_nan_and_fractional_site_ids_and_nan_locals():
     assert [type(s.site_id) for s in sites_from_dict(doc)] == [int, int]
 
 
+@pytest.mark.parametrize("faults, message", [
+    # a bad metric is reported before a bad coordinate
+    ({"metrics": {"S0": {"f_r_hz": 1e9, "f_a_hz": math.nan, "q_r": 300.0, "k_eff_sq": "x"}},
+      "x_mm": None}, "sites[0].metrics.S0.f_a_hz must be a finite number, got nan"),
+    # metrics in document order, each in the order f_r_hz, f_a_hz, q_r, k_eff_sq
+    ({"metrics": {"S1": {"f_r_hz": 1e9, "f_a_hz": 1.1e9, "k_eff_sq": 0.05},
+                  "S0": {"f_r_hz": None}}}, "sites[0].metrics.S1.q_r must be a finite number"),
+    ({"metrics": {"S0": {"f_r_hz": 1e9, "f_a_hz": 1.1e9, "q_r": math.inf, "k_eff_sq": math.inf}},
+      "y_mm": math.inf}, "sites[0].metrics.S0.k_eff_sq must be a finite number, got inf"),
+    # site_id, as a number and then as an integer, before the coordinates
+    ({"site_id": 0.5, "x_mm": math.nan},
+     "sites[0].site_id must be a non-negative integer, got 0.5"),
+    ({"site_id": "0", "x_mm": math.nan}, "sites[0].site_id must be a finite number, got '0'"),
+    ({"x_mm": True, "y_mm": math.nan}, "sites[0].x_mm must be a finite number, got True"),
+    ({"pitch_m": "2e-6", "local_pitch_m": math.nan}, "sites[0].pitch_m must be a finite number"),
+    ({"local_thickness_m": 10**400, "local_pitch_m": math.nan},
+     "sites[0].local_thickness_m must be a finite number, got 1000"),
+    ({"local_pitch_m": math.inf}, "sites[0].local_pitch_m must be a finite number, got inf"),
+    # the numbers all pass, so the WaferSite checks speak last
+    ({"pitch_m": -2e-6, "metrics": {"B7": {"f_r_hz": 1e9, "f_a_hz": 1.1e9, "q_r": 300.0,
+                                            "k_eff_sq": 0.05}}}, "site pitch must be positive"),
+])
+def test_sites_from_dict_reports_the_first_of_several_faults(faults, message):
+    site = {"site_id": 0, "x_mm": 0.0, "y_mm": 0.0, "pitch_m": 2e-6,
+            "metrics": {"S0": {"f_r_hz": 1e9, "f_a_hz": 1.01e9, "q_r": 300.0, "k_eff_sq": 0.05}}}
+    good = {**site, "site_id": 1}
+    with pytest.raises(InputError, match=re.escape(message)):
+        sites_from_dict({"sites": [{**site, **faults}, good]})
+
+
 @pytest.mark.parametrize("field, value", [
     ("site_id", math.nan), ("site_id", 1.5), ("site_id", -1), ("site_id", True),
     ("local_thickness_m", math.nan), ("local_pitch_m", math.inf), ("pitch_m", math.inf),
@@ -490,3 +521,26 @@ def test_lossless_site_round_trips_through_json_text():
     assert sites_from_dict(json.loads(text)) == sites
     with pytest.raises(InputError, match=re.escape("sites[1].metrics.S0.q_r")):
         sites_from_dict(json.loads(text.replace("Infinity", "-Infinity")))
+
+
+def test_sites_json_is_one_site_per_line_and_reads_back():
+    sites = [
+        make_site(0, {"S0": 1e9, "A0": 5e8}, x=1.5, y=-2.5),
+        make_site(1, {}, failed=("S0", "A0")),
+        WaferSite(site_id=2, x_mm=1.0, y_mm=2.0, pitch_m=2e-6,
+                  metrics={"S0": make_metrics(1.1e9, q_r=math.inf)},
+                  local_thickness_m=4.2e-7, local_pitch_m=2.001e-6),
+    ]
+    for seed in (None, 12022):
+        text = sites_json(sites, seed=seed)
+        lines = text.splitlines()
+        assert lines[0] == '{"sites": ['
+        assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] \
+            == sites_to_dict(sites)["sites"]
+        assert lines[-1] == ("]}" if seed is None else '], "seed": 12022}')
+        doc = json.loads(text)
+        assert doc == sites_to_dict(sites, seed=seed)
+        assert list(doc) == list(sites_to_dict(sites, seed=seed))
+        assert sites_from_dict(doc) == sites
+    assert '"q_r": Infinity' in lines[3]
+    assert json.loads(sites_json([])) == {"sites": []}
