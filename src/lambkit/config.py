@@ -6,13 +6,17 @@ keys are rejected so typos surface as ConfigError rather than silently
 ignored settings.  The validator is in-repo: it checks the JSON Schema
 keywords CONFIG_SCHEMA uses, with jsonschema's messages; unlike JSON Schema,
 a number must pass the finite-number rule of ``lambkit.errors``.
+
+A field's type and bounds are the JSON Schema fragment in its dataclass
+``field(metadata=...)``, from which CONFIG_SCHEMA is built; adding a field
+takes that one field plus its value in ``data/default_config.json``.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, field, fields
 from importlib import resources
 
 from . import MODE_NAMES
@@ -33,17 +37,35 @@ __all__ = [
 ]
 
 
+def _object(properties: dict) -> dict:
+    return {"type": "object", "additionalProperties": False, "properties": properties}
+
+
+def _array(items: dict, n: int) -> dict:
+    return {"type": "array", "items": items, "minItems": n, "maxItems": n}
+
+
+def _section(cls) -> dict:
+    """The schema of a section: its dataclass fields and their fragments."""
+    return _object({f.name: dict(f.metadata) for f in fields(cls)})
+
+
+_NONNEG = {"type": "number", "minimum": 0}
+_POS = {"type": "number", "exclusiveMinimum": 0}
+_LAYER_ID = {"type": "integer", "minimum": 0, "maximum": 255}
+
+
 @dataclass(frozen=True)
 class LayerMap:
     """GDS layer id of each mask layer.  These fields are the only list of the
     layer names: the schema reads them, and their order is the order of the
     reticle windows."""
 
-    small_idt: int
-    large_idt: int
-    pads: int
-    bottom_electrode: int
-    outline: int
+    small_idt: int = field(metadata=_LAYER_ID)
+    large_idt: int = field(metadata=_LAYER_ID)
+    pads: int = field(metadata=_LAYER_ID)
+    bottom_electrode: int = field(metadata=_LAYER_ID)
+    outline: int = field(metadata=_LAYER_ID)
 
     def __post_init__(self):
         ids = astuple(self)
@@ -51,149 +73,29 @@ class LayerMap:
             raise ConfigError("layer ids must be distinct")
 
 
-_NONNEG = {"type": "number", "minimum": 0}
-_POS = {"type": "number", "exclusiveMinimum": 0}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "material": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "name": {"type": "string"},
-                "rho_kg_m3": _POS,
-                "v_l_m_s": _POS,
-                "v_t_m_s": _POS,
-            },
-        },
-        "plate": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"thickness_m": _POS},
-        },
-        "capacitance": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"eps_r": {"type": "number", "exclusiveMinimum": 1}},
-        },
-        "matching": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "target_impedance_ohm": _POS,
-                "max_fingers": {"type": "integer", "minimum": 2},
-                "dummy_count_per_side": {"type": "integer", "minimum": 0},
-            },
-        },
-        "layers": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                f.name: {"type": "integer", "minimum": 0, "maximum": 255}
-                for f in fields(LayerMap)
-            },
-        },
-        "chip": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "width_m": _POS,
-                "height_m": _POS,
-                "margin_m": _NONNEG,
-                "spacing_m": _NONNEG,
-            },
-        },
-        "wafer": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "diameter_m": _POS,
-                "edge_exclusion_m": _NONNEG,
-                "keepout_m": {
-                    "type": "array",
-                    "items": {"type": "number"},
-                    "minItems": 4,
-                    "maxItems": 4,
-                },
-                "grid_anchor_m": {
-                    "type": "array",
-                    "items": {"type": "number"},
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
-            },
-        },
-        "reticle": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "image_field_m": {
-                    "type": "array",
-                    "items": _POS,
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
-                "demag": {"type": "integer", "minimum": 1},
-            },
-        },
-        "variation": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "thickness_center_m": _POS,
-                "thickness_edge_drop_m": {"type": "number"},
-                "thickness_noise_sigma_m": _NONNEG,
-                "pitch_sigma_m": _NONNEG,
-                "full_resolve": {"type": "boolean"},
-                "mode_quality": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        m: {
-                            "type": "object",
-                            "additionalProperties": False,
-                            "properties": {
-                                "q_r": _POS,
-                                "k_eff_sq": {
-                                    "type": "number",
-                                    "exclusiveMinimum": 0,
-                                    "exclusiveMaximum": 1,
-                                },
-                            },
-                        }
-                        for m in MODE_NAMES
-                    },
-                },
-            },
-        },
-        "seed": {"type": "integer", "minimum": 0},
-    },
-}
-
-
 @dataclass(frozen=True)
 class MatchingConfig:
-    target_impedance_ohm: float
-    max_fingers: int
-    dummy_count_per_side: int
+    target_impedance_ohm: float = field(metadata=_POS)
+    max_fingers: int = field(metadata={"type": "integer", "minimum": 2})
+    dummy_count_per_side: int = field(metadata={"type": "integer", "minimum": 0})
 
 
 @dataclass(frozen=True)
 class ChipConfig:
-    width_m: float
-    height_m: float
-    margin_m: float
-    spacing_m: float
+    width_m: float = field(metadata=_POS)
+    height_m: float = field(metadata=_POS)
+    margin_m: float = field(metadata=_NONNEG)
+    spacing_m: float = field(metadata=_NONNEG)
 
 
 @dataclass(frozen=True)
 class WaferConfig:
-    diameter_m: float
-    edge_exclusion_m: float
-    keepout_m: tuple  # (x_min, y_min, x_max, y_max), wafer-centered
-    grid_anchor_m: tuple  # (x, y) of one chip's lower-left corner
+    diameter_m: float = field(metadata=_POS)
+    edge_exclusion_m: float = field(metadata=_NONNEG)
+    # (x_min, y_min, x_max, y_max), wafer-centered
+    keepout_m: tuple = field(metadata=_array({"type": "number"}, 4))
+    # (x, y) of one chip's lower-left corner
+    grid_anchor_m: tuple = field(metadata=_array({"type": "number"}, 2))
 
     def __post_init__(self):
         x0, y0, x1, y1 = self.keepout_m
@@ -209,22 +111,50 @@ class WaferConfig:
 
 @dataclass(frozen=True)
 class ReticleConfig:
-    image_field_m: tuple
-    demag: int
+    image_field_m: tuple = field(metadata=_array(_POS, 2))
+    demag: int = field(metadata={"type": "integer", "minimum": 1})
+
+
+_MODE_QUALITY = _object({
+    "q_r": _POS,
+    "k_eff_sq": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+})
 
 
 @dataclass(frozen=True)
 class VariationConfig:
-    thickness_center_m: float
-    thickness_edge_drop_m: float
-    thickness_noise_sigma_m: float
-    pitch_sigma_m: float
-    full_resolve: bool
-    mode_quality: dict  # mode -> {"q_r": float, "k_eff_sq": float}
+    thickness_center_m: float = field(metadata=_POS)
+    thickness_edge_drop_m: float = field(metadata={"type": "number"})
+    thickness_noise_sigma_m: float = field(metadata=_NONNEG)
+    pitch_sigma_m: float = field(metadata=_NONNEG)
+    full_resolve: bool = field(metadata={"type": "boolean"})
+    # mode -> {"q_r": float, "k_eff_sq": float}
+    mode_quality: dict = field(metadata=_object({m: _MODE_QUALITY for m in MODE_NAMES}))
 
     def __post_init__(self):
         if not self.thickness_center_m - self.thickness_edge_drop_m > 0.0:
             raise ConfigError("thickness profile goes non-positive at the wafer edge")
+
+
+# material, plate, capacitance and seed map onto PlateMaterial, PlateSpec,
+# eps_r and seed under other names, so their schema is written here.
+CONFIG_SCHEMA = _object({
+    "material": _object({
+        "name": {"type": "string"},
+        "rho_kg_m3": _POS,
+        "v_l_m_s": _POS,
+        "v_t_m_s": _POS,
+    }),
+    "plate": _object({"thickness_m": _POS}),
+    "capacitance": _object({"eps_r": {"type": "number", "exclusiveMinimum": 1}}),
+    "matching": _section(MatchingConfig),
+    "layers": _section(LayerMap),
+    "chip": _section(ChipConfig),
+    "wafer": _section(WaferConfig),
+    "reticle": _section(ReticleConfig),
+    "variation": _section(VariationConfig),
+    "seed": {"type": "integer", "minimum": 0},
+})
 
 
 @dataclass(frozen=True)

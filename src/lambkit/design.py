@@ -102,6 +102,10 @@ class CapacitanceModel:
         if self.h_piezo <= 0:
             raise InputError("h_piezo must be positive")
 
+    def finger_capacitance(self, aperture: float, finger_width: float) -> float:
+        """c_f of one finger over the floating bottom metal, in Farads."""
+        return EPS0 * self.eps_r * (aperture * finger_width) / self.h_piezo
+
 
 @dataclass(frozen=True)
 class ResonatorDesign:
@@ -147,7 +151,7 @@ class ResonatorDesign:
 
 def static_capacitance(idt: IdtSpec, cap_model: CapacitanceModel) -> float:
     """Static IDT capacitance under the vertical-field model, in Farads."""
-    c_f = EPS0 * cap_model.eps_r * (idt.aperture * idt.finger_width) / cap_model.h_piezo
+    c_f = cap_model.finger_capacitance(idt.aperture, idt.finger_width)
     return (idt.n_fingers / 2.0) * (c_f / 2.0)
 
 
@@ -201,7 +205,7 @@ def match_finger_count(
     wavelength = 2.0 * pitch
     aperture = APERTURE_WAVELENGTHS * wavelength
     gap = wavelength / 2.0
-    c_f = EPS0 * cap_model.eps_r * (aperture * (pitch / 2.0)) / cap_model.h_piezo
+    c_f = cap_model.finger_capacitance(aperture, pitch / 2.0)
     # need C0 = n c_f / 4 >= 1/(2 pi f Z)
     c0_needed = 1.0 / (2.0 * math.pi * f_mid * target_impedance)
     n_exact = 4.0 * c0_needed / c_f

@@ -2,13 +2,20 @@
 
 import copy
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from lambkit.config import (
     CONFIG_SCHEMA,
+    ChipConfig,
+    LayerMap,
+    MatchingConfig,
+    ReticleConfig,
     ToolkitConfig,
+    VariationConfig,
+    WaferConfig,
     _deep_merge,
     default_config_dict,
     load_catalog,
@@ -148,6 +155,19 @@ def test_integer_fields_are_stored_as_int():
     for value in (cfg.seed, cfg.layers.small_idt, cfg.matching.max_fingers, cfg.reticle.demag):
         assert type(value) is int
     assert cfg.wafer.keepout_m == (-0.009, -0.009, 0.009, 0.009)
+
+
+SECTIONS = {"matching": MatchingConfig, "layers": LayerMap, "chip": ChipConfig,
+            "wafer": WaferConfig, "reticle": ReticleConfig, "variation": VariationConfig}
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_schema_dataclass_and_defaults_name_the_same_fields(section):
+    # a dataclass field with no packaged default would reach the constructor
+    # as a missing argument: a TypeError, not a ConfigError
+    names = [f.name for f in fields(SECTIONS[section])]
+    assert list(CONFIG_SCHEMA["properties"][section]["properties"]) == names
+    assert sorted(default_config_dict()[section]) == sorted(names)
 
 
 def test_config_schema_is_a_valid_schema():
