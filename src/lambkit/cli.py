@@ -27,7 +27,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 from . import MODE_NAMES
 from .errors import (
@@ -249,15 +248,54 @@ def _load_cal_files(args):
     return OslCalibration(*map(_read_s1p, given))
 
 
+_PAIRS = "".join(f"{i:02d}" for i in range(100)).encode()  # "00".."99"
+_EXPONENTS = "".join(f"e{i:+03d}" for i in range(-99, 100)).encode()  # "e-99".."e+99"
+
+
+def _e9_rows(v):
+    """The rows of the (n, 3) array v as "%.9e,%.9e,%.9e\n" renders them, or
+    None if one is not 15 bytes wide (negative, non-finite, exponent past 99).
+    The digits are rint(v*10**(9-e)), e = floor(log10 v), scaled by one exact
+    10**j, so off by under 1e-6; values within 4e-6 of a half, or outside
+    [1e-13, 1e31), are rendered by the correctly rounded "%" instead."""
+    import numpy as np
+
+    x = v.ravel()
+    fast = (x >= 1e-13) & (x < 1e31)
+    xs = np.where(fast, x, 1.0)
+    # log10 off by an ulp: e one too high gives rint(m) = 1e9, one too low the carry
+    e = np.maximum(np.floor(np.log10(xs)), -13).astype(np.int64)
+    j = 9 - e
+    pow10 = np.array([10 ** k for k in range(23)], float)[abs(j)]
+    m = np.where(j >= 0, xs * pow10, xs / pow10)
+    d = np.rint(m).astype(np.int64)
+    carry = d == 10 ** 10  # 9.9999999995e+k renders as 1.000000000e+(k+1)
+    d[carry] = 10 ** 9
+    e += carry
+    rows = bytearray(b"%.9e,%.9e,%.9e\n" % (0, 0, 0) * len(v))
+    buf = np.frombuffer(rows, np.uint8).reshape(-1, 16)
+    d, last = np.divmod(d, 10)
+    for k in range(4, 0, -1):  # digit pairs to bytes 2-3 .. 8-9, as uint16
+        d, pair = np.divmod(d, 100)
+        buf.view(np.uint16)[:, k] = np.frombuffer(_PAIRS, np.uint16)[pair]
+    buf[:, 0], buf[:, 10] = d + ord("0"), last + ord("0")
+    buf[:, 11:15] = np.frombuffer(_EXPONENTS, np.uint32)[e + 99, None].view(np.uint8)
+    for i in np.flatnonzero(~fast | (abs(m - np.floor(m) - 0.5) < 4e-6)).tolist():
+        cell = b"%.9e" % x[i]
+        if len(cell) != 15:
+            return None
+        buf[i, :15] = list(cell)
+    return rows.decode()
+
+
 def _overlay_csv(frequencies, y_measured, y_model) -> str:
     """Overlay CSV text: frequency, measured |Y| and model |Y|."""
     import numpy as np
 
     # np.hypot gives the same doubles as scalar abs() of a complex; np.abs does not
-    columns = (frequencies, np.hypot(y_measured.real, y_measured.imag),
-               np.hypot(y_model.real, y_model.imag))
-    flat = np.column_stack(columns).ravel().tolist()
-    body = "%.9e,%.9e,%.9e\n" * len(frequencies) % tuple(flat)
+    columns = np.column_stack((frequencies, np.hypot(y_measured.real, y_measured.imag),
+                               np.hypot(y_model.real, y_model.imag)))
+    body = _e9_rows(columns) or "%.9e,%.9e,%.9e\n" * len(columns) % tuple(columns.ravel().tolist())
     return "f_hz,y_abs_measured,y_abs_model\n" + body
 
 
@@ -375,6 +413,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_simulate_wafer(args) -> int:
+    from dataclasses import replace
+
     from .config import load_config
     from .waferstats import VariationModel, simulate_wafer, sites_json
 

@@ -331,6 +331,73 @@ def test_overlay_rows_match_scalar_abs():
         assert np.hypot(y[0].real, y[0].imag).tolist() == [abs(v) for v in y[0]]
 
 
+def scalar_rows(v):
+    return "".join("%.9e,%.9e,%.9e\n" % tuple(row) for row in np.reshape(v, (-1, 3)).tolist())
+
+
+def e9_cases():
+    """Seeded values around every rounding decision of "%.9e": log-uniform
+    values, decimal half-way points and powers of ten with their neighbouring
+    doubles, and the values that carry into the next exponent."""
+    rng = np.random.default_rng(17)
+    logu = 10.0 ** rng.uniform(-20, 40, 3000)
+    digits = rng.integers(10 ** 9, 10 ** 10, 300)
+    exps = rng.integers(-20, 40, 300)
+    halves = np.array([float(f"{n}5e{k - 10}") for n, k in zip(digits.tolist(), exps.tolist())])
+    powers = np.array([float(f"1e{k}") for k in range(-20, 41)])
+    carries = np.array([float(f"{m}e{k}") for k in range(-20, 40)
+                        for m in ("9.9999999995", "9.99999999949", "9.9999999996")])
+    ulps = np.arange(-3, 4)
+    nudged = (halves.view(np.int64)[:, None] + ulps).view(np.float64)
+    around = (powers.view(np.int64)[:, None] + ulps[2:5]).view(np.float64)
+    return np.concatenate([logu, nudged.ravel(), around.ravel(), carries])
+
+
+def test_e9_rows_match_percent_format():
+    values = e9_cases()
+    values = values[: values.size // 3 * 3]
+    # outside [1e-13, 1e31) a value takes the per-cell "%" slot
+    assert np.any(values < 1e-13) and np.any(values >= 1e31)
+    for block in np.array_split(values.reshape(-1, 3), 40):
+        assert cli._e9_rows(block) == scalar_rows(block)
+    # exact half-way digits take the slot too; both ways round half to even
+    ties = np.array([[1000000000.5, 1000000001.5, 2.5e-3]])
+    assert cli._e9_rows(ties) == scalar_rows(ties)
+
+
+@pytest.mark.parametrize("special", [0.0, -1.5, math.inf, math.nan, 1e150, 1e-150, 9.99999999996e99])
+def test_e9_rows_special_values(special):
+    block = np.array([[special, 2.5e-3, special], [1.5e9, special, 7e-4]])
+    got = cli._e9_rows(block)
+    if len("%.9e" % special) == 15:  # 0.0 renders in its slot
+        assert got == scalar_rows(block)
+    else:  # the whole text falls back to "%"
+        assert got is None
+    text = cli._overlay_csv(block[:, 0], block[:, 1] + 0j, block[:, 2] + 0j)
+    assert text.endswith(scalar_rows(np.column_stack([block[:, 0], abs(block[:, 1:])])))
+
+
+def test_fit_overlay_renders_half_way_frequencies_exactly(tmp_path):
+    from lambkit.mbvd import fit_mbvd
+    from lambkit.touchstone import parse_touchstone, touchstone_to_trace
+
+    # 1000000000.5 Hz and up: ten digits and a half, exact ties
+    f = np.concatenate([np.linspace(0.8e9, 0.999e9, 160), 1000000000.5 + 1250001.0 * np.arange(240)])
+    tf = TouchstoneFile(frequencies=f, s11=y_to_s11(synth_model().admittance(f)),
+                        frequency_unit="Hz")
+    dut = tmp_path / "dut.s1p"
+    dut.write_text(serialize_touchstone(tf))
+    assert cli.main(["fit", str(dut), "--branches", "1", "--out", str(tmp_path), "--quiet"]) == 0
+    trace = touchstone_to_trace(parse_touchstone(dut.read_bytes()))
+    assert trace.frequencies.tolist() == f.tolist()
+    y_model = fit_mbvd(trace, 1).model.admittance(f)
+    want = "f_hz,y_abs_measured,y_abs_model\n" + "".join(
+        f"{fi:.9e},{abs(a):.9e},{abs(b):.9e}\n" for fi, a, b in zip(f, trace.admittance, y_model))
+    assert (tmp_path / "dut_overlay.csv").read_text() == want
+    # both render half to even
+    assert "\n1.000000000e+09," in want and "\n1.001250002e+09," in want
+
+
 def test_fit_batch_isolates_bad_file(tmp_path, capsys):
     dut, _ = write_dut(tmp_path)
     bad = tmp_path / "broken.s1p"
@@ -861,6 +928,10 @@ def test_import_lambkit_loads_no_numpy():
 @pytest.mark.parametrize("argv", [["--help"], ["flow-check", "alscn-ti-adhesion"]])
 def test_help_and_flow_check_load_no_numpy_scipy_or_jsonschema(argv):
     assert not loaded_by(*argv) & {"numpy", "scipy", "jsonschema"}
+
+
+def test_help_loads_no_dataclasses_or_inspect():
+    assert not loaded_by("--help") & {"dataclasses", "inspect"}
 
 
 def test_stats_loads_no_numpy(tmp_path):
