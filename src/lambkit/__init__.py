@@ -27,14 +27,14 @@ _EXPORTS = {
     "gdsii": "read_gdsii write_gdsii",
     "layout": "Cell ChipPlacement Library Placement Polygon ReticleSpec "
               "build_reticle gen_chip gen_wafer_map",
-    "mbvd": "AdmittanceTrace FitOptions FitResult MbvdModel MotionalBranch "
+    "mbvd": "AdmittanceTrace FitResult MbvdModel MotionalBranch "
             "StaticNetwork de_embed_open_short fit_mbvd mbvd_admittance resonance_metrics",
     "processflow": "GOLDEN_FLOW_NAMES FlowReport ProcessStep RateTable StackState Violation "
                    "ashing_time check_compatibility check_flow classify_chemistry "
                    "etch_budget load_flow packaged_flow simulate_stack",
     "touchstone": "TouchstoneFile parse_touchstone s11_to_y serialize_touchstone "
                   "touchstone_to_trace y_to_s11",
-    "waferstats": "DeviationReport ModeMetrics VariationModel WaferSite metrics_vs_frequency "
+    "waferstats": "DeviationReport ModeMetrics WaferSite metrics_vs_frequency "
                   "per_mode_deviation relstd simulate_wafer sites_from_dict sites_to_dict",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

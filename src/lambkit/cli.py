@@ -241,8 +241,6 @@ def _load_cal_files(args):
     given = [args.cal_short, args.cal_open, args.cal_load]
     if any(given) and not all(given):
         raise InputError("calibration needs all of --cal-short/--cal-open/--cal-load")
-    if args.cal_through:
-        _warn("through standard ignored: one-port OSL uses short/open/load")
     if not any(given):
         return None
     return OslCalibration(*map(_read_s1p, given))
@@ -416,20 +414,17 @@ def cmd_simulate_wafer(args) -> int:
     from dataclasses import replace
 
     from .config import load_config
-    from .waferstats import VariationModel, simulate_wafer, sites_json
+    from .waferstats import simulate_wafer, sites_json
 
     cfg = load_config(args.config)
-    model = VariationModel.from_config(cfg)
-    if args.seed is not None:
-        model = replace(model, seed=args.seed)
-    if args.full_resolve:
-        model = replace(model, full_resolve=True)
+    seed = cfg.seed if args.seed is None else args.seed
+    variation = replace(cfg.variation, full_resolve=True) if args.full_resolve else cfg.variation
     pitches = _catalog_pitches(args)
-    sites = simulate_wafer(model, pitches, cfg.plate, cfg.chip, cfg.wafer)
+    sites = simulate_wafer(variation, seed, pitches, cfg.plate, cfg.chip, cfg.wafer)
     out = _out_dir(args)
-    _say(args, f"seed {model.seed}")
+    _say(args, f"seed {seed}")
     _say(args, f"{len(sites)} site(s), {len(pitches)} design pitch(es)")
-    _write_lines(os.path.join(out, "sites.json"), [sites_json(sites, seed=model.seed)])
+    _write_lines(os.path.join(out, "sites.json"), [sites_json(sites, seed=seed)])
     _write_reports(args, out, sites)
     return EXIT_OK
 
@@ -455,11 +450,12 @@ def cmd_flow_check(args) -> int:
 # Parser
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="config JSON (defaults packaged)")
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--quiet", action="store_true", help="suppress progress output")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=".", help="output directory")
+    output.add_argument("--quiet", action="store_true", help="suppress progress output")
+
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=None, help="config JSON (defaults packaged)")
 
     pitch_source = argparse.ArgumentParser(add_help=False)
     pitch_source.add_argument(
@@ -468,7 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
     pitch_source.add_argument(
         "--catalog", default=None, help="catalog JSON (defaults packaged)"
     )
-    pitch_source.add_argument(
+
+    design_mode = argparse.ArgumentParser(add_help=False)
+    design_mode.add_argument(
         "--mode", default="S0", choices=MODE_NAMES, help="design mode"
     )
 
@@ -478,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("disperse", parents=[common], help="solve dispersion curves")
+    p = sub.add_parser("disperse", parents=[config, output], help="solve dispersion curves")
     p.add_argument("--pitch-min", type=float, default=1.0e-6)
     p.add_argument("--pitch-max", type=float, default=4.5e-6)
     p.add_argument("--points", type=int, default=40, help=f"grid size, 2 to {MAX_GRID_POINTS}")
@@ -486,44 +484,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_disperse)
 
     p = sub.add_parser(
-        "design", parents=[common, pitch_source], help="impedance-matched IDT designs"
+        "design", parents=[config, output, pitch_source, design_mode],
+        help="impedance-matched IDT designs",
     )
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser(
-        "layout", parents=[common, pitch_source], help="chip GDSII, reticle, wafer map"
+        "layout", parents=[config, output, pitch_source, design_mode],
+        help="chip GDSII, reticle, wafer map",
     )
     p.add_argument(
         "--wafer-map", action="store_true", help="also write the placement CSV"
     )
     p.set_defaults(func=cmd_layout)
 
-    p = sub.add_parser("fit", parents=[common], help="fit mBVD models to .s1p files")
+    p = sub.add_parser("fit", parents=[output], help="fit mBVD models to .s1p files")
     p.add_argument("files", nargs="+", help=".s1p measurement files")
     p.add_argument("--branches", type=int, default=1, help="motional branch count")
     p.add_argument("--cal-short", default=None, help="measured short standard .s1p")
     p.add_argument("--cal-open", default=None, help="measured open standard .s1p")
     p.add_argument("--cal-load", default=None, help="measured load standard .s1p")
-    p.add_argument(
-        "--cal-through", default=None, help="accepted for SOLT kits, unused"
-    )
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("stats", parents=[common], help="reduce a wafer sites JSON")
+    p = sub.add_parser("stats", parents=[output], help="reduce a wafer sites JSON")
     p.add_argument("sites", help="sites JSON from simulate-wafer or measurements")
     p.add_argument("--heatmap", default=None, help="write heatmap.csv for MODE:PITCH_M")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser(
-        "simulate-wafer", parents=[common, pitch_source], help="seeded variation run"
+        "simulate-wafer", parents=[config, output, pitch_source], help="seeded variation run"
     )
+    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument(
         "--full-resolve", action="store_true",
         help="evaluate dispersion per site instead of first-order propagation",
     )
     p.set_defaults(func=cmd_simulate_wafer)
 
-    p = sub.add_parser("flow-check", parents=[common], help="rule-check a process flow")
+    p = sub.add_parser("flow-check", parents=[output], help="rule-check a process flow")
     p.add_argument("flow", help="flow JSON path or a packaged flow name")
     p.add_argument("--rates", default=None, help="rate table JSON override")
     p.set_defaults(func=cmd_flow_check)

@@ -132,8 +132,22 @@ class VariationConfig:
     mode_quality: dict = field(metadata=_object({m: _MODE_QUALITY for m in MODE_NAMES}))
 
     def __post_init__(self):
+        # the schema's bounds again, for a section built in process
+        if not self.thickness_center_m > 0.0:
+            raise ConfigError("thickness_center_m must be positive")
         if not self.thickness_center_m - self.thickness_edge_drop_m > 0.0:
             raise ConfigError("thickness profile goes non-positive at the wafer edge")
+        if not (self.thickness_noise_sigma_m >= 0.0 and self.pitch_sigma_m >= 0.0):
+            raise ConfigError("noise sigmas must be >= 0")
+        if not self.mode_quality:
+            raise ConfigError("mode_quality must name at least one mode")
+        for mode, entry in self.mode_quality.items():
+            if mode not in MODE_NAMES:
+                raise ConfigError(f"unknown mode {mode!r} in mode_quality")
+            if not entry["q_r"] > 0.0:
+                raise ConfigError(f"q_r for {mode} must be positive")
+            if not 0.0 < entry["k_eff_sq"] < 1.0:
+                raise ConfigError(f"k_eff_sq for {mode} must be in (0, 1)")
 
 
 # material, plate, capacitance and seed map onto PlateMaterial, PlateSpec,

@@ -18,8 +18,7 @@ Per-branch metrics follow the IEEE definitions:
 
 The fit minimizes the magnitude-relative complex least squares
 sum_k |Y_model(f_k) - Y_k|^2 / |Y_k|^2 over log-parameterized positive
-parameters.  r_0 is kept in the model with default 0 and is not fitted
-unless requested.
+parameters.  r_0 is kept in the model with default 0 and is not fitted.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ __all__ = [
     "MbvdModel",
     "AdmittanceTrace",
     "ModeMetrics",
-    "FitOptions",
     "FitResult",
     "mbvd_admittance",
     "resonance_metrics",
@@ -225,22 +223,14 @@ def resonance_metrics(model: MbvdModel, branch_index: int) -> ModeMetrics:
 # ---------------------------------------------------------------------------
 # Fitting
 
-@dataclass(frozen=True)
-class FitOptions:
-    max_iterations: int = 200
-    step_tol: float = 1e-10
-    fit_r0: bool = False
-    median_window: int = 5
-
-    def __post_init__(self):
-        w = self.median_window
-        if isinstance(w, bool) or not isinstance(w, int) or w < 1 or w % 2 == 0:
-            raise InputError(f"median_window must be a positive odd integer, got {w!r}")
+_MAX_ITERATIONS = 200  # the LM stops after this many evaluations per parameter + 1
+_STEP_TOL = 1e-10
+_MEDIAN_WINDOW = 5  # odd width of the peak-finding median prefilter
 
 
 @dataclass
 class FitResult:
-    """status 1: cost reductions below ftol, 2: step below step_tol, 0: cap hit."""
+    """status 1: cost reductions below ftol, 2: step below _STEP_TOL, 0: cap hit."""
 
     model: MbvdModel
     residual_norm: float
@@ -298,7 +288,7 @@ def _find_peaks(values: np.ndarray, n: int, window: int):
     return picked, sm
 
 
-def _initial_model(trace: AdmittanceTrace, n_branches: int, options: FitOptions):
+def _initial_model(trace: AdmittanceTrace, n_branches: int):
     f = trace.frequencies
     y = trace.admittance
     w = 2.0 * math.pi * f
@@ -307,8 +297,7 @@ def _initial_model(trace: AdmittanceTrace, n_branches: int, options: FitOptions)
     if not c0 > 0:
         c0 = float(np.abs(y[0]) / w[0])
     # Off resonance Re(1/Y) ~ r_s (r_0 = 0).
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rs = float(_median((1.0 / y).real))
+    rs = float(_median((1.0 / y).real))
     if not math.isfinite(rs) or rs <= 0:
         rs = 1e-6
     rs = max(rs, 1e-6)
@@ -316,9 +305,9 @@ def _initial_model(trace: AdmittanceTrace, n_branches: int, options: FitOptions)
     if n_branches > 0:
         # Resonances are conductance peaks: c_0 adds nothing to Re(Y), so its
         # w*c_0 background cannot outrank a weak branch as it does in |Y|.
-        peaks, _ = _find_peaks(np.maximum(y.real, 0.0), n_branches, options.median_window)
+        peaks, _ = _find_peaks(np.maximum(y.real, 0.0), n_branches, _MEDIAN_WINDOW)
         mag = np.abs(y)
-        sm = _sliding_median(mag, options.median_window)
+        sm = _sliding_median(mag, _MEDIAN_WINDOW)
         for j, i_pk in enumerate(peaks):
             f_r = f[i_pk]
             hi = peaks[j + 1] if j + 1 < len(peaks) else len(f)
@@ -337,8 +326,8 @@ def _initial_model(trace: AdmittanceTrace, n_branches: int, options: FitOptions)
     return c0, rs, branches
 
 
-def _pack(c0, rs, r0, branches, fit_r0):
-    vals = [c0, rs] + ([r0] if fit_r0 else [])
+def _pack(c0, rs, branches):
+    vals = [c0, rs]
     for b in branches:
         vals.extend([b.r_m, b.l_m, b.c_m])
     return np.log(np.asarray(vals, dtype=float))
@@ -347,27 +336,26 @@ def _pack(c0, rs, r0, branches, fit_r0):
 _LOG_PARAM_CAP = 250.0  # keeps exp() finite when the optimizer probes far out
 
 
-def _split(theta, fit_r0):
-    """c_0, r_s, r_0 and the (n, 3) rows of branch (r_m, l_m, c_m) of theta."""
+def _split(theta):
+    """c_0, r_s and the (n, 3) rows of branch (r_m, l_m, c_m) of theta."""
     vals = np.exp(np.clip(theta, -_LOG_PARAM_CAP, _LOG_PARAM_CAP))
-    r0 = vals[2] if fit_r0 else 0.0
-    return vals[0], vals[1], r0, vals[3 if fit_r0 else 2 :].reshape(-1, 3)
+    return vals[0], vals[1], vals[2:].reshape(-1, 3)
 
 
-def _unpack(theta, fit_r0):
-    c0, rs, r0, rows = _split(theta, fit_r0)
+def _unpack(theta):
+    c0, rs, rows = _split(theta)
     branches = tuple(MotionalBranch(r_m=rm, l_m=lm, c_m=cm) for rm, lm, cm in rows)
-    return MbvdModel(StaticNetwork(c_0=c0, r_0=r0, r_s=rs), branches)
+    return MbvdModel(StaticNetwork(c_0=c0, r_s=rs), branches)
 
 
-def _param_names(n_branches, fit_r0):
-    names = ["c_0", "r_s"] + (["r_0"] if fit_r0 else [])
+def _param_names(n_branches):
+    names = ["c_0", "r_s"]
     for i in range(n_branches):
         names.extend([f"b{i}.r_m", f"b{i}.l_m", f"b{i}.c_m"])
     return names
 
 
-def _residual_jacobian(theta, jw, inv_jw, y, inv_absy, fit_r0):
+def _residual_jacobian(theta, jw, inv_jw, y, inv_absy):
     """Residual (Y_model - y)/|y| and its Jacobian in the log-parameters, as
     float views that interleave each sample's real and imaginary part: (2n,)
     and (2n, p).  With Y = 1/(r_s + Z_inner), Z_inner = 1/(Y_static + sum Y_b),
@@ -376,9 +364,9 @@ def _residual_jacobian(theta, jw, inv_jw, y, inv_absy, fit_r0):
     resistance, inductance and capacitance.  Given 1/jw and 1/|y|, one complex
     reciprocal per branch and two for the outer network make an evaluation.
     """
-    c0, rs, r0, branch_vals = _split(theta, fit_r0)
+    c0, rs, branch_vals = _split(theta)
     z_c0 = inv_jw * (1.0 / c0)
-    ys = 1.0 / (r0 + z_c0)
+    ys = 1.0 / z_c0
     z_b = [(rm, jw * lm, inv_jw * (1.0 / cm)) for rm, lm, cm in branch_vals]
     y_b = [1.0 / (rm + z_l + z_c) for rm, z_l, z_c in z_b]
     z_inner = 1.0 / sum(y_b, ys)
@@ -389,9 +377,7 @@ def _residual_jacobian(theta, jw, inv_jw, y, inv_absy, fit_r0):
     gs = g * ys * ys
     np.multiply(gs, z_c0, out=jac[0])
     np.multiply(yy, -rs, out=jac[1])
-    if fit_r0:
-        np.multiply(gs, -r0, out=jac[2])
-    branch_rows = jac[3 if fit_r0 else 2 :].reshape(-1, 3, y.size)
+    branch_rows = jac[2:].reshape(-1, 3, y.size)
     for (rm, z_l, z_c), yb, rows in zip(z_b, y_b, branch_rows):
         gb = g * yb * yb
         np.multiply(gb, -rm, out=rows[0])
@@ -451,9 +437,7 @@ def _levenberg_marquardt(fun_jac, x0, xtol, ftol, max_nfev):
     return x, f, jac, nfev, njev, 0
 
 
-def fit_mbvd(
-    trace: AdmittanceTrace, n_branches: int, options: FitOptions | None = None
-) -> FitResult:
+def fit_mbvd(trace: AdmittanceTrace, n_branches: int) -> FitResult:
     """Fit an mBVD model to a trace with a known number of branches.
 
     Initialization picks the n largest conductance (Re Y) peaks, after the
@@ -464,29 +448,29 @@ def fit_mbvd(
     """
     if n_branches < 0:
         raise InputError("n_branches must be >= 0")
-    options = options or FitOptions()
-    n_params = 2 + (1 if options.fit_r0 else 0) + 3 * n_branches
+    n_params = 2 + 3 * n_branches
     if 2 * len(trace) < n_params:
         raise InputError("trace too short for the requested branch count")
-    c0, rs, branches = _initial_model(trace, n_branches, options)
-    theta0 = _pack(c0, rs, 1e-3, branches, options.fit_r0)
-    jw = 2j * math.pi * trace.frequencies
     y = trace.admittance
     absy = np.abs(y)
     if np.any(absy == 0):
         raise InputError("zero-magnitude admittance sample cannot be weighted")
-    inv_jw, inv_absy = 1.0 / jw, 1.0 / absy
-
-    x, fun, jac, nfev, njev, status = _levenberg_marquardt(
-        lambda theta: _residual_jacobian(theta, jw, inv_jw, y, inv_absy, options.fit_r0),
-        theta0,
-        xtol=options.step_tol,
-        ftol=1e-14,
-        max_nfev=options.max_iterations * (n_params + 1),
-    )
-    model = _unpack(x, options.fit_r0)
+    jw = 2j * math.pi * trace.frequencies
+    # over- and underflow on a degenerate trace only yield values that the
+    # seed's fallbacks and the LM's finite-step test already reject
+    with np.errstate(all="ignore"):
+        inv_jw, inv_absy = 1.0 / jw, 1.0 / absy
+        c0, rs, branches = _initial_model(trace, n_branches)
+        x, fun, jac, nfev, njev, status = _levenberg_marquardt(
+            lambda theta: _residual_jacobian(theta, jw, inv_jw, y, inv_absy),
+            _pack(c0, rs, branches),
+            xtol=_STEP_TOL,
+            ftol=1e-14,
+            max_nfev=_MAX_ITERATIONS * (n_params + 1),
+        )
+    model = _unpack(x)
     norm = float(np.linalg.norm(fun))
-    names = _param_names(n_branches, options.fit_r0)
+    names = _param_names(n_branches)
     try:
         dof = max(fun.size - n_params, 1)
         cov = np.linalg.inv(jac.T @ jac) * (norm * norm / dof)

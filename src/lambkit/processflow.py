@@ -139,6 +139,7 @@ def classify_chemistry(chemistry: str) -> str:
 
 _STEP_TEXT = frozenset({"kind", "material", "chemistry", "tool", "note"})
 _STEP_NUMBERS = frozenset({"thickness_m", "temperature_c", "duration_s", "repeats", "pulses"})
+_STEP_COUNTS = ("repeats", "pulses")  # integers; 2.0 counts as 2, as in the config
 
 
 @dataclass(frozen=True)
@@ -170,6 +171,11 @@ class ProcessStep:
             value = getattr(self, key)
             if not (is_json_number(value) or key == "temperature_c" and value is None):
                 raise InputError(f"{key} must be a finite number, got {shown(value)}")
+        for key in _STEP_COUNTS:
+            value = getattr(self, key)
+            if value != int(value):
+                raise InputError(f"{key} must be an integer, got {shown(value)}")
+            object.__setattr__(self, key, int(value))
         if self.kind in ADDITIVE_KINDS:
             if not self.material:
                 raise InputError(f"{self.kind} step must name a material")
@@ -224,6 +230,8 @@ class ProcessStep:
                 raise InputError(f"{path}.{key} must be a string, got {shown(value)}")
             if key in _STEP_NUMBERS and not (key == "temperature_c" and value is None):
                 json_number(value, f"{path}.{key}")
+            if key in _STEP_COUNTS and value != int(value):
+                raise InputError(f"{path}.{key} must be an integer, got {shown(value)}")
         recipe = data.get("recipe", ())
         if not isinstance(recipe, (list, tuple)):
             raise InputError(f"{path}.recipe must be an array of [angle_deg, seconds] pairs")
@@ -538,6 +546,8 @@ def _apply_etch(layers, step, rates, notes):
     if target_index == len(layers) - 1:
         # Blanket etch of the top layer: thin it or take it off entirely.
         if depth >= layer.thickness_m:
+            if target_index == 0:
+                raise FlowError(f"{step.kind} of {target} removes the substrate")
             over_s = (depth - layer.thickness_m) / _NM / rate * _SEC_PER_MIN
             notes.append(
                 f"{target} fully removed ({over_s:.0f} s overetch not simulated below)"

@@ -9,9 +9,9 @@ noise and a per-design pitch jitter, then maps both to frequency through the
 log sensitivities or, with full_resolve, at each site's own geometry.  Both
 read the memoised dispersion lattice, so a wafer simulates in milliseconds.
 Every random draw comes from a per-site stream spawned from one master seed:
-results are bit-reproducible and sites can be evaluated in any order.  Each
-mode's q_r and k_eff_sq come from the model's mode_quality, which has no
-default here: the packaged config is the one home of those values.
+results are bit-reproducible and sites can be evaluated in any order.  The
+model is the config's variation section; each mode's q_r and k_eff_sq come
+from its mode_quality, whose one home is the packaged config.
 """
 
 from __future__ import annotations
@@ -29,12 +29,11 @@ from .errors import (DispersionRangeError, InputError, SolverError, StatisticsEr
                      is_json_number, json_number, json_object, shown)
 
 if TYPE_CHECKING:  # annotations only: stats loads no numpy, config or layout
-    from .config import ChipConfig, ToolkitConfig, WaferConfig
+    from .config import ChipConfig, VariationConfig, WaferConfig
     from .dispersion import PlateSpec
 
 __all__ = [
     "ModeMetrics",
-    "VariationModel",
     "WaferSite",
     "DeviationRow",
     "DeviationReport",
@@ -111,67 +110,6 @@ class ModeMetrics:
     def to_dict(self) -> dict:
         return {"f_r_hz": self.f_r, "f_a_hz": self.f_a, "q_r": self.q_r,
                 "k_eff_sq": self.k_eff_sq}
-
-
-@dataclass(frozen=True)
-class VariationModel:
-    """Across-wafer variation: quadratic radial thickness profile plus noise.
-
-    Local thickness at radius r is center - edge_drop * (r/R)^2 plus Gaussian
-    noise (a negative drop thickens the edge); local pitch is the design pitch
-    plus Gaussian jitter.  mode_quality supplies the (q_r, k_eff_sq) pair
-    reported for each simulated mode; the packaged config holds the defaults.
-    """
-
-    thickness_center_m: float
-    thickness_edge_drop_m: float
-    thickness_noise_sigma_m: float
-    pitch_sigma_m: float
-    seed: int
-    mode_quality: dict
-    full_resolve: bool = False
-
-    def __post_init__(self):
-        if self.seed < 0:  # the config schema's rule, for a --seed override too
-            raise InputError(f"seed must be >= 0, got {shown(self.seed)}")
-        if self.thickness_center_m <= 0.0:
-            raise InputError("thickness_center_m must be positive")
-        if not self.thickness_center_m - self.thickness_edge_drop_m > 0.0:
-            raise InputError("thickness profile goes non-positive at the wafer edge")
-        if self.thickness_noise_sigma_m < 0.0 or self.pitch_sigma_m < 0.0:
-            raise InputError("noise sigmas must be >= 0")
-        quality = {}
-        for mode, entry in dict(self.mode_quality).items():
-            if mode not in MODE_NAMES:
-                raise InputError(f"unknown mode {mode!r} in mode_quality")
-            q = float(entry["q_r"])
-            k2 = float(entry["k_eff_sq"])
-            if q <= 0.0:
-                raise InputError(f"q_r for {mode} must be positive")
-            if not 0.0 < k2 < 1.0:
-                raise InputError(f"k_eff_sq for {mode} must be in (0, 1)")
-            quality[mode] = {"q_r": q, "k_eff_sq": k2}
-        if not quality:
-            raise InputError("mode_quality must name at least one mode")
-        object.__setattr__(self, "mode_quality", quality)
-
-    @classmethod
-    def from_config(cls, cfg: ToolkitConfig) -> "VariationModel":
-        v = cfg.variation
-        return cls(
-            thickness_center_m=v.thickness_center_m,
-            thickness_edge_drop_m=v.thickness_edge_drop_m,
-            thickness_noise_sigma_m=v.thickness_noise_sigma_m,
-            pitch_sigma_m=v.pitch_sigma_m,
-            seed=cfg.seed,
-            full_resolve=v.full_resolve,
-            mode_quality=v.mode_quality,
-        )
-
-    def thickness_at(self, r_m: float, radius_m: float) -> float:
-        """Deterministic profile value at radius r (noise not included)."""
-        frac = (r_m / radius_m) ** 2
-        return self.thickness_center_m - self.thickness_edge_drop_m * frac
 
 
 @dataclass(frozen=True)
@@ -375,42 +313,46 @@ def metrics_vs_frequency(sites) -> TrendSeries:
     return TrendSeries(per_mode, warnings)
 
 
-def _mode_metrics(model: VariationModel, mode: str, f_r: float) -> ModeMetrics:
-    entry = model.mode_quality[mode]
-    k2 = entry["k_eff_sq"]
+def _mode_metrics(variation: VariationConfig, mode: str, f_r: float) -> ModeMetrics:
+    entry = variation.mode_quality[mode]
+    k2 = float(entry["k_eff_sq"])
     f_a = f_r * math.sqrt(1.0 + k2 / (1.0 - k2))
-    return ModeMetrics(f_r=f_r, f_a=f_a, q_r=entry["q_r"], k_eff_sq=k2)
+    return ModeMetrics(f_r=f_r, f_a=f_a, q_r=float(entry["q_r"]), k_eff_sq=k2)
 
 
 def simulate_wafer(
-    model: VariationModel,
-    designs,
+    variation: VariationConfig,
+    seed: int,
+    pitches,
     plate: PlateSpec,
     chip_cfg: ChipConfig,
     wafer_cfg: WaferConfig,
 ) -> list:
     """Monte Carlo wafer map: one WaferSite per (die placement, design pitch).
 
-    ``designs`` is a sequence of electrode pitches in meters.  Each die draws
-    its local film thickness from the radial profile plus noise and each
-    design on it draws a pitch jitter, all from a per-die stream spawned off
-    the master seed.  Frequencies come from first-order log sensitivities
-    around the nominal plate, or from the dispersion at each site's own
-    thickness and pitch when ``model.full_resolve`` is set.  A site whose
-    perturbed evaluation fails is flagged, not fatal; nominal failures
-    propagate.
+    ``pitches`` is a sequence of design electrode pitches in meters.  Local
+    thickness at radius r is thickness_center_m - thickness_edge_drop_m *
+    (r/R)^2 plus Gaussian noise (a negative drop thickens the edge); local
+    pitch is the design pitch plus Gaussian jitter.  Each die draws its
+    thickness, and each design on it its pitch, from a per-die stream spawned
+    off ``seed``.  Frequencies come from first-order log sensitivities around
+    the nominal plate, or from the dispersion at each site's own thickness and
+    pitch when ``variation.full_resolve`` is set.  A site whose perturbed
+    evaluation fails is flagged, not fatal; nominal failures propagate.
     """
     import numpy as np
 
     from .dispersion import PlateSpec, pitch_to_frequency, sensitivity
     from .layout import gen_wafer_map
 
-    pitches = [float(p) for p in designs]
+    if seed < 0:  # the config schema's rule, for a --seed override too
+        raise InputError(f"seed must be >= 0, got {shown(seed)}")
+    pitches = [float(p) for p in pitches]
     if not pitches:
         raise InputError("no designs to simulate")
     if any(p <= 0.0 for p in pitches):
         raise InputError("design pitches must be positive")
-    modes = tuple(model.mode_quality)
+    modes = tuple(variation.mode_quality)
 
     # Nominal frequency and log sensitivities per (mode, pitch); failures
     # here violate the documented precondition and propagate to the caller.
@@ -423,7 +365,7 @@ def simulate_wafer(
             nominal[(mode, pitch)] = (f_nom, s_h, s_p)
 
     placements = gen_wafer_map(chip_cfg, wafer_cfg)
-    streams = np.random.SeedSequence(model.seed).spawn(len(placements))
+    streams = np.random.SeedSequence(seed).spawn(len(placements))
     radius = wafer_cfg.radius_m
 
     sites = []
@@ -431,16 +373,17 @@ def simulate_wafer(
         rng = np.random.default_rng(stream)
         cx, cy = placement.center(chip_cfg)
         r = math.hypot(cx, cy)
-        t_local = model.thickness_at(r, radius) + rng.normal(0.0, model.thickness_noise_sigma_m)
+        t_profile = variation.thickness_center_m - variation.thickness_edge_drop_m * (r / radius) ** 2
+        t_local = t_profile + rng.normal(0.0, variation.thickness_noise_sigma_m)
         for pitch in pitches:
-            p_local = pitch + rng.normal(0.0, model.pitch_sigma_m)
+            p_local = pitch + rng.normal(0.0, variation.pitch_sigma_m)
             metrics = {}
             failed = []
             for mode in modes:
                 try:
                     if t_local <= 0.0 or p_local <= 0.0:
                         raise SolverError("perturbed geometry is non-physical")
-                    if model.full_resolve:
+                    if variation.full_resolve:
                         f_site = pitch_to_frequency(
                             p_local, mode, PlateSpec(plate.material, t_local)
                         )
@@ -450,7 +393,7 @@ def simulate_wafer(
                             s_h * math.log(t_local / plate.h)
                             + s_p * math.log(p_local / pitch)
                         )
-                    metrics[mode] = _mode_metrics(model, mode, f_site)
+                    metrics[mode] = _mode_metrics(variation, mode, f_site)
                 except (SolverError, DispersionRangeError):
                     failed.append(mode)
             sites.append(

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from oracles import lamb_roots_scan
-from lambkit.config import load_catalog, load_config
+from lambkit.config import VariationConfig, load_catalog, load_config
 from lambkit.design import layer_assignment, match_finger_count, recommend_dose
 from lambkit.design import CapacitanceModel, LayerBand
 from lambkit.dispersion import (
@@ -44,7 +44,6 @@ from lambkit.processflow import (
 )
 from lambkit.touchstone import TouchstoneFile, parse_touchstone, serialize_touchstone
 from lambkit.waferstats import (
-    VariationModel,
     per_mode_deviation,
     relstd,
     simulate_wafer,
@@ -212,18 +211,18 @@ def test_criterion_4_frequency_window():
 #    in-plane-defined S0 stays under 1% for pitches >= 1 um.
 
 def test_criterion_5_deviation_split():
-    model = VariationModel(
+    variation = VariationConfig(
         thickness_center_m=4.2e-7,
         thickness_edge_drop_m=7.0e-8,  # realizes ~3% relstd over the map
         thickness_noise_sigma_m=2e-9,
         pitch_sigma_m=10e-9,
-        seed=20260,
+        full_resolve=False,
         mode_quality={
             "S0": {"q_r": 300.0, "k_eff_sq": 0.07},
             "S1": {"q_r": 250.0, "k_eff_sq": 0.05},
         },
     )
-    sites = simulate_wafer(model, CATALOG_PITCHES, CFG.plate, CFG.chip, CFG.wafer)
+    sites = simulate_wafer(variation, 20260, CATALOG_PITCHES, CFG.plate, CFG.chip, CFG.wafer)
     assert len(sites) >= 83
     t_relstd = relstd([s.local_thickness_m for s in sites])
     assert 2.5 <= t_relstd <= 3.5  # the premise: roughly 3% film spread
@@ -422,21 +421,22 @@ def test_criterion_9_statistics():
     val = relstd([0.99e9, 1.00e9, 1.01e9])
     assert abs(val - 0.8165) <= 0.0001
 
-    model = VariationModel(
+    variation = VariationConfig(
         thickness_center_m=4.2e-7,
         thickness_edge_drop_m=4.0e-8,
         thickness_noise_sigma_m=2e-9,
         pitch_sigma_m=2e-9,
-        seed=424242,
+        full_resolve=False,
         mode_quality={
             "S0": {"q_r": 300.0, "k_eff_sq": 0.07},
             "S1": {"q_r": 250.0, "k_eff_sq": 0.05},
         },
     )
+    seed = 424242
     runs = [
-        simulate_wafer(model, (2.0e-6,), CFG.plate, CFG.chip, CFG.wafer)
+        simulate_wafer(variation, seed, (2.0e-6,), CFG.plate, CFG.chip, CFG.wafer)
         for _ in range(2)
     ]
-    docs = [json.dumps(sites_to_dict(r, seed=model.seed)) for r in runs]
+    docs = [json.dumps(sites_to_dict(r, seed=seed)) for r in runs]
     assert docs[0] == docs[1]
     print(f"criterion 9 PASS: relstd {val:.6f}%, seeded run byte-reproducible")

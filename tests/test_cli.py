@@ -10,6 +10,7 @@ import runpy
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +62,49 @@ def test_unknown_subcommand_is_usage_error():
 
 def test_help_exits_zero():
     assert cli.main(["--help"]) == cli.EXIT_OK
+
+
+# Every option each subcommand offers besides -h/--help: each is one the command reads.
+OPTIONS = {
+    "disperse": "--config --out --quiet --pitch-min --pitch-max --points --modes",
+    "design": "--config --out --quiet --pitches --catalog --mode",
+    "layout": "--config --out --quiet --pitches --catalog --mode --wafer-map",
+    "fit": "--out --quiet --branches --cal-short --cal-open --cal-load",
+    "stats": "--out --quiet --heatmap",
+    "simulate-wafer": "--config --out --quiet --pitches --catalog --seed --full-resolve",
+    "flow-check": "--out --quiet --rates",
+}
+
+
+def test_each_subcommand_offers_only_the_options_it_reads():
+    (commands,) = [a.choices for a in cli.build_parser()._actions if a.choices]
+    assert sorted(commands) == sorted(OPTIONS)
+    for name, parser in commands.items():
+        offered = [s for a in parser._actions for s in a.option_strings]
+        assert offered == ["-h", "--help", *OPTIONS[name].split()], name
+
+
+UNREAD = [
+    ["stats", "sites.json", "--config", "cfg.json"],
+    ["flow-check", "alscn-ti-adhesion", "--config", "cfg.json"],
+    ["fit", "dut.s1p", "--config", "cfg.json"],
+    ["disperse", "--seed", "7"],
+    ["design", "--seed", "7"],
+    ["layout", "--seed", "7"],
+    ["fit", "dut.s1p", "--seed", "7"],
+    ["stats", "sites.json", "--seed", "7"],
+    ["flow-check", "alscn-ti-adhesion", "--seed", "7"],
+    ["simulate-wafer", "--mode", "S0"],
+    ["fit", "dut.s1p", "--cal-through", "through.s1p"],
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD, ids=[a[0] + a[-2] for a in UNREAD])
+def test_option_a_command_does_not_read_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_USAGE
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}\n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- disperse
@@ -410,6 +454,22 @@ def test_fit_batch_isolates_bad_file(tmp_path, capsys):
     assert not (tmp_path / "broken_metrics.json").exists()
 
 
+@pytest.mark.parametrize("branches", ["0", "1"])
+def test_fit_of_degenerate_trace_prints_only_its_failure(tmp_path, branches):
+    # an all-open DUT has Y = 0 everywhere; a sub-normal Hz grid overflows 1/w
+    f = np.linspace(0.8e9, 1.3e9, 400)
+    open_dut = write_s1p(tmp_path / "open.s1p", f, np.ones(f.size, dtype=complex))
+    tiny = tmp_path / "tiny.s1p"
+    tiny.write_text("# Hz S RI R 50\n1e-320 0.5 0.1\n2e-320 0.4 0.2\n3e-320 0.3 0.1\n")
+    tiny_why = {"0": "iteration cap reached after 1 evaluations",
+                "1": "found 0 admittance peak(s) but 1 branch(es) requested"}[branches]
+    for path, why in ((open_dut, "zero-magnitude admittance sample cannot be weighted"),
+                      (str(tiny), tiny_why)):
+        proc = run_cli("fit", path, "--branches", branches, "--quiet", "--out", str(tmp_path))
+        assert proc.returncode == cli.EXIT_ALL_FITS_FAILED
+        assert proc.stderr == f"failed {os.path.basename(path)}: {why}\n"
+
+
 def test_fit_all_files_failing_exits_5(tmp_path):
     a = tmp_path / "a.s1p"
     b = tmp_path / "b.s1p"
@@ -420,7 +480,7 @@ def test_fit_all_files_failing_exits_5(tmp_path):
     assert code == cli.EXIT_ALL_FITS_FAILED
 
 
-def test_fit_identity_calibration_matches_raw(tmp_path, capsys):
+def test_fit_identity_calibration_matches_raw(tmp_path):
     dut, f = write_dut(tmp_path)
     short = write_s1p(tmp_path / "short.s1p", f, np.full(f.size, -1 + 0j))
     open_std = write_s1p(tmp_path / "open.s1p", f, np.full(f.size, 1 + 0j))
@@ -431,11 +491,9 @@ def test_fit_identity_calibration_matches_raw(tmp_path, capsys):
     assert cli.main(["fit", dut, "--out", str(raw_dir)]) == 0
     code = cli.main(
         ["fit", dut, "--out", str(cal_dir),
-         "--cal-short", short, "--cal-open", open_std, "--cal-load", load,
-         "--cal-through", short]
+         "--cal-short", short, "--cal-open", open_std, "--cal-load", load]
     )
     assert code == 0
-    assert "through standard ignored" in capsys.readouterr().err
     raw = json.loads((raw_dir / "dut_metrics.json").read_text())
     cal = json.loads((cal_dir / "dut_metrics.json").read_text())
     assert cal["branches"][0]["f_r_hz"] == pytest.approx(
@@ -500,7 +558,7 @@ def test_standard_that_is_not_utf8_is_usage_error(tmp_path, flag):
     dut, f = write_dut(tmp_path)
     cal = dict(zip(("--cal-short", "--cal-open", "--cal-load"), ideal_standards(tmp_path, f)))
     bad = tmp_path / "bad.s1p"
-    bad.write_bytes(b"! \xff\n" + open(cal[flag], "rb").read())
+    bad.write_bytes(b"! \xff\n" + Path(cal[flag]).read_bytes())
     cal[flag] = str(bad)
     out = tmp_path / "out"
     proc = run_cli("fit", dut, *(x for item in cal.items() for x in item), "--quiet",
@@ -866,14 +924,14 @@ EXPORTS = {
     "gdsii": "read_gdsii write_gdsii",
     "layout": "Cell ChipPlacement Library Placement Polygon ReticleSpec "
               "build_reticle gen_chip gen_wafer_map",
-    "mbvd": "AdmittanceTrace FitOptions FitResult MbvdModel ModeMetrics MotionalBranch "
+    "mbvd": "AdmittanceTrace FitResult MbvdModel ModeMetrics MotionalBranch "
             "StaticNetwork de_embed_open_short fit_mbvd mbvd_admittance resonance_metrics",
     "processflow": "GOLDEN_FLOW_NAMES FlowReport ProcessStep RateTable StackState Violation "
                    "ashing_time check_compatibility check_flow classify_chemistry "
                    "etch_budget load_flow packaged_flow simulate_stack",
     "touchstone": "TouchstoneFile parse_touchstone s11_to_y serialize_touchstone "
                   "touchstone_to_trace y_to_s11",
-    "waferstats": "DeviationReport VariationModel WaferSite metrics_vs_frequency "
+    "waferstats": "DeviationReport WaferSite metrics_vs_frequency "
                   "per_mode_deviation relstd simulate_wafer sites_from_dict sites_to_dict",
 }
 
@@ -882,7 +940,7 @@ def test_every_package_export_is_the_module_attribute():
     import lambkit
 
     names = [(m, n) for m, text in EXPORTS.items() for n in text.split()]
-    assert len(names) == 81
+    assert len(names) == 79
     assert sorted(lambkit.__all__) == sorted(n for _, n in names)
     for module, name in names:
         ns = {}

@@ -15,7 +15,6 @@ from lambkit.errors import (
 from lambkit import mbvd
 from lambkit.mbvd import (
     AdmittanceTrace,
-    FitOptions,
     MbvdModel,
     MotionalBranch,
     StaticNetwork,
@@ -247,10 +246,11 @@ def test_fit_peak_error_on_flat_trace():
     assert exc.value.requested == 1
 
 
-def test_fit_iteration_cap_carries_best_model():
+def test_fit_iteration_cap_carries_best_model(monkeypatch):
+    monkeypatch.setattr(mbvd, "_MAX_ITERATIONS", 1)
     tr = mbvd_admittance(make_model(r_s=0.5), np.linspace(0.9e9, 1.2e9, 400))
     with pytest.raises(FitConvergenceError) as exc:
-        fit_mbvd(tr, 1, FitOptions(max_iterations=1))
+        fit_mbvd(tr, 1)
     assert isinstance(exc.value.model, MbvdModel)
     assert exc.value.model.n_branches == 1
     assert not exc.value.report.converged
@@ -291,12 +291,6 @@ def test_median_is_numpy_median_to_the_bit(n):
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), values
 
 
-@pytest.mark.parametrize("window", [0, -3, 4, 2.0, True, "5"])
-def test_fit_options_rejects_bad_median_window(window):
-    with pytest.raises(InputError):
-        FitOptions(median_window=window)
-
-
 def test_fit_report_counts_evaluations():
     res = fit_mbvd(mbvd_admittance(make_model(r_s=0.5), np.linspace(0.9e9, 1.2e9, 400)), 1)
     report = res.report_dict()
@@ -306,10 +300,11 @@ def test_fit_report_counts_evaluations():
     json.dumps(report)
 
 
-def test_fit_iteration_cap_message_names_evaluations():
+def test_fit_iteration_cap_message_names_evaluations(monkeypatch):
+    monkeypatch.setattr(mbvd, "_MAX_ITERATIONS", 1)
     tr = mbvd_admittance(make_model(r_s=0.5), np.linspace(0.9e9, 1.2e9, 400))
     with pytest.raises(FitConvergenceError, match=r"iteration cap reached after 6 evaluations"):
-        fit_mbvd(tr, 1, FitOptions(max_iterations=1))
+        fit_mbvd(tr, 1)
 
 
 def _weak_resonator(f_r, k2, q, c0=1e-12, rs=1.5):
@@ -338,11 +333,11 @@ def test_fit_weak_resonator_on_wide_sweep(f_r, k2, q):
 def test_initial_model_seeds_on_conductance_peak():
     truth = _weak_resonator(1.0e9, 0.005, 250.0)
     f = np.linspace(0.6e9, 3.4e9, 1601)
-    _, _, (branch,) = mbvd._initial_model(AdmittanceTrace(f, truth.admittance(f)), 1, FitOptions())
+    _, _, (branch,) = mbvd._initial_model(AdmittanceTrace(f, truth.admittance(f)), 1)
     assert branch.f_r == pytest.approx(1.0e9, rel=2e-3)
 
 
-def _jacobian_case(n_branches, fit_r0, seed):
+def _jacobian_case(n_branches, seed):
     rng = np.random.default_rng(seed)
     c0 = 10 ** rng.uniform(-12.3, -11.7)
     branches = []
@@ -351,7 +346,7 @@ def _jacobian_case(n_branches, fit_r0, seed):
         w = 2.0 * math.pi * f_r
         r_m = 1.0 / (w * c_m * rng.uniform(250.0, 1000.0))
         branches.append(MotionalBranch(r_m=r_m, l_m=1.0 / (w * w * c_m), c_m=c_m))
-    theta = mbvd._pack(c0, rng.uniform(0.5, 3.0), rng.uniform(0.1, 5.0), branches, fit_r0)
+    theta = mbvd._pack(c0, rng.uniform(0.5, 3.0), branches)
     theta += rng.normal(0.0, 1e-3, theta.size)
     f = np.linspace(0.7e9, 3.3e9, 400)
     y = MbvdModel(StaticNetwork(c_0=c0), tuple(branches)).admittance(f)
@@ -363,27 +358,26 @@ def _kernel_args(jw, y, absy):
     return jw, 1.0 / jw, y, 1.0 / absy
 
 
-@pytest.mark.parametrize("fit_r0", [False, True])
 @pytest.mark.parametrize("n_branches", [1, 2, 3, 4])
-def test_analytic_jacobian_matches_central_differences(n_branches, fit_r0):
-    theta, jw, y, absy = _jacobian_case(n_branches, fit_r0, 100 * n_branches + fit_r0)
+def test_analytic_jacobian_matches_central_differences(n_branches):
+    theta, jw, y, absy = _jacobian_case(n_branches, 100 * n_branches)
     args = _kernel_args(jw, y, absy)
-    fun, jac = mbvd._residual_jacobian(theta, *args, fit_r0)
+    fun, jac = mbvd._residual_jacobian(theta, *args)
     assert fun.shape == (2 * y.size,) and jac.shape == (fun.size, theta.size)
     step = 1e-7
     for i in range(theta.size):
         e = np.zeros_like(theta)
         e[i] = step
-        fd = (mbvd._residual_jacobian(theta + e, *args, fit_r0)[0]
-              - mbvd._residual_jacobian(theta - e, *args, fit_r0)[0]) / (2.0 * step)
+        fd = (mbvd._residual_jacobian(theta + e, *args)[0]
+              - mbvd._residual_jacobian(theta - e, *args)[0]) / (2.0 * step)
         scale = np.max(np.abs(jac[:, i]))
         assert np.max(np.abs(fd - jac[:, i])) <= 1e-6 * scale, i
 
 
 def test_residual_matches_model_admittance():
-    theta, jw, y, absy = _jacobian_case(3, True, 7)
-    fun, _ = mbvd._residual_jacobian(theta, *_kernel_args(jw, y, absy), True)
-    model = mbvd._unpack(theta, True)
+    theta, jw, y, absy = _jacobian_case(3, 7)
+    fun, _ = mbvd._residual_jacobian(theta, *_kernel_args(jw, y, absy))
+    model = mbvd._unpack(theta)
     d = (model.admittance(jw.imag / (2.0 * math.pi)) - y) / absy
     # the real and imaginary part of each sample side by side
     want = np.column_stack([d.real, d.imag]).ravel()
@@ -448,11 +442,11 @@ def test_levenberg_marquardt_no_worse_than_scipy_on_criterion_1_set():
         )
         trace = AdmittanceTrace(grid, truth.admittance(grid) * (1.0 + noise))
         n = truth.n_branches
-        c0, rs, branches = mbvd._initial_model(trace, n, FitOptions())
-        theta0 = mbvd._pack(c0, rs, 1e-3, branches, False)
+        c0, rs, branches = mbvd._initial_model(trace, n)
+        theta0 = mbvd._pack(c0, rs, branches)
         args = _kernel_args(2j * math.pi * grid, trace.admittance, np.abs(trace.admittance))
         want = least_squares(
-            lambda th: mbvd._residual_jacobian(th, *args, False)[0],
+            lambda th: mbvd._residual_jacobian(th, *args)[0],
             theta0, method="lm", xtol=1e-10, ftol=1e-14, gtol=1e-14, max_nfev=200 * (3 * n + 3),
         )
         got = fit_mbvd(trace, n)

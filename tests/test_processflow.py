@@ -66,6 +66,14 @@ def test_step_validation():
         ProcessStep(kind="etch_ibe", material="Pt", recipe=((10, -5),))
     with pytest.raises(InputError):
         ProcessStep(kind="release", chemistry="XeF2", pulses=-1)
+    with pytest.raises(InputError, match=r"^pulses must be an integer, got 60\.5$"):
+        ProcessStep(kind="release", chemistry="XeF2", pulses=60.5)
+    with pytest.raises(InputError, match=r"^repeats must be an integer, got 1\.5$"):
+        ProcessStep(kind="etch_ibe", material="Pt", recipe=((10, 5),), repeats=1.5)
+    # an integral float counts, as in the config
+    step = ProcessStep.from_dict({"kind": "etch_ibe", "material": "Pt", "recipe": [[10, 5]],
+                                  "repeats": 2.0, "pulses": 3.0})
+    assert (step.repeats, step.pulses) == (2, 3) and type(step.repeats) is type(step.pulses) is int
 
 
 def test_step_round_trip():
@@ -101,6 +109,8 @@ def test_step_to_dict_writes_the_fields_that_differ_from_their_defaults():
     ("temperature_c", [150], "steps[2].temperature_c"),
     ("duration_s", float("inf"), "steps[2].duration_s"),
     ("pulses", True, "steps[2].pulses"),
+    ("repeats", 1.5, "steps[2].repeats must be an integer, got 1.5"),
+    ("pulses", 60.5, "steps[2].pulses must be an integer, got 60.5"),
     ("material", 5, "steps[2].material"),
     ("recipe", [[10, "60"]], "steps[2].recipe[0]"),
     ("recipe", [[10]], "steps[2].recipe[0]"),
@@ -265,6 +275,19 @@ def test_blanket_etch_thins_and_removes():
     state = simulate_stack(done)[-1]
     assert state.materials == ("Si",)
     assert any("fully removed" in n for n in state.notes)
+
+
+def test_etching_the_substrate_away_names_the_step(tmp_path, capsys):
+    flow = (
+        ProcessStep(kind="deposit", material="SiO2", thickness_m=300 * NM),
+        ProcessStep(kind="etch_vapor", material="SiO2", chemistry="anhydrous HF", duration_s=240),
+    )
+    with pytest.raises(FlowError, match=r"^etch_vapor of SiO2 removes the substrate$"):
+        simulate_stack(flow)
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(steps_to_dict(flow)))
+    assert cli.main(["flow-check", str(path), "--quiet"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: etch_vapor of SiO2 removes the substrate\n"
 
 
 def test_etch_of_unexposed_target_raises():

@@ -13,12 +13,11 @@ import pytest
 
 import lambkit
 from lambkit import mbvd, waferstats
-from lambkit.config import load_config
-from lambkit.errors import InputError, StatisticsError
+from lambkit.config import VariationConfig, load_config
+from lambkit.errors import ConfigError, InputError, StatisticsError
 from lambkit.mbvd import ModeMetrics
 from lambkit.waferstats import (
     DeviationRow,
-    VariationModel,
     WaferSite,
     deviation_csv_rows,
     heatmap_csv_rows,
@@ -50,17 +49,20 @@ def make_site(site_id, f_by_mode, pitch=2e-6, failed=(), x=0.0, y=0.0):
     )
 
 
-def model(**overrides):
+SEED = 2024
+
+
+def variation(**overrides):
     kwargs = dict(
         thickness_center_m=4.2e-7,
         thickness_edge_drop_m=4.0e-8,
         thickness_noise_sigma_m=2e-9,
         pitch_sigma_m=2e-9,
-        seed=2024,
+        full_resolve=False,
         mode_quality={"S0": {"q_r": 300.0, "k_eff_sq": 0.07}},
     )
     kwargs.update(overrides)
-    return VariationModel(**kwargs)
+    return VariationConfig(**kwargs)
 
 
 # ------------------------------------------------------------------- relstd
@@ -123,44 +125,51 @@ def test_import_waferstats_loads_no_numpy():
 
 
 def test_variation_model_validation():
-    with pytest.raises(InputError):
-        model(thickness_noise_sigma_m=-1e-9)
-    with pytest.raises(InputError):
-        model(thickness_edge_drop_m=5e-7)  # profile hits zero
-    with pytest.raises(InputError):
-        model(mode_quality={"B7": {"q_r": 100, "k_eff_sq": 0.1}})
-    with pytest.raises(InputError):
-        model(mode_quality={"S0": {"q_r": 100, "k_eff_sq": 1.5}})
-    with pytest.raises(InputError):
-        model(mode_quality={})
+    # the config section checks in process what the schema checks in a file
+    for bad in (dict(thickness_center_m=0.0), dict(thickness_noise_sigma_m=-1e-9),
+                dict(pitch_sigma_m=-1e-9), dict(thickness_edge_drop_m=5e-7),
+                dict(mode_quality={"B7": {"q_r": 100, "k_eff_sq": 0.1}}),
+                dict(mode_quality={"S0": {"q_r": 0, "k_eff_sq": 0.1}}),
+                dict(mode_quality={"S0": {"q_r": 100, "k_eff_sq": 1.5}}),
+                dict(mode_quality={})):
+        with pytest.raises(ConfigError):
+            variation(**bad)
+    with pytest.raises(InputError, match=r"^seed must be >= 0, got -1$"):
+        simulate_wafer(variation(), -1, [2e-6], CFG.plate, CFG.chip, CFG.wafer)
 
 
 def test_negative_edge_drop_thickens_the_edge():
     # the rule is center - drop > 0, the same as the config's
-    m = model(thickness_edge_drop_m=-1e-8)
-    assert m.thickness_at(1.0, 1.0) == pytest.approx(4.3e-7)
-    with pytest.raises(InputError, match="non-positive at the wafer edge"):
-        model(thickness_edge_drop_m=4.2e-7)
+    flat = dict(thickness_noise_sigma_m=0.0, pitch_sigma_m=0.0)
+    sites = simulate_wafer(variation(thickness_edge_drop_m=-1e-8, **flat), SEED, [2e-6],
+                           CFG.plate, CFG.chip, CFG.wafer)
+    for s in sites:
+        r = math.hypot(s.x_mm, s.y_mm) * 1e-3 / CFG.wafer.radius_m
+        assert s.local_thickness_m == pytest.approx(4.2e-7 + 1e-8 * r * r, rel=1e-12)
+    assert max(s.local_thickness_m for s in sites) > 4.2e-7
+    with pytest.raises(ConfigError, match="non-positive at the wafer edge"):
+        variation(thickness_edge_drop_m=4.2e-7)
 
 
 def test_mode_quality_has_no_default():
     # the packaged config is the one home of the per-mode defaults
     kwargs = dict(thickness_center_m=4.2e-7, thickness_edge_drop_m=0.0,
-                  thickness_noise_sigma_m=0.0, pitch_sigma_m=0.0, seed=1)
+                  thickness_noise_sigma_m=0.0, pitch_sigma_m=0.0, full_resolve=False)
     with pytest.raises(TypeError, match="mode_quality"):
-        VariationModel(**kwargs)
-    assert VariationModel.from_config(CFG).mode_quality == CFG.variation.mode_quality
+        VariationConfig(**kwargs)
 
 
 def test_variation_model_from_config():
-    m = VariationModel.from_config(CFG)
-    assert m.seed == CFG.seed
-    assert tuple(m.mode_quality) == ("A0", "S0", "A1", "S1")
-    assert m.thickness_at(0.0, CFG.wafer.radius_m) == pytest.approx(
-        m.thickness_center_m
-    )
-    edge = m.thickness_at(CFG.wafer.radius_m, CFG.wafer.radius_m)
-    assert edge == pytest.approx(m.thickness_center_m - m.thickness_edge_drop_m)
+    # simulate_wafer reads the config's variation section and seed as they are
+    v = CFG.variation
+    assert tuple(v.mode_quality) == ("A0", "S0", "A1", "S1")
+    sites = simulate_wafer(v, CFG.seed, [2e-6], CFG.plate, CFG.chip, CFG.wafer)
+    assert sorted(sites[0].metrics) == ["A0", "A1", "S0", "S1"]
+    for mode, m in sites[0].metrics.items():
+        assert (m.q_r, m.k_eff_sq) == (v.mode_quality[mode]["q_r"], v.mode_quality[mode]["k_eff_sq"])
+    again = simulate_wafer(replace(v, mode_quality={"S0": {"q_r": 300, "k_eff_sq": 0.07}}),
+                           CFG.seed, [2e-6], CFG.plate, CFG.chip, CFG.wafer)
+    assert type(again[0].metrics["S0"].q_r) is float  # an integer q_r still writes 300.0
 
 
 def test_wafer_site_validation():
@@ -248,14 +257,14 @@ def test_group_statistics_permutation_invariant():
 
 
 def test_flat_model_gives_identical_sites():
-    m = model(
+    m = variation(
         thickness_edge_drop_m=0.0,
         thickness_noise_sigma_m=0.0,
         pitch_sigma_m=0.0,
         mode_quality={"S0": {"q_r": 300.0, "k_eff_sq": 0.07},
                       "A0": {"q_r": 700.0, "k_eff_sq": 0.008}},
     )
-    sites = simulate_wafer(m, [2.0e-6], CFG.plate, CFG.chip, CFG.wafer)
+    sites = simulate_wafer(m, SEED, [2.0e-6], CFG.plate, CFG.chip, CFG.wafer)
     assert len(sites) == 83
     report = per_mode_deviation(sites)
     assert all(r.relstd_pct == 0.0 for r in report.rows)
@@ -265,12 +274,12 @@ def test_flat_model_gives_identical_sites():
 
 def test_thickness_variation_splits_s0_s1():
     # thickness-defined S1 tracks the film spread; thin-plate S0 ignores it
-    m = model(
+    m = variation(
         pitch_sigma_m=0.0,
         mode_quality={"S0": {"q_r": 300.0, "k_eff_sq": 0.07},
                       "S1": {"q_r": 250.0, "k_eff_sq": 0.05}},
     )
-    sites = simulate_wafer(m, [4.5e-6], CFG.plate, CFG.chip, CFG.wafer)
+    sites = simulate_wafer(m, SEED, [4.5e-6], CFG.plate, CFG.chip, CFG.wafer)
     t_relstd = relstd([s.local_thickness_m for s in sites[::2]] +
                       [s.local_thickness_m for s in sites[1::2]])
     report = per_mode_deviation(sites)
@@ -281,14 +290,14 @@ def test_thickness_variation_splits_s0_s1():
 
 
 def test_simulation_reproducible_for_seed():
-    kwargs = dict(designs=[2.0e-6], plate=CFG.plate, chip_cfg=CFG.chip, wafer_cfg=CFG.wafer)
-    a = simulate_wafer(model(), **kwargs)
-    b = simulate_wafer(model(), **kwargs)
+    kwargs = dict(pitches=[2.0e-6], plate=CFG.plate, chip_cfg=CFG.chip, wafer_cfg=CFG.wafer)
+    a = simulate_wafer(variation(), SEED, **kwargs)
+    b = simulate_wafer(variation(), SEED, **kwargs)
     assert a == b
     rep_a = deviation_csv_rows(per_mode_deviation(a))
     rep_b = deviation_csv_rows(per_mode_deviation(b))
     assert rep_a == rep_b
-    c = simulate_wafer(model(seed=2025), **kwargs)
+    c = simulate_wafer(variation(), SEED + 1, **kwargs)
     assert c != a
 
 
@@ -298,9 +307,9 @@ def test_halving_sigmas_halves_relstd():
         mode_quality={"S0": {"q_r": 300.0, "k_eff_sq": 0.07},
                       "S1": {"q_r": 250.0, "k_eff_sq": 0.05}},
     )
-    full = model(thickness_noise_sigma_m=6e-9, pitch_sigma_m=4e-9, **base)
-    half = model(thickness_noise_sigma_m=3e-9, pitch_sigma_m=2e-9, **base)
-    args = ([1.5e-6], CFG.plate, CFG.chip, CFG.wafer)
+    full = variation(thickness_noise_sigma_m=6e-9, pitch_sigma_m=4e-9, **base)
+    half = variation(thickness_noise_sigma_m=3e-9, pitch_sigma_m=2e-9, **base)
+    args = (SEED, [1.5e-6], CFG.plate, CFG.chip, CFG.wafer)
     rep_full = per_mode_deviation(simulate_wafer(full, *args))
     rep_half = per_mode_deviation(simulate_wafer(half, *args))
     for row in rep_full.rows:
@@ -311,9 +320,9 @@ def test_halving_sigmas_halves_relstd():
 def test_full_resolve_matches_first_order():
     # a handful of dies is enough to compare propagation against re-solving
     chip = replace(CFG.chip, width_m=0.03, height_m=0.012)
-    first = model(full_resolve=False)
-    resolved = model(full_resolve=True)
-    args = ([2.0e-6], CFG.plate, chip, CFG.wafer)
+    first = variation(full_resolve=False)
+    resolved = variation(full_resolve=True)
+    args = (SEED, [2.0e-6], CFG.plate, chip, CFG.wafer)
     a = simulate_wafer(first, *args)
     b = simulate_wafer(resolved, *args)
     assert 2 <= len(a) <= 20
@@ -325,8 +334,8 @@ def test_full_resolve_matches_first_order():
 
 def test_perturbed_failure_flags_site():
     # absurd pitch jitter drives some local pitches negative
-    m = model(full_resolve=False, pitch_sigma_m=4.5e-6)
-    sites = simulate_wafer(m, [4.5e-6], CFG.plate, CFG.chip, CFG.wafer)
+    m = variation(full_resolve=False, pitch_sigma_m=4.5e-6)
+    sites = simulate_wafer(m, SEED, [4.5e-6], CFG.plate, CFG.chip, CFG.wafer)
     flagged = [s for s in sites if s.failed_modes]
     clean = [s for s in sites if not s.failed_modes]
     assert flagged and clean
@@ -337,9 +346,9 @@ def test_perturbed_failure_flags_site():
 
 def test_simulate_rejects_bad_designs():
     with pytest.raises(InputError):
-        simulate_wafer(model(), [], CFG.plate, CFG.chip, CFG.wafer)
+        simulate_wafer(variation(), SEED, [], CFG.plate, CFG.chip, CFG.wafer)
     with pytest.raises(InputError):
-        simulate_wafer(model(), [-2e-6], CFG.plate, CFG.chip, CFG.wafer)
+        simulate_wafer(variation(), SEED, [-2e-6], CFG.plate, CFG.chip, CFG.wafer)
 
 
 # ------------------------------------------------------------------ trends
