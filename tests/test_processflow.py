@@ -109,12 +109,12 @@ def test_step_to_dict_writes_the_fields_that_differ_from_their_defaults():
     ("temperature_c", [150], "steps[2].temperature_c"),
     ("duration_s", float("inf"), "steps[2].duration_s"),
     ("pulses", True, "steps[2].pulses"),
-    ("repeats", 1.5, "steps[2].repeats must be an integer, got 1.5"),
-    ("pulses", 60.5, "steps[2].pulses must be an integer, got 60.5"),
     ("material", 5, "steps[2].material"),
     ("recipe", [[10, "60"]], "steps[2].recipe[0]"),
     ("recipe", [[10]], "steps[2].recipe[0]"),
     ("recipe", "fast", "steps[2].recipe"),
+    ("repeats", 1.5, "steps[2].repeats must be an integer, got 1.5"),
+    ("pulses", 60.5, "steps[2].pulses must be an integer, got 60.5"),
 ])
 def test_steps_from_dict_names_the_bad_field(field, value, json_path):
     doc = steps_to_dict(packaged_flow("alscn-ti-adhesion"))
