@@ -121,7 +121,7 @@ def _build_designs(args):
     cfg = load_config(args.config)
     pitches = _catalog_pitches(args)
     cap_model = CapacitanceModel(eps_r=cfg.eps_r, h_piezo=cfg.plate.h)
-    return cfg, [
+    designs = [
         match_finger_count(
             pitch,
             cfg.plate,
@@ -133,6 +133,14 @@ def _build_designs(args):
         )
         for pitch in pitches
     ]
+    first_pitch = {}  # design id -> the pitch that took it
+    for pitch, design in zip(pitches, designs):
+        other = first_pitch.setdefault(design.design_id, pitch)
+        if other != pitch:  # one id would name two designs, and two cells on the chip
+            raise InputError(
+                f"pitches {other!r} and {pitch!r} share design id {design.design_id!r}"
+            )
+    return cfg, designs
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +481,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lambkit",
         description="Lamb-wave resonator design, layout, fitting, and statistics.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("disperse", parents=[config, output], help="solve dispersion curves")
+    p = sub.add_parser(
+        "disperse", parents=[config, output], help="solve dispersion curves", allow_abbrev=False
+    )
     p.add_argument("--pitch-min", type=float, default=1.0e-6)
     p.add_argument("--pitch-max", type=float, default=4.5e-6)
     p.add_argument("--points", type=int, default=40, help=f"grid size, 2 to {MAX_GRID_POINTS}")
@@ -485,20 +496,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "design", parents=[config, output, pitch_source, design_mode],
-        help="impedance-matched IDT designs",
+        help="impedance-matched IDT designs", allow_abbrev=False,
     )
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser(
         "layout", parents=[config, output, pitch_source, design_mode],
-        help="chip GDSII, reticle, wafer map",
+        help="chip GDSII, reticle, wafer map", allow_abbrev=False,
     )
     p.add_argument(
         "--wafer-map", action="store_true", help="also write the placement CSV"
     )
     p.set_defaults(func=cmd_layout)
 
-    p = sub.add_parser("fit", parents=[output], help="fit mBVD models to .s1p files")
+    p = sub.add_parser(
+        "fit", parents=[output], help="fit mBVD models to .s1p files", allow_abbrev=False
+    )
     p.add_argument("files", nargs="+", help=".s1p measurement files")
     p.add_argument("--branches", type=int, default=1, help="motional branch count")
     p.add_argument("--cal-short", default=None, help="measured short standard .s1p")
@@ -506,13 +519,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cal-load", default=None, help="measured load standard .s1p")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("stats", parents=[output], help="reduce a wafer sites JSON")
+    p = sub.add_parser(
+        "stats", parents=[output], help="reduce a wafer sites JSON", allow_abbrev=False
+    )
     p.add_argument("sites", help="sites JSON from simulate-wafer or measurements")
     p.add_argument("--heatmap", default=None, help="write heatmap.csv for MODE:PITCH_M")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser(
-        "simulate-wafer", parents=[config, output, pitch_source], help="seeded variation run"
+        "simulate-wafer", parents=[config, output, pitch_source], help="seeded variation run",
+        allow_abbrev=False,
     )
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument(
@@ -521,7 +537,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_simulate_wafer)
 
-    p = sub.add_parser("flow-check", parents=[output], help="rule-check a process flow")
+    p = sub.add_parser(
+        "flow-check", parents=[output], help="rule-check a process flow", allow_abbrev=False
+    )
     p.add_argument("flow", help="flow JSON path or a packaged flow name")
     p.add_argument("--rates", default=None, help="rate table JSON override")
     p.set_defaults(func=cmd_flow_check)

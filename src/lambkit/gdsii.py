@@ -155,52 +155,41 @@ def write_gdsii(library) -> bytes:
     return bytes(out)
 
 
-class _Tokenizer:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def next(self):
-        """(offset, rectype, dattype, payload) or None at end of stream."""
-        if self.pos >= len(self.data):
-            return None
-        off = self.pos
-        if len(self.data) - off < 4:
-            raise GdsParseError("truncated record header", offset=off)
-        length, rectype, dattype = struct.unpack_from(">HBB", self.data, off)
-        if length < 4 or length % 2:
-            raise GdsParseError(f"bad record length {length}", offset=off)
-        if off + length > len(self.data):
-            raise GdsParseError("record runs past end of stream", offset=off)
-        payload = self.data[off + 4 : off + length]
-        self.pos = off + length
-        return off, rectype, dattype, payload
-
-
 def _rec_name(rectype: int) -> str:
     return _REC_NAMES.get(rectype, f"0x{rectype:02X}")
 
 
 class _Parser:
+    """Record cursor: ``cur`` is the type of the record at ``offset`` (None at
+    the end of the stream, where ``offset`` is the stream length) and
+    ``payload`` its data.  advance() frames the next record, so a framing
+    fault surfaces only when the cursor reaches it."""
+
     def __init__(self, data: bytes):
-        self.tok = _Tokenizer(data)
-        self.cur = None
-        self.offset = 0
+        self.data = data
+        self.end = 0  # offset just past the current record
         self.advance()
 
     def advance(self):
-        rec = self.tok.next()
-        if rec is None:
+        off = self.offset = self.end
+        if off >= len(self.data):
             self.cur = None
             return
-        self.offset, self.rectype, self.dattype, self.payload = rec
-        self.cur = self.rectype
+        if len(self.data) - off < 4:
+            raise GdsParseError("truncated record header", offset=off)
+        length, self.cur = struct.unpack_from(">HB", self.data, off)
+        if length < 4 or length % 2:
+            raise GdsParseError(f"bad record length {length}", offset=off)
+        if off + length > len(self.data):
+            raise GdsParseError("record runs past end of stream", offset=off)
+        self.payload = self.data[off + 4 : off + length]
+        self.end = off + length
 
     def expect(self, rectype: int) -> bytes:
         if self.cur is None:
             raise GdsParseError(
                 f"unexpected end of stream, wanted {_rec_name(rectype)}",
-                offset=self.tok.pos,
+                offset=self.offset,
             )
         if self.cur != rectype:
             raise GdsParseError(
@@ -307,10 +296,12 @@ def read_gdsii(data: bytes):
                 )
         p.expect(ENDSTR)
         cells.append((cell_off, _at(cell_off, Cell, cellname, polygons, placements)))
+    end_off = p.offset
     p.expect(ENDLIB)
     if p.cur is not None:
         raise GdsParseError("data after ENDLIB", offset=p.offset)
     lib = _at(name_off, Library, name=libname)
     for cell_off, cell in cells:
         _at(cell_off, lib.add, cell)
+    _at(end_off, lib.validate)  # references resolve once every cell is read
     return lib

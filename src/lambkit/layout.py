@@ -1,5 +1,7 @@
 """Mask geometry: validated polygons, cells, libraries, and the generators
-for IDT devices, de-embedding twins, chips, reticle plans, and wafer maps.
+for chips, reticle plans and wafer maps.  One generator, `gen_device_cells`,
+builds each design's IDT device cell together with its open and short
+de-embedding twins from a single frame.
 
 All coordinates are integer database units of 1 nm within int32; this module
 is the only place that range is checked.  Polygons are stored open (closure
@@ -28,9 +30,7 @@ __all__ = [
     "ReticleSpec",
     "ChipPlacement",
     "to_dbu",
-    "gen_idt_cell",
-    "gen_open_cell",
-    "gen_short_cell",
+    "gen_device_cells",
     "gen_chip",
     "gen_wafer_map",
     "build_reticle",
@@ -207,10 +207,6 @@ class Cell:
         if not _NAME_RE.match(self.name):
             raise InputError(f"cell name {self.name!r} is not GDSII-legal")
 
-    def bbox_local(self):
-        """Bounding box of this cell's own polygons only, None if empty."""
-        return _union_bbox(self.polygons)
-
 
 class Library:
     """Ordered collection of uniquely named cells."""
@@ -243,42 +239,39 @@ class Library:
                     raise InputError(
                         f"cell {cell.name!r} places unknown cell {ref.cell_name!r}"
                     )
-        state = {}  # 0 visiting, 1 done
-
-        def visit(name):
-            if state.get(name) == 1:
-                return
-            if state.get(name) == 0:
-                raise InputError(f"placement cycle through cell {name!r}")
-            state[name] = 0
-            for ref in self._by_name[name].placements:
-                visit(ref.cell_name)
-            state[name] = 1
-
-        for cell in self.cells:
-            visit(cell.name)
+        done = set()
+        for root in self.cells:
+            # depth-first with an explicit stack: a deep hierarchy is legal
+            path = {root.name}
+            stack = [(root.name, iter(root.placements))]
+            while stack:
+                name, refs = stack[-1]
+                ref = next(refs, None)
+                if ref is None:
+                    stack.pop()
+                    path.discard(name)
+                    done.add(name)
+                elif ref.cell_name in path:
+                    raise InputError(f"placement cycle through cell {ref.cell_name!r}")
+                elif ref.cell_name not in done:
+                    path.add(ref.cell_name)
+                    stack.append((ref.cell_name, iter(self._by_name[ref.cell_name].placements)))
 
     def flatten(self, cell_name: str) -> list:
-        """All polygons of a cell with placements resolved recursively."""
+        """All polygons of a cell with placements resolved, in pre-order."""
         self.validate()
+        if cell_name not in self._by_name:
+            raise InputError(f"unknown cell {cell_name!r}")
         out = []
-
-        def walk(name, dx, dy, rotation):
+        stack = [(cell_name, 0, 0, 0)]
+        while stack:
+            name, dx, dy, rotation = stack.pop()
             cell = self._by_name[name]
             for poly in cell.polygons:
                 out.append(poly.rotated(rotation).translated(dx, dy))
-            for ref in cell.placements:
+            for ref in reversed(cell.placements):  # popped in placement order
                 rx, ry = _rotate_point(ref.x, ref.y, rotation)
-                walk(
-                    ref.cell_name,
-                    dx + rx,
-                    dy + ry,
-                    (rotation + ref.rotation) % 360,
-                )
-
-        if cell_name not in self._by_name:
-            raise InputError(f"unknown cell {cell_name!r}")
-        walk(cell_name, 0, 0, 0)
+                stack.append((ref.cell_name, dx + rx, dy + ry, (rotation + ref.rotation) % 360))
         return out
 
     def bbox(self, cell_name: str):
@@ -303,8 +296,17 @@ def _rect(layer: int, x0: int, y0: int, x1: int, y1: int) -> Polygon:
     return Polygon._trusted(layer, ((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
 
 
-def _idt_frame(design: ResonatorDesign, layers: LayerMap):
-    """Shared busbar/pad geometry and the derived extents, in dbu."""
+def gen_device_cells(design: ResonatorDesign, layers: LayerMap):
+    """(device, open, short) cells of one design, built on one frame.
+
+    The device holds busbars, fingers, dummies, the bottom plate, the
+    suspension outline with two lateral tethers, and pads.  Finger i is
+    centered at x = i*pitch; even fingers connect to the bottom busbar, odd
+    to the top.  Dummies continue the pitch beyond both array ends, attached
+    to neither busbar.  The de-embedding open keeps the busbars and pads with
+    the device absent; the short joins the busbars with a metal strap.  The
+    three cells share the frozen busbar and pad polygons, never a list.
+    """
     idt = design.idt
     p = to_dbu(idt.pitch)
     fw = to_dbu(idt.finger_width)
@@ -318,20 +320,7 @@ def _idt_frame(design: ResonatorDesign, layers: LayerMap):
     x_left = -d * p - fw // 2
     x_right = (n - 1 + d) * p - fw // 2 + fw
     y_top = a + 2 * g
-
-    frame = {
-        "p": p,
-        "fw": fw,
-        "g": g,
-        "a": a,
-        "bb": bb,
-        "n": n,
-        "d": d,
-        "idt_layer": idt_layer,
-        "x_left": x_left,
-        "x_right": x_right,
-        "y_top": y_top,
-    }
+    xc = ((n - 1) * p) // 2
     busbars = [
         _rect(idt_layer, x_left, -bb, x_right, 0),
         _rect(idt_layer, x_left, y_top, x_right, y_top + bb),
@@ -339,7 +328,6 @@ def _idt_frame(design: ResonatorDesign, layers: LayerMap):
     pad = to_dbu(PAD_SIZE)
     pad_pitch = to_dbu(PAD_PITCH)
     clr = to_dbu(PAD_CLEARANCE)
-    xc = ((n - 1) * p) // 2
     pad_y1 = -bb - clr
     pads = [
         _rect(
@@ -351,82 +339,43 @@ def _idt_frame(design: ResonatorDesign, layers: LayerMap):
         )
         for k in (-1, 0, 1)
     ]
-    return frame, busbars, pads
 
-
-def gen_idt_cell(design: ResonatorDesign, layers: LayerMap) -> Cell:
-    """Full device cell: fingers, busbars, dummies, bottom plate, outline, pads.
-
-    Finger i is centered at x = i*pitch; even fingers connect to the bottom
-    busbar, odd to the top.  Dummies continue the pitch beyond both array
-    ends, attached to neither busbar.
-    """
-    frame, busbars, pads = _idt_frame(design, layers)
-    p, fw, g, a = frame["p"], frame["fw"], frame["g"], frame["a"]
-    n, d, idt_layer = frame["n"], frame["d"], frame["idt_layer"]
-    y_top = frame["y_top"]
-    cell = Cell(name=design.design_id)
-    cell.polygons.extend(busbars)
+    device = Cell(name=design.design_id, polygons=list(busbars))
     for i in range(n):
         x0 = i * p - fw // 2
         if i % 2 == 0:
-            cell.polygons.append(_rect(idt_layer, x0, 0, x0 + fw, a + g))
+            device.polygons.append(_rect(idt_layer, x0, 0, x0 + fw, a + g))
         else:
-            cell.polygons.append(_rect(idt_layer, x0, g, x0 + fw, y_top))
+            device.polygons.append(_rect(idt_layer, x0, g, x0 + fw, y_top))
     dy0 = g // 2
     dy1 = g // 2 + a + g
     for j in range(1, d + 1):
-        for xc in (-j * p, (n - 1 + j) * p):
-            x0 = xc - fw // 2
-            cell.polygons.append(_rect(idt_layer, x0, dy0, x0 + fw, dy1))
+        for xd in (-j * p, (n - 1 + j) * p):
+            x0 = xd - fw // 2
+            device.polygons.append(_rect(idt_layer, x0, dy0, x0 + fw, dy1))
     # bottom plate under the active overlap region only
-    cell.polygons.append(
+    device.polygons.append(
         _rect(layers.bottom_electrode, -(fw // 2), g, (n - 1) * p - fw // 2 + fw, g + a)
     )
     # suspension outline plus two lateral tethers
-    lam4 = to_dbu(design.idt.wavelength / 4.0)
-    lam2 = to_dbu(design.idt.wavelength / 2.0)
-    bb = frame["bb"]
-    ox0 = frame["x_left"] - lam4
-    ox1 = frame["x_right"] + lam4
+    lam4 = to_dbu(idt.wavelength / 4.0)
+    lam2 = to_dbu(idt.wavelength / 2.0)
+    ox0 = x_left - lam4
+    ox1 = x_right + lam4
     oy0 = -bb - lam4
     oy1 = y_top + bb + lam4
-    cell.polygons.append(_rect(layers.outline, ox0, oy0, ox1, oy1))
+    device.polygons.append(_rect(layers.outline, ox0, oy0, ox1, oy1))
     yc = (oy0 + oy1) // 2
     t0 = yc - lam4 // 2
-    cell.polygons.append(_rect(layers.outline, ox0 - lam2, t0, ox0, t0 + lam4))
-    cell.polygons.append(_rect(layers.outline, ox1, t0, ox1 + lam2, t0 + lam4))
-    cell.polygons.extend(pads)
-    return cell
+    device.polygons.append(_rect(layers.outline, ox0 - lam2, t0, ox0, t0 + lam4))
+    device.polygons.append(_rect(layers.outline, ox1, t0, ox1 + lam2, t0 + lam4))
+    device.polygons.extend(pads)
 
-
-def gen_open_cell(design: ResonatorDesign, layers: LayerMap) -> Cell:
-    """De-embedding open: pads and busbars with the device absent."""
-    _, busbars, pads = _idt_frame(design, layers)
-    cell = Cell(name=design.design_id + "_OPEN")
-    cell.polygons.extend(busbars)
-    cell.polygons.extend(pads)
-    return cell
-
-
-def gen_short_cell(design: ResonatorDesign, layers: LayerMap) -> Cell:
-    """De-embedding short: busbars joined by a metal strap."""
-    frame, busbars, pads = _idt_frame(design, layers)
-    cell = Cell(name=design.design_id + "_SHORT")
-    cell.polygons.extend(busbars)
+    open_cell = Cell(name=design.design_id + "_OPEN", polygons=[*busbars, *pads])
     strap = to_dbu(SHORT_STRAP_WIDTH)
-    xc = ((frame["n"] - 1) * frame["p"]) // 2
-    cell.polygons.append(
-        _rect(
-            frame["idt_layer"],
-            xc - strap // 2,
-            -frame["bb"],
-            xc - strap // 2 + strap,
-            frame["y_top"] + frame["bb"],
-        )
-    )
-    cell.polygons.extend(pads)
-    return cell
+    strap_rect = _rect(idt_layer, xc - strap // 2, -bb, xc - strap // 2 + strap, y_top + bb)
+    short_cell = Cell(name=design.design_id + "_SHORT", polygons=[*busbars, strap_rect, *pads])
+    return device, open_cell, short_cell
 
 
 CHIP_CELL_NAME = "CHIP"
@@ -457,12 +406,8 @@ def gen_chip(
     cursor_y = margin
     row_h = 0
     for design in ordered:
-        cells = [
-            gen_idt_cell(design, layers),
-            gen_open_cell(design, layers),
-            gen_short_cell(design, layers),
-        ]
-        boxes = [c.bbox_local() for c in cells]
+        cells = gen_device_cells(design, layers)
+        boxes = [_union_bbox(c.polygons) for c in cells]
         widths = [b[2] - b[0] for b in boxes]
         heights = [b[3] - b[1] for b in boxes]
         trip_w = sum(widths) + 2 * spacing

@@ -335,6 +335,7 @@ class RateTable:
                 raise InputError(f"rate for {material}/{process} must be finite and > 0")
             entries[(str(material), str(process))] = float(rate)
         ashing = {}
+        key_of = {}  # temperature -> the key that gave it
         for temp, rate in dict(self.ashing_nm_min).items():
             try:
                 celsius = float(temp)
@@ -344,6 +345,10 @@ class RateTable:
                 raise InputError(f"ashing_nm_min key {shown(temp)} must be a temperature in degC")
             if not (is_json_number(rate) and rate > 0.0):
                 raise InputError(f"ashing rate at {temp} degC must be finite and > 0")
+            if celsius in key_of:
+                raise InputError(f"ashing_nm_min keys {shown(key_of[celsius])} and {shown(temp)} "
+                                 f"name the same temperature {celsius:g} degC")
+            key_of[celsius] = temp
             ashing[celsius] = float(rate)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "ashing_nm_min", ashing)

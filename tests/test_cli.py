@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import pkgutil
 import runpy
 import shutil
 import subprocess
@@ -96,14 +97,25 @@ UNREAD = [
     ["flow-check", "alscn-ti-adhesion", "--seed", "7"],
     ["simulate-wafer", "--mode", "S0"],
     ["fit", "dut.s1p", "--cal-through", "through.s1p"],
+    # a prefix of an option the command has is not that option
+    ["disperse", "--mode", "S0"],
+    ["design", "--pitch", "2e-6"],
+    ["simulate-wafer", "--full"],
+    ["fit", "dut.s1p", "--branch", "2"],
+    ["layout", "--wafer"],
 ]
 
 
-@pytest.mark.parametrize("argv", UNREAD, ids=[a[0] + a[-2] for a in UNREAD])
+def _unread(argv):
+    """argv from its one option on: the arguments the parser must refuse."""
+    return argv[next(i for i, a in enumerate(argv) if a.startswith("--")):]
+
+
+@pytest.mark.parametrize("argv", UNREAD, ids=[a[0] + _unread(a)[0] for a in UNREAD])
 def test_option_a_command_does_not_read_is_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_USAGE
-    assert f"unrecognized arguments: {' '.join(argv[-2:])}\n" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(_unread(argv))}\n" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -282,6 +294,23 @@ def test_design_catalog_defaults(tmp_path, capsys):
     assert by_pitch[4.5e-6]["layer"] == "LARGE"
     out = capsys.readouterr().out
     assert "S0_p2000nm" in out
+
+
+@pytest.mark.parametrize("command", ["design", "layout"])
+@pytest.mark.parametrize("source", ["--pitches", "--catalog"])
+def test_pitches_sharing_a_design_id_is_usage_error(tmp_path, capsys, command, source):
+    # both round to 2000 nm: two designs, and two chip cells, would share one name
+    pitches = [2e-6, 2.0000001e-6]
+    if source == "--catalog":
+        (tmp_path / "catalog.json").write_text(json.dumps({"pitches_m": pitches}))
+        value = str(tmp_path / "catalog.json")
+    else:
+        value = ",".join(map(repr, pitches))
+    out = tmp_path / "out"
+    assert cli.main([command, source, value, "--quiet", "--out", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: pitches 2e-06 and 2.0000001e-06 share design id 'S0_p2000nm'\n")
+    assert not out.exists()
 
 
 def test_design_gap_pitch_exit_4(tmp_path, capsys):
@@ -880,6 +909,17 @@ def test_rates_malformed_process_entry_is_usage_error(tmp_path, processes, json_
     _assert_one_line_usage_error(proc, json_path)
 
 
+def test_rates_ashing_keys_for_one_temperature_is_usage_error(tmp_path):
+    # "120", "120.0" and "1.2e2" read as one temperature: the last would win silently
+    rates = tmp_path / "rates.json"
+    rates.write_text('{"ashing_nm_min": {"120": 100, "120.0": 400, "1.2e2": 50}}')
+    proc = run_cli("flow-check", "alscn-ti-adhesion", "--rates", str(rates),
+                   "--out", str(tmp_path / "out"))
+    _assert_one_line_usage_error(proc, "ashing_nm_min keys '120' and '120.0' name the same "
+                                       "temperature 120 degC")
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------------- internal errors
 
 
@@ -949,6 +989,18 @@ def test_every_package_export_is_the_module_attribute():
         assert name in dir(lambkit)
     with pytest.raises(AttributeError):
         lambkit.no_such_export
+
+
+def test_every_module_all_name_is_a_module_attribute():
+    # a name left in __all__ after its definition went would break `import *`
+    import lambkit
+
+    modules = sorted(m.name for m in pkgutil.iter_modules(lambkit.__path__))
+    assert "layout" in modules and "gdsii" in modules
+    for name in modules:
+        module = importlib.import_module(f"lambkit.{name}")
+        for attr in getattr(module, "__all__", ()):
+            assert hasattr(module, attr), f"lambkit.{name}.{attr}"
 
 
 def test_every_traced_name_is_a_module_attribute():

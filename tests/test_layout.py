@@ -31,9 +31,7 @@ from lambkit.layout import (
     build_reticle,
     dump_polygons_csv,
     gen_chip,
-    gen_idt_cell,
-    gen_open_cell,
-    gen_short_cell,
+    gen_device_cells,
     gen_wafer_map,
     to_dbu,
 )
@@ -241,7 +239,7 @@ def make_design(pitch=2e-6, dummies=3):
 
 def test_idt_cell_counting_rule():
     d = make_design(pitch=2e-6, dummies=3)
-    cell = gen_idt_cell(d, CFG.layers)
+    cell, _, _ = gen_device_cells(d, CFG.layers)
     idt_layer = CFG.layers.large_idt
     n_idt = sum(1 for p in cell.polygons if p.layer == idt_layer)
     assert n_idt == d.idt.n_fingers + 2 + 2 * 3
@@ -257,7 +255,7 @@ def test_idt_two_finger_geometry():
                            dummy_count_per_side=0)
     assert d.idt.n_fingers == 2
     assert d.idt.aperture == pytest.approx(20e-6)
-    cell = gen_idt_cell(d, CFG.layers)
+    cell, _, _ = gen_device_cells(d, CFG.layers)
     idt_layer = CFG.layers.small_idt
     g = to_dbu(d.idt.gap)
     a = to_dbu(d.idt.aperture)
@@ -278,7 +276,7 @@ def test_idt_two_finger_geometry():
 
 def test_idt_dummies_disconnected():
     d = make_design(pitch=2e-6, dummies=2)
-    cell = gen_idt_cell(d, CFG.layers)
+    cell, _, _ = gen_device_cells(d, CFG.layers)
     idt_layer = CFG.layers.large_idt
     n = d.idt.n_fingers
     p_nm = to_dbu(d.idt.pitch)
@@ -301,13 +299,27 @@ def test_idt_dummies_disconnected():
 
 def test_open_short_cells():
     d = make_design()
-    open_cell = gen_open_cell(d, CFG.layers)
-    short_cell = gen_short_cell(d, CFG.layers)
+    device, open_cell, short_cell = gen_device_cells(d, CFG.layers)
     idt_layer = CFG.layers.large_idt
     assert sum(1 for p in open_cell.polygons if p.layer == idt_layer) == 2
     assert sum(1 for p in short_cell.polygons if p.layer == idt_layer) == 3
     assert open_cell.name.endswith("_OPEN")
     assert short_cell.name.endswith("_SHORT")
+    # the twins carry the device's busbars, then its pads, vertex for vertex
+    busbars = [p.vertices for p in device.polygons[:2]]
+    pads = [p.vertices for p in device.polygons if p.layer == CFG.layers.pads]
+    assert len(pads) == 3
+    assert [p.vertices for p in open_cell.polygons] == busbars + pads
+    strap = short_cell.polygons[2]
+    assert [p.vertices for p in short_cell.polygons] == [*busbars, strap.vertices, *pads]
+    # the strap joins the bottom edge of one busbar to the top edge of the other
+    (bx0, by0, bx1, by1), (tx0, ty0, tx1, ty1) = (p.bbox() for p in device.polygons[:2])
+    sx0, sy0, sx1, sy1 = strap.bbox()
+    assert strap.layer == idt_layer
+    assert (sy0, sy1) == (by0, ty1)
+    assert bx0 < sx0 < sx1 < bx1 and tx0 < sx0 < sx1 < tx1
+    # no cell shares a polygon list with another
+    assert len({id(c.polygons) for c in (device, open_cell, short_cell)}) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +511,34 @@ def test_flatten_rotation():
     assert poly.bbox() == (90, 0, 100, 10)
 
 
+def test_flatten_keeps_pre_order():
+    # a cell's own polygons, then each placement's subtree in placement order
+    lib = Library()
+    lib.add(Cell(name="A", polygons=[square(layer=1)]))
+    lib.add(Cell(name="B", polygons=[square(layer=2)], placements=[Placement("A", 0, 0)]))
+    lib.add(Cell(name="TOP", polygons=[square(layer=3)],
+                 placements=[Placement("B", 0, 0), Placement("A", 0, 0), Placement("B", 0, 0)]))
+    assert [p.layer for p in lib.flatten("TOP")] == [3, 2, 1, 1, 2, 1]
+
+
+def test_deep_hierarchy_validates_and_flattens():
+    # legal nesting far deeper than the interpreter's recursion limit
+    depth = 3000
+    lib = Library()
+    lib.add(Cell(name="C0", polygons=[square(size=10)]))
+    for i in range(1, depth):
+        lib.add(Cell(name=f"C{i}", polygons=[square(size=10)],
+                     placements=[Placement(f"C{i - 1}", 1, 0)]))
+    top = f"C{depth - 1}"
+    lib.validate()
+    flat = lib.flatten(top)
+    assert [p.bbox()[0] for p in flat] == list(range(depth))
+    assert lib.bbox(top) == (0, 0, depth - 1 + 10, 10)
+    lib["C0"].placements.append(Placement(top, 0, 0))
+    with pytest.raises(InputError, match="placement cycle through cell 'C0'"):
+        lib.validate()
+
+
 def test_csv_dump():
     lib = gen_chip([make_design()], CFG.chip, CFG.layers)
     rows = dump_polygons_csv(lib, "CHIP")
@@ -609,6 +649,22 @@ def test_parse_error_offsets():
     corrupted[0:2] = struct.pack(">H", 3)  # bad record length
     with pytest.raises(GdsParseError):
         read_gdsii(bytes(corrupted))
+
+
+@pytest.mark.parametrize("target, message", [
+    ("GHOST", "cell 'TOP' places unknown cell 'GHOST'"),
+    ("TOP", "placement cycle through cell 'TOP'"),
+])
+def test_read_checks_references(target, message):
+    # the writer takes the library as given; the reader refuses what it could not flatten
+    lib = Library(name="L")
+    lib.add(Cell(name="SQ", polygons=[square()]))
+    lib.add(Cell(name="TOP", placements=[Placement("SQ", 0, 0), Placement(target, 0, 0)]))
+    data = write_gdsii(lib)
+    with pytest.raises(GdsParseError) as exc:
+        read_gdsii(data)
+    assert exc.value.offset == len(data) - 4  # the ENDLIB record
+    assert str(exc.value) == f"{message} (byte offset {len(data) - 4})"
 
 
 def _with_payload(data: bytes, rectype: int, payload: bytes) -> tuple:
