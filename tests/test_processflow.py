@@ -326,6 +326,68 @@ def test_strip_ash_consumes_organics_top_down():
     assert state.thickness_of("DS-K101") == pytest.approx(60 * NM)
 
 
+def test_partial_ash_thins_the_top_resist_by_rate_times_time():
+    flow = (
+        substrate(),
+        ProcessStep(kind="spin_coat", material="M108Y", thickness_m=400 * NM),
+        ProcessStep(kind="strip_ash", chemistry="O2", temperature_c=120, duration_s=45),
+    )
+    state = simulate_stack(flow)[-1]
+    # 100 nm/min for 0.75 min
+    assert state.materials == ("Si", "M108Y")
+    assert state.thickness_of("M108Y") == pytest.approx(400 * NM - 100.0 * 0.75 * NM, rel=1e-12)
+    assert state.notes == ()
+
+
+def test_ash_that_outlasts_the_organics_stops_at_the_first_inorganic_layer():
+    flow = (
+        substrate(),
+        ProcessStep(kind="deposit", material="Al", thickness_m=75 * NM),
+        ProcessStep(kind="spin_coat", material="DS-K101", thickness_m=60 * NM),
+        ProcessStep(kind="spin_coat", material="M108Y", thickness_m=400 * NM),
+        ProcessStep(kind="strip_ash", chemistry="O2", temperature_c=250, duration_s=120),
+    )
+    state = simulate_stack(flow)[-1]
+    assert state.materials == ("Si", "Al")
+    assert state.thickness_of("Al") == 75 * NM
+    assert state.notes == ("M108Y fully removed by ash", "DS-K101 fully removed by ash",
+                           "ash budget left over with no organics on top")
+
+
+def test_remover_lifts_stacked_resists_and_stops_at_a_barc():
+    bath = ProcessStep(kind="strip_wet", chemistry="Remover 1165", duration_s=600)
+    flow = (
+        substrate(),
+        ProcessStep(kind="spin_coat", material="DS-K101", thickness_m=60 * NM),
+        ProcessStep(kind="spin_coat", material="M35G", thickness_m=1100 * NM),
+        ProcessStep(kind="spin_coat", material="M108Y", thickness_m=400 * NM),
+        bath,
+        bath,
+    )
+    lifted, again = simulate_stack(flow)[-2:]
+    assert lifted.materials == again.materials == ("Si", "DS-K101")
+    assert lifted.thickness_of("DS-K101") == 60 * NM
+    assert lifted.notes == ("M108Y stripped in remover", "M35G stripped in remover")
+    assert again.notes == ("remover bath found no soluble resist on top",)
+
+
+def test_ibe_that_outlasts_the_mask_consumes_resist_then_barc():
+    flow = (
+        substrate(),
+        ProcessStep(kind="deposit", material="Pt", thickness_m=25 * NM),
+        ProcessStep(kind="spin_coat", material="DS-K101", thickness_m=60 * NM),
+        ProcessStep(kind="spin_coat", material="M108Y", thickness_m=400 * NM),
+        ProcessStep(kind="develop", chemistry="TMA238WA", duration_s=60),
+        # 22 nm/min clears 460 nm of mask in about 1255 s
+        ProcessStep(kind="etch_ibe", material="Pt", chemistry="Ar", duration_s=1500),
+    )
+    state = simulate_stack(flow)[-1]
+    assert state.materials == ("Si", "Pt")
+    assert state.layers[1].patterned and state.thickness_of("Pt") == 25 * NM
+    assert state.notes == ("mask M108Y fully consumed during etch",
+                           "mask DS-K101 fully consumed during etch")
+
+
 def test_strip_ash_unknown_temperature():
     flow = (
         substrate(),
