@@ -30,7 +30,7 @@ _EXPORTS = {
     "mbvd": "AdmittanceTrace FitResult MbvdModel MotionalBranch "
             "StaticNetwork de_embed_open_short fit_mbvd mbvd_admittance resonance_metrics",
     "processflow": "GOLDEN_FLOW_NAMES FlowReport ProcessStep RateTable StackState Violation "
-                   "ashing_time check_compatibility check_flow classify_chemistry "
+                   "ashing_time check_flow classify_chemistry "
                    "etch_budget load_flow packaged_flow simulate_stack",
     "touchstone": "TouchstoneFile parse_touchstone s11_to_y serialize_touchstone "
                   "touchstone_to_trace y_to_s11",

@@ -203,23 +203,23 @@ def cmd_layout(args) -> int:
     from .layout import build_reticle, gen_chip, gen_wafer_map
 
     cfg, designs = _build_designs(args)
-    out = _out_dir(args)
-
     chip_lib = gen_chip(designs, cfg.chip, cfg.layers)
     chip_bytes = write_gdsii(chip_lib)
     read_gdsii(chip_bytes)  # structural self-check before shipping the file
+    spec, mask_lib = build_reticle(chip_lib, cfg.chip, cfg.layers, cfg.reticle)
+    reticle_bytes = write_gdsii(mask_lib)
+    placements = gen_wafer_map(cfg.chip, cfg.wafer)
+
+    # everything that can fail has run: a failed layout writes nothing
+    out = _out_dir(args)
     chip_path = os.path.join(out, "chip.gds")
     with open(chip_path, "wb") as fh:
         fh.write(chip_bytes)
     _say(args, f"wrote {chip_path} ({len(chip_bytes)} bytes)")
-
-    spec, mask_lib = build_reticle(chip_lib, cfg.chip, cfg.layers, cfg.reticle)
     reticle_path = os.path.join(out, "reticle.gds")
     with open(reticle_path, "wb") as fh:
-        fh.write(write_gdsii(mask_lib))
+        fh.write(reticle_bytes)
     _say(args, f"wrote {reticle_path} ({len(spec.rema_windows)} rema windows)")
-
-    placements = gen_wafer_map(cfg.chip, cfg.wafer)
     _say(args, f"{len(placements)} placements")
     if args.wafer_map:
         rows = ["site_id,ix,iy,x_mm,y_mm"]
@@ -439,15 +439,13 @@ def cmd_simulate_wafer(args) -> int:
 
 def cmd_flow_check(args) -> int:
     from .processflow import (
-        GOLDEN_FLOW_NAMES, RateTable, check_flow, load_flow, packaged_flow)
+        DEFAULT_RATES, GOLDEN_FLOW_NAMES, RateTable, check_flow, load_flow, packaged_flow)
 
     if args.flow in GOLDEN_FLOW_NAMES:
         flow = packaged_flow(args.flow)
     else:
         flow = load_flow(args.flow)
-    rates = None
-    if args.rates:
-        rates = RateTable.from_dict(read_json(args.rates, "rates"))
+    rates = RateTable.from_dict(read_json(args.rates, "rates")) if args.rates else DEFAULT_RATES
     report = check_flow(flow, rates)
     for line in report.summary_lines():
         _say(args, line)

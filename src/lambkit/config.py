@@ -111,8 +111,9 @@ class WaferConfig:
 
 @dataclass(frozen=True)
 class ReticleConfig:
-    image_field_m: tuple = field(metadata=_array(_POS, 2))
-    demag: int = field(metadata={"type": "integer", "minimum": 1})
+    # the stepper's limits, as layout.ReticleSpec holds them
+    image_field_m: tuple = field(metadata=_array({**_POS, "maximum": 0.022}, 2))
+    demag: int = field(metadata={"type": "integer", "minimum": 4, "maximum": 4})
 
 
 _MODE_QUALITY = _object({

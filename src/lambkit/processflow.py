@@ -7,13 +7,17 @@ then evaluates every rule of ``RULE_REGISTRY`` (developer attack on Al, wet HF
 on Ti, missing post-chlorine rinse, oxidizing ash, over-ash before a wet
 strip) in one pass and turns each hit into a structured violation.  The
 registry alone gives each rule its severity, chemistry class and watched
-material.  No topography: patterned layers keep their full thickness and
-simply stop blocking the layers below them.
+material.  One routine, ``_strip_from_top``, takes layers off the top of the
+stack: the mask erosion of an etch, an ash and a remover bath.  ``ProcessStep``
+holds every step-value rule; the loader only adds the ``steps[i]`` path.  No
+topography: patterned layers keep their full thickness and simply stop
+blocking the layers below them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
@@ -42,7 +46,6 @@ __all__ = [
     "FlowReport",
     "EtchBudgetReport",
     "simulate_stack",
-    "check_compatibility",
     "check_flow",
     "etch_budget",
     "ashing_time",
@@ -144,12 +147,13 @@ _STEP_COUNTS = ("repeats", "pulses")  # integers; 2.0 counts as 2, as in the con
 
 @dataclass(frozen=True)
 class ProcessStep:
-    """One fabrication step.
+    """One fabrication step, and the one home of every step-value rule.
 
     ``thickness_m`` is required for additive kinds.  Subtractive kinds need a
     chemistry or, for ion-beam etching, an angle/time ``recipe`` whose segments
     are (angle_deg, seconds) pairs repeated ``repeats`` times.  ``note`` and
-    ``tool`` are carried verbatim into reports.
+    ``tool`` are carried verbatim into reports.  Each InputError message is led
+    by the field it names.
     """
 
     kind: str
@@ -165,37 +169,41 @@ class ProcessStep:
     note: str = ""
 
     def __post_init__(self):
+        for f in fields(self):
+            key, value = f.name, getattr(self, f.name)
+            if key in _STEP_TEXT and not isinstance(value, str):
+                raise InputError(f"{key} must be a string, got {shown(value)}")
+            if key in _STEP_NUMBERS and not (key == "temperature_c" and value is None):
+                json_number(value, key)
+            if key in _STEP_COUNTS:
+                if value != int(value):
+                    raise InputError(f"{key} must be an integer, got {shown(value)}")
+                object.__setattr__(self, key, int(value))
         if self.kind not in STEP_KINDS:
-            raise InputError(f"unknown step kind {shown(self.kind)}")
-        for key in sorted(_STEP_NUMBERS):  # the loader's rule, for steps built in process
-            value = getattr(self, key)
-            if not (is_json_number(value) or key == "temperature_c" and value is None):
-                raise InputError(f"{key} must be a finite number, got {shown(value)}")
-        for key in _STEP_COUNTS:
-            value = getattr(self, key)
-            if value != int(value):
-                raise InputError(f"{key} must be an integer, got {shown(value)}")
-            object.__setattr__(self, key, int(value))
+            raise InputError(f"kind must be one of {', '.join(STEP_KINDS)}, "
+                             f"got {shown(self.kind)}")
         if self.kind in ADDITIVE_KINDS:
             if not self.material:
-                raise InputError(f"{self.kind} step must name a material")
+                raise InputError(f"material must be named for a {self.kind} step")
             if not (self.thickness_m > 0.0):
-                raise InputError(f"{self.kind} step needs thickness > 0")
+                raise InputError(f"thickness_m must be > 0 for a {self.kind} step")
         if self.kind in _SUBTRACTIVE_KINDS and not self.chemistry and not self.recipe:
-            raise InputError(f"{self.kind} step needs a chemistry or recipe")
-        if self.duration_s < 0.0:
-            raise InputError("duration_s must be >= 0")
-        if self.repeats < 1:
-            raise InputError("repeats must be >= 1")
-        if self.pulses < 0:
-            raise InputError("pulses must be >= 0")
-        recipe = tuple((float(a), float(t)) for a, t in self.recipe)
-        for angle, seconds in recipe:
-            if not (is_json_number(seconds) and seconds > 0.0):
-                raise InputError("recipe segment time must be finite and > 0")
+            raise InputError(f"chemistry or recipe must be given for a {self.kind} step")
+        for key, low in (("duration_s", 0), ("repeats", 1), ("pulses", 0)):
+            if getattr(self, key) < low:
+                raise InputError(f"{key} must be >= {low}")
+        if not isinstance(self.recipe, (list, tuple)):
+            raise InputError("recipe must be an array of [angle_deg, seconds] pairs")
+        for j, seg in enumerate(self.recipe):
+            if not isinstance(seg, (list, tuple)) or len(seg) != 2:
+                raise InputError(f"recipe[{j}] must be an [angle_deg, seconds] pair")
+            angle, seconds = (json_number(value, f"recipe[{j}]") for value in seg)
+            if not seconds > 0.0:
+                raise InputError(f"recipe[{j}] time must be > 0, got {shown(seconds)}")
             if not -90.0 <= angle <= 90.0:
-                raise InputError("recipe angle must be within +-90 deg")
-        object.__setattr__(self, "recipe", recipe)
+                raise InputError(f"recipe[{j}] angle must be within +-90 deg, "
+                                 f"got {shown(angle)}")
+        object.__setattr__(self, "recipe", tuple((float(a), float(t)) for a, t in self.recipe))
 
     @property
     def chemistry_class(self) -> str:
@@ -220,27 +228,15 @@ class ProcessStep:
     @classmethod
     def from_dict(cls, data: dict, path: str = "step") -> "ProcessStep":
         """Step from its JSON object; InputError names ``path.<field>``."""
-        extra = set(json_object(data, path)) - _STEP_TEXT - _STEP_NUMBERS - {"recipe"}
+        extra = set(json_object(data, path)) - {f.name for f in fields(cls)}
         if extra:
             raise InputError(f"unknown process step field(s): {sorted(extra)}")
         if "kind" not in data:
             raise InputError("process step needs a kind")
-        for key, value in data.items():
-            if key in _STEP_TEXT and not isinstance(value, str):
-                raise InputError(f"{path}.{key} must be a string, got {shown(value)}")
-            if key in _STEP_NUMBERS and not (key == "temperature_c" and value is None):
-                json_number(value, f"{path}.{key}")
-            if key in _STEP_COUNTS and value != int(value):
-                raise InputError(f"{path}.{key} must be an integer, got {shown(value)}")
-        recipe = data.get("recipe", ())
-        if not isinstance(recipe, (list, tuple)):
-            raise InputError(f"{path}.recipe must be an array of [angle_deg, seconds] pairs")
-        for j, seg in enumerate(recipe):
-            if not isinstance(seg, (list, tuple)) or len(seg) != 2:
-                raise InputError(f"{path}.recipe[{j}] must be an [angle_deg, seconds] pair")
-            for value in seg:
-                json_number(value, f"{path}.recipe[{j}]")
-        return cls(**{**data, "recipe": tuple(tuple(seg) for seg in recipe)})
+        try:
+            return cls(**data)
+        except InputError as exc:
+            raise InputError(f"{path}.{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -360,9 +356,6 @@ class RateTable:
             raise MissingRateError(
                 f"no rate entry for material {material!r} under process {process!r}"
             ) from None
-
-    def has_rate(self, material: str, process: str) -> bool:
-        return (material, process) in self.entries
 
     def ashing_rate(self, temperature_c: float) -> float:
         try:
@@ -500,33 +493,27 @@ def _depth_m(rate_nm_min: float, seconds: float) -> float:
     return rate_nm_min * (seconds / _SEC_PER_MIN) * _NM
 
 
-def _erode_masks(layers, top_index, process, rates, duration_s, notes):
-    """Serial top-down erosion of the mask stack above ``top_index``.
+def _strip_from_top(layers, floor, rate_of, seconds, removed_note, notes) -> float:
+    """Take layers off the top of the stack, above index ``floor``, for ``seconds``.
 
-    The topmost layer takes the beam first; layers below it only start to
-    erode once it is fully consumed within the step's time budget.  A mask
-    with no rate entry under this process is treated as unattacked and
-    shields everything beneath it.
+    The top layer goes first, at ``rate_of(layer)`` nm/min; the one below it
+    only starts once it is gone.  A ``None`` rate shields that layer and all
+    below it.  Each layer taken off is noted as ``removed_note`` formatted with
+    its material.  Returns the seconds left over.
     """
-    remaining_s = duration_s
-    i = len(layers) - 1
-    while i > top_index and remaining_s > 0.0:
-        mask = layers[i]
-        if not rates.has_rate(mask.material, process):
+    while seconds > 0.0 and len(layers) - 1 > floor:
+        top = layers[-1]
+        rate = rate_of(top)
+        if rate is None:
             break
-        rate = rates.rate(mask.material, process)
-        clear_s = (mask.thickness_m / _NM) / rate * _SEC_PER_MIN
-        if remaining_s < clear_s:
-            worn = replace(mask, thickness_m=mask.thickness_m - _depth_m(rate, remaining_s))
-            layers[i] = worn
-            remaining_s = 0.0
-        else:
-            notes.append(f"mask {mask.material} fully consumed during etch")
-            del layers[i]
-            remaining_s -= clear_s
-        i -= 1
-    if i == top_index and remaining_s > 0.0 and top_index < len(layers) - 1:
-        notes.append("mask stack fully consumed before end of etch")
+        clear_s = (top.thickness_m / _NM) / rate * _SEC_PER_MIN
+        if seconds < clear_s:
+            layers[-1] = replace(top, thickness_m=top.thickness_m - _depth_m(rate, seconds))
+            return 0.0
+        notes.append(removed_note.format(top.material))
+        del layers[-1]
+        seconds -= clear_s
+    return seconds
 
 
 def _apply_etch(layers, step, rates, notes):
@@ -563,7 +550,7 @@ def _apply_etch(layers, step, rates, notes):
     else:
         # Masked etch: transfer the mask openings into the target layer.  The
         # covered regions keep full thickness, so the layer is only flagged
-        # patterned; meanwhile the mask stack above erodes on its own budget.
+        # patterned; meanwhile the mask stack above erodes, top layer first.
         if depth >= layer.thickness_m:
             layers[target_index] = replace(layer, patterned=True)
         else:
@@ -571,7 +558,9 @@ def _apply_etch(layers, step, rates, notes):
                 f"etch does not clear {target}: "
                 f"{depth / _NM:.0f} of {layer.thickness_m / _NM:.0f} nm"
             )
-        _erode_masks(layers, target_index, process, rates, duration_s, notes)
+        _strip_from_top(layers, target_index,
+                        lambda mask: rates.entries.get((mask.material, process)),
+                        duration_s, "mask {} fully consumed during etch", notes)
 
 
 def _apply_develop(layers, step, notes):
@@ -594,17 +583,10 @@ def _apply_strip_ash(layers, step, rates, notes):
     if step.temperature_c is None:
         raise FlowError("strip_ash needs a plate temperature")
     rate = rates.ashing_rate(step.temperature_c)
-    budget = _depth_m(rate, step.duration_s)
-    while budget > 0.0 and len(layers) > 1 and layers[-1].material in ORGANIC_MATERIALS:
-        top = layers[-1]
-        if budget >= top.thickness_m:
-            budget -= top.thickness_m
-            notes.append(f"{top.material} fully removed by ash")
-            del layers[-1]
-        else:
-            layers[-1] = replace(top, thickness_m=top.thickness_m - budget)
-            budget = 0.0
-    if layers[-1].material not in ORGANIC_MATERIALS and budget > 0.0:
+    left_s = _strip_from_top(layers, 0,
+                             lambda top: rate if top.material in ORGANIC_MATERIALS else None,
+                             step.duration_s, "{} fully removed by ash", notes)
+    if left_s > 0.0 and layers[-1].material not in ORGANIC_MATERIALS:
         notes.append("ash budget left over with no organics on top")
 
 
@@ -615,26 +597,25 @@ def _apply_strip_wet(layers, step, notes):
         return
     if cls != "remover":
         raise FlowError("strip_wet chemistry must be a remover bath or a rinse")
-    stripped = False
-    while len(layers) > 1 and layers[-1].material in _REMOVER_SOLUBLE:
-        notes.append(f"{layers[-1].material} stripped in remover")
-        del layers[-1]
-        stripped = True
-    if not stripped:
+    # the bath lifts every soluble resist on top whatever its thickness
+    before = len(layers)
+    _strip_from_top(layers, 0,
+                    lambda top: math.inf if top.material in _REMOVER_SOLUBLE else None,
+                    math.inf, "{} stripped in remover", notes)
+    if len(layers) == before:
         notes.append("remover bath found no soluble resist on top")
 
 
-def simulate_stack(flow, rates: RateTable | None = None) -> list:
+def simulate_stack(flow, rates: RateTable = DEFAULT_RATES) -> list:
     """Replay ``flow`` and return one StackState per step.
 
     The first step must be a deposit declaring the substrate.  Deposits and
     spin coats push a blanket layer; develop opens the top resist (plus a
     developable BARC under it); etches act on the named target through the
-    exposure walk; ashes and strips consume organics from the top.  A layer's
-    thickness never increases except by a deposit naming it.
+    exposure walk while their mask erodes, and ashes and remover baths take
+    organics off the top; ``_strip_from_top`` does all three removals.  A
+    layer's thickness never increases except by a deposit naming it.
     """
-    if rates is None:
-        rates = DEFAULT_RATES
     flow = tuple(flow)
     if not flow:
         raise FlowError("flow is empty")
@@ -689,7 +670,7 @@ RULE_REGISTRY = {
 }
 
 
-def check_flow(flow, rates: RateTable | None = None) -> FlowReport:
+def check_flow(flow, rates: RateTable = DEFAULT_RATES) -> FlowReport:
     """Simulate a flow, then evaluate every registered rule at every step.
 
     Violations are data, ordered by (step index, code); none means the flow
@@ -733,18 +714,13 @@ def check_flow(flow, rates: RateTable | None = None) -> FlowReport:
     return FlowReport(tuple(violations), tuple(states))
 
 
-def check_compatibility(flow, rates: RateTable | None = None) -> list:
-    """The violations of ``check_flow(flow, rates)``, as a list."""
-    return list(check_flow(flow, rates).violations)
-
-
 def etch_budget(
     mask_material: str,
     mask_thickness_m: float,
     target_material: str,
     target_depth_m: float,
     overetch_fraction: float,
-    rates: RateTable | None = None,
+    rates: RateTable = DEFAULT_RATES,
     process: str = "ibe",
 ) -> EtchBudgetReport:
     """Mask-consumption margin for etching ``target_depth_m`` plus overetch.
@@ -752,8 +728,6 @@ def etch_budget(
     Pass criterion is strict: the consumed mask must stay below the starting
     mask thickness.
     """
-    if rates is None:
-        rates = DEFAULT_RATES
     if mask_thickness_m <= 0.0:
         raise InputError("mask thickness must be > 0")
     if target_depth_m <= 0.0:
@@ -775,11 +749,9 @@ def etch_budget(
 
 
 def ashing_time(
-    resist_thickness_m: float, temperature_c: float, rates: RateTable | None = None
+    resist_thickness_m: float, temperature_c: float, rates: RateTable = DEFAULT_RATES
 ) -> float:
     """Seconds to ash ``resist_thickness_m`` of organics at the plate temperature."""
-    if rates is None:
-        rates = DEFAULT_RATES
     if resist_thickness_m < 0.0:
         raise InputError("resist thickness must be >= 0")
     rate = rates.ashing_rate(temperature_c)

@@ -371,6 +371,25 @@ def test_layout_without_map_flag_writes_no_csv(tmp_path):
     assert (tmp_path / "chip.gds").exists()
 
 
+@pytest.mark.parametrize("doc, code, message", [
+    # refused by build_reticle, after the chip is built
+    ({"chip": {"height_m": 0.005}}, cli.EXIT_DESIGN,
+     "5 chip windows (17 x 29 mm) exceed the image field (22 x 22 mm)"),
+    ({"reticle": {"demag": 2}}, cli.EXIT_USAGE,
+     "config invalid at reticle/demag: 2 is less than the minimum of 4"),
+    ({"reticle": {"image_field_m": [0.03, 0.02]}}, cli.EXIT_USAGE,
+     "config invalid at reticle/image_field_m/0: 0.03 is greater than the maximum of 0.022"),
+])
+def test_a_failed_layout_writes_no_file(tmp_path, capsys, doc, code, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["layout", "--config", str(cfg), "--pitches", "2e-6", "--wafer-map",
+                     "--out", str(out)]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------- fit
 
 
@@ -967,7 +986,7 @@ EXPORTS = {
     "mbvd": "AdmittanceTrace FitResult MbvdModel ModeMetrics MotionalBranch "
             "StaticNetwork de_embed_open_short fit_mbvd mbvd_admittance resonance_metrics",
     "processflow": "GOLDEN_FLOW_NAMES FlowReport ProcessStep RateTable StackState Violation "
-                   "ashing_time check_compatibility check_flow classify_chemistry "
+                   "ashing_time check_flow classify_chemistry "
                    "etch_budget load_flow packaged_flow simulate_stack",
     "touchstone": "TouchstoneFile parse_touchstone s11_to_y serialize_touchstone "
                   "touchstone_to_trace y_to_s11",
@@ -980,7 +999,7 @@ def test_every_package_export_is_the_module_attribute():
     import lambkit
 
     names = [(m, n) for m, text in EXPORTS.items() for n in text.split()]
-    assert len(names) == 79
+    assert len(names) == 78
     assert sorted(lambkit.__all__) == sorted(n for _, n in names)
     for module, name in names:
         ns = {}

@@ -118,8 +118,8 @@ def test_catalog_rejects_unsorted(tmp_path):
     ({"chip": {"width_m": True}}, "chip/width_m: True is not of type 'number'"),
     ({"seed": True}, "seed: True is not of type 'integer'"),
     ({"reticle": {"demag": 2.5}}, "reticle/demag: 2.5 is not of type 'integer'"),
-    ({"reticle": {"demag": 2.0}}, None),
-    ({"reticle": {"demag": 0}}, "reticle/demag: 0 is less than the minimum of 1"),
+    ({"reticle": {"demag": 4.0}}, None),
+    ({"reticle": {"demag": 0}}, "reticle/demag: 0 is less than the minimum of 4"),
     ({"layers": {"pads": 256}}, "layers/pads: 256 is greater than the maximum of 255"),
     ({"variation": {"mode_quality": {"S0": {"k_eff_sq": 1}}}},
      "variation/mode_quality/S0/k_eff_sq: 1 is greater than or equal to the maximum of 1"),
@@ -134,10 +134,14 @@ def test_catalog_rejects_unsorted(tmp_path):
     ({"plate": {"thickness_m": float("-inf")}}, "plate/thickness_m: -inf is not of type 'number'"),
     # JSON integers have no size limit; this one has no float value
     ({"plate": {"thickness_m": 10**400}}, f"plate/thickness_m: {10**400} is not of type 'number'"),
+    # the stepper's limits, which layout.ReticleSpec holds too
+    ({"reticle": {"demag": 5}}, "reticle/demag: 5 is greater than the maximum of 4"),
+    ({"reticle": {"image_field_m": [0.02, 0.03]}},
+     "reticle/image_field_m/1: 0.03 is greater than the maximum of 0.022"),
 ])
 def test_config_error_selection(doc, message):
     if message is None:
-        assert ToolkitConfig.from_dict(doc).reticle.demag == 2
+        assert ToolkitConfig.from_dict(doc).reticle.demag == 4
         return
     with pytest.raises(ConfigError) as exc:
         ToolkitConfig.from_dict(doc)

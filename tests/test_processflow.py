@@ -16,7 +16,6 @@ from lambkit.processflow import (
     ProcessStep,
     RateTable,
     ashing_time,
-    check_compatibility,
     check_flow,
     classify_chemistry,
     etch_budget,
@@ -34,7 +33,7 @@ def substrate():
 
 
 def violation_codes(flow):
-    return sorted(v.code for v in check_compatibility(flow))
+    return sorted(v.code for v in check_flow(flow).violations)
 
 
 def mutate(flow, index, **changes):
@@ -115,12 +114,26 @@ def test_step_to_dict_writes_the_fields_that_differ_from_their_defaults():
     ("recipe", "fast", "steps[2].recipe"),
     ("repeats", 1.5, "steps[2].repeats must be an integer, got 1.5"),
     ("pulses", 60.5, "steps[2].pulses must be an integer, got 60.5"),
+    ("duration_s", -1, "steps[2].duration_s must be >= 0"),
+    ("recipe", [[95, 60]], "steps[2].recipe[0]"),
+    ("kind", "etch", "steps[2].kind"),
 ])
 def test_steps_from_dict_names_the_bad_field(field, value, json_path):
     doc = steps_to_dict(packaged_flow("alscn-ti-adhesion"))
     doc["steps"][2][field] = value
     with pytest.raises(InputError, match=re.escape(json_path)):
         steps_from_dict(doc)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"material": 5}, "material must be a string, got 5"),
+    ({"recipe": (("10", "60"),)}, "recipe[0] must be a finite number, got '10'"),
+    ({"recipe": (("a", 60),)}, "recipe[0] must be a finite number, got 'a'"),
+    ({"recipe": 5}, "recipe must be an array of [angle_deg, seconds] pairs"),
+])
+def test_step_constructor_checks_every_value_the_loader_checks(changes, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        ProcessStep(**{"kind": "deposit", "material": "Al", "thickness_m": 75 * NM, **changes})
 
 
 def test_classify_chemistry():
@@ -473,7 +486,7 @@ def test_check_flow_simulates_once(monkeypatch):
                 chemistry="49%HF/H2O 1:50")
     flows = [packaged_flow(name) for name in GOLDEN_FLOW_NAMES] + [hf]
     # the report is the one the two separate public calls give
-    want = [FlowReport(tuple(check_compatibility(f)), tuple(simulate_stack(f)))
+    want = [FlowReport(check_flow(f).violations, tuple(simulate_stack(f)))
             for f in flows]
     calls = []
 
@@ -510,7 +523,7 @@ def test_mutation_wet_hf_attacks_ti():
     i = find_step(golden, kind="etch_vapor")
     mutated = mutate(golden, i, kind="etch_wet", chemistry="49%HF/H2O 1:50")
     assert new_codes_vs_golden(golden, mutated) == ["HF_ATTACKS_TI"]
-    hit = [v for v in check_compatibility(mutated) if v.code == "HF_ATTACKS_TI"]
+    hit = [v for v in check_flow(mutated).violations if v.code == "HF_ATTACKS_TI"]
     assert [v.step_index for v in hit] == [i]
     assert hit[0].severity == "error"
     # same swap on the AlN-adhesion wafer is harmless: no Ti anywhere
@@ -531,7 +544,7 @@ def test_mutation_developable_barc_exposes_al():
         mutate(golden, coat, material="DS-K101"), barc_open, material="DS-K101"
     )
     assert new_codes_vs_golden(golden, mutated) == ["DEVELOPER_ATTACKS_AL"]
-    hit = [v for v in check_compatibility(mutated) if v.code == "DEVELOPER_ATTACKS_AL"]
+    hit = [v for v in check_flow(mutated).violations if v.code == "DEVELOPER_ATTACKS_AL"]
     assert [v.step_index for v in hit] == [develop]
     assert hit[0].severity == "error"
 
@@ -543,7 +556,7 @@ def test_mutation_missing_rinse_after_cl_etch():
     assert golden[cl_etch].chemistry == "Cl2/BCl3"
     mutated = golden[:rinse] + golden[rinse + 1 :]
     assert new_codes_vs_golden(golden, mutated) == ["POST_CL_RINSE"]
-    hit = [v for v in check_compatibility(mutated) if v.code == "POST_CL_RINSE"]
+    hit = [v for v in check_flow(mutated).violations if v.code == "POST_CL_RINSE"]
     assert [v.step_index for v in hit] == [cl_etch]
     assert hit[0].severity == "error"
 
@@ -554,7 +567,7 @@ def test_mutation_o2_strip_oxidizes_al():
     assert "forming" in golden[i].chemistry
     mutated = mutate(golden, i, chemistry="O2")
     assert new_codes_vs_golden(golden, mutated) == ["AL_OXIDATION"]
-    hits = [v for v in check_compatibility(mutated) if v.code == "AL_OXIDATION"]
+    hits = [v for v in check_flow(mutated).violations if v.code == "AL_OXIDATION"]
     assert i in [v.step_index for v in hits]
     assert all(v.severity == "warning" for v in hits)
 
@@ -566,7 +579,7 @@ def test_mutation_overash_before_wet_strip():
     # full-rate O2 ash burns off the whole resist before the 1165 bath
     mutated = mutate(golden, i, chemistry="O2", temperature_c=250.0)
     assert new_codes_vs_golden(golden, mutated) == ["OVERASH_BEFORE_WET"]
-    hit = [v for v in check_compatibility(mutated) if v.code == "OVERASH_BEFORE_WET"]
+    hit = [v for v in check_flow(mutated).violations if v.code == "OVERASH_BEFORE_WET"]
     assert [v.step_index for v in hit] == [i]
     assert hit[0].severity == "warning"
 
@@ -616,7 +629,7 @@ def test_rule_evaluation_monotone_under_append():
     for flow in flows:
         seen: list = []
         for n in range(1, len(flow) + 1):
-            now = [(v.step_index, v.code) for v in check_compatibility(flow[:n])]
+            now = [(v.step_index, v.code) for v in check_flow(flow[:n]).violations]
             assert all(item in now for item in seen)
             seen = now
 
@@ -625,7 +638,7 @@ def test_violations_sorted_by_step_and_code():
     golden = packaged_flow("alscn-ti-adhesion")
     i = find_step(golden, kind="etch_vapor")
     mutated = mutate(golden, i, kind="etch_wet", chemistry="49%HF/H2O 1:50")
-    vs = check_compatibility(mutated)
+    vs = check_flow(mutated).violations
     keys = [(v.step_index, v.code) for v in vs]
     assert keys == sorted(keys)
 
