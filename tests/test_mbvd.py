@@ -111,11 +111,15 @@ def test_model_json_round_trip():
             MotionalBranch(r_m=3.0, l_m=LM_1GHZ / 9.0, c_m=CM, label="S1"),
         ),
     )
-    back = MbvdModel.from_json(m.to_json())
-    assert back == m
-    d = json.loads(m.to_json())
-    assert d["static"]["c_0_f"] == C0
-    assert d["branches"][0]["label"] == "S0"
+    # the model part of the <stem>_metrics.json that fit writes
+    d = json.loads(json.dumps(m.to_dict()))
+    assert d == {
+        "static": {"c_0_f": C0, "r_0_ohm": 0.5, "r_s_ohm": 2.0},
+        "branches": [
+            {"r_m_ohm": 10.0, "l_m_h": LM_1GHZ, "c_m_f": CM, "label": "S0"},
+            {"r_m_ohm": 3.0, "l_m_h": LM_1GHZ / 9.0, "c_m_f": CM, "label": "S1"},
+        ],
+    }
 
 
 def test_trace_validation():

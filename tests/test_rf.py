@@ -368,20 +368,12 @@ def test_osl_degenerate_standards_names_frequency():
 
 
 def test_osl_singular_system_names_frequency():
-    # the short's loss underflows its reflection to zero at 100 GHz, where
-    # its row then equals the load's
+    # at 100 GHz the open reads one ulp above the short, and the last LU
+    # pivot of that frequency's system rounds to zero
     f = np.array([1e9, 1e11])
-    standards = OslStandards(
-        short=OffsetStandard(gamma0=-1 + 0j, loss_np_per_hz=4e-9),
-        open=IDEAL_STANDARDS.open,
-        load=IDEAL_STANDARDS.load,
-    )
-    assert standards.short.gamma(f)[1] == 0
-    forward = lambda g: 0.01 + 0.9 * g / (1.0 - 0.1 * g)
-    ms = forward(standards.short.gamma(f))
-    ms[1] = -0.5
+    ms, mo, ml = [-0.9, 0.5], [0.9, np.nextafter(0.5, 1)], [0.0, 0.1]
     with pytest.raises(CalibrationError, match="singular calibration system at 1e\\+11 Hz"):
-        osl_solve(f, ms, forward(np.ones(2)), forward(np.zeros(2)), standards)
+        osl_solve(f, ms, mo, ml)
 
 
 def test_osl_unphysical_box_names_frequency():
