@@ -16,8 +16,7 @@ __version__ = "0.1.0"
 MODE_NAMES = ("A0", "A1", "S0", "S1")
 
 _EXPORTS = {
-    "calibration": "ErrorBox IDEAL_STANDARDS OffsetStandard OslStandards "
-                   "apply_correction calibrate_file osl_solve",
+    "calibration": "ErrorBox apply_correction calibrate_file osl_solve",
     "config": "ToolkitConfig load_catalog load_config",
     "design": "CapacitanceModel IdtSpec LayerBand ResonatorDesign layer_assignment "
               "match_finger_count recommend_dose static_capacitance",
@@ -28,7 +27,7 @@ _EXPORTS = {
     "layout": "Cell ChipPlacement Library Placement Polygon ReticleSpec "
               "build_reticle gen_chip gen_wafer_map",
     "mbvd": "AdmittanceTrace FitResult MbvdModel MotionalBranch "
-            "StaticNetwork de_embed_open_short fit_mbvd mbvd_admittance resonance_metrics",
+            "StaticNetwork fit_mbvd mbvd_admittance resonance_metrics",
     "processflow": "GOLDEN_FLOW_NAMES FlowReport ProcessStep RateTable StackState Violation "
                    "ashing_time check_flow classify_chemistry "
                    "etch_budget load_flow packaged_flow simulate_stack",

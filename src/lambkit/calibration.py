@@ -14,14 +14,12 @@ standard files and then corrects any number of DUT files on that grid,
 each in one array pass;
 ``calibrate_file`` is the same two steps for a single DUT.
 
-Standards default to the ideal definitions (-1, +1, 0), whose box does not
-depend on the frequency values; an offset model with electrical delay and
-loss is available for characterized standards.
+The standards are ideal: short -1, open +1 and load 0 at every frequency, so
+the box does not depend on the frequency values.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +29,6 @@ from .touchstone import TouchstoneFile
 
 __all__ = [
     "ErrorBox",
-    "OffsetStandard",
-    "OslStandards",
-    "IDEAL_STANDARDS",
     "osl_solve",
     "apply_correction",
     "OslCalibration",
@@ -42,6 +37,7 @@ __all__ = [
 
 
 _E11_MSG = "source match |e11| must be < 1 for a physical fixture"
+_GAMMA = np.array([-1.0, 1.0, 0.0], dtype=complex)  # actual short, open, load
 
 
 def _cmul(a, b):
@@ -72,52 +68,8 @@ class ErrorBox:
     def e10e01(self):
         return _cmul(self.e00, self.e11) - self.de
 
-    @classmethod
-    def identity(cls) -> "ErrorBox":
-        return cls(e00=0j, e11=0j, de=-1 + 0j)
 
-
-@dataclass(frozen=True)
-class OffsetStandard:
-    """Reflection standard with electrical delay and loss.
-
-    gamma(f) = gamma0 * exp(-2 * (loss_np_per_hz * f + j*2*pi*f*delay_s))
-    The factor 2 accounts for the round trip through the offset line.
-    """
-
-    gamma0: complex
-    delay_s: float = 0.0
-    loss_np_per_hz: float = 0.0
-
-    def gamma(self, f_hz):
-        f = np.asarray(f_hz, dtype=float)
-        g = self.gamma0 * np.exp(
-            -2.0 * (self.loss_np_per_hz * f + 2j * math.pi * f * self.delay_s)
-        )
-        return complex(g) if g.ndim == 0 else g
-
-
-@dataclass(frozen=True)
-class OslStandards:
-    short: OffsetStandard
-    open: OffsetStandard
-    load: OffsetStandard
-
-
-IDEAL_STANDARDS = OslStandards(
-    short=OffsetStandard(gamma0=-1 + 0j),
-    open=OffsetStandard(gamma0=1 + 0j),
-    load=OffsetStandard(gamma0=0j),
-)
-
-
-def osl_solve(
-    f_hz,
-    meas_short,
-    meas_open,
-    meas_load,
-    standards: OslStandards = IDEAL_STANDARDS,
-) -> ErrorBox:
+def osl_solve(f_hz, meas_short, meas_open, meas_load) -> ErrorBox:
     """One error box over the grid (length-N fields) from the measured standards.
 
     Raises CalibrationError naming the first frequency whose standards are
@@ -130,8 +82,7 @@ def osl_solve(
     if not (f.shape == ms.shape == mo.shape == ml.shape) or f.ndim != 1:
         raise InputError("frequency and standard arrays must share one shape")
     meas = np.stack([ms, mo, ml], axis=-1)
-    stds = (standards.short, standards.open, standards.load)
-    gact = np.stack([std.gamma(f) for std in stds], axis=-1)
+    gact = np.broadcast_to(_GAMMA, meas.shape)
     a = np.empty(f.shape + (3, 3), dtype=complex)
     a[..., 0] = 1.0
     a[..., 1] = _cmul(meas, gact)
@@ -187,17 +138,11 @@ class OslCalibration:
     that DUT's grid checks, as a per-file solve would.
     """
 
-    def __init__(
-        self,
-        short: TouchstoneFile,
-        open_std: TouchstoneFile,
-        load: TouchstoneFile,
-        standards: OslStandards = IDEAL_STANDARDS,
-    ):
+    def __init__(self, short: TouchstoneFile, open_std: TouchstoneFile, load: TouchstoneFile):
         self.files = (("short", short), ("open", open_std), ("load", load))
         self.box = self.error = None
         try:
-            self.box = osl_solve(short.frequencies, short.s11, open_std.s11, load.s11, standards)
+            self.box = osl_solve(short.frequencies, short.s11, open_std.s11, load.s11)
         except LambkitError as exc:  # unequal lengths fail every grid check first
             self.error = exc
 
@@ -222,7 +167,6 @@ def calibrate_file(
     short: TouchstoneFile,
     open_std: TouchstoneFile,
     load: TouchstoneFile,
-    standards: OslStandards = IDEAL_STANDARDS,
 ) -> TouchstoneFile:
     """OSL-correct a measured DUT file against three standard files."""
-    return OslCalibration(short, open_std, load, standards).correct(dut)
+    return OslCalibration(short, open_std, load).correct(dut)

@@ -2,8 +2,8 @@
 
 Subcommands cover the toolkit loop: disperse, design, layout, fit, stats,
 simulate-wafer, flow-check.  Every command is deterministic given its config
-and seed, writes only into the --out directory, and maps failures onto a
-stable exit-code registry:
+and seed, writes only into the --out directory and only once every check
+that can fail has passed, and maps failures onto a stable exit-code registry:
 
     0  success
     1  flow-check found rule errors
@@ -59,18 +59,23 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _out_dir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
+def _lines(rows) -> str:
+    """The rows as text, each ended by a newline."""
+    return "\n".join([*rows, ""])
 
 
-def _write_lines(path: str, lines) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join([*lines, ""]))
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=1) + "\n"
 
 
-def _write_json(path: str, doc: dict) -> None:
-    _write_lines(path, [json.dumps(doc, indent=1)])
+def _write_files(out: str, files: dict) -> None:
+    """Write each {name: text or bytes} of files into the directory out, made
+    if missing.  A command calls this after its last check that can fail, so
+    a failed command leaves no file behind."""
+    os.makedirs(out, exist_ok=True)
+    for name, data in files.items():
+        with open(os.path.join(out, name), "wb") as fh:
+            fh.write(data.encode() if isinstance(data, str) else data)
 
 
 def _parse_pitches(text: str) -> tuple:
@@ -173,9 +178,8 @@ def cmd_disperse(args) -> int:
             )
         rows.extend(",".join(r) for r in curve_to_csv_rows(curve))
         _say(args, f"{mode}: {curve.k.size} of {args.points} points solved")
-    path = os.path.join(_out_dir(args), "dispersion.csv")
-    _write_lines(path, rows)
-    _say(args, f"wrote {path}")
+    _write_files(args.out, {"dispersion.csv": _lines(rows)})
+    _say(args, f"wrote {os.path.join(args.out, 'dispersion.csv')}")
     return EXIT_OK
 
 
@@ -192,9 +196,8 @@ def cmd_design(args) -> int:
         "target_impedance_ohm": cfg.matching.target_impedance_ohm,
         "designs": [d.to_dict() for d in designs],
     }
-    path = os.path.join(_out_dir(args), "designs.json")
-    _write_json(path, doc)
-    _say(args, f"wrote {path}")
+    _write_files(args.out, {"designs.json": _json_text(doc)})
+    _say(args, f"wrote {os.path.join(args.out, 'designs.json')}")
     return EXIT_OK
 
 
@@ -209,27 +212,21 @@ def cmd_layout(args) -> int:
     spec, mask_lib = build_reticle(chip_lib, cfg.chip, cfg.layers, cfg.reticle)
     reticle_bytes = write_gdsii(mask_lib)
     placements = gen_wafer_map(cfg.chip, cfg.wafer)
-
-    # everything that can fail has run: a failed layout writes nothing
-    out = _out_dir(args)
-    chip_path = os.path.join(out, "chip.gds")
-    with open(chip_path, "wb") as fh:
-        fh.write(chip_bytes)
-    _say(args, f"wrote {chip_path} ({len(chip_bytes)} bytes)")
-    reticle_path = os.path.join(out, "reticle.gds")
-    with open(reticle_path, "wb") as fh:
-        fh.write(reticle_bytes)
-    _say(args, f"wrote {reticle_path} ({len(spec.rema_windows)} rema windows)")
-    _say(args, f"{len(placements)} placements")
+    files = {"chip.gds": chip_bytes, "reticle.gds": reticle_bytes}
     if args.wafer_map:
         rows = ["site_id,ix,iy,x_mm,y_mm"]
         rows.extend(
             f"{p.site_id},{p.ix},{p.iy},{p.x_m * 1e3:.6g},{p.y_m * 1e3:.6g}"
             for p in placements
         )
-        map_path = os.path.join(out, "wafer_map.csv")
-        _write_lines(map_path, rows)
-        _say(args, f"wrote {map_path}")
+        files["wafer_map.csv"] = _lines(rows)
+    _write_files(args.out, files)
+    _say(args, f"wrote {os.path.join(args.out, 'chip.gds')} ({len(chip_bytes)} bytes)")
+    _say(args, f"wrote {os.path.join(args.out, 'reticle.gds')} "
+               f"({len(spec.rema_windows)} rema windows)")
+    _say(args, f"{len(placements)} placements")
+    if args.wafer_map:
+        _say(args, f"wrote {os.path.join(args.out, 'wafer_map.csv')}")
     return EXIT_OK
 
 
@@ -305,7 +302,9 @@ def _overlay_csv(frequencies, y_measured, y_model) -> str:
     return "f_hz,y_abs_measured,y_abs_model\n" + body
 
 
-def _fit_one(path: str, stem: str, args, out: str, cal) -> None:
+def _fit_one(path: str, stem: str, args, cal):
+    """The metrics JSON and overlay CSV of one fitted file, by output name,
+    and the metrics of its branches."""
     from .mbvd import fit_mbvd, resonance_metrics
     from .touchstone import touchstone_to_trace
 
@@ -324,16 +323,12 @@ def _fit_one(path: str, stem: str, args, out: str, cal) -> None:
         "model": result.model.to_dict(),
         "branches": [m.to_dict() for m in metrics],
     }
-    _write_json(os.path.join(out, f"{stem}_metrics.json"), doc)
     y_model = result.model.admittance(trace.frequencies)
-    with open(os.path.join(out, f"{stem}_overlay.csv"), "w", encoding="utf-8") as fh:
-        fh.write(_overlay_csv(trace.frequencies, trace.admittance, y_model))
-    for i, m in enumerate(metrics):
-        _say(
-            args,
-            f"{stem} branch {i}: f_r {m.f_r:.6g} Hz, q_r {m.q_r:.4g}, "
-            f"k_eff_sq {m.k_eff_sq:.4g}",
-        )
+    files = {
+        f"{stem}_metrics.json": _json_text(doc),
+        f"{stem}_overlay.csv": _overlay_csv(trace.frequencies, trace.admittance, y_model),
+    }
+    return files, metrics
 
 
 def cmd_fit(args) -> int:
@@ -346,13 +341,20 @@ def cmd_fit(args) -> int:
             raise InputError(f"{first[stem]} and {path} share the output stem {stem!r}")
         first[stem] = path
     cal = _load_cal_files(args)
-    out = _out_dir(args)
     failures = []
     for path, stem in zip(args.files, stems):
         try:
-            _fit_one(path, stem, args, out, cal)
+            files, metrics = _fit_one(path, stem, args, cal)
         except (LambkitError, ValueError, OSError) as exc:
             failures.append((os.path.basename(path), str(exc)))
+            continue
+        _write_files(args.out, files)
+        for i, m in enumerate(metrics):
+            _say(
+                args,
+                f"{stem} branch {i}: f_r {m.f_r:.6g} Hz, q_r {m.q_r:.4g}, "
+                f"k_eff_sq {m.k_eff_sq:.4g}",
+            )
     for name, why in failures:
         print(f"failed {name}: {why}", file=sys.stderr)
     _say(args, f"fitted {len(args.files) - len(failures)} of {len(args.files)} file(s)")
@@ -376,14 +378,24 @@ def _parse_heatmap(spec: str):
     return mode, pitch
 
 
-def _write_reports(args, out: str, sites) -> None:
+def _write_reports(args, sites, files: dict, heatmap=None) -> None:
+    """Write files with the deviation and trend reports of sites, and the
+    heatmap of heatmap = (mode, pitch) if given, then print the reduction."""
     from .waferstats import (
-        deviation_csv_rows, metrics_vs_frequency, per_mode_deviation, trend_csv_rows)
+        deviation_csv_rows, heatmap_csv_rows, metrics_vs_frequency, per_mode_deviation,
+        trend_csv_rows)
 
     report = per_mode_deviation(sites)
-    _write_lines(os.path.join(out, "deviation.csv"), deviation_csv_rows(report))
     trend = metrics_vs_frequency(sites)
-    _write_lines(os.path.join(out, "trend.csv"), trend_csv_rows(trend))
+    files = {**files, "deviation.csv": _lines(deviation_csv_rows(report)),
+             "trend.csv": _lines(trend_csv_rows(trend))}
+    if heatmap:
+        mode, pitch = heatmap
+        rows = heatmap_csv_rows(sites, mode, pitch)
+        if len(rows) < 2:
+            raise StatisticsError(f"no sites carry mode {mode} at pitch {pitch:g} m")
+        files["heatmap.csv"] = _lines(rows)
+    _write_files(args.out, files)
     for warning in report.warnings:
         _warn(warning)
     for row in report.rows:
@@ -394,27 +406,19 @@ def _write_reports(args, out: str, sites) -> None:
         )
     for line in trend.summary_lines():
         _say(args, line)
+    if heatmap:
+        _say(args, f"heatmap: {len(rows) - 1} site(s)")
 
 
 def cmd_stats(args) -> int:
-    from .waferstats import heatmap_csv_rows, sites_from_dict
+    from .waferstats import sites_from_dict
 
     heatmap = _parse_heatmap(args.heatmap) if args.heatmap else None
     doc = read_json(args.sites, "sites")
     sites = sites_from_dict(doc)
-    out = _out_dir(args)
     if "seed" in doc:
         _say(args, f"seed {doc['seed']}")
-    _write_reports(args, out, sites)
-    if heatmap:
-        mode, pitch = heatmap
-        rows = heatmap_csv_rows(sites, mode, pitch)
-        if len(rows) < 2:
-            raise StatisticsError(
-                f"no sites carry mode {mode} at pitch {pitch:g} m"
-            )
-        _write_lines(os.path.join(out, "heatmap.csv"), rows)
-        _say(args, f"heatmap: {len(rows) - 1} site(s)")
+    _write_reports(args, sites, {}, heatmap)
     return EXIT_OK
 
 
@@ -429,11 +433,9 @@ def cmd_simulate_wafer(args) -> int:
     variation = replace(cfg.variation, full_resolve=True) if args.full_resolve else cfg.variation
     pitches = _catalog_pitches(args)
     sites = simulate_wafer(variation, seed, pitches, cfg.plate, cfg.chip, cfg.wafer)
-    out = _out_dir(args)
     _say(args, f"seed {seed}")
     _say(args, f"{len(sites)} site(s), {len(pitches)} design pitch(es)")
-    _write_lines(os.path.join(out, "sites.json"), [sites_json(sites, seed=seed)])
-    _write_reports(args, out, sites)
+    _write_reports(args, sites, {"sites.json": _lines([sites_json(sites, seed=seed)])})
     return EXIT_OK
 
 
@@ -447,6 +449,8 @@ def cmd_flow_check(args) -> int:
         flow = load_flow(args.flow)
     rates = RateTable.from_dict(read_json(args.rates, "rates")) if args.rates else DEFAULT_RATES
     report = check_flow(flow, rates)
+    # rule hits are data: the report is written when they fail the check too
+    _write_files(args.out, {"flow_report.json": _json_text(report.to_dict())})
     for line in report.summary_lines():
         _say(args, line)
     return EXIT_OK if report.error_count == 0 else EXIT_FLOW_ERRORS

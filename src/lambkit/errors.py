@@ -46,10 +46,6 @@ class FitConvergenceError(LambkitError):
         super().__init__(message)
 
 
-class DegenerateFixtureError(LambkitError, ValueError):
-    """Open/short de-embedding fixtures are indistinguishable from the DUT."""
-
-
 class SolverError(LambkitError):
     """Dispersion root finding failed: no root for the branch, or unreliable indexing."""
 

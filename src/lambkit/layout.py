@@ -34,7 +34,6 @@ __all__ = [
     "gen_chip",
     "gen_wafer_map",
     "build_reticle",
-    "dump_polygons_csv",
 ]
 
 INT32_MIN = -(2**31)
@@ -562,12 +561,3 @@ def build_reticle(
             mask.polygons.append(poly.scaled(demag).translated(dx, dy))
     mask_lib.add(mask)
     return spec, mask_lib
-
-
-def dump_polygons_csv(lib: Library, cell_name: str) -> list:
-    """Flat debug dump: one CSV row per polygon of the flattened cell."""
-    rows = ["layer,n_vertices,vertices"]
-    for poly in lib.flatten(cell_name):
-        pts = " ".join(f"{x}:{y}" for x, y in poly.vertices)
-        rows.append(f"{poly.layer},{len(poly.vertices)},{pts}")
-    return rows

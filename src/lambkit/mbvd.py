@@ -1,5 +1,5 @@
-"""Modified Butterworth-Van Dyke one-port model: types, evaluation, metrics,
-fitting, and open/short de-embedding.
+"""Modified Butterworth-Van Dyke one-port model: types, evaluation, metrics
+and fitting.
 
 Topology: a series resistance r_s feeds the parallel combination of a static
 branch (c_0 in series with r_0) and N motional RLC branches (r_m, l_m, c_m
@@ -23,18 +23,12 @@ parameters.  r_0 is kept in the model with default 0 and is not fitted.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateFixtureError,
-    FitConvergenceError,
-    FitPeakError,
-    InputError,
-)
+from .errors import FitConvergenceError, FitPeakError, InputError
 from .waferstats import ModeMetrics
 
 __all__ = [
@@ -47,7 +41,6 @@ __all__ = [
     "mbvd_admittance",
     "resonance_metrics",
     "fit_mbvd",
-    "de_embed_open_short",
 ]
 
 
@@ -134,35 +127,6 @@ class MbvdModel:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MbvdModel":
-        try:
-            st = d["static"]
-            net = StaticNetwork(
-                c_0=float(st["c_0_f"]),
-                r_0=float(st.get("r_0_ohm", 0.0)),
-                r_s=float(st.get("r_s_ohm", 0.0)),
-            )
-            branches = tuple(
-                MotionalBranch(
-                    r_m=float(b["r_m_ohm"]),
-                    l_m=float(b["l_m_h"]),
-                    c_m=float(b["c_m_f"]),
-                    label=str(b.get("label", "")),
-                )
-                for b in d.get("branches", ())
-            )
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed model dict: {exc}") from exc
-        return cls(net, branches)
-
-    def to_json(self, indent=2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MbvdModel":
-        return cls.from_dict(json.loads(text))
-
 
 class AdmittanceTrace:
     """Sampled one-port admittance: strictly increasing positive frequencies."""
@@ -181,21 +145,6 @@ class AdmittanceTrace:
 
     def __len__(self):
         return self.frequencies.size
-
-    def to_dict(self) -> dict:
-        return {
-            "frequencies_hz": self.frequencies.tolist(),
-            "admittance_s": [[y.real, y.imag] for y in self.admittance],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AdmittanceTrace":
-        try:
-            f = d["frequencies_hz"]
-            y = [complex(re, im) for re, im in d["admittance_s"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed trace dict: {exc}") from exc
-        return cls(f, y)
 
 
 def mbvd_admittance(model: MbvdModel, frequencies) -> AdmittanceTrace:
@@ -483,33 +432,3 @@ def fit_mbvd(trace: AdmittanceTrace, n_branches: int) -> FitResult:
             f"iteration cap reached after {nfev} evaluations", model=model, report=result
         )
     return result
-
-
-# ---------------------------------------------------------------------------
-# De-embedding
-
-_SHORT_GUARD = 1e18  # |y| above this is treated as an ideal short
-
-
-def de_embed_open_short(y_dut, y_open, y_short):
-    """Open/short de-embedding of parallel-then-series fixture parasitics.
-
-        Y = 1 / ( 1/(y_dut - y_open) - 1/(y_short - y_open) )
-
-    y_open subtracts the pad shunt branch; the short term removes the series
-    interconnect.  A short of effectively infinite magnitude degenerates to
-    the open-only correction.
-    """
-    y_dut = np.asarray(y_dut, dtype=complex)
-    y_open = np.asarray(y_open, dtype=complex)
-    y_short = np.asarray(y_short, dtype=complex)
-    d_dut = y_dut - y_open
-    if np.any(np.abs(d_dut) == 0):
-        raise DegenerateFixtureError("y_dut equals y_open at some frequency")
-    with np.errstate(invalid="ignore"):
-        d_short = y_short - y_open
-    ideal_short = ~np.isfinite(d_short) | (np.abs(d_short) > _SHORT_GUARD)
-    if np.any(np.abs(d_short) == 0):
-        raise DegenerateFixtureError("y_short equals y_open at some frequency")
-    inv_short = np.where(ideal_short, 0.0, 1.0 / np.where(ideal_short, 1.0, d_short))
-    return 1.0 / (1.0 / d_dut - inv_short)

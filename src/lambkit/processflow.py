@@ -441,9 +441,6 @@ class EtchBudgetReport:
     remaining_mask_m: float
     passes: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class FlowReport:

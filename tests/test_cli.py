@@ -698,6 +698,16 @@ def test_negative_seed_is_usage_error(tmp_path):
     assert not (tmp_path / "sites.json").exists()
 
 
+def test_simulate_wafer_without_dies_writes_no_sites(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"wafer": {"diameter_m": 0.015, "edge_exclusion_m": 0.001}}))
+    out = tmp_path / "out"
+    assert cli.main(["simulate-wafer", "--config", str(cfg), "--seed", "7", "--quiet",
+                     "--out", str(out)]) == cli.EXIT_STATS
+    assert capsys.readouterr().err == "error: no sites to aggregate\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, catalog, stderr", [
     (["simulate-wafer", "--pitches", "2e-6,3e-6,2.0e-6"], None, "error: pitch 2e-06 is given twice\n"),
     (["simulate-wafer"], [2e-6, 2e-6], "error: catalog pitches_m must be strictly ascending, "
@@ -763,7 +773,7 @@ def test_json_outputs_are_the_indented_encoder_bytes(tmp_path):
     text = (tmp_path / "dut_metrics.json").read_text(encoding="utf-8")
     assert text == dumped(json.loads(text))
     doc = {"q_r": math.inf, "rows": [[1, 2.5e-9], []], "name": "\u00b5m", "none": None, "empty": {}}
-    cli._write_json(str(tmp_path / "doc.json"), doc)
+    cli._write_files(str(tmp_path), {"doc.json": cli._json_text(doc)})
     assert (tmp_path / "doc.json").read_text(encoding="utf-8") == dumped(doc)
 
 
@@ -816,6 +826,20 @@ def test_stats_empty_sites_exits_6(tmp_path):
     assert cli.main(["stats", str(empty), "--out", str(tmp_path)]) == cli.EXIT_STATS
 
 
+def test_stats_heatmap_of_no_site_writes_and_prints_nothing(tmp_path, capsys):
+    sites = tmp_path / "sites.json"
+    sites.write_text(json.dumps({"sites": [
+        {"site_id": i, "x_mm": 0.0, "y_mm": 0.0, "pitch_m": 2e-6,
+         "metrics": {"S0": {"f_r_hz": 1e9, "f_a_hz": 1.01e9, "q_r": 300.0, "k_eff_sq": 0.05}}}
+        for i in range(2)
+    ]}))
+    out = tmp_path / "out"
+    assert cli.main(["stats", str(sites), "--heatmap", "S0:9e-6", "--out", str(out)]) \
+        == cli.EXIT_STATS
+    assert capsys.readouterr() == ("", "error: no sites carry mode S0 at pitch 9e-06 m\n")
+    assert not out.exists()  # no deviation.csv or trend.csv either
+
+
 def test_stats_bad_heatmap_spec_usage(tmp_path):
     sites = tmp_path / "sites.json"
     sites.write_text(json.dumps({
@@ -864,7 +888,7 @@ def test_stats_non_finite_heatmap_pitch_is_usage_error(tmp_path, pitch):
 
 @pytest.mark.parametrize("name", ["alscn-aln-adhesion", "alscn-ti-adhesion"])
 def test_flow_check_golden_passes(tmp_path, capsys, name):
-    assert cli.main(["flow-check", name]) == cli.EXIT_OK
+    assert cli.main(["flow-check", name, "--out", str(tmp_path)]) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "0 error(s), 1 warning(s)" in out
     assert "AL_OXIDATION" in out
@@ -878,14 +902,39 @@ def test_flow_check_hf_mutation_exits_1(tmp_path, capsys):
     flow[idx] = replace(flow[idx], kind="etch_wet", chemistry="49%HF/H2O 1:50")
     path = tmp_path / "mutated.json"
     path.write_text(json.dumps(steps_to_dict(flow)))
-    assert cli.main(["flow-check", str(path)]) == cli.EXIT_FLOW_ERRORS
+    assert cli.main(["flow-check", str(path), "--out", str(tmp_path)]) == cli.EXIT_FLOW_ERRORS
     assert "HF_ATTACKS_TI" in capsys.readouterr().out
+
+
+def test_flow_check_writes_its_report_also_on_rule_errors(tmp_path):
+    from dataclasses import replace
+
+    from lambkit.processflow import check_flow
+
+    out = tmp_path / "nodir"
+    assert cli.main(["flow-check", "alscn-ti-adhesion", "--out", str(out), "--quiet"]) \
+        == cli.EXIT_OK
+    report = json.loads((out / "flow_report.json").read_text(encoding="utf-8"))
+    assert report == check_flow(packaged_flow("alscn-ti-adhesion")).to_dict()
+    assert report["error_count"] == 0
+    # a developable BARC under the resist lets the developer reach the Al
+    flow = [replace(s, material="DS-K101") if s.material == "DUV42-P" else s
+            for s in packaged_flow("alscn-aln-adhesion")]
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(steps_to_dict(flow)))
+    out = tmp_path / "errors"
+    assert cli.main(["flow-check", str(path), "--out", str(out), "--quiet"]) \
+        == cli.EXIT_FLOW_ERRORS
+    report = json.loads((out / "flow_report.json").read_text(encoding="utf-8"))
+    assert report == check_flow(flow).to_dict()
+    assert "DEVELOPER_ATTACKS_AL" in {v["code"] for v in report["violations"]}
 
 
 def test_flow_check_malformed_json_exits_2(tmp_path):
     bad = tmp_path / "flow.json"
     bad.write_text("{not json")
-    assert cli.main(["flow-check", str(bad)]) == cli.EXIT_USAGE
+    assert cli.main(["flow-check", str(bad), "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    assert not (tmp_path / "out").exists()
 
 
 def test_flow_check_missing_file_exits_2(tmp_path):
@@ -972,8 +1021,7 @@ def test_unexpected_exception_is_one_line_in_a_fresh_process():
 # The names ``lambkit`` exported when its __init__ imported every module
 # eagerly, by the module that defines them.
 EXPORTS = {
-    "calibration": "ErrorBox IDEAL_STANDARDS OffsetStandard OslStandards "
-                   "apply_correction calibrate_file osl_solve",
+    "calibration": "ErrorBox apply_correction calibrate_file osl_solve",
     "config": "ToolkitConfig load_catalog load_config",
     "design": "CapacitanceModel IdtSpec LayerBand ResonatorDesign layer_assignment "
               "match_finger_count recommend_dose static_capacitance",
@@ -984,7 +1032,7 @@ EXPORTS = {
     "layout": "Cell ChipPlacement Library Placement Polygon ReticleSpec "
               "build_reticle gen_chip gen_wafer_map",
     "mbvd": "AdmittanceTrace FitResult MbvdModel ModeMetrics MotionalBranch "
-            "StaticNetwork de_embed_open_short fit_mbvd mbvd_admittance resonance_metrics",
+            "StaticNetwork fit_mbvd mbvd_admittance resonance_metrics",
     "processflow": "GOLDEN_FLOW_NAMES FlowReport ProcessStep RateTable StackState Violation "
                    "ashing_time check_flow classify_chemistry "
                    "etch_budget load_flow packaged_flow simulate_stack",
@@ -999,7 +1047,7 @@ def test_every_package_export_is_the_module_attribute():
     import lambkit
 
     names = [(m, n) for m, text in EXPORTS.items() for n in text.split()]
-    assert len(names) == 78
+    assert len(names) == 74
     assert sorted(lambkit.__all__) == sorted(n for _, n in names)
     for module, name in names:
         ns = {}
@@ -1055,8 +1103,9 @@ def test_import_lambkit_loads_no_numpy():
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["flow-check", "alscn-ti-adhesion"]])
-def test_help_and_flow_check_load_no_numpy_scipy_or_jsonschema(argv):
-    assert not loaded_by(*argv) & {"numpy", "scipy", "jsonschema"}
+def test_help_and_flow_check_load_no_numpy_scipy_or_jsonschema(argv, tmp_path):
+    out = [] if argv == ["--help"] else ["--out", str(tmp_path)]
+    assert not loaded_by(*argv, *out) & {"numpy", "scipy", "jsonschema"}
 
 
 def test_help_loads_no_dataclasses_or_inspect():

@@ -29,7 +29,6 @@ from lambkit.layout import (
     Polygon,
     ReticleSpec,
     build_reticle,
-    dump_polygons_csv,
     gen_chip,
     gen_device_cells,
     gen_wafer_map,
@@ -537,13 +536,6 @@ def test_deep_hierarchy_validates_and_flattens():
     lib["C0"].placements.append(Placement(top, 0, 0))
     with pytest.raises(InputError, match="placement cycle through cell 'C0'"):
         lib.validate()
-
-
-def test_csv_dump():
-    lib = gen_chip([make_design()], CFG.chip, CFG.layers)
-    rows = dump_polygons_csv(lib, "CHIP")
-    assert rows[0].startswith("layer,")
-    assert len(rows) == 1 + len(lib.flatten("CHIP"))
 
 
 # ---------------------------------------------------------------------------

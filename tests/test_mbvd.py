@@ -1,4 +1,4 @@
-"""Equivalent-circuit model: evaluation, metrics, fitting, de-embedding."""
+"""Equivalent-circuit model: evaluation, metrics and fitting."""
 
 import json
 import math
@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from lambkit.errors import (
-    DegenerateFixtureError,
     FitConvergenceError,
     FitPeakError,
     InputError,
@@ -18,7 +17,6 @@ from lambkit.mbvd import (
     MbvdModel,
     MotionalBranch,
     StaticNetwork,
-    de_embed_open_short,
     fit_mbvd,
     mbvd_admittance,
     resonance_metrics,
@@ -144,45 +142,6 @@ def test_mbvd_admittance_checks_the_grid_before_evaluating():
         for bad in ([0.0, 1e9], [1e9], [2e9, 1e9], np.ones((2, 2))):
             with pytest.raises(InputError):
                 mbvd_admittance(model, bad)
-
-
-def test_trace_json_round_trip():
-    tr = mbvd_admittance(make_model(), np.linspace(0.9e9, 1.1e9, 5))
-    back = AdmittanceTrace.from_dict(tr.to_dict())
-    np.testing.assert_array_equal(back.frequencies, tr.frequencies)
-    np.testing.assert_array_equal(back.admittance, tr.admittance)
-
-
-def test_de_embed_recovers_dut_exactly():
-    m = make_model(r_s=1.0)
-    f = np.linspace(0.8e9, 1.2e9, 101)
-    w = 2.0 * math.pi * f
-    y_dut = m.admittance(f)
-    y_pad = 1j * w * 50e-15
-    z_series = 2.0 + 1j * w * 100e-12
-    y_open = y_pad
-    y_short = y_pad + 1.0 / z_series
-    y_meas = y_pad + 1.0 / (z_series + 1.0 / y_dut)
-    y_rec = de_embed_open_short(y_meas, y_open, y_short)
-    np.testing.assert_allclose(y_rec, y_dut, rtol=1e-12)
-
-
-def test_de_embed_ideal_short_degenerates_to_open_correction():
-    f = np.linspace(0.8e9, 1.2e9, 11)
-    w = 2.0 * math.pi * f
-    y_dut = make_model().admittance(f)
-    y_open = 1j * w * 50e-15
-    y_meas = y_open + y_dut  # shunt-only fixture
-    y_rec = de_embed_open_short(y_meas, y_open, np.full_like(y_dut, 1e19 + 0j))
-    np.testing.assert_allclose(y_rec, y_dut, rtol=1e-12)
-
-
-def test_de_embed_degenerate_fixtures():
-    y = np.array([1j * 1e-3, 1j * 2e-3])
-    with pytest.raises(DegenerateFixtureError):
-        de_embed_open_short(y, y, y + 1.0)
-    with pytest.raises(DegenerateFixtureError):
-        de_embed_open_short(y + 1.0, y, y)
 
 
 def test_fit_clean_single_branch():

@@ -609,7 +609,7 @@ def test_severity_comes_from_the_registry(tmp_path, monkeypatch, capsys, code, m
     report = check_flow(flow)
     assert [v.severity for v in report.violations if v.code == code] == [other]
     assert report.error_count == errors + (1 if other == "error" else -1)
-    assert cli.main(["flow-check", str(path)]) == (
+    assert cli.main(["flow-check", str(path), "--out", str(tmp_path)]) == (
         cli.EXIT_FLOW_ERRORS if report.error_count else cli.EXIT_OK)
     assert f"{other} {code}" in capsys.readouterr().out
 
