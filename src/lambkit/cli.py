@@ -15,11 +15,13 @@ that can fail has passed, and maps failures onto a stable exit-code registry:
    70  internal error (a bug: any other exception)
 
 Subcommands import what they run in their own bodies, so --help, stats and
-flow-check load no numpy and no command loads scipy.  main() pins OpenBLAS to
-one thread before a command imports numpy: starting its thread pool costs
-about 70 ms of each command, and the largest BLAS call here is a 14-column
-normal matrix.  An OPENBLAS_NUM_THREADS the user set wins, and a caller that
-has already loaded numpy keeps its environment as it is.
+flow-check load no numpy and no command loads scipy.  design and layout load
+no numpy either on the packaged material, whose dispersion nodes they read
+from the packaged lattice table.  main() pins OpenBLAS to one thread before a
+command imports numpy: starting its thread pool costs about 70 ms of each
+command, and the largest BLAS call here is a 14-column normal matrix.  An
+OPENBLAS_NUM_THREADS the user set wins, and a caller that has already loaded
+numpy keeps its environment as it is.
 """
 
 import argparse

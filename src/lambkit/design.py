@@ -175,11 +175,11 @@ def layer_assignment(pitch: float) -> LayerBand:
         return LayerBand.LARGE
     if SMALL_PITCH_RANGE[1] < pitch < LARGE_PITCH_RANGE[0]:
         raise LayerAssignmentError(
-            f"pitch {pitch * 1e9:.0f} nm falls in the unassigned interval "
+            f"pitch {pitch!r} m falls in the unassigned interval "
             f"(1000 nm, 1500 nm) between the exposure bands"
         )
     raise LayerAssignmentError(
-        f"pitch {pitch * 1e9:.0f} nm outside the catalog range [500 nm, 4500 nm]"
+        f"pitch {pitch!r} m outside the catalog range [500 nm, 4500 nm]"
     )
 
 

@@ -16,15 +16,18 @@ preserves both roots and signs.
 
 solve_at_k is the one root path; solve_mode loops over it.  pitch_to_frequency
 and sensitivity read a per-mode master lattice of solve_at_k nodes, the only
-interpolator here.
+interpolator here.  The packaged material's lattice ships solved in
+data/lattice.json, so a lookup there solves nothing and loads no numpy.
 """
 
 from __future__ import annotations
 
+import functools
+import json
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
+from importlib import resources
 
 from . import MODE_NAMES
 from .errors import DispersionRangeError, InputError, SensitivityError, SolverError
@@ -96,6 +99,7 @@ def _mode_family(mode: str) -> str:
 def _even_sin_cos(x2, hh):
     """(sin(x*hh)/x, cos(x*hh)) for x = sqrt(x2), both even in x; the hyperbolic branch
     (x2 < 0) is scaled by exp(-|x|*hh).  Vectorized over x2, 0-d too: one branch per point."""
+    import numpy as np
     x2 = np.asarray(x2, dtype=float)
     pos, neg, zero = x2 > 0.0, x2 < 0.0, x2 == 0.0
     sin, cos = np.where(zero, hh, np.nan), np.where(zero, 1.0, np.nan)
@@ -138,6 +142,7 @@ def rayleigh_lamb_residual(omega, k: float, plate: PlateSpec, symmetry: str):
         raise InputError(f"unknown symmetry {symmetry!r}")
     if k < 0:
         raise InputError("wavenumber must be >= 0")
+    import numpy as np
     w = np.asarray(omega, dtype=float)
     if np.any(w <= 0):
         raise InputError("omega must be positive")
@@ -149,6 +154,7 @@ def rayleigh_lamb_residual(omega, k: float, plate: PlateSpec, symmetry: str):
 
 
 def _scan_grid(plate: PlateSpec, k: float):
+    import numpy as np
     vl = plate.material.v_l
     vt = plate.material.v_t
     w_max = 3.0 * vl * k + 4.0 * math.pi * vl / plate.h
@@ -170,7 +176,7 @@ def _scan_grid(plate: PlateSpec, k: float):
 # Sign changes are trusted only where the residual stands clear of the
 # cancellation noise of its two terms (the terms annihilate as omega -> 0, so
 # sub-noise flicker there would otherwise fabricate brackets).
-_NOISE_MARGIN = 16.0 * np.finfo(float).eps
+_NOISE_MARGIN = 16.0 * sys.float_info.epsilon
 
 
 def _even_sin_cos_scalar(x2: float, hh: float):
@@ -249,6 +255,7 @@ def _roots_at_k(plate: PlateSpec, symmetry: str, k: float, n_roots: int):
     below the first accepted root were indistinguishable from rounding noise,
     in which case no branch index can be trusted: a lower root may hide there.
     """
+    import numpy as np
     grid = _scan_grid(plate, k)
     t1, t2 = _residual_terms(grid, k, plate, symmetry)
     vals = t1 + t2
@@ -308,6 +315,7 @@ class DispersionCurve:
     gaps: tuple = ()
 
     def __post_init__(self):
+        import numpy as np
         self.k = np.asarray(self.k, dtype=float)
         self.f = np.asarray(self.f, dtype=float)
         self.gaps = tuple((float(lo), float(hi)) for lo, hi in self.gaps)
@@ -335,6 +343,7 @@ def solve_mode(plate: PlateSpec, mode: str, k_grid) -> DispersionCurve:
     Each point is a solve_at_k call; points where it raises SolverError are
     recorded as gap intervals rather than raising.
     """
+    import numpy as np
     ks = np.asarray(k_grid, dtype=float)
     if ks.ndim != 1 or ks.size == 0:
         raise InputError("k grid must be a non-empty 1-D array")
@@ -358,11 +367,29 @@ def solve_mode(plate: PlateSpec, mode: str, k_grid) -> DispersionCurve:
 
 
 # Master lattice: roots obey f*h = F_mode(k*h) for one material.  Node j at
-# k*h = exp(j / _LATTICE_DENSITY) holds ln F (None: no reliable root), solved
-# on a unit-thickness plate when first needed.  Nodes depend only on
-# (material, mode, j), so the shared memo cannot make results order-dependent.
+# k*h = exp(j / _LATTICE_DENSITY) holds ln F (None: no reliable root).  Nodes
+# depend only on (material, mode, j), so the shared memo cannot make results
+# order-dependent.  The memo of the packaged table's material starts from the
+# table's nodes; any other node is solved when first needed.
 _LATTICE_DENSITY = 64
 _LATTICE: dict = {}
+
+
+def _solve_node(material: PlateMaterial, mode: str, j: int):
+    """ln F at lattice node j, solved on a unit-thickness plate; None where
+    solve_at_k raises SolverError."""
+    try:
+        return math.log(solve_at_k(PlateSpec(material, 1.0), mode, math.exp(j / _LATTICE_DENSITY)))
+    except SolverError:
+        return None
+
+
+@functools.cache
+def _packaged_table() -> tuple:
+    """(material, j_min, {mode: [ln F of node j_min, ...]}) of data/lattice.json."""
+    with resources.files("lambkit.data").joinpath("lattice.json").open("r") as fh:
+        t = json.load(fh)
+    return PlateMaterial(t["rho"], t["v_l"], t["v_t"], t["name"]), t["j_min"], t["ln_f"]
 
 
 def _lattice_eval(plate: PlateSpec, mode: str, k: float):
@@ -374,17 +401,17 @@ def _lattice_eval(plate: PlateSpec, mode: str, k: float):
     kh = k * plate.h
     if not 0.0 < kh < math.inf:
         raise InputError(f"k*h = {kh!r} is not a positive finite number")
-    nodes = _LATTICE.setdefault((plate.material, mode), {})
-    unit = PlateSpec(plate.material, 1.0)
+    nodes = _LATTICE.get((plate.material, mode))
+    if nodes is None:
+        material, j_min, ln_f = _packaged_table()
+        nodes = dict(enumerate(ln_f[mode], j_min)) if plate.material == material else {}
+        _LATTICE[(plate.material, mode)] = nodes
     u = math.log(kh) * _LATTICE_DENSITY
     j0 = math.floor(u)
     ys = []
     for j in range(j0 - 1, j0 + 3):
         if j not in nodes:
-            try:
-                nodes[j] = math.log(solve_at_k(unit, mode, math.exp(j / _LATTICE_DENSITY)))
-            except SolverError:
-                nodes[j] = None
+            nodes[j] = _solve_node(plate.material, mode, j)
         if nodes[j] is None:
             raise DispersionRangeError(f"no reliable {mode} root near k*h = {kh:.6g}")
         ys.append(nodes[j])

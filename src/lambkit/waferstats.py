@@ -25,8 +25,8 @@ from operator import add
 from typing import TYPE_CHECKING
 
 from . import MODE_NAMES
-from .errors import (DispersionRangeError, InputError, SolverError, StatisticsError,
-                     is_json_number, json_number, json_object, shown)
+from .errors import (DispersionRangeError, InputError, PackingError, SolverError,
+                     StatisticsError, is_json_number, json_number, json_object, shown)
 
 if TYPE_CHECKING:  # annotations only: stats loads no numpy, config or layout
     from .config import ChipConfig, VariationConfig, WaferConfig
@@ -338,7 +338,8 @@ def simulate_wafer(
     off ``seed``.  Frequencies come from first-order log sensitivities around
     the nominal plate, or from the dispersion at each site's own thickness and
     pitch when ``variation.full_resolve`` is set.  A site whose perturbed
-    evaluation fails is flagged, not fatal; nominal failures propagate.
+    evaluation fails is flagged, not fatal; nominal failures propagate.  A
+    wafer that holds no die is a PackingError.
     """
     import numpy as np
 
@@ -353,6 +354,13 @@ def simulate_wafer(
     if any(p <= 0.0 for p in pitches):
         raise InputError("design pitches must be positive")
     modes = tuple(variation.mode_quality)
+    placements = gen_wafer_map(chip_cfg, wafer_cfg)
+    if not placements:
+        usable = wafer_cfg.diameter_m - 2.0 * wafer_cfg.edge_exclusion_m
+        raise PackingError(
+            f"no chip fits the usable wafer diameter of {usable:g} m "
+            f"(edge exclusion {wafer_cfg.edge_exclusion_m:g} m)"
+        )
 
     # Nominal frequency and log sensitivities per (mode, pitch); failures
     # here violate the documented precondition and propagate to the caller.
@@ -364,7 +372,6 @@ def simulate_wafer(
             s_h, s_p = sensitivity(plate, mode, k)
             nominal[(mode, pitch)] = (f_nom, s_h, s_p)
 
-    placements = gen_wafer_map(chip_cfg, wafer_cfg)
     streams = np.random.SeedSequence(seed).spawn(len(placements))
     radius = wafer_cfg.radius_m
 

@@ -319,6 +319,20 @@ def test_design_gap_pitch_exit_4(tmp_path, capsys):
     assert "unassigned interval" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pitch, why", [
+    ("4.5000004e-6", "outside the catalog range [500 nm, 4500 nm]"),
+    ("1.0000004e-6", "falls in the unassigned interval (1000 nm, 1500 nm) between the "
+                     "exposure bands"),
+    ("1e300", "outside the catalog range [500 nm, 4500 nm]"),
+])
+def test_layer_assignment_names_the_pitch_as_given(tmp_path, capsys, pitch, why):
+    # rounded to whole nm, these read "4500 nm outside [500 nm, 4500 nm]",
+    # "1000 nm falls in (1000 nm, 1500 nm)" and "inf nm"
+    code = cli.main(["design", "--out", str(tmp_path), "--pitches", pitch, "--quiet"])
+    assert code == cli.EXIT_DESIGN
+    assert capsys.readouterr().err == f"error: pitch {float(pitch)!r} m {why}\n"
+
+
 def test_design_quiet_suppresses_stdout(tmp_path, capsys):
     code = cli.main(
         ["design", "--out", str(tmp_path), "--pitches", "2e-6", "--quiet"]
@@ -703,9 +717,13 @@ def test_simulate_wafer_without_dies_writes_no_sites(tmp_path, capsys):
     cfg.write_text(json.dumps({"wafer": {"diameter_m": 0.015, "edge_exclusion_m": 0.001}}))
     out = tmp_path / "out"
     assert cli.main(["simulate-wafer", "--config", str(cfg), "--seed", "7", "--quiet",
-                     "--out", str(out)]) == cli.EXIT_STATS
-    assert capsys.readouterr().err == "error: no sites to aggregate\n"
+                     "--out", str(out)]) == cli.EXIT_DESIGN
+    assert capsys.readouterr().err == (
+        "error: no chip fits the usable wafer diameter of 0.013 m (edge exclusion 0.001 m)\n")
     assert not out.exists()
+    # layout keeps an empty placement map as a valid result
+    assert cli.main(["layout", "--config", str(cfg), "--pitches", "2e-6", "--quiet",
+                     "--out", str(out)]) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("argv, catalog, stderr", [
@@ -1125,6 +1143,51 @@ def test_stats_loads_no_numpy(tmp_path):
     assert (tmp_path / "heatmap.csv").read_text().count("\n") == 4
 
 
+@pytest.mark.parametrize("argv", [["design", "--pitches", "2e-6"], ["layout", "--wafer-map"]])
+def test_design_and_layout_on_the_packaged_material_load_no_numpy(tmp_path, argv):
+    # the packaged lattice table holds every node the packaged config needs
+    modules = loaded_by(*argv, "--out", str(tmp_path), "--quiet")
+    assert not modules & {"numpy", "scipy", "jsonschema"}
+
+
+def test_import_config_loads_no_numpy():
+    proc = run_python("-c", "import sys, lambkit.config; print('numpy' in sys.modules)")
+    assert proc.stdout.strip() == "False", proc.stderr
+
+
+def count_solves(monkeypatch):
+    """The arguments of every solve_at_k call from now on, with an empty lattice memo."""
+    calls = []
+    solve = dispersion.solve_at_k
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(dispersion, "solve_at_k", counted)
+    monkeypatch.setattr(dispersion, "_LATTICE", {})
+    return calls
+
+
+@pytest.mark.parametrize("argv", [["design"], ["simulate-wafer", "--seed", "7"],
+                                  ["simulate-wafer", "--full-resolve", "--pitches", "1e-6"]])
+def test_packaged_material_solves_no_lattice_node(tmp_path, monkeypatch, argv):
+    calls = count_solves(monkeypatch)
+    assert cli.main([*argv, "--out", str(tmp_path), "--quiet"]) == cli.EXIT_OK
+    assert calls == []
+
+
+def test_other_material_solves_its_lattice_nodes(tmp_path, monkeypatch):
+    (tmp_path / "cfg.json").write_text(json.dumps({"material": {"v_t_m_s": 3267.0}}))
+    calls = count_solves(monkeypatch)
+    assert cli.main(["design", "--config", str(tmp_path / "cfg.json"), "--pitches", "2e-6",
+                     "--out", str(tmp_path), "--quiet"]) == cli.EXIT_OK
+    assert len(calls) == 4  # the cubic's 4 nodes, none of them from the table
+    assert {plate.material.v_t for plate, _, _ in calls} == {3267.0}
+    design, = json.loads((tmp_path / "designs.json").read_text())["designs"]
+    assert design["f_mid_hz"] == 1442159119.889364  # as before the table shipped
+
+
 def test_dispersion_and_wafer_commands_load_no_scipy(tmp_path):
     out = ["--out", str(tmp_path), "--quiet"]
     pitch = ["--pitches", "2e-6,3e-6"]
@@ -1172,7 +1235,8 @@ BLAS_PROBE = (
 
 
 def blas_probe(tmp_path, preset):
-    proc = run_python("-c", BLAS_PROBE, "design", "--pitches", "2e-6", "--out", str(tmp_path),
+    # design and layout on the packaged material load no numpy; disperse does
+    proc = run_python("-c", BLAS_PROBE, "disperse", "--points", "2", "--out", str(tmp_path),
                       "--quiet", env={"OPENBLAS_NUM_THREADS": preset})
     rc, numpy_loaded, value, threads = json.loads(proc.stdout.splitlines()[-1])
     assert (rc, numpy_loaded) == (cli.EXIT_OK, True), proc.stderr

@@ -82,7 +82,7 @@ def test_layer_assignment_bands():
     assert layer_assignment(4.5e-6) is LayerBand.LARGE
     with pytest.raises(LayerAssignmentError) as exc:
         layer_assignment(1.2e-6)
-    assert "1200 nm" in str(exc.value)
+    assert "pitch 1.2e-06 m " in str(exc.value)
     with pytest.raises(LayerAssignmentError):
         layer_assignment(400e-9)
     with pytest.raises(LayerAssignmentError):

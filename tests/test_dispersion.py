@@ -269,6 +269,16 @@ def test_lattice_is_independent_of_query_order():
     assert forward == backward
 
 
+def test_packaged_lattice_table_equals_a_fresh_solve():
+    material, j_min, ln_f = dispersion._packaged_table()
+    assert material == DEVICE_PLATE.material, "re-run tools/lattice_table.py"
+    for mode in MODE_NAMES:
+        for j, stored in enumerate(ln_f[mode], j_min):
+            # the same double, or None (null) where the solve raises SolverError
+            assert stored == dispersion._solve_node(material, mode, j), (
+                f"{mode} node {j} is stale: re-run tools/lattice_table.py")
+
+
 @pytest.mark.parametrize("mode", ("A0", "A1", "S1"))
 def test_lattice_below_reliable_kh_raises_range_errors(mode):
     # A0 loses reliable branch indexing below k*h ~ 9e-3, A1 below ~5e-3 and

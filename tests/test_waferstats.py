@@ -14,7 +14,7 @@ import pytest
 import lambkit
 from lambkit import mbvd, waferstats
 from lambkit.config import VariationConfig, load_config
-from lambkit.errors import ConfigError, InputError, StatisticsError
+from lambkit.errors import ConfigError, InputError, PackingError, StatisticsError
 from lambkit.mbvd import ModeMetrics
 from lambkit.waferstats import (
     DeviationRow,
@@ -136,6 +136,14 @@ def test_variation_model_validation():
             variation(**bad)
     with pytest.raises(InputError, match=r"^seed must be >= 0, got -1$"):
         simulate_wafer(variation(), -1, [2e-6], CFG.plate, CFG.chip, CFG.wafer)
+
+
+def test_wafer_without_dies_is_a_packing_error():
+    # layout accepts an empty map; a wafer run would report statistics of no site
+    small = replace(CFG.wafer, diameter_m=0.015, edge_exclusion_m=0.001)
+    with pytest.raises(PackingError, match=r"^no chip fits the usable wafer diameter of "
+                                           r"0\.013 m \(edge exclusion 0\.001 m\)$"):
+        simulate_wafer(variation(), SEED, [2e-6], CFG.plate, CFG.chip, small)
 
 
 def test_negative_edge_drop_thickens_the_edge():

@@ -1,0 +1,44 @@
+#!/usr/bin/env python3
+"""Write src/lambkit/data/lattice.json, the packaged material's master lattice.
+
+    PYTHONPATH=src python3 tools/lattice_table.py
+
+Each node j holds ln F at k*h = exp(j / 64) for one mode, solved by
+dispersion._solve_node on the packaged config's material, or null where that
+raises SolverError.  Re-run it after any change to the root finder or the
+packaged material: tests/test_dispersion.py fails until the table again equals
+a fresh solve bit for bit.
+"""
+
+import json
+import os
+
+from lambkit import MODE_NAMES
+from lambkit.config import load_config
+from lambkit.dispersion import _solve_node
+
+# k*h from 0.194 to 3.44: the catalog's 500-4500 nm pitches on plates from
+# about 282 nm to 538 nm, with room for the cubic's 4-node stencil
+J_MIN, J_MAX = -105, 79
+PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "src", "lambkit", "data", "lattice.json")
+
+
+def main() -> None:
+    material = load_config().plate.material
+    head = {"name": material.name, "rho": material.rho, "v_l": material.v_l,
+            "v_t": material.v_t, "j_min": J_MIN}
+    lines = [f" {json.dumps(key)}: {json.dumps(value)}," for key, value in head.items()]
+    modes = [
+        f"  {json.dumps(mode)}: "
+        f"{json.dumps([_solve_node(material, mode, j) for j in range(J_MIN, J_MAX + 1)])}"
+        for mode in MODE_NAMES
+    ]
+    text = "{\n" + "\n".join(lines) + '\n "ln_f": {\n' + ",\n".join(modes) + "\n }\n}\n"
+    with open(PATH, "w") as fh:
+        fh.write(text)
+    print(f"wrote {PATH}: {len(MODE_NAMES)} x {J_MAX - J_MIN + 1} nodes")
+
+
+if __name__ == "__main__":
+    main()
