@@ -24,7 +24,7 @@ _EXPORTS = {
                   "sensitivity solve_at_k solve_mode thin_plate_s0_velocity",
     "errors": "ConfigError InputError LambkitError",
     "gdsii": "read_gdsii write_gdsii",
-    "layout": "Cell ChipPlacement Library Placement Polygon ReticleSpec "
+    "layout": "Cell ChipPlacement Library Placement Polygon "
               "build_reticle gen_chip gen_wafer_map",
     "mbvd": "AdmittanceTrace FitResult MbvdModel MotionalBranch "
             "StaticNetwork fit_mbvd mbvd_admittance resonance_metrics",

@@ -211,7 +211,7 @@ def cmd_layout(args) -> int:
     chip_lib = gen_chip(designs, cfg.chip, cfg.layers)
     chip_bytes = write_gdsii(chip_lib)
     read_gdsii(chip_bytes)  # structural self-check before shipping the file
-    spec, mask_lib = build_reticle(chip_lib, cfg.chip, cfg.layers, cfg.reticle)
+    windows, mask_lib = build_reticle(chip_lib, cfg.chip, cfg.layers, cfg.reticle)
     reticle_bytes = write_gdsii(mask_lib)
     placements = gen_wafer_map(cfg.chip, cfg.wafer)
     files = {"chip.gds": chip_bytes, "reticle.gds": reticle_bytes}
@@ -225,7 +225,7 @@ def cmd_layout(args) -> int:
     _write_files(args.out, files)
     _say(args, f"wrote {os.path.join(args.out, 'chip.gds')} ({len(chip_bytes)} bytes)")
     _say(args, f"wrote {os.path.join(args.out, 'reticle.gds')} "
-               f"({len(spec.rema_windows)} rema windows)")
+               f"({len(windows)} rema windows)")
     _say(args, f"{len(placements)} placements")
     if args.wafer_map:
         _say(args, f"wrote {os.path.join(args.out, 'wafer_map.csv')}")
@@ -425,16 +425,14 @@ def cmd_stats(args) -> int:
 
 
 def cmd_simulate_wafer(args) -> int:
-    from dataclasses import replace
-
     from .config import load_config
     from .waferstats import simulate_wafer, sites_json
 
     cfg = load_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
-    variation = replace(cfg.variation, full_resolve=True) if args.full_resolve else cfg.variation
     pitches = _catalog_pitches(args)
-    sites = simulate_wafer(variation, seed, pitches, cfg.plate, cfg.chip, cfg.wafer)
+    sites = simulate_wafer(cfg.variation, seed, pitches, cfg.plate, cfg.chip, cfg.wafer,
+                           args.full_resolve)
     _say(args, f"seed {seed}")
     _say(args, f"{len(sites)} site(s), {len(pitches)} design pitch(es)")
     _write_reports(args, sites, {"sites.json": _lines([sites_json(sites, seed=seed)])})

@@ -111,9 +111,8 @@ class WaferConfig:
 
 @dataclass(frozen=True)
 class ReticleConfig:
-    # the stepper's limits, as layout.ReticleSpec holds them
+    # the stepper's 22 mm image field at wafer scale; its 4x reduction is layout.DEMAG
     image_field_m: tuple = field(metadata=_array({**_POS, "maximum": 0.022}, 2))
-    demag: int = field(metadata={"type": "integer", "minimum": 4, "maximum": 4})
 
 
 _MODE_QUALITY = _object({
@@ -128,7 +127,6 @@ class VariationConfig:
     thickness_edge_drop_m: float = field(metadata={"type": "number"})
     thickness_noise_sigma_m: float = field(metadata=_NONNEG)
     pitch_sigma_m: float = field(metadata=_NONNEG)
-    full_resolve: bool = field(metadata={"type": "boolean"})
     # mode -> {"q_r": float, "k_eff_sq": float}
     mode_quality: dict = field(metadata=_object({m: _MODE_QUALITY for m in MODE_NAMES}))
 
@@ -155,8 +153,6 @@ class VariationConfig:
 # eps_r and seed under other names, so their schema is written here.
 CONFIG_SCHEMA = _object({
     "material": _object({
-        "name": {"type": "string"},
-        "rho_kg_m3": _POS,
         "v_l_m_s": _POS,
         "v_t_m_s": _POS,
     }),
@@ -202,8 +198,7 @@ class ToolkitConfig:
         doc = _typed(CONFIG_SCHEMA, merged)
         mat = doc["material"]
         try:
-            material = PlateMaterial(
-                rho=mat["rho_kg_m3"], v_l=mat["v_l_m_s"], v_t=mat["v_t_m_s"], name=mat["name"])
+            material = PlateMaterial(v_l=mat["v_l_m_s"], v_t=mat["v_t_m_s"])
         except InputError as exc:  # v_t not below v_l: a check across two fields
             raise ConfigError(str(exc)) from None
         return cls(
@@ -223,8 +218,6 @@ class ToolkitConfig:
 _IS_TYPE = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
-    "boolean": lambda v: isinstance(v, bool),
     "number": is_json_number,
     "integer": lambda v: is_json_number(v) and v == int(v),
 }

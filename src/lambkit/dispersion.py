@@ -61,16 +61,15 @@ _ROOT_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class PlateMaterial:
-    """Isotropic effective plate material (velocities in m/s, density kg/m^3)."""
+    """Isotropic effective plate material: its bulk longitudinal and transverse
+    velocities in m/s, the only constants the Rayleigh-Lamb equation holds."""
 
-    rho: float
     v_l: float
     v_t: float
-    name: str = ""
 
     def __post_init__(self):
-        if not (self.rho > 0 and self.v_l > 0 and self.v_t > 0):
-            raise InputError("material constants must be positive")
+        if not (self.v_l > 0 and self.v_t > 0):
+            raise InputError("material velocities must be positive")
         if not self.v_t < self.v_l:
             raise InputError("transverse velocity must be below longitudinal")
 
@@ -389,7 +388,7 @@ def _packaged_table() -> tuple:
     """(material, j_min, {mode: [ln F of node j_min, ...]}) of data/lattice.json."""
     with resources.files("lambkit.data").joinpath("lattice.json").open("r") as fh:
         t = json.load(fh)
-    return PlateMaterial(t["rho"], t["v_l"], t["v_t"], t["name"]), t["j_min"], t["ln_f"]
+    return PlateMaterial(t["v_l"], t["v_t"]), t["j_min"], t["ln_f"]
 
 
 def _lattice_eval(plate: PlateSpec, mode: str, k: float):

@@ -27,7 +27,6 @@ __all__ = [
     "Placement",
     "Cell",
     "Library",
-    "ReticleSpec",
     "ChipPlacement",
     "to_dbu",
     "gen_device_cells",
@@ -449,12 +448,17 @@ class ChipPlacement:
         )
 
 
+# a larger wafer grid is a chip size typo, not minutes of scanning; the
+# grid spans are capped before they are counted, so any chip size has a count
+MAX_GRID_POINTS = 10**6
+
+
 def gen_wafer_map(chip_cfg: ChipConfig, wafer: WaferConfig) -> list:
     """Chip placements fully inside the exclusion radius, keepout skipped.
 
     The grid anchors one chip's lower-left corner at wafer.grid_anchor_m;
     order is row-major bottom-to-top, left-to-right.  Zero placements is a
-    valid result.
+    valid result; a grid over MAX_GRID_POINTS positions is a PackingError.
     """
     to_dbu(wafer.radius_m)  # a wafer beyond the coordinate range has no finite grid
     w = chip_cfg.width_m
@@ -462,8 +466,10 @@ def gen_wafer_map(chip_cfg: ChipConfig, wafer: WaferConfig) -> list:
     r_eff = wafer.radius_m - wafer.edge_exclusion_m
     ax, ay = wafer.grid_anchor_m
     kx0, ky0, kx1, ky1 = wafer.keepout_m
-    n_i = int(math.ceil(2 * wafer.radius_m / w)) + 2
-    n_j = int(math.ceil(2 * wafer.radius_m / h)) + 2
+    n_i, n_j = (math.ceil(min(wafer.diameter_m / s, MAX_GRID_POINTS)) + 2 for s in (w, h))
+    if (2 * n_i + 1) * (2 * n_j + 1) > MAX_GRID_POINTS:
+        raise PackingError(f"a {w:g} x {h:g} m chip on a {wafer.diameter_m:g} m wafer needs "
+                           f"more than {MAX_GRID_POINTS} grid positions")
     out = []
     site = 0
     for j in range(-n_j, n_j + 1):
@@ -482,38 +488,8 @@ def gen_wafer_map(chip_cfg: ChipConfig, wafer: WaferConfig) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class ReticleSpec:
-    """Stepper reticle plan: wafer-scale image field and ReMa sub-windows."""
-
-    image_field_m: tuple  # (w, h) at wafer scale
-    demag: int
-    rema_windows: tuple  # ((x0, y0, x1, y1), ...) field-local, wafer scale
-
-    MAX_FIELD = 0.022
-
-    def __post_init__(self):
-        wf, hf = self.image_field_m
-        if not (0 < wf <= self.MAX_FIELD and 0 < hf <= self.MAX_FIELD):
-            raise InputError("image field exceeds the 2.2 cm stepper limit")
-        if self.demag != 4:
-            raise InputError("demagnification is fixed at 4")
-        wins = tuple(tuple(w) for w in self.rema_windows)
-        object.__setattr__(self, "rema_windows", wins)
-        for x0, y0, x1, y1 in wins:
-            if not (x0 < x1 and y0 < y1):
-                raise InputError("rema window has non-positive extent")
-            if x0 < 0 or y0 < 0 or x1 > wf or y1 > hf:
-                raise InputError("rema window outside the image field")
-        for a in range(len(wins)):
-            for b in range(a + 1, len(wins)):
-                ax0, ay0, ax1, ay1 = wins[a]
-                bx0, by0, bx1, by1 = wins[b]
-                if ax0 < bx1 and ax1 > bx0 and ay0 < by1 and ay1 > by0:
-                    raise InputError("rema windows overlap")
-
-
 RETICLE_CELL_NAME = "RETICLE"
+DEMAG = 4  # the stepper's reduction: the reticle is 4x the wafer image
 _WINDOW_GAP = 1e-3  # vertical gap between rema windows, wafer scale
 
 
@@ -525,39 +501,37 @@ def build_reticle(
 ):
     """Reticle plan for the chip: one ReMa window per mask layer, in LayerMap
     field order from the bottom up, the chip image repeated per window with
-    only that layer's polygons, magnified by the demag factor.
+    only that layer's polygons, magnified by DEMAG.
 
-    Returns (ReticleSpec, Library) where the library holds the flat mask cell.
+    Returns (windows, Library): each window's field-local (x0, y0, x1, y1)
+    at wafer scale, stacked _WINDOW_GAP apart so that none overlap, and the
+    flat mask cell.  A stack not inside the image field is a PackingError.
     """
     layer_ids = astuple(layers)
     wf, hf = reticle_cfg.image_field_m
     cw, ch = chip_cfg.width_m, chip_cfg.height_m
     n = len(layer_ids)
     total_h = n * ch + (n - 1) * _WINDOW_GAP
-    if cw > wf or total_h > hf:
-        raise PackingError(
-            f"{n} chip windows ({cw * 1e3:g} x {total_h * 1e3:g} mm) exceed "
-            f"the image field ({wf * 1e3:g} x {hf * 1e3:g} mm)"
-        )
     x0 = (wf - cw) / 2.0
     y_cursor = (hf - total_h) / 2.0
     windows = []
     for _ in layer_ids:
         windows.append((x0, y_cursor, x0 + cw, y_cursor + ch))
         y_cursor += ch + _WINDOW_GAP
-    spec = ReticleSpec(
-        image_field_m=(wf, hf), demag=reticle_cfg.demag, rema_windows=tuple(windows)
-    )
+    # a negative corner is cw > wf or total_h > hf; a far edge past the field
+    # is a stack that fills it exactly but rounds past it
+    if x0 < 0 or windows[0][1] < 0 or windows[-1][2] > wf or windows[-1][3] > hf:
+        raise PackingError(f"{n} chip windows ({cw * 1e3:g} x {total_h * 1e3:g} mm) exceed "
+                           f"the image field ({wf * 1e3:g} x {hf * 1e3:g} mm)")
     flat = chip_lib.flatten(CHIP_CELL_NAME)
     mask_lib = Library(name="RETICLE_MASK")
     mask = Cell(name=RETICLE_CELL_NAME)
-    demag = reticle_cfg.demag
     for layer_id, (wx0, wy0, _, _) in zip(layer_ids, windows):
-        dx = to_dbu(wx0) * demag
-        dy = to_dbu(wy0) * demag
+        dx = to_dbu(wx0) * DEMAG
+        dy = to_dbu(wy0) * DEMAG
         for poly in flat:
             if poly.layer != layer_id:
                 continue
-            mask.polygons.append(poly.scaled(demag).translated(dx, dy))
+            mask.polygons.append(poly.scaled(DEMAG).translated(dx, dy))
     mask_lib.add(mask)
-    return spec, mask_lib
+    return tuple(windows), mask_lib

@@ -6,8 +6,9 @@ copy of numpy's pairwise sum: numpy's doubles, and no numpy loaded to reduce
 a sites document.  Only simulate_wafer imports numpy and dispersion.  Its
 Monte Carlo model samples a quadratic radial thickness profile plus Gaussian
 noise and a per-design pitch jitter, then maps both to frequency through the
-log sensitivities or, with full_resolve, at each site's own geometry.  Both
-read the memoised dispersion lattice, so a wafer simulates in milliseconds.
+log sensitivities or, with full_resolve (the CLI's --full-resolve, its only
+switch), at each site's own geometry.  Both read the memoised dispersion
+lattice, so a wafer simulates in milliseconds.
 Every random draw comes from a per-site stream spawned from one master seed:
 results are bit-reproducible and sites can be evaluated in any order.  The
 model is the config's variation section; each mode's q_r and k_eff_sq come
@@ -327,6 +328,7 @@ def simulate_wafer(
     plate: PlateSpec,
     chip_cfg: ChipConfig,
     wafer_cfg: WaferConfig,
+    full_resolve: bool = False,
 ) -> list:
     """Monte Carlo wafer map: one WaferSite per (die placement, design pitch).
 
@@ -337,7 +339,7 @@ def simulate_wafer(
     thickness, and each design on it its pitch, from a per-die stream spawned
     off ``seed``.  Frequencies come from first-order log sensitivities around
     the nominal plate, or from the dispersion at each site's own thickness and
-    pitch when ``variation.full_resolve`` is set.  A site whose perturbed
+    pitch when ``full_resolve`` is set.  A site whose perturbed
     evaluation fails is flagged, not fatal; nominal failures propagate.  A
     wafer that holds no die is a PackingError.
     """
@@ -390,7 +392,7 @@ def simulate_wafer(
                 try:
                     if t_local <= 0.0 or p_local <= 0.0:
                         raise SolverError("perturbed geometry is non-physical")
-                    if variation.full_resolve:
+                    if full_resolve:
                         f_site = pitch_to_frequency(
                             p_local, mode, PlateSpec(plate.material, t_local)
                         )
@@ -499,10 +501,12 @@ def _numbers(obj: dict, keys, path: str, default=None) -> list:
 def sites_from_dict(doc: dict) -> list:
     """Sites from a wafer map document; InputError names the JSON path of a
     bad value.  Every number must be finite, except a q_r of Infinity: the
-    lossless branch of ModeMetrics, which sites_to_dict writes that way."""
+    lossless branch of ModeMetrics, which sites_to_dict writes that way.  A
+    repeated (site_id, pitch_m) pair, one site counted twice, is an InputError."""
     if not isinstance(doc, dict) or not isinstance(doc.get("sites"), list):
         raise InputError("wafer map document must be an object with a 'sites' array")
     sites = []
+    seen = {}
     for i, entry in enumerate(doc["sites"]):
         path = f"sites[{i}]"
         entry = json_object(entry, path)
@@ -519,5 +523,9 @@ def sites_from_dict(doc: dict) -> list:
             raise InputError(f"{path}.site_id must be a non-negative integer, got {site_id!r}")
         x, y, pitch = _numbers(entry, ("x_mm", "y_mm", "pitch_m"), path)
         local = _numbers(entry, ("local_thickness_m", "local_pitch_m"), path, 0.0)
+        first = seen.setdefault((site_id, pitch), path)
+        if first != path:
+            raise InputError(f"{path} repeats the site_id {site_id!r} and pitch_m {pitch!r} "
+                             f"of {first}")
         sites.append(WaferSite(int(site_id), x, y, pitch, metrics, tuple(failed), *local))
     return sites

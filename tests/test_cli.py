@@ -260,8 +260,7 @@ def test_finite_length_beyond_int32_exits_4(tmp_path, argv, doc, value):
 def test_integer_fields_spelled_as_floats_give_identical_outputs(tmp_path):
     ints = {"seed": 7, "matching": {"max_fingers": 1000, "dummy_count_per_side": 3},
             "layers": {"small_idt": 1, "large_idt": 2, "pads": 3, "bottom_electrode": 4,
-                       "outline": 5},
-            "reticle": {"demag": 4}}
+                       "outline": 5}}
     # JSON Schema counts 7.0 as an integer; json.dumps writes the float as 7.0
     floats = {k: {n: float(x) for n, x in v.items()} if isinstance(v, dict) else float(v)
               for k, v in ints.items()}
@@ -389,8 +388,9 @@ def test_layout_without_map_flag_writes_no_csv(tmp_path):
     # refused by build_reticle, after the chip is built
     ({"chip": {"height_m": 0.005}}, cli.EXIT_DESIGN,
      "5 chip windows (17 x 29 mm) exceed the image field (22 x 22 mm)"),
-    ({"reticle": {"demag": 2}}, cli.EXIT_USAGE,
-     "config invalid at reticle/demag: 2 is less than the minimum of 4"),
+    # the 4x reduction is layout.DEMAG: a config that still names it is refused
+    ({"reticle": {"demag": 4}}, cli.EXIT_USAGE,
+     "config invalid at reticle: Additional properties are not allowed ('demag' was unexpected)"),
     ({"reticle": {"image_field_m": [0.03, 0.02]}}, cli.EXIT_USAGE,
      "config invalid at reticle/image_field_m/0: 0.03 is greater than the maximum of 0.022"),
 ])
@@ -712,6 +712,20 @@ def test_negative_seed_is_usage_error(tmp_path):
     assert not (tmp_path / "sites.json").exists()
 
 
+def test_a_chip_too_small_for_a_wafer_grid_exits_4(tmp_path):
+    # 1 um chips would make gen_wafer_map scan about 1e10 grid positions
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"chip": {"width_m": 1e-6, "height_m": 1e-6, "margin_m": 0,
+                                        "spacing_m": 0}}))
+    out = tmp_path / "out"
+    proc = run_cli("simulate-wafer", "--config", str(cfg), "--pitches", "2e-6", "--out", str(out),
+                   timeout=30)
+    assert (proc.returncode, proc.stderr) == (
+        cli.EXIT_DESIGN,
+        "error: a 1e-06 x 1e-06 m chip on a 0.1 m wafer needs more than 1000000 grid positions\n")
+    assert not out.exists()
+
+
 def test_simulate_wafer_without_dies_writes_no_sites(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"wafer": {"diameter_m": 0.015, "edge_exclusion_m": 0.001}}))
@@ -793,6 +807,22 @@ def test_json_outputs_are_the_indented_encoder_bytes(tmp_path):
     doc = {"q_r": math.inf, "rows": [[1, 2.5e-9], []], "name": "\u00b5m", "none": None, "empty": {}}
     cli._write_files(str(tmp_path), {"doc.json": cli._json_text(doc)})
     assert (tmp_path / "doc.json").read_text(encoding="utf-8") == dumped(doc)
+
+
+def test_stats_refuses_a_site_given_twice(tmp_path):
+    # a repeated (site_id, pitch_m) pair would count that site twice in every statistic
+    sim = tmp_path / "sim"
+    assert cli.main(["simulate-wafer", "--pitches", "2e-6", "--seed", "7", "--quiet",
+                     "--out", str(sim)]) == cli.EXIT_OK
+    doc = json.loads((sim / "sites.json").read_text())
+    assert len(doc["sites"]) == 83
+    doc["sites"] += doc["sites"][:5]
+    (tmp_path / "sites.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    proc = run_cli("stats", str(tmp_path / "sites.json"), "--out", str(out))
+    assert (proc.returncode, proc.stderr) == (
+        cli.EXIT_USAGE, "error: sites[83] repeats the site_id 0 and pitch_m 2e-06 of sites[0]\n")
+    assert not out.exists()
 
 
 def test_stats_rejects_malformed_json(tmp_path):
@@ -1047,7 +1077,7 @@ EXPORTS = {
                   "sensitivity solve_at_k solve_mode thin_plate_s0_velocity",
     "errors": "ConfigError InputError LambkitError",
     "gdsii": "read_gdsii write_gdsii",
-    "layout": "Cell ChipPlacement Library Placement Polygon ReticleSpec "
+    "layout": "Cell ChipPlacement Library Placement Polygon "
               "build_reticle gen_chip gen_wafer_map",
     "mbvd": "AdmittanceTrace FitResult MbvdModel ModeMetrics MotionalBranch "
             "StaticNetwork fit_mbvd mbvd_admittance resonance_metrics",
@@ -1065,7 +1095,7 @@ def test_every_package_export_is_the_module_attribute():
     import lambkit
 
     names = [(m, n) for m, text in EXPORTS.items() for n in text.split()]
-    assert len(names) == 74
+    assert len(names) == 73
     assert sorted(lambkit.__all__) == sorted(n for _, n in names)
     for module, name in names:
         ns = {}
@@ -1186,6 +1216,20 @@ def test_other_material_solves_its_lattice_nodes(tmp_path, monkeypatch):
     assert {plate.material.v_t for plate, _, _ in calls} == {3267.0}
     design, = json.loads((tmp_path / "designs.json").read_text())["designs"]
     assert design["f_mid_hz"] == 1442159119.889364  # as before the table shipped
+
+
+def test_a_config_restating_the_packaged_velocities_reads_the_table(tmp_path, monkeypatch):
+    # a material is its two velocities, so restating them is the packaged material
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"material": {"v_l_m_s": 7100.0, "v_t_m_s": 3266.0}}))
+    calls = count_solves(monkeypatch)
+    for name, config in (("restated", ["--config", str(cfg)]), ("packaged", [])):
+        assert cli.main(["design", *config, "--quiet", "--out", str(tmp_path / name)]) == 0
+    assert calls == []
+    assert (tmp_path / "restated" / "designs.json").read_bytes() \
+        == (tmp_path / "packaged" / "designs.json").read_bytes()
+    assert "numpy" not in loaded_by("design", "--config", str(cfg), "--quiet",
+                                    "--out", str(tmp_path / "fresh"))
 
 
 def test_dispersion_and_wafer_commands_load_no_scipy(tmp_path):

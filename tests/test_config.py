@@ -31,7 +31,6 @@ def test_default_config_loads():
     assert cfg.eps_r == 16.0
     assert cfg.matching.target_impedance_ohm == 200.0
     assert cfg.wafer.diameter_m == 0.1
-    assert cfg.reticle.demag == 4
     assert set(cfg.variation.mode_quality) == {"A0", "S0", "A1", "S1"}
 
 
@@ -111,15 +110,18 @@ def test_catalog_rejects_unsorted(tmp_path):
      "<root>: Additional properties are not allowed ('alpha', 'zeta' were unexpected)"),
     ({"chip": {"margin_m": -1.0}, "bogus": 1},
      "<root>: Additional properties are not allowed ('bogus' was unexpected)"),
-    ({"material": {"rho_kg_m3": 0}, "plate": {"thickness_m": "x"}},
+    ({"material": {"v_l_m_s": 0}, "plate": {"thickness_m": "x"}},
      "plate/thickness_m: 'x' is not of type 'number'"),
     ({"chip": {"margin_m": -1.0, "spacing_m": -2.0}},
      "chip/spacing_m: -2.0 is less than the minimum of 0"),
     ({"chip": {"width_m": True}}, "chip/width_m: True is not of type 'number'"),
     ({"seed": True}, "seed: True is not of type 'integer'"),
-    ({"reticle": {"demag": 2.5}}, "reticle/demag: 2.5 is not of type 'integer'"),
-    ({"reticle": {"demag": 4.0}}, None),
-    ({"reticle": {"demag": 0}}, "reticle/demag: 0 is less than the minimum of 4"),
+    # the stepper's 4x reduction is layout.DEMAG, not a setting
+    ({"reticle": {"demag": 4}}, "reticle: Additional properties are not allowed ('demag' was unexpected)"),
+    ({"matching": {"dummy_count_per_side": 3.0}}, None),
+    # the Rayleigh-Lamb equation holds no density, and the plate needs no label
+    ({"material": {"rho_kg_m3": 3300.0, "name": "x"}},
+     "material: Additional properties are not allowed ('name', 'rho_kg_m3' were unexpected)"),
     ({"layers": {"pads": 256}}, "layers/pads: 256 is greater than the maximum of 255"),
     ({"variation": {"mode_quality": {"S0": {"k_eff_sq": 1}}}},
      "variation/mode_quality/S0/k_eff_sq: 1 is greater than or equal to the maximum of 1"),
@@ -127,21 +129,24 @@ def test_catalog_rejects_unsorted(tmp_path):
     ({"wafer": {"grid_anchor_m": [0, 0, 0]}}, "wafer/grid_anchor_m: [0, 0, 0] is too long"),
     ({"reticle": {"image_field_m": [1.0, -1.0]}},
      "reticle/image_field_m/1: -1.0 is less than or equal to the minimum of 0"),
-    ({"variation": {"full_resolve": 1}}, "variation/full_resolve: 1 is not of type 'boolean'"),
+    # --full-resolve is the one switch for a per-site re-solve
+    ({"variation": {"full_resolve": False}},
+     "variation: Additional properties are not allowed ('full_resolve' was unexpected)"),
     ({"material": []}, "material: [] is not of type 'object'"),
     ({"chip": {"margin_m": float("nan")}}, "chip/margin_m: nan is not of type 'number'"),
     ({"seed": float("inf")}, "seed: inf is not of type 'integer'"),
     ({"plate": {"thickness_m": float("-inf")}}, "plate/thickness_m: -inf is not of type 'number'"),
     # JSON integers have no size limit; this one has no float value
     ({"plate": {"thickness_m": 10**400}}, f"plate/thickness_m: {10**400} is not of type 'number'"),
-    # the stepper's limits, which layout.ReticleSpec holds too
-    ({"reticle": {"demag": 5}}, "reticle/demag: 5 is greater than the maximum of 4"),
+    # the stepper's 22 mm image field, whose one home is the schema
+    ({"reticle": {"image_field_m": [0.02, 0.03], "demag": 4.0}},
+     "reticle: Additional properties are not allowed ('demag' was unexpected)"),
     ({"reticle": {"image_field_m": [0.02, 0.03]}},
      "reticle/image_field_m/1: 0.03 is greater than the maximum of 0.022"),
 ])
 def test_config_error_selection(doc, message):
     if message is None:
-        assert ToolkitConfig.from_dict(doc).reticle.demag == 4
+        assert ToolkitConfig.from_dict(doc) == ToolkitConfig.default()
         return
     with pytest.raises(ConfigError) as exc:
         ToolkitConfig.from_dict(doc)
@@ -156,7 +161,7 @@ def test_material_check_across_fields_is_a_config_error():
 def test_integer_fields_are_stored_as_int():
     cfg = ToolkitConfig.from_dict({"seed": 7.0, "layers": {"small_idt": 9.0},
                                    "matching": {"max_fingers": 50.0}})
-    for value in (cfg.seed, cfg.layers.small_idt, cfg.matching.max_fingers, cfg.reticle.demag):
+    for value in (cfg.seed, cfg.layers.small_idt, cfg.matching.max_fingers):
         assert type(value) is int
     assert cfg.wafer.keepout_m == (-0.009, -0.009, 0.009, 0.009)
 

@@ -23,7 +23,7 @@ from lambkit.dispersion import (
 )
 from lambkit.errors import DispersionRangeError, SensitivityError, SolverError
 
-STEEL = PlateMaterial(rho=3000.0, v_l=10000.0, v_t=5500.0, name="test-plate")
+STEEL = PlateMaterial(v_l=10000.0, v_t=5500.0)
 PLATE = PlateSpec(material=STEEL, h=1e-3)
 DEVICE_PLATE = load_config().plate
 CATALOG_PITCHES = tuple(load_catalog()["pitches_m"])
@@ -31,9 +31,9 @@ CATALOG_PITCHES = tuple(load_catalog()["pitches_m"])
 
 def test_material_validation():
     with pytest.raises(ValueError):
-        PlateMaterial(rho=-1.0, v_l=10000.0, v_t=5500.0)
+        PlateMaterial(v_l=-1.0, v_t=5500.0)
     with pytest.raises(ValueError):
-        PlateMaterial(rho=3000.0, v_l=5000.0, v_t=5500.0)  # v_t < v_l required
+        PlateMaterial(v_l=5000.0, v_t=5500.0)  # v_t < v_l required
     with pytest.raises(ValueError):
         PlateSpec(material=STEEL, h=0.0)
 

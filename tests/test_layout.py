@@ -1,6 +1,8 @@
 """Layout geometry and GDSII stream round-trips."""
 
+import itertools
 import math
+import random
 import struct
 from dataclasses import astuple, fields
 
@@ -27,7 +29,7 @@ from lambkit.layout import (
     Library,
     Placement,
     Polygon,
-    ReticleSpec,
+    _WINDOW_GAP,
     build_reticle,
     gen_chip,
     gen_device_cells,
@@ -425,8 +427,8 @@ def test_wafer_map_degenerate_and_monotone():
 def test_reticle_windows_and_mask():
     designs = [make_design()]
     lib = gen_chip(designs, CFG.chip, CFG.layers)
-    spec, mask_lib = build_reticle(lib, CFG.chip, CFG.layers, CFG.reticle)
-    assert len(spec.rema_windows) == 5
+    windows, mask_lib = build_reticle(lib, CFG.chip, CFG.layers, CFG.reticle)
+    assert len(windows) == 5
     flat = lib.flatten("CHIP")
     mask = mask_lib["RETICLE"]
     assert len(mask.polygons) == len(flat)
@@ -435,8 +437,8 @@ def test_reticle_windows_and_mask():
     for p in flat:
         per_layer.setdefault(p.layer, []).append(p)
     large = per_layer[CFG.layers.large_idt][0]
-    wx0 = to_dbu(spec.rema_windows[1][0]) * 4
-    wy0 = to_dbu(spec.rema_windows[1][1]) * 4
+    wx0 = to_dbu(windows[1][0]) * 4
+    wy0 = to_dbu(windows[1][1]) * 4
     expect = tuple((x * 4 + wx0, y * 4 + wy0) for x, y in large.vertices)
     assert any(m.vertices == expect for m in mask.polygons)
 
@@ -445,36 +447,46 @@ def test_reticle_windows_follow_the_layer_map_field_order():
     # reversed ids: a window order taken from the ids instead of the fields would flip
     layers = LayerMap(*reversed(astuple(CFG.layers)))
     lib = gen_chip([make_design()], CFG.chip, layers)
-    spec, mask_lib = build_reticle(lib, CFG.chip, layers, CFG.reticle)
-    assert len(spec.rema_windows) == len(fields(LayerMap))
+    windows, mask_lib = build_reticle(lib, CFG.chip, layers, CFG.reticle)
+    assert len(windows) == len(fields(LayerMap))
     by_layer = {}
     for poly in mask_lib["RETICLE"].polygons:
         by_layer.setdefault(poly.layer, []).append(poly)
     assert len(by_layer) == 4  # one design uses one of the two IDT layers
-    for f, (x0, y0, x1, y1) in zip(fields(LayerMap), spec.rema_windows):
+    for f, (x0, y0, x1, y1) in zip(fields(LayerMap), windows):
         for poly in by_layer.get(getattr(layers, f.name), []):
             bx0, by0, bx1, by1 = poly.bbox()
             assert to_dbu(x0) * 4 <= bx0 and bx1 <= to_dbu(x1) * 4, f.name
             assert to_dbu(y0) * 4 <= by0 and by1 <= to_dbu(y1) * 4, f.name
 
 
-def test_reticle_spec_validation():
-    with pytest.raises(ValueError):
-        ReticleSpec(image_field_m=(0.03, 0.02), demag=4, rema_windows=())
-    with pytest.raises(ValueError):
-        ReticleSpec(image_field_m=(0.02, 0.02), demag=5, rema_windows=())
-    with pytest.raises(ValueError):
-        ReticleSpec(
-            image_field_m=(0.02, 0.02),
-            demag=4,
-            rema_windows=((0, 0, 0.01, 0.01), (0.005, 0.005, 0.015, 0.015)),
-        )
-    with pytest.raises(ValueError):
-        ReticleSpec(
-            image_field_m=(0.02, 0.02),
-            demag=4,
-            rema_windows=((0, 0, 0.025, 0.01),),
-        )
+def test_reticle_windows_lie_inside_the_field_without_overlap():
+    # chip sizes and image fields the schema accepts, a third of them stacks
+    # that fill the field exactly; build_reticle may refuse only a stack whose
+    # top rounds past an exactly filled field
+    lib = gen_chip([], CFG.chip, CFG.layers)
+    n = len(fields(LayerMap))
+    rng = random.Random(24)
+    exact_fills = 0
+    for _ in range(400):
+        cw = rng.uniform(1e-6, 0.022)
+        ch = rng.uniform(1e-6, (0.022 - (n - 1) * _WINDOW_GAP) / n)
+        fill = n * ch + (n - 1) * _WINDOW_GAP
+        for wf, hf in ((cw, fill), (rng.uniform(cw, 0.022), rng.uniform(fill, 0.022))):
+            cfg = ToolkitConfig.from_dict({"chip": {"width_m": cw, "height_m": ch},
+                                           "reticle": {"image_field_m": [wf, hf]}})
+            try:
+                windows, _ = build_reticle(lib, cfg.chip, cfg.layers, cfg.reticle)
+            except PackingError:
+                assert hf == fill, (cw, ch, wf, hf)
+                continue
+            exact_fills += hf == fill
+            assert len(windows) == n
+            for x0, y0, x1, y1 in windows:
+                assert 0.0 <= x0 < x1 <= wf and 0.0 <= y0 < y1 <= hf, (cw, ch, wf, hf)
+            for a, b in itertools.combinations(windows, 2):
+                assert not (a[0] < b[2] and b[0] < a[2] and a[1] < b[3] and b[1] < a[3])
+    assert exact_fills > 300
 
 
 # ---------------------------------------------------------------------------

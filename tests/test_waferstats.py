@@ -58,7 +58,6 @@ def variation(**overrides):
         thickness_edge_drop_m=4.0e-8,
         thickness_noise_sigma_m=2e-9,
         pitch_sigma_m=2e-9,
-        full_resolve=False,
         mode_quality={"S0": {"q_r": 300.0, "k_eff_sq": 0.07}},
     )
     kwargs.update(overrides)
@@ -162,7 +161,7 @@ def test_negative_edge_drop_thickens_the_edge():
 def test_mode_quality_has_no_default():
     # the packaged config is the one home of the per-mode defaults
     kwargs = dict(thickness_center_m=4.2e-7, thickness_edge_drop_m=0.0,
-                  thickness_noise_sigma_m=0.0, pitch_sigma_m=0.0, full_resolve=False)
+                  thickness_noise_sigma_m=0.0, pitch_sigma_m=0.0)
     with pytest.raises(TypeError, match="mode_quality"):
         VariationConfig(**kwargs)
 
@@ -328,11 +327,9 @@ def test_halving_sigmas_halves_relstd():
 def test_full_resolve_matches_first_order():
     # a handful of dies is enough to compare propagation against re-solving
     chip = replace(CFG.chip, width_m=0.03, height_m=0.012)
-    first = variation(full_resolve=False)
-    resolved = variation(full_resolve=True)
-    args = (SEED, [2.0e-6], CFG.plate, chip, CFG.wafer)
-    a = simulate_wafer(first, *args)
-    b = simulate_wafer(resolved, *args)
+    args = (variation(), SEED, [2.0e-6], CFG.plate, chip, CFG.wafer)
+    a = simulate_wafer(*args)
+    b = simulate_wafer(*args, full_resolve=True)
     assert 2 <= len(a) <= 20
     assert len(a) == len(b)
     for sa, sb in zip(a, b):
@@ -342,7 +339,7 @@ def test_full_resolve_matches_first_order():
 
 def test_perturbed_failure_flags_site():
     # absurd pitch jitter drives some local pitches negative
-    m = variation(full_resolve=False, pitch_sigma_m=4.5e-6)
+    m = variation(pitch_sigma_m=4.5e-6)
     sites = simulate_wafer(m, SEED, [4.5e-6], CFG.plate, CFG.chip, CFG.wafer)
     flagged = [s for s in sites if s.failed_modes]
     clean = [s for s in sites if not s.failed_modes]

@@ -26,8 +26,7 @@ PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 def main() -> None:
     material = load_config().plate.material
-    head = {"name": material.name, "rho": material.rho, "v_l": material.v_l,
-            "v_t": material.v_t, "j_min": J_MIN}
+    head = {"v_l": material.v_l, "v_t": material.v_t, "j_min": J_MIN}
     lines = [f" {json.dumps(key)}: {json.dumps(value)}," for key, value in head.items()]
     modes = [
         f"  {json.dumps(mode)}: "
