@@ -14,10 +14,11 @@ that can fail has passed, and maps failures onto a stable exit-code registry:
     6  statistics failure
    70  internal error (a bug: any other exception)
 
-Subcommands import what they run in their own bodies, so --help, stats and
-flow-check load no numpy and no command loads scipy.  design and layout load
-no numpy either on the packaged material, whose dispersion nodes they read
-from the packaged lattice table.  main() pins OpenBLAS to one thread before a
+Subcommands import what they run in their own bodies, and no command loads
+scipy.  On the packaged material only disperse and fit load numpy: design,
+layout and simulate-wafer read its dispersion nodes from the packaged lattice
+table, and wafer draws are numpy's SeedSequence/PCG64/ziggurat streams
+reproduced in the stdlib, so a seed gives the same bytes.  main() pins OpenBLAS to one thread before a
 command imports numpy: starting its thread pool costs about 70 ms of each
 command, and the largest BLAS call here is a 14-column normal matrix.  An
 OPENBLAS_NUM_THREADS the user set wins, and a caller that has already loaded

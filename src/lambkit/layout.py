@@ -513,16 +513,15 @@ def build_reticle(
     n = len(layer_ids)
     total_h = n * ch + (n - 1) * _WINDOW_GAP
     x0 = (wf - cw) / 2.0
-    y_cursor = (hf - total_h) / 2.0
-    windows = []
-    for _ in layer_ids:
-        windows.append((x0, y_cursor, x0 + cw, y_cursor + ch))
-        y_cursor += ch + _WINDOW_GAP
-    # a negative corner is cw > wf or total_h > hf; a far edge past the field
-    # is a stack that fills it exactly but rounds past it
-    if x0 < 0 or windows[0][1] < 0 or windows[-1][2] > wf or windows[-1][3] > hf:
+    y0 = (hf - total_h) / 2.0
+    if x0 < 0 or y0 < 0:
         raise PackingError(f"{n} chip windows ({cw * 1e3:g} x {total_h * 1e3:g} mm) exceed "
                            f"the image field ({wf * 1e3:g} x {hf * 1e3:g} mm)")
+    # each window placed from y0, not by a running sum, and the top one clamped
+    # to the field: a stack that fills it exactly may round an ulp past it
+    windows = [(x0, y, x0 + cw, y + ch)
+               for y in (y0 + i * (ch + _WINDOW_GAP) for i in range(n))]
+    windows[-1] = (*windows[-1][:3], min(windows[-1][3], hf))
     flat = chip_lib.flatten(CHIP_CELL_NAME)
     mask_lib = Library(name="RETICLE_MASK")
     mask = Cell(name=RETICLE_CELL_NAME)

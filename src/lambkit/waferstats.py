@@ -2,17 +2,16 @@
 
 Frequency deviation across the wafer is summarized per (mode, pitch) group as
 the population relative standard deviation in percent, reduced with a stdlib
-copy of numpy's pairwise sum: numpy's doubles, and no numpy loaded to reduce
-a sites document.  Only simulate_wafer imports numpy and dispersion.  Its
-Monte Carlo model samples a quadratic radial thickness profile plus Gaussian
-noise and a per-design pitch jitter, then maps both to frequency through the
-log sensitivities or, with full_resolve (the CLI's --full-resolve, its only
-switch), at each site's own geometry.  Both read the memoised dispersion
-lattice, so a wafer simulates in milliseconds.
-Every random draw comes from a per-site stream spawned from one master seed:
-results are bit-reproducible and sites can be evaluated in any order.  The
-model is the config's variation section; each mode's q_r and k_eff_sq come
-from its mode_quality, whose one home is the packaged config.
+copy of numpy's pairwise sum: numpy's doubles, and no numpy loaded.  Only
+simulate_wafer imports dispersion.  Its Monte Carlo model samples a quadratic
+radial thickness profile plus Gaussian noise and a per-design pitch jitter,
+then maps both to frequency through the log sensitivities or, with
+full_resolve (the CLI's --full-resolve), at each site's own geometry, both
+from the memoised dispersion lattice.  Every draw comes from a per-die stream
+spawned from one master seed: numpy's SeedSequence/PCG64/ziggurat streams,
+reproduced in the stdlib by lambkit.rng, so a seed gives the same bytes as
+with numpy.  The model is the config's variation section; each mode's q_r and
+k_eff_sq come from its mode_quality, whose one home is the packaged config.
 """
 
 from __future__ import annotations
@@ -343,11 +342,12 @@ def simulate_wafer(
     evaluation fails is flagged, not fatal; nominal failures propagate.  A
     wafer that holds no die is a PackingError.
     """
-    import numpy as np
-
     from .dispersion import PlateSpec, pitch_to_frequency, sensitivity
     from .layout import gen_wafer_map
+    from .rng import normal_stream
 
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise InputError(f"seed must be an integer, got {shown(seed)}")
     if seed < 0:  # the config schema's rule, for a --seed override too
         raise InputError(f"seed must be >= 0, got {shown(seed)}")
     pitches = [float(p) for p in pitches]
@@ -366,26 +366,19 @@ def simulate_wafer(
 
     # Nominal frequency and log sensitivities per (mode, pitch); failures
     # here violate the documented precondition and propagate to the caller.
-    nominal = {}
-    for pitch in pitches:
-        k = math.pi / pitch
-        for mode in modes:
-            f_nom = pitch_to_frequency(pitch, mode, plate)
-            s_h, s_p = sensitivity(plate, mode, k)
-            nominal[(mode, pitch)] = (f_nom, s_h, s_p)
-
-    streams = np.random.SeedSequence(seed).spawn(len(placements))
+    nominal = {(mode, pitch): (pitch_to_frequency(pitch, mode, plate),
+                               *sensitivity(plate, mode, math.pi / pitch))
+               for pitch in pitches for mode in modes}
     radius = wafer_cfg.radius_m
-
     sites = []
-    for placement, stream in zip(placements, streams):
-        rng = np.random.default_rng(stream)
+    for i, placement in enumerate(placements):
+        normal = normal_stream(seed, i)
         cx, cy = placement.center(chip_cfg)
         r = math.hypot(cx, cy)
         t_profile = variation.thickness_center_m - variation.thickness_edge_drop_m * (r / radius) ** 2
-        t_local = t_profile + rng.normal(0.0, variation.thickness_noise_sigma_m)
+        t_local = t_profile + normal(0.0, variation.thickness_noise_sigma_m)
         for pitch in pitches:
-            p_local = pitch + rng.normal(0.0, variation.pitch_sigma_m)
+            p_local = pitch + normal(0.0, variation.pitch_sigma_m)
             metrics = {}
             failed = []
             for mode in modes:
@@ -405,18 +398,8 @@ def simulate_wafer(
                     metrics[mode] = _mode_metrics(variation, mode, f_site)
                 except (SolverError, DispersionRangeError):
                     failed.append(mode)
-            sites.append(
-                WaferSite(
-                    site_id=placement.site_id,
-                    x_mm=cx * 1e3,
-                    y_mm=cy * 1e3,
-                    pitch_m=pitch,
-                    metrics=metrics,
-                    failed_modes=tuple(failed),
-                    local_thickness_m=t_local,
-                    local_pitch_m=p_local,
-                )
-            )
+            sites.append(WaferSite(placement.site_id, cx * 1e3, cy * 1e3, pitch, metrics,
+                                   tuple(failed), t_local, p_local))
     return sites
 
 

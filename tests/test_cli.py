@@ -1173,9 +1173,12 @@ def test_stats_loads_no_numpy(tmp_path):
     assert (tmp_path / "heatmap.csv").read_text().count("\n") == 4
 
 
-@pytest.mark.parametrize("argv", [["design", "--pitches", "2e-6"], ["layout", "--wafer-map"]])
-def test_design_and_layout_on_the_packaged_material_load_no_numpy(tmp_path, argv):
-    # the packaged lattice table holds every node the packaged config needs
+@pytest.mark.parametrize("argv", [["design", "--pitches", "2e-6"], ["layout", "--wafer-map"],
+                                  ["simulate-wafer", "--seed", "7"],
+                                  ["simulate-wafer", "--full-resolve", "--pitches", "2e-6"]])
+def test_commands_on_the_packaged_material_load_no_numpy(tmp_path, argv):
+    # the packaged lattice table holds every node the packaged config needs,
+    # and lambkit.rng draws numpy's wafer streams without numpy
     modules = loaded_by(*argv, "--out", str(tmp_path), "--quiet")
     assert not modules & {"numpy", "scipy", "jsonschema"}
 
@@ -1342,15 +1345,18 @@ def output_digests(out):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
 
-@pytest.mark.parametrize("command", ["fit", "simulate-wafer"])
+@pytest.mark.parametrize("command", ["fit", "simulate-wafer", "disperse"])
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, command):
-    argv = (["fit", *three_branch_osl_files(tmp_path), "--branches", "3"] if command == "fit"
-            else ["simulate-wafer", "--seed", "7"])
+    # fit and disperse load numpy; simulate-wafer, which no longer does, stays
+    # as a check that its bytes do not depend on the environment either
+    argv = {"fit": lambda: ["fit", *three_branch_osl_files(tmp_path), "--branches", "3"],
+            "simulate-wafer": lambda: ["simulate-wafer", "--seed", "7"],
+            "disperse": lambda: ["disperse"]}[command]()
     digests = []
     for preset in (None, "2"):  # pinned by main(), and the user's own two threads
         out = tmp_path / f"out-{preset or 'pinned'}"
         proc = run_cli(*argv, "--out", str(out), env={"OPENBLAS_NUM_THREADS": preset})
         assert proc.returncode == cli.EXIT_OK, proc.stderr
-        digests.append((proc.stdout, output_digests(out)))
+        digests.append((proc.stdout.replace(str(out), "OUT"), output_digests(out)))
     assert digests[0] == digests[1]
-    assert len(digests[0][1]) == (2 if command == "fit" else 3)
+    assert len(digests[0][1]) == {"fit": 2, "simulate-wafer": 3, "disperse": 1}[command]

@@ -137,6 +137,38 @@ def test_variation_model_validation():
         simulate_wafer(variation(), -1, [2e-6], CFG.plate, CFG.chip, CFG.wafer)
 
 
+def test_a_seed_that_is_not_an_integer_is_an_input_error():
+    # 7.5 used to end in numpy's TypeError, an internal error, and True drew seed 1
+    for seed in (7.5, True, "7", None):
+        with pytest.raises(InputError, match=rf"^seed must be an integer, got {re.escape(repr(seed))}$"):
+            simulate_wafer(variation(), seed, [2e-6], CFG.plate, CFG.chip, CFG.wafer)
+
+
+def test_wafer_draws_are_numpys_streams_bit_for_bit(monkeypatch):
+    # lambkit.rng against the SeedSequence children, PCG64 and ziggurat it
+    # reproduces; only the wedge calls exp and only the tail (idx 0, rabs >=
+    # ki[0]) calls log1p, so counting both shows each rare path was taken
+    from lambkit import rng
+
+    calls = {"exp": 0, "log1p": 0}
+    for name, fn in [(name, getattr(rng, name)) for name in calls]:
+        def counted(x, fn=fn, name=name):
+            calls[name] += 1
+            return fn(x)
+        monkeypatch.setattr(rng, name, counted)
+    scales = [0.0, 2e-9, 1.0] * 134
+    draws = 0
+    for seed in (0, 7, 20260, 424242, 2**64 + 5, 10**30):
+        for i, child in enumerate(np.random.SeedSequence(seed).spawn(83)):
+            expected = np.random.default_rng(child).normal(0.0, scales)
+            normal = rng.normal_stream(seed, i)
+            got = np.array([normal(0.0, s) for s in scales])
+            assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), (seed, i)
+            draws += len(scales)
+    assert draws >= 200_000
+    assert calls["exp"] > 0 and calls["log1p"] > 0, calls
+
+
 def test_wafer_without_dies_is_a_packing_error():
     # layout accepts an empty map; a wafer run would report statistics of no site
     small = replace(CFG.wafer, diameter_m=0.015, edge_exclusion_m=0.001)
