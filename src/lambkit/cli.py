@@ -15,14 +15,14 @@ that can fail has passed, and maps failures onto a stable exit-code registry:
    70  internal error (a bug: any other exception)
 
 Subcommands import what they run in their own bodies, and no command loads
-scipy.  On the packaged material only disperse and fit load numpy: design,
-layout and simulate-wafer read its dispersion nodes from the packaged lattice
-table, and wafer draws are numpy's SeedSequence/PCG64/ziggurat streams
-reproduced in the stdlib, so a seed gives the same bytes.  main() pins OpenBLAS to one thread before a
-command imports numpy: starting its thread pool costs about 70 ms of each
-command, and the largest BLAS call here is a 14-column normal matrix.  An
-OPENBLAS_NUM_THREADS the user set wins, and a caller that has already loaded
-numpy keeps its environment as it is.
+scipy.  On the packaged material only fit loads numpy: design, layout and
+simulate-wafer read dispersion off the packaged lattice table, disperse polishes
+the roots it brackets (scanning only off it), and wafer draws are numpy's
+SeedSequence/PCG64/ziggurat streams in the stdlib, so a seed gives the same
+bytes.  main() pins OpenBLAS to one thread before a command imports numpy:
+starting its thread pool costs about 70 ms of each command, and the largest
+BLAS call here is a 14-column normal matrix.  An OPENBLAS_NUM_THREADS the user
+set wins, and a caller that has already loaded numpy keeps its environment.
 """
 
 import argparse
@@ -155,32 +155,29 @@ def _build_designs(args):
 # Subcommands
 
 def cmd_disperse(args) -> int:
-    import numpy as np
-
     from .config import load_config
-    from .dispersion import curve_to_csv_rows, solve_mode
+    from .dispersion import solve_grid
 
     cfg = load_config(args.config)
     modes = _parse_modes(args.modes)
+    span = f"pitch range [{args.pitch_min:g}, {args.pitch_max:g}]"
     if not (0 < args.pitch_min < args.pitch_max):
-        raise InputError(
-            f"pitch range [{args.pitch_min:g}, {args.pitch_max:g}] is empty "
-            f"or non-positive"
-        )
+        raise InputError(f"{span} is empty or non-positive")
     if not 2 <= args.points <= MAX_GRID_POINTS:
         raise InputError(f"--points must be in [2, {MAX_GRID_POINTS}], got {args.points}")
-    k_grid = np.linspace(
-        math.pi / args.pitch_max, math.pi / args.pitch_min, args.points
-    )
+    k_lo, k_hi = math.pi / args.pitch_max, math.pi / args.pitch_min
+    if not (k_lo > 0.0 and k_hi < math.inf):
+        raise InputError(f"{span} gives a zero or non-finite wavenumber")
+    # np.linspace's points bit for bit: k_lo + i*step, and k_hi itself last
+    step = (k_hi - k_lo) / (args.points - 1)
+    k_grid = [k_lo + i * step for i in range(args.points - 1)] + [k_hi]
     rows = ["mode,k_rad_m,f_hz,v_phase_m_s"]
     for mode in modes:
-        curve = solve_mode(cfg.plate, mode, k_grid)
-        if curve.k.size == 0:
-            raise SolverError(
-                f"mode {mode}: no roots in the requested wavenumber range"
-            )
-        rows.extend(",".join(r) for r in curve_to_csv_rows(curve))
-        _say(args, f"{mode}: {curve.k.size} of {args.points} points solved")
+        ks, fs, _ = solve_grid(cfg.plate, mode, k_grid)
+        if not ks:
+            raise SolverError(f"mode {mode}: no roots in the requested wavenumber range")
+        rows.extend(f"{mode},{k:.9e},{f:.9e},{2.0 * math.pi * f / k:.9e}" for k, f in zip(ks, fs))
+        _say(args, f"{mode}: {len(ks)} of {args.points} points solved")
     _write_files(args.out, {"dispersion.csv": _lines(rows)})
     _say(args, f"wrote {os.path.join(args.out, 'dispersion.csv')}")
     return EXIT_OK

@@ -14,10 +14,10 @@ across the sign changes.  Hyperbolic factors are rescaled by exp(-|x|*hh)
 to avoid overflow; the rescaling is a positive common factor per term and
 preserves both roots and signs.
 
-solve_at_k is the one root path; solve_mode loops over it.  pitch_to_frequency
-and sensitivity read a per-mode master lattice of solve_at_k nodes, the only
-interpolator here.  The packaged material's lattice ships solved in
-data/lattice.json, so a lookup there solves nothing and loads no numpy.
+solve_at_k scans for roots.  pitch_to_frequency and sensitivity read a
+per-mode master lattice of its nodes, the only interpolator here.  The packaged
+material's lattice ships solved in data/lattice.json; lookups there solve
+nothing, and solve_grid polishes the roots it brackets: no numpy is loaded.
 """
 
 from __future__ import annotations
@@ -38,12 +38,12 @@ __all__ = [
     "DispersionCurve",
     "MODE_NAMES",
     "rayleigh_lamb_residual",
+    "solve_grid",
     "solve_mode",
     "solve_at_k",
     "pitch_to_frequency",
     "sensitivity",
     "thin_plate_s0_velocity",
-    "curve_to_csv_rows",
 ]
 
 # Scan-window recipe for root bracketing: omega in (0, 3*v_l*k + 4*pi*v_l/h]
@@ -331,38 +331,31 @@ class DispersionCurve:
             if np.any(dif < -1e-9 * self.f[:-1]):
                 raise InputError(f"{self.mode} curve is not non-decreasing in k")
 
-    @property
-    def v_phase(self) -> np.ndarray:
-        return 2.0 * math.pi * self.f / self.k
+
+def solve_grid(plate: PlateSpec, mode: str, ks) -> tuple:
+    """(solved ks, their frequencies in Hz, (k_lo, k_hi) gaps) of one mode over ks,
+    a positive, finite, strictly increasing list: _table_root where the packaged
+    table applies, else solve_at_k; a run of points where either fails is a gap."""
+    if not all(0.0 < k < math.inf for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
+        raise InputError("k grid must be positive, finite and strictly increasing")
+    out_k, out_f, gaps = [], [], []
+    for i, k in enumerate(ks):
+        try:
+            out_f.append(_table_root(plate, mode, k) or solve_at_k(plate, mode, k))
+            out_k.append(k)
+        except SolverError:  # a failed point right after another extends its gap
+            lo = gaps.pop()[0] if gaps and gaps[-1][1] == ks[i - 1] else k
+            gaps.append((lo, k))
+    return out_k, out_f, gaps
 
 
 def solve_mode(plate: PlateSpec, mode: str, k_grid) -> DispersionCurve:
-    """Solve one mode over a strictly increasing positive wavenumber grid.
-
-    Each point is a solve_at_k call; points where it raises SolverError are
-    recorded as gap intervals rather than raising.
-    """
+    """solve_grid over a non-empty 1-D wavenumber grid, as a DispersionCurve."""
     import numpy as np
     ks = np.asarray(k_grid, dtype=float)
     if ks.ndim != 1 or ks.size == 0:
         raise InputError("k grid must be a non-empty 1-D array")
-    if np.any(ks <= 0) or np.any(np.diff(ks) <= 0):
-        raise InputError("k grid must be positive and strictly increasing")
-    out_k, out_f, gaps = [], [], []
-    for i, k in enumerate(ks.tolist()):
-        try:
-            f = solve_at_k(plate, mode, k)
-        except SolverError:
-            # consecutive missing grid points collapse into one gap interval
-            if gaps and gaps[-1][1] == i - 1:
-                gaps[-1][1] = i
-            else:
-                gaps.append([i, i])
-            continue
-        out_k.append(k)
-        out_f.append(f)
-    gaps = [(ks[a], ks[b]) for a, b in gaps]
-    return DispersionCurve(mode, np.array(out_k), np.array(out_f), gaps)
+    return DispersionCurve(mode, *solve_grid(plate, mode, ks.tolist()))
 
 
 # Master lattice: roots obey f*h = F_mode(k*h) for one material.  Node j at
@@ -424,6 +417,27 @@ def _lattice_eval(plate: PlateSpec, mode: str, k: float):
     return value, _LATTICE_DENSITY * (c1 + t * (2.0 * c2 + 3.0 * t * c3))
 
 
+def _table_root(plate: PlateSpec, mode: str, k: float):
+    """Frequency in Hz of mode at k: _brentq in [w0*(1 - d), w0*(1 + d)] around the
+    packaged table's w0 (good to about 1e-7), d the narrowest of 1e-8 .. 1e-3 that
+    brackets a sign change.  None where none does, or the table does not apply:
+    another material, or a stencil node outside the table (solved cold) or rootless."""
+    args = (k, plate, _mode_family(mode))
+    kh = k * plate.h
+    material, j_min, ln_f = _packaged_table()
+    if plate.material != material or not 0.0 < kh < math.inf:
+        return None
+    i = math.floor(math.log(kh) * _LATTICE_DENSITY) - j_min  # _lattice_eval's j0, as a table index
+    if not 0 < i < len(ln_f[mode]) - 2 or None in ln_f[mode][i - 1:i + 3]:
+        return None
+    w0 = 2.0 * math.pi * math.exp(_lattice_eval(plate, mode, k)[0]) / plate.h
+    for d in (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3):
+        lo, hi = w0 * (1.0 - d), w0 * (1.0 + d)
+        if _scalar_residual(lo, *args) * _scalar_residual(hi, *args) < 0.0:
+            return _brentq(_scalar_residual, lo, hi, args) / (2.0 * math.pi)
+    return None
+
+
 def pitch_to_frequency(pitch: float, mode: str, plate: PlateSpec) -> float:
     """Frequency at the electrode-pitch-defined wavenumber k = pi/pitch.
 
@@ -455,14 +469,3 @@ def thin_plate_s0_velocity(material: PlateMaterial) -> float:
     """Extensional plate velocity 2*v_t*sqrt(1 - v_t^2/v_l^2) (kh -> 0 limit)."""
     r = (material.v_t / material.v_l) ** 2
     return 2.0 * material.v_t * math.sqrt(1.0 - r)
-
-
-def curve_to_csv_rows(curve: DispersionCurve):
-    """Rows of (mode, k_rad_per_m, f_hz, v_phase_m_per_s) as strings."""
-    rows = []
-    vp = curve.v_phase
-    for i in range(curve.k.size):
-        rows.append(
-            (curve.mode, f"{curve.k[i]:.9e}", f"{curve.f[i]:.9e}", f"{vp[i]:.9e}")
-        )
-    return rows

@@ -186,6 +186,39 @@ def test_disperse_huge_points_is_usage_error(tmp_path):
     assert not (tmp_path / "dispersion.csv").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    # pi/pitch of the two ends 1 ulp apart: 5 points cannot all differ
+    (["--pitch-min", "1e-6", "--pitch-max", "1.0000000000000004e-6", "--points", "5"],
+     "error: k grid must be positive, finite and strictly increasing"),
+    (["--pitch-min", "1e-320"],  # pi/1e-320 overflows
+     "error: pitch range [9.99989e-321, 4.5e-06] gives a zero or non-finite wavenumber"),
+])
+def test_disperse_grid_without_distinct_finite_wavenumbers_is_usage_error(tmp_path, argv,
+                                                                          message):
+    proc = run_cli("disperse", *argv, "--out", str(tmp_path))
+    assert proc.returncode == cli.EXIT_USAGE
+    assert proc.stderr.splitlines() == [message]
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "dispersion.csv").exists()
+
+
+@pytest.mark.parametrize("pitch_min, pitch_max, points", [
+    (1e-6, 4.5e-6, 40), (4.75e-7, 4.5e-6, 40), (3.3e-7, 7.7e-6, 2), (1e-6, 1.1e-6, 997)])
+def test_disperse_grid_is_np_linspace_bit_for_bit(tmp_path, monkeypatch, pitch_min,
+                                                  pitch_max, points):
+    grids = []
+
+    def record(plate, mode, ks):
+        grids.append(ks)
+        return ks, [1e9] * len(ks), []
+
+    monkeypatch.setattr(dispersion, "solve_grid", record)
+    assert cli.main(["disperse", "--pitch-min", repr(pitch_min), "--pitch-max", repr(pitch_max),
+                     "--points", str(points), "--modes", "S0", "--out", str(tmp_path),
+                     "--quiet"]) == cli.EXIT_OK
+    assert grids == [np.linspace(math.pi / pitch_max, math.pi / pitch_min, points).tolist()]
+
+
 def test_disperse_a0_at_small_kh_leaves_gaps(tmp_path):
     # pitches 100-400 um put k*h at 3e-3..1.3e-2 on the packaged plate: A0
     # is solved above k*h ~ 5.7e-3 and leaves a gap below instead of
@@ -201,10 +234,10 @@ def test_disperse_a0_at_small_kh_leaves_gaps(tmp_path):
 
 
 def test_solver_failure_maps_to_exit_3(tmp_path, monkeypatch):
-    def boom(plate, mode, k_grid):
+    def boom(plate, mode, ks):
         raise SolverError("no bracketed root in the scan window")
 
-    monkeypatch.setattr(dispersion, "solve_mode", boom)
+    monkeypatch.setattr(dispersion, "solve_grid", boom)
     code = cli.main(["disperse", "--out", str(tmp_path), "--modes", "S0"])
     assert code == cli.EXIT_SOLVER
 
@@ -1175,10 +1208,13 @@ def test_stats_loads_no_numpy(tmp_path):
 
 @pytest.mark.parametrize("argv", [["design", "--pitches", "2e-6"], ["layout", "--wafer-map"],
                                   ["simulate-wafer", "--seed", "7"],
-                                  ["simulate-wafer", "--full-resolve", "--pitches", "2e-6"]])
+                                  ["simulate-wafer", "--full-resolve", "--pitches", "2e-6"],
+                                  ["disperse"],
+                                  ["disperse", "--pitch-min", "4.75e-7", "--pitch-max", "4.5e-6"]])
 def test_commands_on_the_packaged_material_load_no_numpy(tmp_path, argv):
     # the packaged lattice table holds every node the packaged config needs,
-    # and lambkit.rng draws numpy's wafer streams without numpy
+    # disperse polishes the roots it brackets, and lambkit.rng draws numpy's
+    # wafer streams without numpy
     modules = loaded_by(*argv, "--out", str(tmp_path), "--quiet")
     assert not modules & {"numpy", "scipy", "jsonschema"}
 
@@ -1282,9 +1318,12 @@ BLAS_PROBE = (
 
 
 def blas_probe(tmp_path, preset):
-    # design and layout on the packaged material load no numpy; disperse does
-    proc = run_python("-c", BLAS_PROBE, "disperse", "--points", "2", "--out", str(tmp_path),
-                      "--quiet", env={"OPENBLAS_NUM_THREADS": preset})
+    # no command but fit loads numpy on the packaged material; disperse on
+    # another material scans its roots with numpy
+    (tmp_path / "cfg.json").write_text(json.dumps({"material": {"v_t_m_s": 3267.0}}))
+    proc = run_python("-c", BLAS_PROBE, "disperse", "--config", str(tmp_path / "cfg.json"),
+                      "--points", "2", "--out", str(tmp_path), "--quiet",
+                      env={"OPENBLAS_NUM_THREADS": preset})
     rc, numpy_loaded, value, threads = json.loads(proc.stdout.splitlines()[-1])
     assert (rc, numpy_loaded) == (cli.EXIT_OK, True), proc.stderr
     return value, threads
@@ -1347,8 +1386,9 @@ def output_digests(out):
 
 @pytest.mark.parametrize("command", ["fit", "simulate-wafer", "disperse"])
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, command):
-    # fit and disperse load numpy; simulate-wafer, which no longer does, stays
-    # as a check that its bytes do not depend on the environment either
+    # fit loads numpy; simulate-wafer and disperse, which no longer do on the
+    # packaged material, stay as checks that their bytes do not depend on the
+    # environment either
     argv = {"fit": lambda: ["fit", *three_branch_osl_files(tmp_path), "--branches", "3"],
             "simulate-wafer": lambda: ["simulate-wafer", "--seed", "7"],
             "disperse": lambda: ["disperse"]}[command]()

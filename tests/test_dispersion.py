@@ -13,15 +13,15 @@ from lambkit.dispersion import (
     DispersionCurve,
     PlateMaterial,
     PlateSpec,
-    curve_to_csv_rows,
     pitch_to_frequency,
     rayleigh_lamb_residual,
     sensitivity,
     solve_at_k,
+    solve_grid,
     solve_mode,
     thin_plate_s0_velocity,
 )
-from lambkit.errors import DispersionRangeError, SensitivityError, SolverError
+from lambkit.errors import DispersionRangeError, InputError, SensitivityError, SolverError
 
 STEEL = PlateMaterial(v_l=10000.0, v_t=5500.0)
 PLATE = PlateSpec(material=STEEL, h=1e-3)
@@ -128,9 +128,6 @@ def test_solve_mode_curve():
     assert curve.gaps == ()
     assert curve.k.size == 13
     assert np.all(np.diff(curve.f) > 0) or np.all(np.diff(curve.f) >= 0)
-    np.testing.assert_allclose(
-        curve.v_phase, 2.0 * math.pi * curve.f / curve.k, rtol=1e-14
-    )
     for i in (0, 6, 12):
         assert curve.f[i] == pytest.approx(solve_at_k(PLATE, "S0", k[i]), rel=1e-12)
 
@@ -181,15 +178,6 @@ def test_sensitivity_limits():
     s_h, s_p = sensitivity(PLATE, "A0", 0.02 / PLATE.h)
     assert s_h == pytest.approx(1.0, abs=2e-2)
     assert s_p == pytest.approx(-2.0, abs=2e-2)
-
-
-def test_csv_rows():
-    k = np.linspace(0.4, 0.6, 3) / PLATE.h
-    curve = solve_mode(PLATE, "S0", k)
-    rows = curve_to_csv_rows(curve)
-    assert len(rows) == 3
-    assert rows[0][0] == "S0"
-    assert float(rows[0][1]) == pytest.approx(k[0], rel=1e-9)
 
 
 # ------------------------------------------------- root finder and lattice
@@ -277,6 +265,64 @@ def test_packaged_lattice_table_equals_a_fresh_solve():
             # the same double, or None (null) where the solve raises SolverError
             assert stored == dispersion._solve_node(material, mode, j), (
                 f"{mode} node {j} is stale: re-run tools/lattice_table.py")
+
+
+# ---------------------------------------------- table-bracketed root polish
+
+
+def count_scans(monkeypatch):
+    """The arguments of every solve_at_k call from now on."""
+    calls = []
+    solve = dispersion.solve_at_k
+    monkeypatch.setattr(dispersion, "solve_at_k", lambda *args: calls.append(args) or solve(*args))
+    return calls
+
+
+# A0 at small k*h: the antisymmetric residual's cancellation noise sets how
+# far two Brent polishes of one root can land apart
+@pytest.mark.parametrize("mode, rtol", [("A0", 2e-11), ("A1", 1e-12), ("S0", 1e-12),
+                                        ("S1", 1e-12)])
+def test_table_polish_matches_the_scan_over_the_whole_table(monkeypatch, mode, rtol):
+    _, j_min, ln_f = dispersion._packaged_table()
+    j_max = j_min + len(ln_f[mode]) - 1
+    # k*h whose stencil nodes j0-1 .. j0+2 all lie in the table: j0 in j_min+1 .. j_max-2
+    lo, hi = (math.exp(j / dispersion._LATTICE_DENSITY) for j in (j_min + 1, j_max - 1))
+    ks = (np.geomspace(lo * (1 + 1e-12), hi * (1 - 1e-12), 1000) / DEVICE_PLATE.h).tolist()
+    scans = count_scans(monkeypatch)
+    solved, fs, gaps = solve_grid(DEVICE_PLATE, mode, ks)
+    assert scans == [] and solved == ks and gaps == []
+    for k, f in zip(ks, fs):  # rtol is orders below the gap to any other branch
+        assert f == pytest.approx(solve_at_k(DEVICE_PLATE, mode, k), rel=rtol, abs=0.0)
+
+
+def test_table_polish_falls_back_to_the_scan(monkeypatch):
+    other = PlateSpec(PlateMaterial(7100.0, 3267.0), DEVICE_PLATE.h)
+    default_ks = (math.pi / np.array([4.5e-6, 3e-6, 1e-6])).tolist()
+    # pitches 10-7 um put k*h at 0.126-0.180, below the table's 0.197
+    below_ks = (math.pi / np.array([1e-5, 8.5e-6, 7e-6])).tolist()
+    lattice_eval = dispersion._lattice_eval
+
+    def off_centre(*args):  # the table's root 1 % off: no bracket up to 1e-3 changes sign
+        return lattice_eval(*args)[0] + 0.01, None
+
+    scans = count_scans(monkeypatch)
+    for plate, ks, patch in ((other, default_ks, None), (DEVICE_PLATE, below_ks, None),
+                             (DEVICE_PLATE, default_ks, off_centre)):
+        if patch:
+            monkeypatch.setattr(dispersion, "_lattice_eval", patch)
+        for mode in MODE_NAMES:
+            assert [dispersion._table_root(plate, mode, k) for k in ks] == [None] * len(ks)
+            del scans[:]
+            assert solve_grid(plate, mode, ks) == (ks, [solve_at_k(plate, mode, k) for k in ks], [])
+            assert len(scans) == len(ks)
+
+
+@pytest.mark.parametrize("ks", [[2e6, 2e6], [3e6, 2e6], [0.0, 2e6], [2e6, math.inf],
+                                [math.nan, 2e6]])
+def test_solve_grid_and_solve_mode_refuse_the_same_grids(ks):
+    for solve in (solve_grid, solve_mode):
+        with pytest.raises(InputError, match="positive, finite and strictly increasing"):
+            solve(DEVICE_PLATE, "S0", ks)
 
 
 @pytest.mark.parametrize("mode", ("A0", "A1", "S1"))
