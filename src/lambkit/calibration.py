@@ -20,11 +20,10 @@ the box does not depend on the frequency values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CalibrationError, CorrectionError, InputError, LambkitError
+from .record import dataclass
 from .touchstone import TouchstoneFile
 
 __all__ = [

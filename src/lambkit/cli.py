@@ -15,7 +15,9 @@ that can fail has passed, and maps failures onto a stable exit-code registry:
    70  internal error (a bug: any other exception)
 
 Subcommands import what they run in their own bodies, and no command loads
-scipy.  On the packaged material only fit loads numpy: design, layout and
+scipy.  The records are lambkit.record classes, so no command imports the
+standard dataclass module (with inspect) or compiles a class's methods at
+start-up.  On the packaged material only fit loads numpy: design, layout and
 simulate-wafer read dispersion off the packaged lattice table, disperse polishes
 the roots it brackets (scanning only off it), and wafer draws are numpy's
 SeedSequence/PCG64/ziggurat streams in the stdlib, so a seed gives the same

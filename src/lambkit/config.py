@@ -7,21 +7,22 @@ ignored settings.  The validator is in-repo: it checks the JSON Schema
 keywords CONFIG_SCHEMA uses, with jsonschema's messages; unlike JSON Schema,
 a number must pass the finite-number rule of ``lambkit.errors``.
 
-A field's type and bounds are the JSON Schema fragment in its dataclass
-``field(metadata=...)``, from which CONFIG_SCHEMA is built; adding a field
-takes that one field plus its value in ``data/default_config.json``.
+Each section is a ``lambkit.record`` class.  A field's type and bounds are
+the JSON Schema fragment in its ``field(metadata=...)``, from which
+CONFIG_SCHEMA is built; adding a field takes that one field plus its value in
+``data/default_config.json``.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from dataclasses import astuple, dataclass, field, fields
 from importlib import resources
 
 from . import MODE_NAMES
 from .dispersion import PlateMaterial, PlateSpec
 from .errors import ConfigError, InputError, is_json_number, read_json, shown
+from .record import astuple, dataclass, field, fields
 
 __all__ = [
     "ToolkitConfig",
@@ -46,7 +47,7 @@ def _array(items: dict, n: int) -> dict:
 
 
 def _section(cls) -> dict:
-    """The schema of a section: its dataclass fields and their fragments."""
+    """The schema of a section: its record fields and their fragments."""
     return _object({f.name: dict(f.metadata) for f in fields(cls)})
 
 

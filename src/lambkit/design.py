@@ -17,11 +17,11 @@ are reference metadata and are not reproduced by this model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .dispersion import PlateSpec, pitch_to_frequency
 from .errors import DesignError, DoseRangeError, InputError, LayerAssignmentError
+from .record import dataclass
 
 __all__ = [
     "EPS0",

@@ -26,11 +26,11 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from importlib import resources
 
 from . import MODE_NAMES
 from .errors import DispersionRangeError, InputError, SensitivityError, SolverError
+from .record import dataclass
 
 __all__ = [
     "PlateMaterial",

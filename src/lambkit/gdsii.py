@@ -109,6 +109,14 @@ def _record(rectype: int, dattype: int, payload: bytes = b"") -> bytes:
     return struct.pack(">HBB", length, rectype, dattype) + payload
 
 
+def _xy_endel(n: int) -> struct.Struct:
+    """One polygon's XY record of ``n`` points followed by its ENDEL record:
+    pack (length, XY, DT_INT32, x0, y0, ..., 4, ENDEL, DT_NONE)."""
+    if 4 + 8 * n > 0xFFFF:
+        raise InputError("record payload too long for 16-bit framing")
+    return struct.Struct(f">HBB{2 * n}lHBB")
+
+
 def _ascii_payload(text: str) -> bytes:
     raw = text.encode("ascii")
     if len(raw) % 2:
@@ -131,17 +139,25 @@ def write_gdsii(library) -> bytes:
             encode_real8(DB_UNIT_IN_METERS),
         ),
     )
+    heads = {}  # layer -> its BOUNDARY, LAYER and DATATYPE records
+    bodies = {}  # closed vertex count -> the struct of an XY record and ENDEL
     for cell in library.cells:
         out += _record(BGNSTR, DT_INT16, struct.pack(">12h", *_TIMESTAMP))
         out += _record(STRNAME, DT_ASCII, _ascii_payload(cell.name))
         for poly in cell.polygons:
-            out += _record(BOUNDARY, DT_NONE)
-            out += _record(LAYER, DT_INT16, struct.pack(">h", poly.layer))
-            out += _record(DATATYPE, DT_INT16, struct.pack(">h", 0))
-            closed = poly.vertices + poly.vertices[:1]
-            xy = struct.pack(f">{2 * len(closed)}l", *chain.from_iterable(closed))
-            out += _record(XY, DT_INT32, xy)
-            out += _record(ENDEL, DT_NONE)
+            head = heads.get(poly.layer)
+            if head is None:
+                head = heads[poly.layer] = (
+                    _record(BOUNDARY, DT_NONE)
+                    + _record(LAYER, DT_INT16, struct.pack(">h", poly.layer))
+                    + _record(DATATYPE, DT_INT16, struct.pack(">h", 0)))
+            n = len(poly.vertices) + 1  # closed: the first vertex again
+            body = bodies.get(n)
+            if body is None:
+                body = bodies[n] = _xy_endel(n)
+            out += head
+            out += body.pack(4 + 8 * n, XY, DT_INT32, *chain.from_iterable(poly.vertices),
+                             *poly.vertices[0], 4, ENDEL, DT_NONE)
         for ref in cell.placements:
             out += _record(SREF, DT_NONE)
             out += _record(SNAME, DT_ASCII, _ascii_payload(ref.cell_name))

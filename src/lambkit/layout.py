@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import astuple, dataclass, field
 
 from .config import ChipConfig, LayerMap, ReticleConfig, WaferConfig
 from .design import ResonatorDesign, LayerBand
 from .errors import CoordinateError, InputError, PackingError
+from .record import astuple, dataclass, field
 
 __all__ = [
     "Polygon",

@@ -24,11 +24,11 @@ parameters.  r_0 is kept in the model with default 0 and is not fitted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FitConvergenceError, FitPeakError, InputError
+from .record import dataclass, field
 from .waferstats import ModeMetrics
 
 __all__ = [

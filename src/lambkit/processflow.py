@@ -19,12 +19,12 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 
 from .errors import (
     FlowError, InputError, MissingRateError, is_json_number, json_number, json_object, read_json,
     shown)
+from .record import asdict, dataclass, fields, replace
 
 __all__ = [
     "STEP_KINDS",

@@ -16,13 +16,13 @@ Errors name the earliest faulty line, as a line-by-line reader would.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
 
 from .errors import InputError, TouchstoneParseError
 from .mbvd import AdmittanceTrace
+from .record import dataclass, field
 
 __all__ = [
     "TouchstoneFile",
@@ -54,10 +54,12 @@ class TouchstoneFile:
             raise InputError("touchstone file needs at least one data point")
         if f.size != s.size:
             raise InputError("frequency and S11 lengths differ")
-        if np.any(f <= 0) or np.any(np.diff(f) <= 0):
-            raise InputError("frequencies must be positive and strictly increasing")
-        if self.z0 <= 0:
-            raise InputError("reference impedance must be positive")
+        if not (np.isfinite(f).all() and np.all(f > 0) and np.all(np.diff(f) > 0)):
+            raise InputError("frequencies must be positive, finite and strictly increasing")
+        if not np.isfinite(s).all():
+            raise InputError("S11 must be finite")
+        if not 0 < self.z0 < math.inf:
+            raise InputError("reference impedance must be positive and finite")
         if self.frequency_unit.lower() not in FREQ_UNITS:
             raise InputError(f"unknown frequency unit {self.frequency_unit!r}")
         if self.fmt not in FORMATS:
@@ -262,8 +264,8 @@ def serialize_touchstone(tf: TouchstoneFile) -> str:
 
 def s11_to_y(s, z0: float = 50.0):
     """One-port reflection to admittance: Y = (1/z0) (1 - s)/(1 + s)."""
-    if z0 <= 0:
-        raise InputError("reference impedance must be positive")
+    if not 0 < z0 < math.inf:
+        raise InputError("reference impedance must be positive and finite")
     s = np.asarray(s, dtype=complex)
     if np.any(s == -1):
         raise InputError("S11 = -1 (ideal short) has no finite admittance")
@@ -273,8 +275,8 @@ def s11_to_y(s, z0: float = 50.0):
 
 def y_to_s11(y, z0: float = 50.0):
     """Inverse transform: S = (1 - z0 Y)/(1 + z0 Y)."""
-    if z0 <= 0:
-        raise InputError("reference impedance must be positive")
+    if not 0 < z0 < math.inf:
+        raise InputError("reference impedance must be positive and finite")
     y = np.asarray(y, dtype=complex)
     zy = z0 * y
     if np.any(zy == -1):

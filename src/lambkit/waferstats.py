@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
 from typing import TYPE_CHECKING
@@ -27,6 +26,7 @@ from typing import TYPE_CHECKING
 from . import MODE_NAMES
 from .errors import (DispersionRangeError, InputError, PackingError, SolverError,
                      StatisticsError, is_json_number, json_number, json_object, shown)
+from .record import dataclass
 
 if TYPE_CHECKING:  # annotations only: stats loads no numpy, config or layout
     from .config import ChipConfig, VariationConfig, WaferConfig

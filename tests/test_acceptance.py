@@ -8,7 +8,6 @@ regression pass.
 import json
 import math
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,6 +41,7 @@ from lambkit.processflow import (
     etch_budget,
     packaged_flow,
 )
+from lambkit.record import replace
 from lambkit.touchstone import TouchstoneFile, parse_touchstone, serialize_touchstone
 from lambkit.waferstats import (
     per_mode_deviation,

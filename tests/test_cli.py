@@ -978,7 +978,7 @@ def test_flow_check_golden_passes(tmp_path, capsys, name):
 def test_flow_check_hf_mutation_exits_1(tmp_path, capsys):
     flow = list(packaged_flow("alscn-ti-adhesion"))
     idx = next(i for i, s in enumerate(flow) if s.kind == "etch_vapor")
-    from dataclasses import replace
+    from lambkit.record import replace
 
     flow[idx] = replace(flow[idx], kind="etch_wet", chemistry="49%HF/H2O 1:50")
     path = tmp_path / "mutated.json"
@@ -988,9 +988,8 @@ def test_flow_check_hf_mutation_exits_1(tmp_path, capsys):
 
 
 def test_flow_check_writes_its_report_also_on_rule_errors(tmp_path):
-    from dataclasses import replace
-
     from lambkit.processflow import check_flow
+    from lambkit.record import replace
 
     out = tmp_path / "nodir"
     assert cli.main(["flow-check", "alscn-ti-adhesion", "--out", str(out), "--quiet"]) \
@@ -1189,34 +1188,54 @@ def test_help_and_flow_check_load_no_numpy_scipy_or_jsonschema(argv, tmp_path):
     assert not loaded_by(*argv, *out) & {"numpy", "scipy", "jsonschema"}
 
 
-def test_help_loads_no_dataclasses_or_inspect():
-    assert not loaded_by("--help") & {"dataclasses", "inspect"}
-
-
-def test_stats_loads_no_numpy(tmp_path):
+def write_sites(tmp_path):
+    """A sites.json of three S0 dies at one pitch; returns its path."""
     from lambkit.waferstats import ModeMetrics, WaferSite, sites_to_dict
 
     sites = [WaferSite(site_id=i, x_mm=i, y_mm=0.0, pitch_m=2e-6, metrics={
         "S0": ModeMetrics(f_r=f, f_a=1.05 * f, q_r=300.0, k_eff_sq=0.05)})
         for i, f in enumerate((1.00e9, 1.01e9, 0.99e9))]
     (tmp_path / "sites.json").write_text(json.dumps(sites_to_dict(sites, seed=7)))
-    modules = loaded_by("stats", str(tmp_path / "sites.json"), "--heatmap", "S0:2e-6",
+    return str(tmp_path / "sites.json")
+
+
+def test_stats_loads_no_numpy(tmp_path):
+    modules = loaded_by("stats", write_sites(tmp_path), "--heatmap", "S0:2e-6",
                         "--out", str(tmp_path), "--quiet")
     assert not modules & {"numpy", "scipy", "jsonschema"}
     assert (tmp_path / "heatmap.csv").read_text().count("\n") == 4
 
 
-@pytest.mark.parametrize("argv", [["design", "--pitches", "2e-6"], ["layout", "--wafer-map"],
-                                  ["simulate-wafer", "--seed", "7"],
-                                  ["simulate-wafer", "--full-resolve", "--pitches", "2e-6"],
-                                  ["disperse"],
-                                  ["disperse", "--pitch-min", "4.75e-7", "--pitch-max", "4.5e-6"]])
+PACKAGED_MATERIAL_COMMANDS = [
+    ["design", "--pitches", "2e-6"], ["layout", "--wafer-map"],
+    ["simulate-wafer", "--seed", "7"], ["simulate-wafer", "--full-resolve", "--pitches", "2e-6"],
+    ["disperse"], ["disperse", "--pitch-min", "4.75e-7", "--pitch-max", "4.5e-6"],
+]
+
+
+@pytest.mark.parametrize("argv", PACKAGED_MATERIAL_COMMANDS)
 def test_commands_on_the_packaged_material_load_no_numpy(tmp_path, argv):
     # the packaged lattice table holds every node the packaged config needs,
     # disperse polishes the roots it brackets, and lambkit.rng draws numpy's
     # wafer streams without numpy
     modules = loaded_by(*argv, "--out", str(tmp_path), "--quiet")
     assert not modules & {"numpy", "scipy", "jsonschema"}
+
+
+@pytest.mark.parametrize("argv", [["--help"], *PACKAGED_MATERIAL_COMMANDS, ["stats"],
+                                  ["flow-check", "alscn-ti-adhesion"], ["fit"]])
+def test_commands_load_no_dataclasses_or_inspect(tmp_path, argv):
+    # lambkit.record declares the records: dataclasses (with inspect, ast and
+    # tokenize) would cost each command about 14 ms to import and 15 ms more
+    # to compile its classes
+    if argv[0] == "stats":
+        argv = ["stats", write_sites(tmp_path)]
+    elif argv[0] == "fit":
+        argv = ["fit", write_dut(tmp_path)[0], "--branches", "1"]
+    out = [] if argv == ["--help"] else ["--out", str(tmp_path), "--quiet"]
+    # numpy imports inspect itself, so fit is held to dataclasses alone
+    banned = {"dataclasses"} if argv[0] == "fit" else {"dataclasses", "inspect"}
+    assert not loaded_by(*argv, *out) & banned
 
 
 def test_import_config_loads_no_numpy():

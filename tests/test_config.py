@@ -2,7 +2,6 @@
 
 import copy
 import json
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from lambkit.config import (
     load_config,
 )
 from lambkit.errors import ConfigError
+from lambkit.record import fields
 
 
 def test_default_config_loads():

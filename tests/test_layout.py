@@ -4,7 +4,6 @@ import itertools
 import math
 import random
 import struct
-from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -36,6 +35,7 @@ from lambkit.layout import (
     gen_wafer_map,
     to_dbu,
 )
+from lambkit.record import astuple, fields
 
 CFG = ToolkitConfig.default()
 CAP = CapacitanceModel(eps_r=CFG.eps_r, h_piezo=CFG.plate.h)
@@ -378,7 +378,7 @@ def test_wafer_map_frozen_count():
 
 
 def test_wafer_map_rejects_radius_beyond_int32():
-    from dataclasses import replace
+    from lambkit.record import replace
 
     # checked before the grid loop, which would otherwise never end
     with pytest.raises(CoordinateError):
@@ -584,6 +584,21 @@ def test_square_boundary_xy_has_closure_point():
             xy_lengths.append(length - 4)
         pos += length
     assert xy_lengths == [40]
+
+
+@pytest.mark.parametrize("n, fits", [(8190, True), (8191, False)])
+def test_xy_record_keeps_to_16_bit_framing(n, fits):
+    # n points along the x axis and one above the first: a valid CCW polygon
+    # (_trusted skips the pairwise check); closed, it has n + 1 points
+    vertices = tuple((x, 0) for x in range(n - 1)) + ((0, 1),)
+    lib = Library(name="L")
+    lib.add(Cell(name="BIG", polygons=[Polygon._trusted(1, vertices)]))
+    if not fits:
+        with pytest.raises(InputError, match="16-bit framing"):
+            write_gdsii(lib)
+        return
+    data = write_gdsii(lib)
+    assert struct.pack(">HBB", 4 + 8 * (n + 1), 0x10, 0x03) in data
 
 
 def test_round_trip_semantic_identity():

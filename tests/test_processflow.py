@@ -3,7 +3,6 @@
 import json
 import math
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -24,6 +23,7 @@ from lambkit.processflow import (
     steps_from_dict,
     steps_to_dict,
 )
+from lambkit.record import replace
 
 NM = 1e-9
 

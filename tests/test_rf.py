@@ -15,6 +15,7 @@ from lambkit.calibration import (
 from lambkit.errors import (
     CalibrationError,
     CorrectionError,
+    InputError,
     TouchstoneParseError,
 )
 from lambkit.touchstone import (
@@ -107,6 +108,35 @@ def test_parse_rejects_bad_reference_impedance(z0):
     with pytest.raises(TouchstoneParseError) as exc:
         parse_touchstone(f"# ghz s ri r {z0}\n1 0.5 0\n")
     assert "line 1" in str(exc.value)
+
+
+@pytest.mark.parametrize("frequencies, s11, z0, why", [
+    ([1e9, 2e9], [0.1, 0.2], math.nan, "reference impedance"),
+    ([1e9, 2e9], [0.1, 0.2], math.inf, "reference impedance"),
+    ([1e9, math.inf], [0.1, 0.2], 50.0, "frequencies"),
+    ([1e9, math.nan], [0.1, 0.2], 50.0, "frequencies"),
+    ([1e9, 2e9], [0.1, complex(math.nan, 0.0)], 50.0, "S11"),
+])
+def test_touchstone_file_refuses_non_finite_values(frequencies, s11, z0, why):
+    # parse_touchstone refuses these too; this is the library caller's path
+    with pytest.raises(InputError, match=why):
+        TouchstoneFile(frequencies, s11, z0)
+
+
+@pytest.mark.parametrize("transform", [s11_to_y, y_to_s11])
+@pytest.mark.parametrize("z0", [math.nan, math.inf])
+def test_s11_transforms_refuse_non_finite_reference_impedance(transform, z0):
+    with pytest.raises(InputError, match="reference impedance must be positive and finite"):
+        transform(0.5 + 0j, z0)
+
+
+def test_correction_that_overflows_is_refused():
+    f = np.array([1e9, 2e9])
+    short, open_std, load = (_touchstone(f, np.full(2, g)) for g in (-0.5, 0.5, 0.0))
+    # |G| = 2 * 1e308: numpy warns of the overflow, and the corrected file refuses it
+    with pytest.warns(RuntimeWarning, match="overflow"), \
+            pytest.raises(InputError, match="S11 must be finite"):
+        calibrate_file(_touchstone(f, [1e308, 0.1]), short, open_std, load)
 
 
 def test_round_trip_all_formats_and_units():

@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from lambkit import mbvd, waferstats
 from lambkit.config import VariationConfig, load_config
 from lambkit.errors import ConfigError, InputError, PackingError, StatisticsError
 from lambkit.mbvd import ModeMetrics
+from lambkit.record import replace
 from lambkit.waferstats import (
     DeviationRow,
     WaferSite,
