@@ -114,11 +114,12 @@ def osl_solve(f_hz, meas_short, meas_open, meas_load) -> ErrorBox:
 def apply_correction(box: ErrorBox, s_meas):
     """Invert the bilinear model: G = (s - e00) / (e10e01 + e11 (s - e00))."""
     s = np.asarray(s_meas, dtype=complex)
-    num = s - box.e00
-    den = box.e10e01 + _cmul(box.e11, num)
-    if np.any(den == 0):
-        raise CorrectionError("singular correction denominator")
-    g = num / den
+    with np.errstate(over="ignore", invalid="ignore"):  # OslCalibration.correct names it
+        num = s - box.e00
+        den = box.e10e01 + _cmul(box.e11, num)
+        if np.any(den == 0):
+            raise CorrectionError("singular correction denominator")
+        g = num / den
     return complex(g) if g.ndim == 0 else g
 
 
@@ -134,7 +135,8 @@ class OslCalibration:
     short's grid.
 
     A solve failure is kept, and ``correct`` raises it for each DUT after
-    that DUT's grid checks, as a per-file solve would.
+    that DUT's grid checks, as a per-file solve would.  A correction that
+    overflows is a CorrectionError naming its first non-finite frequency.
     """
 
     def __init__(self, short: TouchstoneFile, open_std: TouchstoneFile, load: TouchstoneFile):
@@ -151,9 +153,13 @@ class OslCalibration:
             _check_same_grid(name, dut, std)
         if self.error is not None:
             raise self.error.with_traceback(None)
+        s11 = apply_correction(self.box, dut.s11)
+        if not np.isfinite(s11).all():
+            at = f"{dut.frequencies[np.argmin(np.isfinite(s11))]:.6g} Hz"
+            raise CorrectionError(f"correction overflows at {at}: corrected S11 is not finite")
         return TouchstoneFile(
             frequencies=dut.frequencies.copy(),
-            s11=apply_correction(self.box, dut.s11),
+            s11=s11,
             z0=dut.z0,
             frequency_unit=dut.frequency_unit,
             fmt=dut.fmt,

@@ -7,8 +7,10 @@ All coordinates are integer database units of 1 nm within int32; this module
 is the only place that range is checked.  Polygons are stored open (closure
 vertex is added at serialization) and must be simple and counter-clockwise.
 `Polygon(...)`, as built by callers and by `read_gdsii`, runs the full check;
-copies from `translated`, right-angle `rotated` and integer `scaled`, and the
-generators' rectangles, are valid by construction and get only the range check.
+copies and the generators' rectangles are valid by construction and get only
+the range check.  Each copy, from `translated`, `rotated`, `scaled`, `flatten`
+or `build_reticle`, is one composed map: right-angle turn, integer
+magnification and offset.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from itertools import chain
 
 from .config import ChipConfig, LayerMap, ReticleConfig, WaferConfig
 from .design import ResonatorDesign, LayerBand
@@ -104,8 +107,9 @@ class Polygon:
     vertices: tuple  # ((x, y), ...) open, CCW
 
     def __post_init__(self):
-        verts = tuple((_integer(x, "vertex coordinate"), _integer(y, "vertex coordinate"))
-                      for x, y in self.vertices)
+        verts = tuple([(x, y) if type(x) is int and type(y) is int
+                       else (_integer(x, "vertex coordinate"), _integer(y, "vertex coordinate"))
+                       for x, y in self.vertices])
         object.__setattr__(self, "vertices", verts)
         if len(verts) == 4:  # an axis-aligned CCW rectangle passes every check below
             (x0, y0), (x1, y1), (x2, y2), (x3, y3) = verts
@@ -143,9 +147,7 @@ class Polygon:
         return s
 
     def bbox(self):
-        xs = [v[0] for v in self.vertices]
-        ys = [v[1] for v in self.vertices]
-        return min(xs), min(ys), max(xs), max(ys)
+        return _union_bbox((self,))
 
     @classmethod
     def _trusted(cls, layer: int, vertices: tuple) -> "Polygon":
@@ -157,21 +159,34 @@ class Polygon:
         return poly
 
     def translated(self, dx: int, dy: int) -> "Polygon":
-        dx, dy = _integer(dx, "translation"), _integer(dy, "translation")
-        return Polygon._trusted(self.layer, tuple((x + dx, y + dy) for x, y in self.vertices))
+        return _mapped((self,), 0, 1, _integer(dx, "translation"), _integer(dy, "translation"))[0]
 
     def rotated(self, rotation: int) -> "Polygon":
-        if rotation == 0:
-            return self
-        turned = tuple(_rotate_point(x, y, rotation) for x, y in self.vertices)
-        return Polygon._trusted(self.layer, turned)
+        return self if rotation == 0 else _mapped((self,), rotation, 1, 0, 0)[0]
 
     def scaled(self, factor: int) -> "Polygon":
         """Copy magnified about the origin by a positive integer factor."""
         k = _integer(factor, "scale factor")
         if k < 1:
             raise InputError(f"scale factor must be positive, got {factor!r}")
-        return Polygon._trusted(self.layer, tuple((x * k, y * k) for x, y in self.vertices))
+        return _mapped((self,), 0, k, 0, 0)[0]
+
+
+# (a, b, c, d) of the turn about the origin (x, y) -> (a x + b y, c x + d y)
+_TURNS = {0: (1, 0, 0, 1), 90: (0, -1, 1, 0), 180: (-1, 0, 0, -1), 270: (0, 1, -1, 0)}
+
+
+def _mapped(polygons, rotation: int, k: int, dx: int, dy: int) -> list:
+    """Copies of polygons turned by a right angle about the origin, magnified
+    by the positive int k, then moved by the ints (dx, dy): one composed map
+    and one range check per polygon."""
+    if rotation not in _TURNS:
+        raise InputError(f"rotation {rotation} not a right angle")
+    a, b, c, d = (k * t for t in _TURNS[rotation])
+    trusted = Polygon._trusted
+    return [trusted(p.layer, tuple([(a * x + b * y + dx, c * x + d * y + dy)
+                                    for x, y in p.vertices]))
+            for p in polygons]
 
 
 @dataclass(frozen=True)
@@ -184,15 +199,17 @@ class Placement:
     def __post_init__(self):
         if self.rotation not in (0, 90, 180, 270):
             raise InputError("rotation must be one of 0, 90, 180, 270 degrees")
+        for name in ("x", "y"):
+            object.__setattr__(self, name, _integer(getattr(self, name), "placement coordinate"))
         _check_int32(((self.x, self.y),), "placement")
 
 
 def _union_bbox(polygons):
     """(x0, y0, x1, y1) around every polygon, None when there are none."""
-    boxes = [p.bbox() for p in polygons]
-    if not boxes:
+    if not polygons:
         return None
-    return tuple(f(b[i] for b in boxes) for i, f in enumerate((min, min, max, max)))
+    xs, ys = zip(*chain.from_iterable(p.vertices for p in polygons))
+    return min(xs), min(ys), max(xs), max(ys)
 
 
 @dataclass
@@ -265,27 +282,15 @@ class Library:
         while stack:
             name, dx, dy, rotation = stack.pop()
             cell = self._by_name[name]
-            for poly in cell.polygons:
-                out.append(poly.rotated(rotation).translated(dx, dy))
+            out += _mapped(cell.polygons, rotation, 1, dx, dy)
+            a, b, c, d = _TURNS[rotation]
             for ref in reversed(cell.placements):  # popped in placement order
-                rx, ry = _rotate_point(ref.x, ref.y, rotation)
-                stack.append((ref.cell_name, dx + rx, dy + ry, (rotation + ref.rotation) % 360))
+                stack.append((ref.cell_name, dx + a * ref.x + b * ref.y,
+                              dy + c * ref.x + d * ref.y, (rotation + ref.rotation) % 360))
         return out
 
     def bbox(self, cell_name: str):
         return _union_bbox(self.flatten(cell_name))
-
-
-def _rotate_point(x: int, y: int, rotation: int):
-    if rotation == 0:
-        return x, y
-    if rotation == 90:
-        return -y, x
-    if rotation == 180:
-        return -x, -y
-    if rotation == 270:
-        return y, -x
-    raise InputError(f"rotation {rotation} not a right angle")
 
 
 def _rect(layer: int, x0: int, y0: int, x1: int, y1: int) -> Polygon:
@@ -522,15 +527,13 @@ def build_reticle(
     windows = [(x0, y, x0 + cw, y + ch)
                for y in (y0 + i * (ch + _WINDOW_GAP) for i in range(n))]
     windows[-1] = (*windows[-1][:3], min(windows[-1][3], hf))
-    flat = chip_lib.flatten(CHIP_CELL_NAME)
+    by_layer = {}
+    for poly in chip_lib.flatten(CHIP_CELL_NAME):
+        by_layer.setdefault(poly.layer, []).append(poly)
     mask_lib = Library(name="RETICLE_MASK")
     mask = Cell(name=RETICLE_CELL_NAME)
     for layer_id, (wx0, wy0, _, _) in zip(layer_ids, windows):
-        dx = to_dbu(wx0) * DEMAG
-        dy = to_dbu(wy0) * DEMAG
-        for poly in flat:
-            if poly.layer != layer_id:
-                continue
-            mask.polygons.append(poly.scaled(DEMAG).translated(dx, dy))
+        mask.polygons += _mapped(by_layer.get(layer_id, ()), 0, DEMAG,
+                                 to_dbu(wx0) * DEMAG, to_dbu(wy0) * DEMAG)
     mask_lib.add(mask)
     return tuple(windows), mask_lib

@@ -1,4 +1,4 @@
-"""Independent reference implementations used to cross-check solver output.
+"""Independent reference implementations used to cross-check solver and reader output.
 
 The residual here uses complex trigonometry directly (numpy complex sqrt,
 sin, cos) instead of the branch-split real forms in the package, so the two
@@ -6,11 +6,18 @@ paths share no code.  Roots are located by brute-force dense sign scans.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from lambkit.errors import TouchstoneParseError
+from lambkit.errors import GdsParseError, InputError, TouchstoneParseError
+from lambkit.gdsii import (
+    ANGLE, BGNLIB, BGNSTR, BOUNDARY, DATATYPE, DB_UNIT_IN_METERS, ENDEL, ENDLIB, ENDSTR,
+    GDS_VERSION, HEADER, LAYER, LIBNAME, SNAME, SREF, STRANS, STRNAME, UNITS, XY,
+    _REC_NAMES, decode_real8,
+)
+from lambkit.layout import Cell, Library, Placement, Polygon
 from lambkit.touchstone import FORMATS, FREQ_UNITS, TouchstoneFile
 
 _RAD = math.pi / 180.0
@@ -196,3 +203,162 @@ def parse_touchstone_reference(text) -> TouchstoneFile:
         fmt=fmt,
         comments=tuple(comments),
     )
+
+
+# ---------------------------------------------------------------------------
+# GDSII: the record-by-record reader
+
+def _rec_name(rectype: int) -> str:
+    return _REC_NAMES.get(rectype, f"0x{rectype:02X}")
+
+
+class _Parser:
+    """Record cursor: ``cur`` is the type of the record at ``offset`` (None at
+    the end of the stream, where ``offset`` is the stream length) and
+    ``payload`` its data.  advance() frames the next record, so a framing
+    fault surfaces only when the cursor reaches it."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.end = 0  # offset just past the current record
+        self.advance()
+
+    def advance(self):
+        off = self.offset = self.end
+        if off >= len(self.data):
+            self.cur = None
+            return
+        if len(self.data) - off < 4:
+            raise GdsParseError("truncated record header", offset=off)
+        length, self.cur = struct.unpack_from(">HB", self.data, off)
+        if length < 4 or length % 2:
+            raise GdsParseError(f"bad record length {length}", offset=off)
+        if off + length > len(self.data):
+            raise GdsParseError("record runs past end of stream", offset=off)
+        self.payload = self.data[off + 4 : off + length]
+        self.end = off + length
+
+    def expect(self, rectype: int) -> bytes:
+        if self.cur is None:
+            raise GdsParseError(
+                f"unexpected end of stream, wanted {_rec_name(rectype)}",
+                offset=self.offset,
+            )
+        if self.cur != rectype:
+            raise GdsParseError(
+                f"expected {_rec_name(rectype)}, found {_rec_name(self.cur)}",
+                offset=self.offset,
+            )
+        payload = self.payload
+        self.advance()
+        return payload
+
+    def expect_sized(self, rectype: int, size: int) -> bytes:
+        """expect() for a record whose payload is exactly ``size`` bytes."""
+        off = self.offset
+        payload = self.expect(rectype)
+        if len(payload) != size:
+            raise GdsParseError(f"{_rec_name(rectype)} payload must be {size} bytes", offset=off)
+        return payload
+
+
+def _parse_ascii(payload: bytes, offset: int) -> str:
+    try:
+        return payload.rstrip(b"\0").decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise GdsParseError(f"non-ascii string payload: {exc}", offset=offset)
+
+
+def _at(offset: int, make, *args, **kwargs):
+    """make(*args, **kwargs), with an InputError from its checks re-raised as
+    a GdsParseError at the offset of the record the value came from."""
+    try:
+        return make(*args, **kwargs)
+    except InputError as exc:
+        raise GdsParseError(str(exc), offset=offset) from exc
+
+
+def read_gdsii_reference(data: bytes):
+    """The record-by-record GDSII reader: every element is walked through the
+    cursor, one record at a time.
+
+    Every error type, message and offset of ``read_gdsii`` must match this;
+    so must its cells, polygons and placements.
+    """
+
+    p = _Parser(data)
+    version = struct.unpack(">h", p.expect_sized(HEADER, 2))[0]
+    if version != GDS_VERSION:
+        raise GdsParseError(f"unsupported stream version {version}", offset=0)
+    p.expect(BGNLIB)
+    name_off = p.offset
+    libname = _parse_ascii(p.expect(LIBNAME), name_off)
+    units_off = p.offset
+    _, mm = struct.unpack(">QQ", p.expect_sized(UNITS, 16))
+    dbu_m = decode_real8(mm)
+    if not math.isclose(dbu_m, DB_UNIT_IN_METERS, rel_tol=1e-9):
+        raise GdsParseError(
+            f"database unit {dbu_m} m unsupported (expected 1 nm)", offset=units_off
+        )
+    cells = []
+    while p.cur == BGNSTR:
+        p.expect(BGNSTR)
+        cell_off = p.offset
+        cellname = _parse_ascii(p.expect(STRNAME), cell_off)
+        polygons = []
+        placements = []
+        while p.cur in (BOUNDARY, SREF):
+            if p.cur == BOUNDARY:
+                p.expect(BOUNDARY)
+                layer = struct.unpack(">h", p.expect_sized(LAYER, 2))[0]
+                p.expect(DATATYPE)
+                xy_off = p.offset
+                xy = p.expect(XY)
+                if len(xy) % 8 or len(xy) < 32:
+                    raise GdsParseError(
+                        "BOUNDARY XY needs at least 4 closed points", offset=xy_off
+                    )
+                coords = struct.unpack(f">{len(xy) // 4}l", xy)
+                pts = list(zip(coords[0::2], coords[1::2]))
+                if pts[0] != pts[-1]:
+                    raise GdsParseError(
+                        "BOUNDARY XY list is not closed", offset=xy_off
+                    )
+                p.expect(ENDEL)
+                polygons.append(_at(xy_off, Polygon, layer=layer, vertices=pts[:-1]))
+            else:
+                p.expect(SREF)
+                sname_off = p.offset
+                sname = _parse_ascii(p.expect(SNAME), sname_off)
+                rotation = 0
+                if p.cur == STRANS:
+                    strans_off = p.offset
+                    if struct.unpack(">H", p.expect_sized(STRANS, 2))[0] != 0:
+                        raise GdsParseError(
+                            "mirror/magnification flags unsupported", offset=strans_off
+                        )
+                    ang_off = p.offset
+                    angle = decode_real8(struct.unpack(">Q", p.expect_sized(ANGLE, 8))[0])
+                    rotation = int(round(angle))
+                    if rotation not in (0, 90, 180, 270) or not math.isclose(
+                        angle, rotation, abs_tol=1e-9
+                    ):
+                        raise GdsParseError(
+                            f"rotation {angle} not a right angle", offset=ang_off
+                        )
+                x, y = struct.unpack(">2l", p.expect_sized(XY, 8))
+                p.expect(ENDEL)
+                placements.append(
+                    Placement(cell_name=sname, x=x, y=y, rotation=rotation)
+                )
+        p.expect(ENDSTR)
+        cells.append((cell_off, _at(cell_off, Cell, cellname, polygons, placements)))
+    end_off = p.offset
+    p.expect(ENDLIB)
+    if p.cur is not None:
+        raise GdsParseError("data after ENDLIB", offset=p.offset)
+    lib = _at(name_off, Library, name=libname)
+    for cell_off, cell in cells:
+        _at(cell_off, lib.add, cell)
+    _at(end_off, lib.validate)  # references resolve once every cell is read
+    return lib

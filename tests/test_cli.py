@@ -437,6 +437,28 @@ def test_a_failed_layout_writes_no_file(tmp_path, capsys, doc, code, message):
     assert not out.exists()
 
 
+def test_layout_rereads_its_chip_stream_before_writing(tmp_path, capsys, monkeypatch):
+    # a writer that drops the first rectangle's closing vertex: the self-check
+    # read of chip.gds refuses the stream, and no file is written
+    from lambkit import gdsii
+
+    write, at = gdsii.write_gdsii, []
+
+    def unclosed(library):
+        data = write(library)
+        at.append(data.index(bytes([0, 44, gdsii.XY, 3])))  # a 5-point XY record
+        return (data[:at[-1]] + bytes([0, 36, gdsii.XY, 3]) + data[at[-1] + 4:at[-1] + 36]
+                + data[at[-1] + 44:])
+
+    monkeypatch.setattr(gdsii, "write_gdsii", unclosed)
+    out = tmp_path / "out"
+    argv = ["layout", "--pitches", "2e-6", "--wafer-map", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", f"error: BOUNDARY XY list is not closed (byte offset {at[0]})\n")
+    assert len(at) == 1 and not out.exists()
+
+
 # --------------------------------------------------------------------- fit
 
 

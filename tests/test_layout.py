@@ -7,7 +7,9 @@ import struct
 
 import numpy as np
 import pytest
+from oracles import read_gdsii_reference
 
+from lambkit import cli
 from lambkit.config import LayerMap, ToolkitConfig
 from lambkit.design import CapacitanceModel, match_finger_count
 from lambkit.errors import (
@@ -224,9 +226,66 @@ def test_transforms_reject_bad_arguments():
 
 def test_placement_rejects_coordinates_outside_int32():
     Placement(cell_name="A", x=2**31 - 1, y=-(2**31))
-    for x, y in ((2**31, 0), (0, -(2**31) - 1), (math.nan, 0)):
+    for x, y in ((2**31, 0), (0, -(2**31) - 1)):
         with pytest.raises(CoordinateError):
             Placement(cell_name="A", x=x, y=y)
+
+
+@pytest.mark.parametrize("bad", [1.5, math.nan, True, "3", None])
+def test_placement_rejects_non_integer_coordinates(bad):
+    # Polygon's rule: a float would move the placement, a bool is no coordinate
+    for x, y in ((bad, 0), (0, bad)):
+        with pytest.raises(InputError, match="placement coordinate must be an integer"):
+            Placement(cell_name="A", x=x, y=y)
+
+
+def test_placement_stores_numpy_integers_as_int():
+    ref = Placement(cell_name="A", x=np.int64(7), y=np.int32(-3))
+    assert (ref.x, ref.y) == (7, -3) and type(ref.x) is int and type(ref.y) is int
+    lib = Library(name="L")
+    lib.add(Cell(name="A", polygons=[square()]))
+    lib.add(Cell(name="TOP", placements=[ref]))
+    assert read_gdsii(write_gdsii(lib))["TOP"].placements == [Placement("A", 7, -3)]
+
+
+def _placed(polygon, ref) -> Library:
+    """A CHIP cell that places a cell of one polygon once."""
+    lib = Library(name="L")
+    lib.add(Cell(name="A", polygons=[polygon]))
+    lib.add(Cell(name="CHIP", placements=[ref]))
+    return lib
+
+
+def test_flatten_and_reticle_keep_plain_int_coordinates():
+    # Polygon, flatten under a turned placement and build_reticle store only
+    # plain ints; the bool, float and str their inputs could hold are refused
+    # by Polygon and Placement (test_polygon_rejects_non_integer_vertices,
+    # test_placement_rejects_non_integer_coordinates)
+    layer = CFG.layers.small_idt  # the first reticle window
+    poly = Polygon(layer, tuple((np.int64(x), np.int64(y)) for x, y in square().vertices))
+    lib = _placed(poly, Placement("A", np.int64(1000), np.int64(-50), rotation=90))
+    (flat,) = lib.flatten("CHIP")
+    windows, mask = build_reticle(lib, CFG.chip, CFG.layers, CFG.reticle)
+    (image,) = mask["RETICLE"].polygons
+    wx, wy = to_dbu(windows[0][0]) * 4, to_dbu(windows[0][1]) * 4
+    assert flat.vertices == ((1000, -50), (1000, 50), (900, 50), (900, -50))
+    assert image.vertices == tuple((4 * x + wx, 4 * y + wy) for x, y in flat.vertices)
+    for p in (poly, flat, image):
+        assert all(type(c) is int for v in p.vertices for c in v)
+
+
+def test_flatten_and_reticle_name_the_vertex_past_int32():
+    # (x, y) -> (-y, x + 2**31 - 50) takes the square's second vertex past int32
+    lib = _placed(square(), Placement("A", 0, 2**31 - 50, rotation=90))
+    with pytest.raises(CoordinateError, match=r"^vertex \(0, 2147483698\) exceeds 32-bit range$"):
+        lib.flatten("CHIP")
+    # a chip vertex at 2**29 passes 2**31 once magnified 4x onto the reticle
+    windows, _ = build_reticle(gen_chip([], CFG.chip, CFG.layers), CFG.chip, CFG.layers,
+                               CFG.reticle)
+    wx, wy = to_dbu(windows[0][0]) * 4, to_dbu(windows[0][1]) * 4
+    lib = _placed(square(layer=CFG.layers.small_idt), Placement("A", 2**29, 0))
+    with pytest.raises(CoordinateError, match=rf"^vertex \({2**31 + wx}, {wy}\) exceeds"):
+        build_reticle(lib, CFG.chip, CFG.layers, CFG.reticle)
 
 
 # ---------------------------------------------------------------------------
@@ -763,3 +822,99 @@ def test_mutated_streams_raise_only_gds_parse_errors_with_offsets():
     # mutations reach the geometry and name checks, not only the tokenizer
     for check in ("counter-clockwise", "self-intersecting", "is not GDSII-legal"):
         assert any(check in m for m in messages), check
+
+
+@pytest.fixture(scope="module")
+def packaged_streams(tmp_path_factory):
+    """chip.gds and reticle.gds of the packaged layout."""
+    out = tmp_path_factory.mktemp("layout")
+    assert cli.main(["layout", "--quiet", "--out", str(out)]) == cli.EXIT_OK
+    return [(out / name).read_bytes() for name in ("chip.gds", "reticle.gds")]
+
+
+def _read_outcome(read, data: bytes):
+    """What a reader makes of data: its error with the offset, or the library."""
+    try:
+        lib = read(data)
+    except Exception as exc:  # the exception type is part of the outcome
+        return type(exc), str(exc), getattr(exc, "offset", None)
+    return lib.name, [(c.name, [(p.layer, p.vertices) for p in c.polygons], c.placements)
+                      for c in lib.cells]
+
+
+_ELEMENT = ("BOUNDARY", "LAYER", "DATATYPE", "XY", "ENDEL")
+
+
+def _boundaries(data: bytes) -> list:
+    """The offsets of each BOUNDARY element's five records."""
+    offsets, pos = [], 0
+    while pos < len(data):
+        length, rectype = struct.unpack_from(">HB", data, pos)
+        if rectype == 0x08:
+            offsets.append([pos])
+        elif offsets and len(offsets[-1]) < 5:
+            offsets[-1].append(pos)
+        pos += length
+    return offsets
+
+
+def _aimed_edit(rng, data: bytes, element: list, field: str) -> bytes:
+    """One seeded edit of a BOUNDARY element: a header field (length, record
+    type or data type) of one of its records, its closing vertex, or its
+    vertex order (clockwise)."""
+    buf = bytearray(data)
+    if field == "vertex order":
+        xy = element[3] + 4
+        buf[xy + 8:xy + 16], buf[xy + 24:xy + 32] = buf[xy + 24:xy + 32], buf[xy + 8:xy + 16]
+        return bytes(buf)
+    if field == "closing vertex":
+        xy = element[3]
+        end = xy + struct.unpack_from(">H", buf, xy)[0]
+        where = end - 8 + 4 * int(rng.integers(2))
+        old = struct.unpack_from(">l", buf, where)[0]
+        struct.pack_into(">l", buf, where, old + int(rng.choice([-1, 1, 2**20])))
+        return bytes(buf)
+    record, part = field.split()
+    at = element[_ELEMENT.index(record)]
+    if part == "length":
+        old = struct.unpack_from(">H", buf, at)[0]
+        new = int(rng.choice([old - 2, old + 2, old - 1, old + 8, 0, 2, 4, 0xFFFF]))
+        struct.pack_into(">H", buf, at, max(new, 0))
+    elif part == "type":
+        buf[at + 2] = int(rng.choice([0x08, 0x0A, 0x0D, 0x0E, 0x10, 0x11, 0x07, 0x04, 0x2B]))
+    else:
+        buf[at + 3] = int(rng.choice([0x00, 0x01, 0x02, 0x03, 0x05, 0x06, 0xFF]))
+    return bytes(buf)
+
+
+def test_reader_mutations_fail_as_the_record_walk_does(packaged_streams):
+    # read_gdsii decodes a canonical rectangle in one unpack; whatever the
+    # bytes, it must give the record walk's outcome: error, message and offset
+    rng = np.random.default_rng(2028)
+    fields = ["closing vertex", "vertex order"] + [f"{r} {part}" for r in _ELEMENT
+                                   for part in ("length", "type", "datatype")]
+    outcomes = set()
+    for data in packaged_streams:
+        elements = _boundaries(data)
+        assert len(elements) > 1000 and all(len(e) == 5 for e in elements)
+        assert _read_outcome(read_gdsii, data) == _read_outcome(read_gdsii_reference, data)
+        cases = [_aimed_edit(rng, data, elements[int(rng.integers(len(elements)))], field)
+                 for field in fields for _ in range(2)]
+        # a clockwise rectangle before a record that cannot be framed: the
+        # walk frames the next record before it checks the polygon
+        element = elements[int(rng.integers(len(elements)))]
+        clockwise = bytearray(_aimed_edit(rng, data, element, "vertex order"))
+        struct.pack_into(">H", clockwise, element[4] + 4, 3)
+        cases.append(bytes(clockwise))
+        for _ in range(8):  # byte flips, then truncations, anywhere
+            buf = bytearray(data)
+            for _ in range(int(rng.integers(1, 4))):
+                buf[int(rng.integers(len(buf)))] = int(rng.integers(256))
+            cases.append(bytes(buf))
+            cases.append(data[:int(rng.integers(len(data)))])
+        for case in cases:
+            want = _read_outcome(read_gdsii_reference, case)
+            assert _read_outcome(read_gdsii, case) == want
+            outcomes.add(want[1].split(" (byte offset")[0] if isinstance(want[0], type) else "read")
+    # the edits reach the framing, grammar and geometry checks, and some are read
+    assert len(outcomes) >= 8, outcomes

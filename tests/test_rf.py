@@ -1,6 +1,7 @@
 """Touchstone parsing/serialization and one-port OSL calibration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,10 +134,12 @@ def test_s11_transforms_refuse_non_finite_reference_impedance(transform, z0):
 def test_correction_that_overflows_is_refused():
     f = np.array([1e9, 2e9])
     short, open_std, load = (_touchstone(f, np.full(2, g)) for g in (-0.5, 0.5, 0.0))
-    # |G| = 2 * 1e308: numpy warns of the overflow, and the corrected file refuses it
-    with pytest.warns(RuntimeWarning, match="overflow"), \
-            pytest.raises(InputError, match="S11 must be finite"):
-        calibrate_file(_touchstone(f, [1e308, 0.1]), short, open_std, load)
+    # |G| = 2 * 1e308: refused at its frequency, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CorrectionError, match=r"^correction overflows at 1e\+09 Hz: "
+                                                  r"corrected S11 is not finite$"):
+            calibrate_file(_touchstone(f, [1e308, 0.1]), short, open_std, load)
 
 
 def test_round_trip_all_formats_and_units():
