@@ -25,6 +25,8 @@ bytes.  main() pins OpenBLAS to one thread before a command imports numpy:
 starting its thread pool costs about 70 ms of each command, and the largest
 BLAS call here is a 14-column normal matrix.  An OPENBLAS_NUM_THREADS the user
 set wins, and a caller that has already loaded numpy keeps its environment.
+When its first argument names a subcommand, main() builds that subcommand's
+parser alone; the help and usage texts read as the full parser's do.
 """
 
 import argparse
@@ -459,93 +461,91 @@ def cmd_flow_check(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
-def build_parser() -> argparse.ArgumentParser:
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--out", default=".", help="output directory")
-    output.add_argument("--quiet", action="store_true", help="suppress progress output")
+def _output(p) -> None:
+    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
-    config = argparse.ArgumentParser(add_help=False)
-    config.add_argument("--config", default=None, help="config JSON (defaults packaged)")
 
-    pitch_source = argparse.ArgumentParser(add_help=False)
-    pitch_source.add_argument(
-        "--pitches", default=None, help="comma-separated pitches in meters"
-    )
-    pitch_source.add_argument(
-        "--catalog", default=None, help="catalog JSON (defaults packaged)"
-    )
+def _config(p) -> None:
+    p.add_argument("--config", default=None, help="config JSON (defaults packaged)")
 
-    design_mode = argparse.ArgumentParser(add_help=False)
-    design_mode.add_argument(
-        "--mode", default="S0", choices=MODE_NAMES, help="design mode"
-    )
 
-    parser = argparse.ArgumentParser(
-        prog="lambkit",
-        description="Lamb-wave resonator design, layout, fitting, and statistics.",
-        allow_abbrev=False,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _pitch_source(p) -> None:
+    p.add_argument("--pitches", default=None, help="comma-separated pitches in meters")
+    p.add_argument("--catalog", default=None, help="catalog JSON (defaults packaged)")
 
-    p = sub.add_parser(
-        "disperse", parents=[config, output], help="solve dispersion curves", allow_abbrev=False
-    )
+
+def _design_mode(p) -> None:
+    p.add_argument("--mode", default="S0", choices=MODE_NAMES, help="design mode")
+
+
+def _disperse_args(p) -> None:
     p.add_argument("--pitch-min", type=float, default=1.0e-6)
     p.add_argument("--pitch-max", type=float, default=4.5e-6)
     p.add_argument("--points", type=int, default=40, help=f"grid size, 2 to {MAX_GRID_POINTS}")
     p.add_argument("--modes", default=",".join(MODE_NAMES))
-    p.set_defaults(func=cmd_disperse)
 
-    p = sub.add_parser(
-        "design", parents=[config, output, pitch_source, design_mode],
-        help="impedance-matched IDT designs", allow_abbrev=False,
-    )
-    p.set_defaults(func=cmd_design)
 
-    p = sub.add_parser(
-        "layout", parents=[config, output, pitch_source, design_mode],
-        help="chip GDSII, reticle, wafer map", allow_abbrev=False,
-    )
-    p.add_argument(
-        "--wafer-map", action="store_true", help="also write the placement CSV"
-    )
-    p.set_defaults(func=cmd_layout)
+def _layout_args(p) -> None:
+    p.add_argument("--wafer-map", action="store_true", help="also write the placement CSV")
 
-    p = sub.add_parser(
-        "fit", parents=[output], help="fit mBVD models to .s1p files", allow_abbrev=False
-    )
+
+def _fit_args(p) -> None:
     p.add_argument("files", nargs="+", help=".s1p measurement files")
     p.add_argument("--branches", type=int, default=1, help="motional branch count")
     p.add_argument("--cal-short", default=None, help="measured short standard .s1p")
     p.add_argument("--cal-open", default=None, help="measured open standard .s1p")
     p.add_argument("--cal-load", default=None, help="measured load standard .s1p")
-    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser(
-        "stats", parents=[output], help="reduce a wafer sites JSON", allow_abbrev=False
-    )
+
+def _stats_args(p) -> None:
     p.add_argument("sites", help="sites JSON from simulate-wafer or measurements")
     p.add_argument("--heatmap", default=None, help="write heatmap.csv for MODE:PITCH_M")
-    p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser(
-        "simulate-wafer", parents=[config, output, pitch_source], help="seeded variation run",
-        allow_abbrev=False,
-    )
+
+def _simulate_wafer_args(p) -> None:
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument(
-        "--full-resolve", action="store_true",
-        help="evaluate dispersion per site instead of first-order propagation",
-    )
-    p.set_defaults(func=cmd_simulate_wafer)
+    p.add_argument("--full-resolve", action="store_true",
+                   help="evaluate dispersion per site instead of first-order propagation")
 
-    p = sub.add_parser(
-        "flow-check", parents=[output], help="rule-check a process flow", allow_abbrev=False
-    )
+
+def _flow_check_args(p) -> None:
     p.add_argument("flow", help="flow JSON path or a packaged flow name")
     p.add_argument("--rates", default=None, help="rate table JSON override")
-    p.set_defaults(func=cmd_flow_check)
 
+
+# name -> (help, the command, what adds its arguments, in help order)
+COMMANDS = {
+    "disperse": ("solve dispersion curves", cmd_disperse, (_config, _output, _disperse_args)),
+    "design": ("impedance-matched IDT designs", cmd_design,
+               (_config, _output, _pitch_source, _design_mode)),
+    "layout": ("chip GDSII, reticle, wafer map", cmd_layout,
+               (_config, _output, _pitch_source, _design_mode, _layout_args)),
+    "fit": ("fit mBVD models to .s1p files", cmd_fit, (_output, _fit_args)),
+    "stats": ("reduce a wafer sites JSON", cmd_stats, (_output, _stats_args)),
+    "simulate-wafer": ("seeded variation run", cmd_simulate_wafer,
+                       (_config, _output, _pitch_source, _simulate_wafer_args)),
+    "flow-check": ("rule-check a process flow", cmd_flow_check, (_output, _flow_check_args)),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The lambkit parser; given one of COMMANDS, with only its subparser.
+    That parser's usage names every command, so its errors read as the full
+    parser's do."""
+    parser = argparse.ArgumentParser(
+        prog="lambkit",
+        description="Lamb-wave resonator design, layout, fitting, and statistics.",
+        allow_abbrev=False,
+    )
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=command and "{" + ",".join(COMMANDS) + "}")
+    for name, (help_text, func, arguments) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+            for add in arguments:
+                add(p)
+            p.set_defaults(func=func)
     return parser
 
 
@@ -562,7 +562,8 @@ def _exit_code(exc: LambkitError) -> int:
 def main(argv=None) -> int:
     if "numpy" not in sys.modules:  # the variable is read once, as numpy loads
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

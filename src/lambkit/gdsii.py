@@ -9,7 +9,9 @@ Only the record set needed for mask interchange is supported: BOUNDARY
 polygons and SREF placements with right-angle rotations.  The reader is
 strict; any record outside the expected grammar is a parse error carrying
 the byte offset.  A rectangle's BOUNDARY element framed exactly as the writer
-frames it is decoded in one unpack; any other bytes take the record walk.
+frames it is decoded in one unpack; any other bytes take the record walk.  An
+axis-aligned counter-clockwise rectangle so decoded skips Polygon's full check,
+which it passes; any other four points get that check.
 """
 
 from __future__ import annotations
@@ -251,7 +253,7 @@ def _at(offset: int, make, *args, **kwargs):
 
 def read_gdsii(data: bytes):
     """Parse GDSII bytes back into a layout library."""
-    from .layout import Library, Cell, Polygon, Placement
+    from .layout import Library, Cell, Polygon, Placement, _ccw_rectangle
 
     p = _Parser(data)
     version = struct.unpack(">h", p.expect_sized(HEADER, 2))[0]
@@ -283,9 +285,10 @@ def read_gdsii(data: bytes):
                 # the XY record, whose offset a polygon fault names, is at off + 16
                 p.end = off + _RECT.size
                 p.advance()
-                x0, y0, x1, y1, x2, y2, x3, y3 = rect[3:11]
-                polygons.append(_at(off + 16, Polygon, rect[1],
-                                    ((x0, y0), (x1, y1), (x2, y2), (x3, y3))))
+                x0, y0, x1, y1, x2, y2, x3, y3 = xy = rect[3:11]
+                verts = ((x0, y0), (x1, y1), (x2, y2), (x3, y3))
+                polygons.append(Polygon._trusted(rect[1], verts) if _ccw_rectangle(*xy)
+                                else _at(off + 16, Polygon, rect[1], verts))
             elif p.cur == BOUNDARY:
                 p.expect(BOUNDARY)
                 layer = struct.unpack(">h", p.expect_sized(LAYER, 2))[0]

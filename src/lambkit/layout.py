@@ -6,11 +6,11 @@ de-embedding twins from a single frame.
 All coordinates are integer database units of 1 nm within int32; this module
 is the only place that range is checked.  Polygons are stored open (closure
 vertex is added at serialization) and must be simple and counter-clockwise.
-`Polygon(...)`, as built by callers and by `read_gdsii`, runs the full check;
-copies and the generators' rectangles are valid by construction and get only
-the range check.  Each copy, from `translated`, `rotated`, `scaled`, `flatten`
-or `build_reticle`, is one composed map: right-angle turn, integer
-magnification and offset.
+`Polygon(...)` runs the full check; copies, the generators' rectangles and the
+rectangles `read_gdsii` decodes are valid by construction and get only the
+range check.  Each copy, from `translated`, `rotated`, `scaled`, `flatten` or
+`build_reticle`, is one composed map: right-angle turn, integer magnification
+and offset; `build_reticle` maps each cell's own polygons per placement.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ PAD_PITCH = 100e-6
 PAD_CLEARANCE = 10e-6
 SHORT_STRAP_WIDTH = 5e-6
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_?$]{1,32}$")
+_NAME_RE = re.compile(r"[A-Za-z0-9_?$]{1,32}")
 
 
 def to_dbu(x_m: float) -> int:
@@ -101,6 +101,13 @@ def _segments_cross(p1, p2, p3, p4) -> bool:
     return False
 
 
+def _ccw_rectangle(x0, y0, x1, y1, x2, y2, x3, y3) -> bool:
+    """True if the four points are an axis-aligned counter-clockwise rectangle
+    of positive extent: a polygon that passes every check of Polygon's."""
+    return ((y0 == y1 and x1 == x2 and y2 == y3 and x3 == x0 and (x1 - x0) * (y2 - y1) > 0)
+            or (x0 == x1 and y1 == y2 and x2 == x3 and y3 == y0 and (x1 - x2) * (y1 - y0) > 0))
+
+
 @dataclass(frozen=True)
 class Polygon:
     layer: int
@@ -111,13 +118,9 @@ class Polygon:
                        else (_integer(x, "vertex coordinate"), _integer(y, "vertex coordinate"))
                        for x, y in self.vertices])
         object.__setattr__(self, "vertices", verts)
-        if len(verts) == 4:  # an axis-aligned CCW rectangle passes every check below
-            (x0, y0), (x1, y1), (x2, y2), (x3, y3) = verts
-            if ((y0 == y1 and x1 == x2 and y2 == y3 and x3 == x0 and (x1 - x0) * (y2 - y1) > 0)
-                    or (x0 == x1 and y1 == y2 and x2 == x3 and y3 == y0
-                        and (x1 - x2) * (y1 - y0) > 0)):
-                _check_int32(verts)
-                return
+        if len(verts) == 4 and _ccw_rectangle(*verts[0], *verts[1], *verts[2], *verts[3]):
+            _check_int32(verts)
+            return
         if len(set(verts)) < 3:
             raise InputError("polygon needs at least 3 distinct vertices")
         n = len(verts)
@@ -219,7 +222,7 @@ class Cell:
     placements: list = field(default_factory=list)
 
     def __post_init__(self):
-        if not _NAME_RE.match(self.name):
+        if not _NAME_RE.fullmatch(self.name):
             raise InputError(f"cell name {self.name!r} is not GDSII-legal")
 
 
@@ -227,7 +230,7 @@ class Library:
     """Ordered collection of uniquely named cells."""
 
     def __init__(self, name: str = "LAMBKIT"):
-        if not _NAME_RE.match(name):
+        if not _NAME_RE.fullmatch(name):
             raise InputError(f"library name {name!r} is not GDSII-legal")
         self.name = name
         self.cells = []
@@ -272,21 +275,28 @@ class Library:
                     path.add(ref.cell_name)
                     stack.append((ref.cell_name, iter(self._by_name[ref.cell_name].placements)))
 
-    def flatten(self, cell_name: str) -> list:
-        """All polygons of a cell with placements resolved, in pre-order."""
+    def _walk(self, cell_name: str) -> list:
+        """(cell, dx, dy, rotation) of each placed copy of a cell and of the
+        cells under it, the map of every level composed, in pre-order."""
         self.validate()
         if cell_name not in self._by_name:
             raise InputError(f"unknown cell {cell_name!r}")
         out = []
-        stack = [(cell_name, 0, 0, 0)]
+        stack = [(self._by_name[cell_name], 0, 0, 0)]
         while stack:
-            name, dx, dy, rotation = stack.pop()
-            cell = self._by_name[name]
-            out += _mapped(cell.polygons, rotation, 1, dx, dy)
+            cell, dx, dy, rotation = copy = stack.pop()
+            out.append(copy)
             a, b, c, d = _TURNS[rotation]
             for ref in reversed(cell.placements):  # popped in placement order
-                stack.append((ref.cell_name, dx + a * ref.x + b * ref.y,
+                stack.append((self._by_name[ref.cell_name], dx + a * ref.x + b * ref.y,
                               dy + c * ref.x + d * ref.y, (rotation + ref.rotation) % 360))
+        return out
+
+    def flatten(self, cell_name: str) -> list:
+        """All polygons of a cell with placements resolved, in pre-order."""
+        out = []
+        for cell, dx, dy, rotation in self._walk(cell_name):
+            out += _mapped(cell.polygons, rotation, 1, dx, dy)
         return out
 
     def bbox(self, cell_name: str):
@@ -527,13 +537,20 @@ def build_reticle(
     windows = [(x0, y, x0 + cw, y + ch)
                for y in (y0 + i * (ch + _WINDOW_GAP) for i in range(n))]
     windows[-1] = (*windows[-1][:3], min(windows[-1][3], hf))
-    by_layer = {}
-    for poly in chip_lib.flatten(CHIP_CELL_NAME):
-        by_layer.setdefault(poly.layer, []).append(poly)
+    copies = chip_lib._walk(CHIP_CELL_NAME)
+    by_layer = {}  # cell name -> layer -> the cell's own polygons on it, in order
+    for cell, *_ in copies:
+        if cell.name not in by_layer:
+            groups = by_layer[cell.name] = {}
+            for poly in cell.polygons:
+                groups.setdefault(poly.layer, []).append(poly)
     mask_lib = Library(name="RETICLE_MASK")
     mask = Cell(name=RETICLE_CELL_NAME)
     for layer_id, (wx0, wy0, _, _) in zip(layer_ids, windows):
-        mask.polygons += _mapped(by_layer.get(layer_id, ()), 0, DEMAG,
-                                 to_dbu(wx0) * DEMAG, to_dbu(wy0) * DEMAG)
+        ox, oy = to_dbu(wx0) * DEMAG, to_dbu(wy0) * DEMAG
+        for cell, dx, dy, rotation in copies:  # the chip's flatten order, one map each
+            group = by_layer[cell.name].get(layer_id)
+            if group:
+                mask.polygons += _mapped(group, rotation, DEMAG, ox + DEMAG * dx, oy + DEMAG * dy)
     mask_lib.add(mask)
     return tuple(windows), mask_lib

@@ -1,4 +1,5 @@
-"""Independent reference implementations used to cross-check solver and reader output.
+"""Independent reference implementations used to cross-check solver, reader and
+reticle output.
 
 The residual here uses complex trigonometry directly (numpy complex sqrt,
 sin, cos) instead of the branch-split real forms in the package, so the two
@@ -11,13 +12,17 @@ import struct
 import numpy as np
 import pytest
 
-from lambkit.errors import GdsParseError, InputError, TouchstoneParseError
+from lambkit.errors import GdsParseError, InputError, PackingError, TouchstoneParseError
 from lambkit.gdsii import (
     ANGLE, BGNLIB, BGNSTR, BOUNDARY, DATATYPE, DB_UNIT_IN_METERS, ENDEL, ENDLIB, ENDSTR,
     GDS_VERSION, HEADER, LAYER, LIBNAME, SNAME, SREF, STRANS, STRNAME, UNITS, XY,
     _REC_NAMES, decode_real8,
 )
-from lambkit.layout import Cell, Library, Placement, Polygon
+from lambkit.layout import (
+    _TURNS, _WINDOW_GAP, CHIP_CELL_NAME, DEMAG, RETICLE_CELL_NAME, Cell, Library, Placement,
+    Polygon, _mapped, to_dbu,
+)
+from lambkit.record import astuple
 from lambkit.touchstone import FORMATS, FREQ_UNITS, TouchstoneFile
 
 _RAD = math.pi / 180.0
@@ -362,3 +367,54 @@ def read_gdsii_reference(data: bytes):
         _at(cell_off, lib.add, cell)
     _at(end_off, lib.validate)  # references resolve once every cell is read
     return lib
+
+
+# ---------------------------------------------------------------------------
+# Reticle: the chip flattened into polygons, grouped by layer, then each
+# window's group magnified and moved
+
+def flatten_reference(lib, cell_name: str) -> list:
+    """All polygons of a cell with placements resolved, in pre-order: one
+    mapped copy per polygon and placement level."""
+    lib.validate()
+    if cell_name not in lib:
+        raise InputError(f"unknown cell {cell_name!r}")
+    out = []
+    stack = [(cell_name, 0, 0, 0)]
+    while stack:
+        name, dx, dy, rotation = stack.pop()
+        cell = lib[name]
+        out += _mapped(cell.polygons, rotation, 1, dx, dy)
+        a, b, c, d = _TURNS[rotation]
+        for ref in reversed(cell.placements):  # popped in placement order
+            stack.append((ref.cell_name, dx + a * ref.x + b * ref.y,
+                          dy + c * ref.x + d * ref.y, (rotation + ref.rotation) % 360))
+    return out
+
+
+def build_reticle_reference(chip_lib, chip_cfg, layers, reticle_cfg):
+    """The reticle plan from the flattened chip: same windows and same mask
+    polygons, in the same order, as ``layout.build_reticle``."""
+    layer_ids = astuple(layers)
+    wf, hf = reticle_cfg.image_field_m
+    cw, ch = chip_cfg.width_m, chip_cfg.height_m
+    n = len(layer_ids)
+    total_h = n * ch + (n - 1) * _WINDOW_GAP
+    x0 = (wf - cw) / 2.0
+    y0 = (hf - total_h) / 2.0
+    if x0 < 0 or y0 < 0:
+        raise PackingError(f"{n} chip windows ({cw * 1e3:g} x {total_h * 1e3:g} mm) exceed "
+                           f"the image field ({wf * 1e3:g} x {hf * 1e3:g} mm)")
+    windows = [(x0, y, x0 + cw, y + ch)
+               for y in (y0 + i * (ch + _WINDOW_GAP) for i in range(n))]
+    windows[-1] = (*windows[-1][:3], min(windows[-1][3], hf))
+    by_layer = {}
+    for poly in flatten_reference(chip_lib, CHIP_CELL_NAME):
+        by_layer.setdefault(poly.layer, []).append(poly)
+    mask_lib = Library(name="RETICLE_MASK")
+    mask = Cell(name=RETICLE_CELL_NAME)
+    for layer_id, (wx0, wy0, _, _) in zip(layer_ids, windows):
+        mask.polygons += _mapped(by_layer.get(layer_id, ()), 0, DEMAG,
+                                 to_dbu(wx0) * DEMAG, to_dbu(wy0) * DEMAG)
+    mask_lib.add(mask)
+    return tuple(windows), mask_lib

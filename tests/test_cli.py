@@ -65,6 +65,62 @@ def test_help_exits_zero():
     assert cli.main(["--help"]) == cli.EXIT_OK
 
 
+def _parse_outcome(parse, argv, capsys):
+    """stdout, stderr and exit code of parse(argv), which may exit as argparse does."""
+    try:
+        code = parse(argv)
+    except SystemExit as exc:
+        code = cli.EXIT_USAGE if exc.code else cli.EXIT_OK
+    out, err = capsys.readouterr()
+    return out, err, code
+
+
+PARSE_ONLY = [[name, flag] for name in cli.COMMANDS for flag in ("--help", "--bogus")] + [
+    ["fit"], ["stats"], ["flow-check"], ["layout", "x", "--bogus"], ["--help"], [],
+    ["frobnicate"], ["--quiet", "layout"]]
+
+
+@pytest.mark.parametrize("argv", PARSE_ONLY, ids=" ".join)
+def test_main_parses_as_the_full_parser_does(argv, capsys, monkeypatch):
+    # main builds only the named command's subparser; help and errors are the full parser's
+    monkeypatch.setenv("COLUMNS", "80")
+    want = _parse_outcome(lambda a: cli.build_parser().parse_args(a), argv, capsys)
+    built = []
+    full_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(a) or full_build(*a))
+    assert _parse_outcome(cli.main, argv, capsys) == want
+    assert built == [(argv[0] if argv and argv[0] in cli.COMMANDS else None,)]
+    assert want[2] == (cli.EXIT_OK if "--help" in argv else cli.EXIT_USAGE)
+
+
+TOP_LEVEL_HELP = """\
+usage: lambkit [-h]
+               {disperse,design,layout,fit,stats,simulate-wafer,flow-check}
+               ...
+
+Lamb-wave resonator design, layout, fitting, and statistics.
+
+positional arguments:
+  {disperse,design,layout,fit,stats,simulate-wafer,flow-check}
+    disperse            solve dispersion curves
+    design              impedance-matched IDT designs
+    layout              chip GDSII, reticle, wafer map
+    fit                 fit mBVD models to .s1p files
+    stats               reduce a wafer sites JSON
+    simulate-wafer      seeded variation run
+    flow-check          rule-check a process flow
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def test_top_level_help_is_unchanged(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.main(["--help"]) == cli.EXIT_OK
+    assert capsys.readouterr() == (TOP_LEVEL_HELP, "")
+
+
 # Every option each subcommand offers besides -h/--help: each is one the command reads.
 OPTIONS = {
     "disperse": "--config --out --quiet --pitch-min --pitch-max --points --modes",

@@ -7,7 +7,7 @@ import struct
 
 import numpy as np
 import pytest
-from oracles import read_gdsii_reference
+from oracles import build_reticle_reference, read_gdsii_reference
 
 from lambkit import cli
 from lambkit.config import LayerMap, ToolkitConfig
@@ -543,6 +543,123 @@ def test_reticle_windows_lie_inside_the_field_without_overlap():
     assert exact_fills >= 400
 
 
+def _mask(result):
+    windows, mask_lib = result
+    return windows, [(p.layer, p.vertices) for p in mask_lib["RETICLE"].polygons]
+
+
+def _catalog_chips():
+    """The chip of the packaged catalog, of a jittered one and of three of its pitches."""
+    from lambkit.config import load_catalog
+    from lambkit.design import LARGE_PITCH_RANGE, SMALL_PITCH_RANGE
+
+    pitches = load_catalog()["pitches_m"]
+    rng = random.Random(29)
+    jittered = [min(max(p * rng.uniform(0.97, 1.03), lo), hi) for p in pitches
+                for lo, hi in (SMALL_PITCH_RANGE, LARGE_PITCH_RANGE) if lo <= p <= hi]
+    for catalog in (pitches, jittered, pitches[2:5]):
+        yield gen_chip([match_finger_count(p, CFG.plate, CAP) for p in catalog],
+                       CFG.chip, CFG.layers)
+
+
+def test_reticle_of_packaged_chips_matches_the_flattened_reference():
+    for lib in _catalog_chips():
+        want = _mask(build_reticle_reference(lib, CFG.chip, CFG.layers, CFG.reticle))
+        assert len(want[1]) > 500
+        assert _mask(build_reticle(lib, CFG.chip, CFG.layers, CFG.reticle)) == want
+
+
+def _random_chip(rng):
+    """A CHIP over a random acyclic hierarchy: shared cells, nested and turned
+    placements, and layers both in and outside the LayerMap."""
+    layers = [*astuple(CFG.layers), 0, 77, 255]
+    lib = Library(name="RND")
+    names = [f"C{i}" for i in range(rng.randint(1, 6))] + ["CHIP"]
+    for i, name in enumerate(names):
+        cell = Cell(name=name)
+        for _ in range(rng.randint(0, 4)):
+            x, y = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
+            w, h = rng.randint(1, 5 * 10**4), rng.randint(1, 5 * 10**4)
+            tri = ((x, y), (x + w, y), (x, y + h))
+            rect = ((x, y), (x + w, y), (x + w, y + h), (x, y + h))
+            cell.polygons.append(Polygon(rng.choice(layers), rng.choice((tri, rect))))
+        for _ in range(rng.randint(0, 3) if i else 0):  # earlier cells only: acyclic
+            cell.placements.append(Placement(rng.choice(names[:i]), rng.randint(-10**5, 10**5),
+                                             rng.randint(-10**5, 10**5),
+                                             rng.choice((0, 90, 180, 270))))
+        lib.add(cell)
+    return lib
+
+
+def test_reticle_of_random_hierarchies_matches_the_flattened_reference():
+    rng = random.Random(2029)
+    sizes = []
+    for _ in range(60):
+        lib = _random_chip(rng)
+        want = _mask(build_reticle_reference(lib, CFG.chip, CFG.layers, CFG.reticle))
+        assert _mask(build_reticle(lib, CFG.chip, CFG.layers, CFG.reticle)) == want
+        sizes.append(len(want[1]))
+    assert max(sizes) > 50 and sizes.count(0) < 10
+
+
+@pytest.mark.parametrize("build", [build_reticle, build_reticle_reference])
+def test_reticle_refusals_match_the_flattened_reference(build):
+    cyclic = _placed(square(), Placement("A", 0, 0))
+    cyclic["A"].placements.append(Placement("CHIP", 0, 0))
+    no_chip = Library(name="L")
+    no_chip.add(Cell(name="A", polygons=[square()]))
+    for lib, message in ((cyclic, "placement cycle through cell 'A'"),
+                         (no_chip, "unknown cell 'CHIP'")):
+        with pytest.raises(InputError) as exc:
+            build(lib, CFG.chip, CFG.layers, CFG.reticle)
+        assert type(exc.value) is InputError and str(exc.value) == message
+    # placed vertices past int32 at chip scale, whichever scale the check names
+    far = _placed(square(layer=CFG.layers.outline), Placement("A", 0, 2**31 - 50, 90))
+    with pytest.raises(CoordinateError):
+        build(far, CFG.chip, CFG.layers, CFG.reticle)
+
+
+def test_reticle_maps_only_the_layers_its_windows_show():
+    # the flattened reference range-checks a polygon no window shows; the walk
+    # never places it, so it cannot leave int32
+    far = _placed(square(layer=77), Placement("A", 0, 2**31 - 50, 90))
+    with pytest.raises(CoordinateError):
+        build_reticle_reference(far, CFG.chip, CFG.layers, CFG.reticle)
+    _, mask_lib = build_reticle(far, CFG.chip, CFG.layers, CFG.reticle)
+    assert mask_lib["RETICLE"].polygons == []
+
+
+def _constructions(monkeypatch):
+    """A list that counts each Polygon built, fully checked or trusted."""
+    built = []
+    post_init, trusted = Polygon.__post_init__, Polygon._trusted.__func__
+
+    def counted_post_init(self):
+        built.append("checked")
+        post_init(self)
+
+    def counted_trusted(cls, layer, vertices):
+        built.append("trusted")
+        return trusted(cls, layer, vertices)
+
+    monkeypatch.setattr(Polygon, "__post_init__", counted_post_init)
+    monkeypatch.setattr(Polygon, "_trusted", classmethod(counted_trusted))
+    return built
+
+
+def test_packaged_layout_builds_no_throwaway_polygons(monkeypatch):
+    (lib,) = itertools.islice(_catalog_chips(), 1)
+    chip_bytes = write_gdsii(lib)
+    built = _constructions(monkeypatch)
+    _, mask_lib = build_reticle(lib, CFG.chip, CFG.layers, CFG.reticle)
+    assert len(built) == len(mask_lib["RETICLE"].polygons) > 2000
+    assert set(built) == {"trusted"}
+    built.clear()
+    back = read_gdsii(chip_bytes)
+    assert built.count("checked") == 0
+    assert built.count("trusted") == sum(len(c.polygons) for c in back.cells) > 1000
+
+
 # ---------------------------------------------------------------------------
 # library structure
 
@@ -562,6 +679,16 @@ def test_library_rejects_unknown_target():
     lib.add(Cell(name="TOP", placements=[Placement(cell_name="GHOST", x=0, y=0)]))
     with pytest.raises(ValueError):
         lib.validate()
+
+
+@pytest.mark.parametrize("name", ["ABC\n", "\nABC", "", "A" * 33, "A B", "A/B"])
+def test_names_must_be_gdsii_legal_to_the_last_character(name):
+    # a trailing newline too: "$" alone would let it pass
+    with pytest.raises(InputError, match="cell name .* is not GDSII-legal"):
+        Cell(name=name)
+    with pytest.raises(InputError, match="library name .* is not GDSII-legal"):
+        Library(name=name)
+    assert Cell(name="a_?$9" + "A" * 27).name == "a_?$9" + "A" * 27
 
 
 def test_flatten_rotation():
@@ -797,6 +924,8 @@ def _fuzz_library():
     (0x10, struct.pack(">10l", 0, 0, 0, 100, 100, 100, 100, 0, 0, 0), "counter-clockwise"),
     (0x06, b"A/B\0", "cell name"),
     (0x02, b"L:B\0", "library name"),
+    (0x06, b"ABC\n", "cell name 'ABC\\n' is not GDSII-legal"),
+    (0x02, b"LIB\n", "library name 'LIB\\n' is not GDSII-legal"),
 ])
 def test_constructor_checks_name_the_record_offset(rectype, payload, message):
     data, offset = _with_payload(write_gdsii(_fuzz_library()), rectype, payload)
@@ -918,3 +1047,33 @@ def test_reader_mutations_fail_as_the_record_walk_does(packaged_streams):
             outcomes.add(want[1].split(" (byte offset")[0] if isinstance(want[0], type) else "read")
     # the edits reach the framing, grammar and geometry checks, and some are read
     assert len(outcomes) >= 8, outcomes
+
+
+def _rectangle_corners():
+    """Four points framed as the writer frames a rectangle: counter-clockwise
+    and clockwise from each corner, and zero-width and zero-height ones."""
+    ccw = [(0, 0), (100, 0), (100, 50), (0, 50)]
+    cw = ccw[::-1]
+    for i in range(4):
+        yield ccw[i:] + ccw[:i]
+        yield cw[i:] + cw[:i]
+    yield [(5, 0), (5, 0), (5, 50), (5, 50)]
+    yield [(0, 5), (0, 5), (100, 5), (100, 5)]
+    yield [(0, 7), (100, 7), (100, 7), (0, 7)]
+    yield [(5, 0), (5, 50), (5, 50), (5, 0)]
+    yield [(3, 3)] * 4
+
+
+@pytest.mark.parametrize("corners", list(_rectangle_corners()))
+def test_reader_fast_path_reads_every_four_points_as_the_record_walk_does(corners):
+    lib = Library(name="L")
+    lib.add(Cell(name="TRI", polygons=[Polygon(2, ((0, 0), (9, 0), (0, 9)))]))
+    lib.add(Cell(name="SQ", polygons=[square(layer=1, size=100), square(layer=3)]))
+    data = write_gdsii(lib)
+    xy = _boundaries(data)[1][3]  # the first rectangle's XY record
+    buf = bytearray(data)
+    struct.pack_into(">10l", buf, xy + 4, *itertools.chain(*corners, corners[0]))
+    want = _read_outcome(read_gdsii_reference, bytes(buf))
+    assert _read_outcome(read_gdsii, bytes(buf)) == want
+    if isinstance(want[0], type):  # the error names the XY record
+        assert want[2] == xy
