@@ -26,10 +26,14 @@ starting its thread pool costs about 70 ms of each command, and the largest
 BLAS call here is a 14-column normal matrix.  An OPENBLAS_NUM_THREADS the user
 set wins, and a caller that has already loaded numpy keeps its environment.
 When its first argument names a subcommand, main() builds that subcommand's
-parser alone; the help and usage texts read as the full parser's do.
+parser alone; the help and usage texts read as the full parser's do.  The
+lambkit script and python -m lambkit.cli end in run(): once stdout and stderr
+are flushed, os._exit skips the interpreter's teardown.  A failed flush, a
+tracer or profiler, and main(argv) called in process end the usual way.
 """
 
 import argparse
+import atexit
 import json
 import math
 import os
@@ -386,11 +390,11 @@ def _write_reports(args, sites, files: dict, heatmap=None) -> None:
     """Write files with the deviation and trend reports of sites, and the
     heatmap of heatmap = (mode, pitch) if given, then print the reduction."""
     from .waferstats import (
-        deviation_csv_rows, heatmap_csv_rows, metrics_vs_frequency, per_mode_deviation,
-        trend_csv_rows)
+        deviation_csv_rows, group_sites, heatmap_csv_rows, metrics_vs_frequency,
+        per_mode_deviation, trend_csv_rows)
 
-    report = per_mode_deviation(sites)
-    trend = metrics_vs_frequency(sites)
+    groups = group_sites(sites)
+    report, trend = per_mode_deviation(groups), metrics_vs_frequency(groups)
     files = {**files, "deviation.csv": _lines(deviation_csv_rows(report)),
              "trend.csv": _lines(trend_csv_rows(trend))}
     if heatmap:
@@ -581,5 +585,21 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+def run() -> None:
+    """The process entry point: main(), the atexit callbacks, stdout and stderr
+    flushed, then os._exit, which skips the interpreter's teardown."""
+    code = main()
+    hooks = getattr(sys, "monitoring", None)  # Python 3.12+: cProfile and coverage
+    if sys.gettrace() or sys.getprofile() or hooks and any(map(hooks.get_tool, range(6))):
+        sys.exit(code)  # a tracer or profiler sees the end
+    atexit._run_exitfuncs()
+    try:
+        for stream in filter(None, (sys.stdout, sys.stderr)):
+            stream.flush()
+    except OSError:
+        sys.exit(code)  # the final flush fails again: Python's report and exit 120
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

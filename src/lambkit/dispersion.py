@@ -256,11 +256,12 @@ def _roots_at_k(plate: PlateSpec, symmetry: str, k: float, n_roots: int):
     """
     import numpy as np
     grid = _scan_grid(plate, k)
-    t1, t2 = _residual_terms(grid, k, plate, symmetry)
-    vals = t1 + t2
-    noise = _NOISE_MARGIN * (np.abs(t1) + np.abs(t2))
-    resolved = np.abs(vals) > noise
-    brackets = np.flatnonzero(resolved[:-1] & resolved[1:] & (vals[:-1] * vals[1:] < 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value stays unresolved
+        t1, t2 = _residual_terms(grid, k, plate, symmetry)
+        vals = t1 + t2
+        noise = _NOISE_MARGIN * (np.abs(t1) + np.abs(t2))
+        resolved = np.abs(vals) > noise
+        brackets = np.flatnonzero(resolved[:-1] & resolved[1:] & (vals[:-1] * vals[1:] < 0.0))
     roots = []
     first_root_idx = None
     for i in brackets:

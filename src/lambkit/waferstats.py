@@ -40,6 +40,7 @@ __all__ = [
     "TrendPoint",
     "TrendSeries",
     "relstd",
+    "group_sites",
     "per_mode_deviation",
     "metrics_vs_frequency",
     "simulate_wafer",
@@ -183,13 +184,19 @@ class DeviationReport:
         raise KeyError(f"no group ({mode}, {pitch_m})")
 
 
-def _usable_groups(sites):
+class SiteGroups(tuple):
+    """group_sites' result, which both reductions take in place of the sites."""
+
+
+def group_sites(sites) -> SiteGroups:
     """((mode, pitch), [ModeMetrics], n_excluded) for every group with at least
     two usable sites, sorted by (mode, pitch), and one warning per omitted group.
 
     Metrics are sorted by (site_id, f_r) so every aggregate is evaluated in the
     same order no matter how the caller ordered the sites.
     """
+    if isinstance(sites, SiteGroups):
+        return sites
     sites = list(sites)
     if not sites:
         raise StatisticsError("no sites to aggregate")
@@ -214,7 +221,7 @@ def _usable_groups(sites):
             )
             continue
         usable.append((key, [m for _, m in values], n_excl))
-    return usable, tuple(warnings)
+    return SiteGroups((usable, tuple(warnings)))
 
 
 def per_mode_deviation(sites) -> DeviationReport:
@@ -223,20 +230,12 @@ def per_mode_deviation(sites) -> DeviationReport:
     Fit-failed sites are excluded and counted; groups left with fewer than two
     sites are omitted with a warning entry instead of a row.
     """
-    groups, warnings = _usable_groups(sites)
+    groups, warnings = group_sites(sites)
     rows = []
     for (mode, pitch), ms, n_excl in groups:
         values = [m.f_r for m in ms]
-        rows.append(
-            DeviationRow(
-                mode=mode,
-                pitch_m=pitch,
-                mean_f_hz=_sum(values) / len(values),
-                relstd_pct=relstd(values),
-                n=len(values),
-                excluded=n_excl,
-            )
-        )
+        rows.append(DeviationRow(mode=mode, pitch_m=pitch, mean_f_hz=_sum(values) / len(values),
+                                 relstd_pct=relstd(values), n=len(values), excluded=n_excl))
     return DeviationReport(tuple(rows), warnings)
 
 
@@ -289,24 +288,15 @@ class TrendSeries:
 
 def metrics_vs_frequency(sites) -> TrendSeries:
     """Aggregate q_r and k_eff_sq bands per (mode, pitch), ordered by mean f_r."""
-    groups, warnings = _usable_groups(sites)
+    groups, warnings = group_sites(sites)
     per_mode: dict = {}
     for (mode, pitch), ms, _ in groups:
         fs = [m.f_r for m in ms]
         q_mean, q_std = _mean_std([m.q_r for m in ms])
         k_mean, k_std = _mean_std([m.k_eff_sq for m in ms])
-        per_mode.setdefault(mode, []).append(
-            TrendPoint(
-                mode=mode,
-                pitch_m=pitch,
-                mean_f_hz=_sum(fs) / len(fs),
-                q_mean=q_mean,
-                q_std=q_std,
-                k_mean=k_mean,
-                k_std=k_std,
-                n=len(ms),
-            )
-        )
+        per_mode.setdefault(mode, []).append(TrendPoint(
+            mode=mode, pitch_m=pitch, mean_f_hz=_sum(fs) / len(fs), q_mean=q_mean, q_std=q_std,
+            k_mean=k_mean, k_std=k_std, n=len(ms)))
     for mode, pts in per_mode.items():
         pts.sort(key=lambda p: p.mean_f_hz)
         per_mode[mode] = tuple(pts)

@@ -312,6 +312,26 @@ def test_scan_floor_underflow_exits_3(tmp_path):
     assert "S0: 4 of 5 points solved" in proc.stdout
 
 
+# pitch 1e-300 puts k*h near 1e294, where the scan's residual overflows
+OVERFLOWING_SCANS = [
+    (["disperse", "--pitch-min", "1e-300", "--pitch-max", "2e-300", "--points", "2", "--quiet"],
+     "error: mode A0: no roots in the requested wavenumber range"),
+    (["simulate-wafer", "--pitches", "1e-300", "--quiet"],
+     "error: no reliable A0 root near k*h = 1.25664e+294"),
+]
+
+
+@pytest.mark.parametrize("argv, message", OVERFLOWING_SCANS)
+def test_overflowing_scan_exits_3_with_one_line(tmp_path, capsys, argv, message):
+    # in process under the warnings-as-errors filter, where a RuntimeWarning
+    # would be an internal error (exit 70)
+    assert cli.main([*argv, "--out", str(tmp_path)]) == cli.EXIT_SOLVER
+    assert capsys.readouterr().err == message + "\n"
+    # a fresh process, with stdout buffered as run() leaves it (see BUFFERED)
+    proc = run_cli(*argv, "--out", str(tmp_path), env={"PYTHONUNBUFFERED": None})
+    assert (proc.returncode, proc.stderr, proc.stdout) == (cli.EXIT_SOLVER, message + "\n", "")
+
+
 @pytest.mark.parametrize("argv, doc, where", [
     (["layout"], {"chip": {"margin_m": float("nan")}}, "chip/margin_m"),
     (["design"], {"capacitance": {"eps_r": float("nan")}}, "capacitance/eps_r"),
@@ -1497,3 +1517,105 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, command):
         digests.append((proc.stdout.replace(str(out), "OUT"), output_digests(out)))
     assert digests[0] == digests[1]
     assert len(digests[0][1]) == {"fit": 2, "simulate-wafer": 3, "disperse": 1}[command]
+
+
+# --------------------------------------------------------- process exit
+
+# Unset, stdout on a pipe is block-buffered, so output that run() failed to
+# flush before os._exit would be lost; PYTHONUNBUFFERED would hide that.
+BUFFERED = {"PYTHONUNBUFFERED": None}
+
+
+def fit_three_files(tmp_path):
+    dut, _ = write_dut(tmp_path)
+    paths = [tmp_path / f"dut_{tag}.s1p" for tag in "abc"]
+    for path in paths:
+        shutil.copy(dut, path)
+    return ["fit", *map(str, paths)]
+
+
+@pytest.mark.parametrize("command", ["help", "simulate-wafer", "fit"])
+def test_fresh_process_prints_what_main_prints(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")  # the help text's width, here and in the child
+    argv = {"help": lambda: ["--help"],
+            "simulate-wafer": lambda: ["simulate-wafer", "--seed", "7", "--out", str(tmp_path)],
+            "fit": lambda: [*fit_three_files(tmp_path), "--out", str(tmp_path)]}[command]()
+    assert cli.main(argv) == cli.EXIT_OK
+    expected = capsys.readouterr().out
+    assert expected.count("\n") >= 4
+    proc = run_cli(*argv, env=BUFFERED)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert proc.stdout == expected
+    assert proc.stderr == ""
+
+
+def test_fresh_process_runs_atexit_callbacks_before_the_flush():
+    proc = run_python("-c", (
+        "import atexit\n"
+        "from lambkit import cli\n"
+        "atexit.register(print, 'atexit ran')\n"
+        "cli.run()\n"
+    ), "--help", env=BUFFERED)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert proc.stdout.startswith("usage: lambkit")
+    assert proc.stdout.endswith("\natexit ran\n")
+
+
+def run_on_dev_full(*args):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, *args], stdout=full, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=120)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["--help"], ["flow-check", "alscn-ti-adhesion"]])
+def test_failed_flush_ends_as_sys_exit_does(tmp_path, argv):
+    argv = [*argv, *(["--out", str(tmp_path)] if argv[0] != "--help" else [])]
+    ended = run_on_dev_full("-m", "lambkit.cli", *argv)
+    assert ended == run_on_dev_full(
+        "-c", "import sys; from lambkit import cli; sys.exit(cli.main())", *argv)
+    assert ended[0] == 120
+    assert ended[1].startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+    assert "No space left on device" in ended[1]
+
+
+@pytest.mark.parametrize("hook", [sys.settrace, sys.setprofile])
+def test_traced_or_profiled_run_exits_through_sys_exit(monkeypatch, capsys, hook):
+    monkeypatch.setattr(sys, "argv", ["lambkit", "--help"])
+    before = sys.gettrace() if hook is sys.settrace else sys.getprofile()
+    hook(before or (lambda *args: None))
+    try:
+        with pytest.raises(SystemExit) as ended:
+            cli.run()
+    finally:
+        hook(before)
+    assert ended.value.code == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: lambkit")
+
+
+def test_cprofile_of_the_module_writes_its_profile(tmp_path):
+    import pstats
+
+    profile = tmp_path / "cli.prof"
+    proc = run_python("-m", "cProfile", "-o", str(profile), "-m", "lambkit.cli", "--help",
+                      env=BUFFERED)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert proc.stdout.startswith("usage: lambkit")
+    functions = {name for _, _, name in pstats.Stats(str(profile)).stats}
+    assert {"main", "run", "build_parser"} <= functions
+
+
+def test_console_script_and_module_run_the_same_entry():
+    import ast
+
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"lambkit": "lambkit.cli:run"}
+    tree = ast.parse(Path(cli.__file__).read_text())
+    guard = [node for node in tree.body if isinstance(node, ast.If)
+             and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(stmt) for stmt in guard[0].body] == ["run()"]

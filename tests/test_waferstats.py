@@ -20,6 +20,7 @@ from lambkit.waferstats import (
     DeviationRow,
     WaferSite,
     deviation_csv_rows,
+    group_sites,
     heatmap_csv_rows,
     metrics_vs_frequency,
     per_mode_deviation,
@@ -290,6 +291,38 @@ def test_group_statistics_permutation_invariant():
     rng.shuffle(shuffled)
     backward = per_mode_deviation(shuffled)
     assert forward == backward  # bit-identical rows
+
+
+def test_reductions_of_grouped_sites_equal_those_of_the_sites():
+    sites = simulate_wafer(CFG.variation, SEED, [2e-6, 4.5e-6], CFG.plate, CFG.chip, CFG.wafer)
+    sites.append(make_site(10_000, {}, pitch=7e-6, failed=("S0",)))  # an omitted group
+    groups = group_sites(sites)
+    assert group_sites(groups) is groups
+    report, trend = per_mode_deviation(groups), metrics_vs_frequency(groups)
+    assert report == per_mode_deviation(sites) and report.warnings
+    assert trend == metrics_vs_frequency(sites) and trend.warnings == report.warnings
+    with pytest.raises(StatisticsError, match="no sites"):
+        group_sites(iter([]))
+
+
+@pytest.mark.parametrize("command", ["stats", "simulate-wafer"])
+def test_report_commands_group_the_sites_once(tmp_path, monkeypatch, command):
+    from lambkit import cli
+
+    original, grouped = waferstats.group_sites, []
+
+    def counting(sites):
+        grouped.append(isinstance(sites, waferstats.SiteGroups))
+        return original(sites)
+
+    monkeypatch.setattr(waferstats, "group_sites", counting)
+    argv = ["simulate-wafer", "--seed", "7", "--out", str(tmp_path), "--quiet"]
+    assert cli.main(argv) == 0
+    if command == "stats":
+        grouped.clear()
+        argv = ["stats", str(tmp_path / "sites.json"), "--out", str(tmp_path), "--quiet"]
+        assert cli.main(argv) == 0
+    assert grouped == [False, True, True]
 
 
 # ---------------------------------------------------------------- simulate
