@@ -28,8 +28,11 @@ set wins, and a caller that has already loaded numpy keeps its environment.
 When its first argument names a subcommand, main() builds that subcommand's
 parser alone; the help and usage texts read as the full parser's do.  The
 lambkit script and python -m lambkit.cli end in run(): once stdout and stderr
-are flushed, os._exit skips the interpreter's teardown.  A failed flush, a
-tracer or profiler, and main(argv) called in process end the usual way.
+are flushed, os._exit skips the interpreter's teardown.  A flush that fails
+(a full or closed stdout) is reported as main() reports an OSError, with exit
+code 2 where the command's own was 0, so a buffered stdout ends as an
+unbuffered one does.  A tracer or profiler and main(argv) called in process
+end the usual way.
 """
 
 import argparse
@@ -587,7 +590,8 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """The process entry point: main(), the atexit callbacks, stdout and stderr
-    flushed, then os._exit, which skips the interpreter's teardown."""
+    flushed, then os._exit, which skips the interpreter's teardown.  A failed
+    flush prints main()'s one-line OSError report and exits non-zero."""
     code = main()
     hooks = getattr(sys, "monitoring", None)  # Python 3.12+: cProfile and coverage
     if sys.gettrace() or sys.getprofile() or hooks and any(map(hooks.get_tool, range(6))):
@@ -596,8 +600,12 @@ def run() -> None:
     try:
         for stream in filter(None, (sys.stdout, sys.stderr)):
             stream.flush()
-    except OSError:
-        sys.exit(code)  # the final flush fails again: Python's report and exit 120
+    except OSError as exc:
+        code = code or EXIT_USAGE
+        try:
+            print(f"error: {exc}", file=sys.stderr, flush=True)
+        except OSError:  # stderr is gone too: the exit code is all that is left
+            pass
     os._exit(code)
 
 

@@ -15,13 +15,11 @@ CONFIG_SCHEMA is built; adding a field takes that one field plus its value in
 
 from __future__ import annotations
 
-import json
 import operator
-from importlib import resources
 
 from . import MODE_NAMES
 from .dispersion import PlateMaterial, PlateSpec
-from .errors import ConfigError, InputError, is_json_number, read_json, shown
+from .errors import ConfigError, InputError, is_json_number, packaged_json, read_json, shown
 from .record import astuple, dataclass, field, fields
 
 __all__ = [
@@ -184,7 +182,7 @@ class ToolkitConfig:
 
     @classmethod
     def default(cls) -> "ToolkitConfig":
-        return cls.from_dict(default_config_dict())
+        return cls.from_dict({})
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ToolkitConfig":
@@ -282,13 +280,8 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _read_packaged(name: str) -> dict:
-    with resources.files("lambkit.data").joinpath(name).open("r") as fh:
-        return json.load(fh)
-
-
 def default_config_dict() -> dict:
-    return _read_packaged("default_config.json")
+    return packaged_json("default_config.json")
 
 
 def load_config(path=None) -> ToolkitConfig:
@@ -303,7 +296,7 @@ def load_config(path=None) -> ToolkitConfig:
 
 def load_catalog(path=None) -> dict:
     """Design catalog: pitch sweep plus as-fabricated reference counts."""
-    raw = (_read_packaged("design_catalog.json") if path is None
+    raw = (packaged_json("design_catalog.json") if path is None
            else read_json(path, "catalog", ConfigError))
     pitches = raw.get("pitches_m") if isinstance(raw, dict) else None
     if not isinstance(pitches, list) or not pitches:

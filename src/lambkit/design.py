@@ -160,7 +160,7 @@ def recommend_dose(finger_width: float) -> float:
     if not (DOSE_WIDTH_MIN <= finger_width <= DOSE_WIDTH_MAX):
         raise DoseRangeError(
             f"finger width {finger_width * 1e9:.1f} nm outside the "
-            f"calibrated range [250 nm, 2250 nm]"
+            f"calibrated range [{DOSE_WIDTH_MIN * 1e9:g} nm, {DOSE_WIDTH_MAX * 1e9:g} nm]"
         )
     if finger_width <= DOSE_STEP_WIDTH + DOSE_STEP_TOL:
         return DOSE_SMALL_MJ_CM2
@@ -176,10 +176,12 @@ def layer_assignment(pitch: float) -> LayerBand:
     if SMALL_PITCH_RANGE[1] < pitch < LARGE_PITCH_RANGE[0]:
         raise LayerAssignmentError(
             f"pitch {pitch!r} m falls in the unassigned interval "
-            f"(1000 nm, 1500 nm) between the exposure bands"
+            f"({SMALL_PITCH_RANGE[1] * 1e9:g} nm, {LARGE_PITCH_RANGE[0] * 1e9:g} nm) "
+            f"between the exposure bands"
         )
     raise LayerAssignmentError(
-        f"pitch {pitch!r} m outside the catalog range [500 nm, 4500 nm]"
+        f"pitch {pitch!r} m outside the catalog range "
+        f"[{SMALL_PITCH_RANGE[0] * 1e9:g} nm, {LARGE_PITCH_RANGE[1] * 1e9:g} nm]"
     )
 
 

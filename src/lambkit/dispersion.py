@@ -23,13 +23,11 @@ nothing, and solve_grid polishes the roots it brackets: no numpy is loaded.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import sys
-from importlib import resources
 
 from . import MODE_NAMES
-from .errors import DispersionRangeError, InputError, SensitivityError, SolverError
+from .errors import DispersionRangeError, InputError, SensitivityError, SolverError, packaged_json
 from .record import dataclass
 
 __all__ = [
@@ -380,8 +378,7 @@ def _solve_node(material: PlateMaterial, mode: str, j: int):
 @functools.cache
 def _packaged_table() -> tuple:
     """(material, j_min, {mode: [ln F of node j_min, ...]}) of data/lattice.json."""
-    with resources.files("lambkit.data").joinpath("lattice.json").open("r") as fh:
-        t = json.load(fh)
+    t = packaged_json("lattice.json")
     return PlateMaterial(t["v_l"], t["v_t"]), t["j_min"], t["ln_f"]
 
 

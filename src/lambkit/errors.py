@@ -5,9 +5,11 @@ callers (and the CLI) can map failures to exit codes without string matching.
 
 It also owns the input boundary for JSON documents (config, catalog, flow,
 rate table, sites): ``read_json`` is the one place a user JSON file is opened,
-and ``is_json_number`` the one rule for a number: finite as a float, so not
-the NaN, Infinity and huge integers (``10**400``) that ``json.load`` reads.
-Loaders name the JSON path of a bad value.  Stdlib only: no numpy is loaded.
+``packaged_json`` the one place a file of ``lambkit.data`` is read, both as
+UTF-8 whatever the locale, and ``is_json_number`` the one rule for a number:
+finite as a float, so not the NaN, Infinity and huge integers (``10**400``)
+that ``json.load`` reads.  Loaders name the JSON path of a bad value.  Stdlib
+only: no numpy is loaded.
 """
 
 import json
@@ -128,6 +130,13 @@ def read_json(path, what: str, error=InputError):
         raise error(f"{what} file not found: {path}") from None
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise error(f"{what} file is not valid JSON: {exc}") from None
+
+
+def packaged_json(name: str):
+    """The JSON document in the package's data file ``name``."""
+    from importlib import resources  # only the commands that read one load it
+
+    return json.loads(resources.files("lambkit.data").joinpath(name).read_text("utf-8"))
 
 
 def is_json_number(value) -> bool:

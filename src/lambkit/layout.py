@@ -118,9 +118,6 @@ class Polygon:
                        else (_integer(x, "vertex coordinate"), _integer(y, "vertex coordinate"))
                        for x, y in self.vertices])
         object.__setattr__(self, "vertices", verts)
-        if len(verts) == 4 and _ccw_rectangle(*verts[0], *verts[1], *verts[2], *verts[3]):
-            _check_int32(verts)
-            return
         if len(set(verts)) < 3:
             raise InputError("polygon needs at least 3 distinct vertices")
         n = len(verts)
@@ -398,7 +395,6 @@ def gen_chip(
     designs,
     chip_cfg: ChipConfig,
     layers: LayerMap,
-    lib_name: str = "LAMBKIT",
 ) -> Library:
     """Row-pack device/open/short triplets into the chip area.
 
@@ -406,7 +402,7 @@ def gen_chip(
     left to right, starting a new row when the triplet would cross the chip
     margin.  The first design that cannot fit raises PackingError.
     """
-    lib = Library(name=lib_name)
+    lib = Library()
     chip = Cell(name=CHIP_CELL_NAME)
     w = to_dbu(chip_cfg.width_m)
     h = to_dbu(chip_cfg.height_m)

@@ -16,14 +16,12 @@ blocking the layers below them.
 
 from __future__ import annotations
 
-import json
 import math
 import re
-from importlib import resources
 
 from .errors import (
-    FlowError, InputError, MissingRateError, is_json_number, json_number, json_object, read_json,
-    shown)
+    FlowError, InputError, MissingRateError, is_json_number, json_number, json_object,
+    packaged_json, read_json, shown)
 from .record import asdict, dataclass, fields, replace
 
 __all__ = [
@@ -55,31 +53,11 @@ __all__ = [
     "packaged_flow",
 ]
 
-STEP_KINDS = (
-    "deposit",
-    "spin_coat",
-    "expose",
-    "develop",
-    "etch_dry",
-    "etch_ibe",
-    "etch_vapor",
-    "etch_wet",
-    "strip_ash",
-    "strip_wet",
-    "release",
-)
 ADDITIVE_KINDS = ("deposit", "spin_coat")
-# Subtractive kinds must name a chemistry or carry an angle/time recipe.
-_SUBTRACTIVE_KINDS = (
-    "develop",
-    "etch_dry",
-    "etch_ibe",
-    "etch_vapor",
-    "etch_wet",
-    "strip_ash",
-    "strip_wet",
-)
 _ETCH_KINDS = ("etch_dry", "etch_ibe", "etch_vapor", "etch_wet")
+# Subtractive kinds must name a chemistry or carry an angle/time recipe.
+_SUBTRACTIVE_KINDS = ("develop", *_ETCH_KINDS, "strip_ash", "strip_wet")
+STEP_KINDS = (*ADDITIVE_KINDS, "expose", *_SUBTRACTIVE_KINDS, "release")
 
 RESIST_MATERIALS = frozenset({"M108Y", "M35G"})
 BARC_MATERIALS = frozenset({"DS-K101", "DUV42-P"})
@@ -475,14 +453,7 @@ class FlowReport:
             "error_count": self.error_count,
             "warning_count": self.warning_count,
             "suspended": self.final_state.suspended,
-            "final_stack": [
-                {
-                    "material": l.material,
-                    "thickness_m": l.thickness_m,
-                    "patterned": l.patterned,
-                }
-                for l in self.final_state.layers
-            ],
+            "final_stack": [asdict(layer) for layer in self.final_state.layers],
         }
 
 
@@ -779,12 +750,11 @@ def load_flow(path) -> tuple:
     return steps_from_dict(read_json(path, "flow"))
 
 
-GOLDEN_FLOW_NAMES = ("alscn-aln-adhesion", "alscn-ti-adhesion")
-
 _FLOW_FILES = {
     "alscn-aln-adhesion": "flow_alscn_aln.json",
     "alscn-ti-adhesion": "flow_alscn_ti.json",
 }
+GOLDEN_FLOW_NAMES = tuple(_FLOW_FILES)
 
 
 def packaged_flow(name: str) -> tuple:
@@ -795,5 +765,4 @@ def packaged_flow(name: str) -> tuple:
         raise InputError(
             f"unknown packaged flow {name!r} (known: {sorted(_FLOW_FILES)})"
         ) from None
-    text = resources.files("lambkit.data").joinpath(filename).read_text("utf-8")
-    return steps_from_dict(json.loads(text))
+    return steps_from_dict(packaged_json(filename))

@@ -7,10 +7,10 @@ entropy pool and generate_state, PCG64 (128-bit LCG, XSL-RR output; O'Neill
 tables tools/ziggurat_table.py ships as data/ziggurat.json.
 """
 
-import json
 from functools import cache
-from importlib import resources
 from math import exp, log1p
+
+from .errors import packaged_json
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
@@ -21,8 +21,7 @@ _INV_R = 0.27366123732975827203338247596
 @cache
 def _ziggurat() -> tuple:
     """(ki, wi, fi) of data/ziggurat.json, read on the first draw."""
-    with resources.files("lambkit.data").joinpath("ziggurat.json").open("r") as fh:
-        t = json.load(fh)
+    t = packaged_json("ziggurat.json")
     return t["ki_double"], t["wi_double"], t["fi_double"]
 
 

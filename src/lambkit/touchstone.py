@@ -115,22 +115,28 @@ def _checked_rows(data, rows, unit_scale: float, fmt: str):
     """Frequencies in Hz of the (n, 3) data block; raises at its first bad row.
 
     Within a row the checks run in the order a line-by-line reader applies
-    them: non-finite values, then a frequency not above the previous row's,
-    then a dB magnitude that ``10 ** (dB / 20)`` would overflow.
+    them: non-finite values, then a frequency that is not positive and finite
+    in Hz, then one not above the previous row's, then a dB magnitude that
+    ``10 ** (dB / 20)`` would overflow.
     """
     with np.errstate(over="ignore"):  # a huge finite value times the unit is inf, as in Python
         f_hz = data[:, 0] * unit_scale
     n = len(data)
     non_finite = ~np.isfinite(data).all(axis=1)
+    not_in_range = ~((f_hz > 0.0) & (f_hz < np.inf))
     not_increasing = np.zeros(n, dtype=bool)
     not_increasing[1:] = f_hz[1:] <= f_hz[:-1]
     too_loud = data[:, 1] > 6000.0 if fmt == "DB" else np.zeros(n, dtype=bool)
-    bad = non_finite | not_increasing | too_loud
+    bad = non_finite | not_in_range | not_increasing | too_loud
     if bad.any():
         i = int(np.argmax(bad))
         lineno, stripped = rows[i]
         if non_finite[i]:
             raise TouchstoneParseError(f"non-finite data {stripped!r}", line=lineno)
+        if not_in_range[i]:
+            raise TouchstoneParseError(
+                f"frequency {float(data[i, 0])!r} not positive and finite in Hz", line=lineno
+            )
         if not_increasing[i]:
             raise TouchstoneParseError(
                 f"frequency {float(data[i, 0])!r} not strictly increasing", line=lineno

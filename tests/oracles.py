@@ -181,6 +181,10 @@ def parse_touchstone_reference(text) -> TouchstoneFile:
         if not (math.isfinite(f) and math.isfinite(a) and math.isfinite(b)):
             raise TouchstoneParseError(f"non-finite data {stripped!r}", line=lineno)
         f_hz = f * unit_scale
+        if not 0.0 < f_hz < math.inf:
+            raise TouchstoneParseError(
+                f"frequency {f!r} not positive and finite in Hz", line=lineno
+            )
         if freqs and f_hz <= freqs[-1]:
             raise TouchstoneParseError(
                 f"frequency {f!r} not strictly increasing", line=lineno

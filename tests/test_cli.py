@@ -1561,25 +1561,51 @@ def test_fresh_process_runs_atexit_callbacks_before_the_flush():
     assert proc.stdout.endswith("\natexit ran\n")
 
 
-def run_on_dev_full(*args):
+def test_commands_read_no_file_in_the_locale_encoding(tmp_path):
+    # a text read without an encoding warns under warn_default_encoding, and
+    # the warning as an error ends the command with exit 70
+    for argv in (["disperse", "--points", "2"], ["design", "--pitches", "2e-6"],
+                 ["layout", "--pitches", "2e-6"], ["simulate-wafer", "--pitches", "2e-6"],
+                 ["flow-check", "alscn-aln-adhesion"]):
+        proc = run_python("-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                          "-m", "lambkit.cli", *argv, "--out", str(tmp_path))
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, ""), argv
+
+
+def run_on_dev_full(*argv, unbuffered: bool):
+    """(exit code, stderr) of ``lambkit argv`` with its stdout on /dev/full."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, *args], stdout=full, stderr=subprocess.PIPE,
-                              text=True, env=env, timeout=120)
+        proc = subprocess.run([sys.executable, "-m", "lambkit.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
     return proc.returncode, proc.stderr
 
 
+FULL_STDOUT = (cli.EXIT_USAGE, "error: [Errno 28] No space left on device\n")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("argv", [["--help"], ["flow-check", "alscn-ti-adhesion"]])
-def test_failed_flush_ends_as_sys_exit_does(tmp_path, argv):
-    argv = [*argv, *(["--out", str(tmp_path)] if argv[0] != "--help" else [])]
-    ended = run_on_dev_full("-m", "lambkit.cli", *argv)
-    assert ended == run_on_dev_full(
-        "-c", "import sys; from lambkit import cli; sys.exit(cli.main())", *argv)
-    assert ended[0] == 120
-    assert ended[1].startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
-    assert "No space left on device" in ended[1]
+@pytest.mark.parametrize("argv, written", [
+    (["design"], "designs.json"),
+    (["flow-check", "alscn-ti-adhesion"], "flow_report.json"),
+])
+def test_failed_flush_ends_as_an_unbuffered_write_does(tmp_path, argv, written):
+    # buffered, the write fails in run()'s final flush, after the files are
+    # written; unbuffered, in the command's first print, which main() reports
+    for unbuffered in (False, True):
+        out = tmp_path / f"unbuffered-{unbuffered}"
+        assert run_on_dev_full(*argv, "--out", str(out), unbuffered=unbuffered) == FULL_STDOUT
+    assert (tmp_path / "unbuffered-False" / written).is_file()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_help_on_a_full_stdout_is_reported_only_when_buffered():
+    # unbuffered, argparse's own print swallows the OSError and the text is lost
+    assert run_on_dev_full("--help", unbuffered=False) == FULL_STDOUT
+    assert run_on_dev_full("--help", unbuffered=True) == (cli.EXIT_OK, "")
 
 
 @pytest.mark.parametrize("hook", [sys.settrace, sys.setprofile])

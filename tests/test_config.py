@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from lambkit import config
 from lambkit.config import (
     CONFIG_SCHEMA,
     ChipConfig,
@@ -20,8 +21,21 @@ from lambkit.config import (
     load_catalog,
     load_config,
 )
-from lambkit.errors import ConfigError
+from lambkit.errors import ConfigError, packaged_json
 from lambkit.record import fields
+
+
+def test_load_config_reads_the_packaged_defaults_once(monkeypatch):
+    read = []
+
+    def counted(name):
+        read.append(name)
+        return packaged_json(name)
+
+    monkeypatch.setattr(config, "packaged_json", counted)
+    cfg = load_config()
+    assert read == ["default_config.json"]
+    assert cfg == ToolkitConfig.from_dict(default_config_dict())
 
 
 def test_default_config_loads():

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from lambkit import design
 from lambkit.config import ToolkitConfig
 from lambkit.design import (
     CapacitanceModel,
@@ -87,6 +88,23 @@ def test_layer_assignment_bands():
         layer_assignment(400e-9)
     with pytest.raises(LayerAssignmentError):
         layer_assignment(5e-6)
+
+
+def test_range_messages_follow_the_design_constants(monkeypatch):
+    with pytest.raises(DoseRangeError, match=r"range \[250 nm, 2250 nm\]$"):
+        recommend_dose(2.26e-6)
+    with pytest.raises(LayerAssignmentError, match=r"interval \(1000 nm, 1500 nm\) "):
+        layer_assignment(1.2e-6)
+    with pytest.raises(LayerAssignmentError, match=r"range \[500 nm, 4500 nm\]$"):
+        layer_assignment(5e-6)
+    monkeypatch.setattr(design, "DOSE_WIDTH_MAX", 3e-6)
+    monkeypatch.setattr(design, "LARGE_PITCH_RANGE", (1.75e-6, 6e-6))
+    with pytest.raises(DoseRangeError, match=r"range \[250 nm, 3000 nm\]$"):
+        recommend_dose(3.1e-6)
+    with pytest.raises(LayerAssignmentError, match=r"interval \(1000 nm, 1750 nm\) "):
+        layer_assignment(1.6e-6)
+    with pytest.raises(LayerAssignmentError, match=r"range \[500 nm, 6000 nm\]$"):
+        layer_assignment(7e-6)
 
 
 def test_match_pitch_2um_regression():

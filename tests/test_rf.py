@@ -216,7 +216,8 @@ def test_parse_matches_line_parser_bit_for_bit(fmt):
 _BAD_TOKENS = ("nan", "-inf", "Infinity", "abc", "1e999", "7000", "6000", "0", "-1", "1,5",
                "1_0", "-0.0", "1e-320", "1e300", "0x10", "--1")
 _BAD_LINES = ("# GHz S RI R 50", "# hz s db r 0", "# ghz s ma r", "# ghz s ri r x", "# mhz y ri",
-              "#", "1 2", "1 2 3 4", "x y z", "5 1 1", "1e300 0 0", "! c", "", "  ! ", "0.5 1 1")
+              "#", "1 2", "1 2 3 4", "x y z", "5 1 1", "1e300 0 0", "! c", "", "  ! ", "0.5 1 1",
+              "0 1 1", "-1 0 0")
 
 
 def _mutate(rng, lines: list) -> list:
@@ -275,6 +276,10 @@ def test_parse_earliest_faulty_line_wins():
         "2 x 0\n1 0 0\n": (3, "non-numeric"),
         "2 0 0\n1 0 0\n3 x 0\n": (4, "not strictly increasing"),
         "2 0 0\n3 0\n4 x 0\n": (4, "expected 3 columns"),
+        # a frequency that is not positive and finite in Hz, before the order check
+        "-1 0 0\n": (3, "frequency -1.0 not positive and finite in Hz"),
+        "0 0 0\n": (3, "frequency 0.0 not positive and finite in Hz"),
+        "1e300 0 0\n": (3, "frequency 1e+300 not positive and finite in Hz"),
     }
     for tail, (line, what) in cases.items():
         with pytest.raises(TouchstoneParseError) as exc:
