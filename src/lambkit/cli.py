@@ -182,20 +182,27 @@ def cmd_disperse(args) -> int:
     # np.linspace's points bit for bit: k_lo + i*step, and k_hi itself last
     step = (k_hi - k_lo) / (args.points - 1)
     k_grid = [k_lo + i * step for i in range(args.points - 1)] + [k_hi]
-    rows = ["mode,k_rad_m,f_hz,v_phase_m_s"]
+    rows, solved = ["mode,k_rad_m,f_hz,v_phase_m_s"], []
     for mode in modes:
         ks, fs, _ = solve_grid(cfg.plate, mode, k_grid)
         if not ks:
             raise SolverError(f"mode {mode}: no roots in the requested wavenumber range")
         rows.extend(f"{mode},{k:.9e},{f:.9e},{2.0 * math.pi * f / k:.9e}" for k, f in zip(ks, fs))
-        _say(args, f"{mode}: {len(ks)} of {args.points} points solved")
+        solved.append(f"{mode}: {len(ks)} of {args.points} points solved")
     _write_files(args.out, {"dispersion.csv": _lines(rows)})
+    for line in solved:
+        _say(args, line)
     _say(args, f"wrote {os.path.join(args.out, 'dispersion.csv')}")
     return EXIT_OK
 
 
 def cmd_design(args) -> int:
     cfg, designs = _build_designs(args)
+    doc = {
+        "target_impedance_ohm": cfg.matching.target_impedance_ohm,
+        "designs": [d.to_dict() for d in designs],
+    }
+    _write_files(args.out, {"designs.json": _json_text(doc)})
     for d in designs:
         _say(
             args,
@@ -203,11 +210,6 @@ def cmd_design(args) -> int:
             f"{d.achieved_impedance:.2f} ohm, layer {d.layer.value}, "
             f"dose {d.dose:.2f} mJ/cm2",
         )
-    doc = {
-        "target_impedance_ohm": cfg.matching.target_impedance_ohm,
-        "designs": [d.to_dict() for d in designs],
-    }
-    _write_files(args.out, {"designs.json": _json_text(doc)})
     _say(args, f"wrote {os.path.join(args.out, 'designs.json')}")
     return EXIT_OK
 
@@ -389,9 +391,9 @@ def _parse_heatmap(spec: str):
     return mode, pitch
 
 
-def _write_reports(args, sites, files: dict, heatmap=None) -> None:
-    """Write files with the deviation and trend reports of sites, and the
-    heatmap of heatmap = (mode, pitch) if given, then print the reduction."""
+def _write_reports(args, sites, files: dict, heatmap=None, said=()) -> None:
+    """Write files with the deviation and trend reports of sites, and the heatmap
+    of heatmap = (mode, pitch) if given, then print said and the reduction."""
     from .waferstats import (
         deviation_csv_rows, group_sites, heatmap_csv_rows, metrics_vs_frequency,
         per_mode_deviation, trend_csv_rows)
@@ -407,6 +409,8 @@ def _write_reports(args, sites, files: dict, heatmap=None) -> None:
             raise StatisticsError(f"no sites carry mode {mode} at pitch {pitch:g} m")
         files["heatmap.csv"] = _lines(rows)
     _write_files(args.out, files)
+    for line in said:
+        _say(args, line)
     for warning in report.warnings:
         _warn(warning)
     for row in report.rows:
@@ -427,9 +431,7 @@ def cmd_stats(args) -> int:
     heatmap = _parse_heatmap(args.heatmap) if args.heatmap else None
     doc = read_json(args.sites, "sites")
     sites = sites_from_dict(doc)
-    if "seed" in doc:
-        _say(args, f"seed {doc['seed']}")
-    _write_reports(args, sites, {}, heatmap)
+    _write_reports(args, sites, {}, heatmap, [f"seed {doc['seed']}"] if "seed" in doc else [])
     return EXIT_OK
 
 
@@ -442,9 +444,8 @@ def cmd_simulate_wafer(args) -> int:
     pitches = _catalog_pitches(args)
     sites = simulate_wafer(cfg.variation, seed, pitches, cfg.plate, cfg.chip, cfg.wafer,
                            args.full_resolve)
-    _say(args, f"seed {seed}")
-    _say(args, f"{len(sites)} site(s), {len(pitches)} design pitch(es)")
-    _write_reports(args, sites, {"sites.json": _lines([sites_json(sites, seed=seed)])})
+    _write_reports(args, sites, {"sites.json": _lines([sites_json(sites, seed=seed)])},
+                   said=[f"seed {seed}", f"{len(sites)} site(s), {len(pitches)} design pitch(es)"])
     return EXIT_OK
 
 

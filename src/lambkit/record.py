@@ -1,11 +1,12 @@
 """Records: the part of the standard library's dataclass module that lambkit
 uses, under the same names.
 
-Its ``@dataclass`` compiles each class's methods with ``exec`` and imports
-``inspect`` (with ``ast``, ``dis`` and ``tokenize``), which costs every
-short-lived command tens of milliseconds before it does any work.  Here a
-class's fields are read from its own annotations once, and the class gets
-shared generic methods, so nothing is compiled and nothing is imported.
+Its ``@dataclass`` imports ``inspect`` (with ``ast``, ``dis`` and ``tokenize``)
+and compiles each class's methods with ``exec`` as the class is declared,
+which costs every short-lived command tens of milliseconds before it does any
+work.  Here a class's fields are read from its own annotations once, nothing
+is imported, and the class gets shared generic methods but one: its first
+instance compiles its ``__init__``, one small ``exec`` per class built.
 
 What callers see is a dataclass's behaviour:
 
@@ -19,9 +20,10 @@ What callers see is a dataclass's behaviour:
   unhashable;
 - ``repr`` reads ``Name(a=1, b=2)``.
 
-Records do not inherit fields from a base class, and ``astuple`` and
-``asdict`` do not recurse into nested records: they return the field values
-as they are.
+As with a dataclass, a field without a default may not follow one with a
+default.  Records do not inherit fields from a base class, and ``astuple``
+and ``asdict`` do not recurse into nested records: they return the field
+values as they are.
 """
 
 __all__ = ["dataclass", "field", "fields", "astuple", "asdict", "replace"]
@@ -70,49 +72,24 @@ def replace(record, /, **changes):
     return record.__class__(**{**asdict(record), **changes})
 
 
-def _bind(cls, args: tuple, kwargs: dict) -> dict:
-    """Field name to value of a call that is not one value per field."""
-    names = cls.__record_names__
-    where = f"{cls.__qualname__}.__init__()"
-    if len(args) > len(names):
-        raise TypeError(f"{where} takes {len(names) + 1} positional arguments "
-                        f"but {len(args) + 1} were given")
-    values = dict(zip(names, args))
-    for name in kwargs:
-        if name not in names:
-            raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
-        if name in values:
-            raise TypeError(f"{where} got multiple values for argument {name!r}")
-    values.update(kwargs)
-    missing = []
+def _compile_init(cls, frozen: bool, defaults: tuple):
+    """Compile cls.__init__ from its fields, so that Python's own argument
+    binding takes positional, keyword and default values and raises its own TypeErrors."""
+    scope = {"_record_missing": _MISSING, "_record_setattr": object.__setattr__}
+    params, body = ["self"], []
     for f in cls.__record_fields__:
-        if f.name in values:
-            continue
-        if f.default is not _MISSING:
-            values[f.name] = f.default
-        elif f.default_factory is not _MISSING:
-            values[f.name] = f.default_factory()
-        else:
-            missing.append(repr(f.name))
-    if missing:
-        raise TypeError(f"{where} missing required argument(s): {', '.join(missing)}")
-    return values
-
-
-def _init(self, *args, **kwargs):
-    # the fast paths: one value per field, all by position or all by keyword;
-    # eq, hash and repr read the fields by name, not in __dict__'s order
-    cls = self.__class__
-    if kwargs:
-        if args or kwargs.keys() != cls.__record_keys__:
-            kwargs = _bind(cls, args, kwargs)
-        self.__dict__.update(kwargs)
-    elif len(args) == len(cls.__record_names__):
-        self.__dict__.update(zip(cls.__record_names__, args))
-    else:
-        self.__dict__.update(_bind(cls, args, kwargs))
-    if cls.__record_post_init__:
-        self.__post_init__()
+        params.append(f.name)
+        if f.default_factory is not _MISSING:
+            scope[f"_record_factory_{f.name}"] = f.default_factory
+            body.append(f"if {f.name} is _record_missing: {f.name} = _record_factory_{f.name}()")
+        # a frozen record's own __setattr__ refuses assignment
+        body.append(f"_record_setattr(self, {f.name!r}, {f.name})" if frozen
+                    else f"self.{f.name} = {f.name}")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    exec(f"def __init__({', '.join(params)}):\n    " + "\n    ".join(body or ["pass"]), scope)
+    init = cls.__init__ = scope["__init__"]
+    init.__defaults__, init.__qualname__ = defaults, f"{cls.__qualname__}.__init__"
 
 
 def _eq(self, other):
@@ -139,7 +116,7 @@ def _frozen_delattr(self, name):
 
 
 def _make_record(cls, frozen: bool):
-    found = []
+    found, defaults = [], []  # __init__'s __defaults__; _MISSING stands for a default_factory
     for name, annotation in cls.__dict__.get("__annotations__", {}).items():
         value = cls.__dict__.get(name, _MISSING)
         if isinstance(value, Field):
@@ -147,12 +124,19 @@ def _make_record(cls, frozen: bool):
         else:
             value = Field(value, _MISSING, None)
         value.name, value.type = name, annotation
+        if value.default is not _MISSING or value.default_factory is not _MISSING:
+            defaults.append(value.default)
+        elif defaults:
+            raise TypeError(f"non-default argument {name!r} follows default argument")
         found.append(value)
     cls.__record_fields__ = tuple(found)
     cls.__record_names__ = tuple(f.name for f in found)
-    cls.__record_keys__ = frozenset(cls.__record_names__)
-    cls.__record_post_init__ = hasattr(cls, "__post_init__")
-    cls.__init__, cls.__eq__, cls.__repr__ = _init, _eq, _repr
+
+    def __init__(self, *args, **kwargs):  # the first instance compiles the real one
+        _compile_init(cls, frozen, tuple(defaults))
+        cls.__init__(self, *args, **kwargs)
+
+    cls.__init__, cls.__eq__, cls.__repr__ = __init__, _eq, _repr
     if frozen:
         cls.__hash__, cls.__setattr__, cls.__delattr__ = _hash, _frozen_setattr, _frozen_delattr
     else:

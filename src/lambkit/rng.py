@@ -13,6 +13,7 @@ from math import exp, log1p
 from .errors import packaged_json
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_MIX_MULT = 0x931E8875  # mix_entropy's hash multiplier
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _R = 3.6541528853610087963519472518  # where the tail starts
 _INV_R = 0.27366123732975827203338247596
@@ -30,32 +31,42 @@ def _words(n: int) -> list:
     return [n >> s & _M32 for s in range(0, max(n.bit_length(), 1), 32)]
 
 
-def normal_stream(seed: int, i: int):
-    """normal(loc, scale) drawing from the i-th spawned child stream of seed."""
-    h, mult = 0x43B0D7E5, 0x931E8875  # mix_entropy's hash constants
-
-    def hashmix(value: int) -> int:
-        nonlocal h
+def _hashed(words, h: int, mult: int = _MIX_MULT) -> tuple:
+    """SeedSequence's hashmix of each word in turn: (the mixed words, the next hash state)."""
+    mixed = []
+    for value in words:
         value ^= h
         h = h * mult & _M32
         value = value * h & _M32
-        return value ^ value >> 16
+        mixed.append(value ^ value >> 16)
+    return mixed, h
 
-    def mix(x: int, y: int) -> int:
-        x = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return x ^ x >> 16
 
-    run = _words(seed)
-    entropy = run + [0] * (4 - len(run)) + _words(i)
-    pool = [hashmix(word) for word in entropy[:4]]  # pool size 4
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        pool = [mix(x, hashmix(word)) for x in pool]
-    h, mult = 0x8B51F9DD, 0x58F38DED  # generate_state(4, np.uint64)
-    w = [hashmix(word) for word in pool * 2]
+def _mix(x: int, y: int) -> int:
+    x = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return x ^ x >> 16
+
+
+@cache
+def _seed_pool(seed: int) -> tuple:
+    """(pool, hash state, seed words past the fourth) of mix_entropy after the
+    steps that depend on the seed alone, which every spawned child shares."""
+    words = _words(seed)
+    pool, h = _hashed((words + [0, 0, 0])[:4], 0x43B0D7E5)  # pool size 4, first hash state
+    for src in range(4):  # each word mixed into the other three
+        mixed, h = _hashed([pool[src]] * 3, h)
+        for dst, word in zip([d for d in range(4) if d != src], mixed):
+            pool[dst] = _mix(pool[dst], word)
+    return tuple(pool), h, tuple(words[4:])
+
+
+def normal_stream(seed: int, i: int):
+    """normal(loc, scale) drawing from the i-th spawned child stream of seed."""
+    pool, h, rest = _seed_pool(seed)
+    for word in (*rest, *_words(i)):
+        mixed, h = _hashed([word] * 4, h)
+        pool = [_mix(x, y) for x, y in zip(pool, mixed)]
+    w, _ = _hashed(pool * 2, 0x8B51F9DD, 0x58F38DED)  # generate_state(4, np.uint64)
     s_hi, s_lo, i_hi, i_lo = (w[k] | w[k + 1] << 32 for k in range(0, 8, 2))
     inc = (i_hi << 65 | i_lo << 1 | 1) & _M128
     state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _M128

@@ -118,8 +118,8 @@ class WaferSite:
     """Metrics of one design measured on one die.
 
     Coordinates are die centers in mm from the wafer center.  Modes whose
-    perturbed evaluation failed are listed in failed_modes and carry no
-    metrics.  local_thickness_m / local_pitch_m echo the sampled values for
+    perturbed evaluation failed are listed once each in failed_modes and carry
+    no metrics.  local_thickness_m / local_pitch_m echo the sampled values for
     validation; 0 means unknown (hand-built site).
     """
 
@@ -148,10 +148,14 @@ class WaferSite:
             if not isinstance(m, ModeMetrics):
                 raise InputError("site metrics values must be ModeMetrics")
         failed = tuple(self.failed_modes)
-        if any(mode not in MODE_NAMES for mode in failed):
-            raise InputError(f"unknown mode in failed_modes {shown(failed)}")
-        if set(failed) & set(metrics):
-            raise InputError("a mode cannot both fail and carry metrics")
+        if failed:
+            for i, mode in enumerate(failed):
+                if mode not in MODE_NAMES:
+                    raise InputError(f"unknown mode in failed_modes {shown(failed)}")
+                if mode in failed[:i]:  # group_sites would count the site twice
+                    raise InputError(f"failed_modes repeats the mode {mode!r}")
+            if set(failed) & set(metrics):
+                raise InputError("a mode cannot both fail and carry metrics")
         object.__setattr__(self, "metrics", metrics)
         object.__setattr__(self, "failed_modes", failed)
 
@@ -303,13 +307,6 @@ def metrics_vs_frequency(sites) -> TrendSeries:
     return TrendSeries(per_mode, warnings)
 
 
-def _mode_metrics(variation: VariationConfig, mode: str, f_r: float) -> ModeMetrics:
-    entry = variation.mode_quality[mode]
-    k2 = float(entry["k_eff_sq"])
-    f_a = f_r * math.sqrt(1.0 + k2 / (1.0 - k2))
-    return ModeMetrics(f_r=f_r, f_a=f_a, q_r=float(entry["q_r"]), k_eff_sq=k2)
-
-
 def simulate_wafer(
     variation: VariationConfig,
     seed: int,
@@ -354,11 +351,15 @@ def simulate_wafer(
             f"(edge exclusion {wafer_cfg.edge_exclusion_m:g} m)"
         )
 
-    # Nominal frequency and log sensitivities per (mode, pitch); failures
+    quality = {}  # each mode's f_a/f_r ratio, q_r and k_eff_sq, read once per run
+    for mode, entry in variation.mode_quality.items():
+        k2 = float(entry["k_eff_sq"])
+        quality[mode] = (math.sqrt(1.0 + k2 / (1.0 - k2)), float(entry["q_r"]), k2)
+    # Nominal frequency and log sensitivities per (pitch, mode); failures
     # here violate the documented precondition and propagate to the caller.
-    nominal = {(mode, pitch): (pitch_to_frequency(pitch, mode, plate),
-                               *sensitivity(plate, mode, math.pi / pitch))
-               for pitch in pitches for mode in modes}
+    designs = [(pitch, [(mode, pitch_to_frequency(pitch, mode, plate),
+                         *sensitivity(plate, mode, math.pi / pitch), *quality[mode])
+                        for mode in modes]) for pitch in pitches]
     radius = wafer_cfg.radius_m
     sites = []
     for i, placement in enumerate(placements):
@@ -367,27 +368,26 @@ def simulate_wafer(
         r = math.hypot(cx, cy)
         t_profile = variation.thickness_center_m - variation.thickness_edge_drop_m * (r / radius) ** 2
         t_local = t_profile + normal(0.0, variation.thickness_noise_sigma_m)
-        for pitch in pitches:
+        if t_local > 0.0:  # this die's thickness term: its own plate, or ln(t_local/h)
+            local_plate = PlateSpec(plate.material, t_local) if full_resolve else None
+            ln_t = None if full_resolve else math.log(t_local / plate.h)
+        for pitch, terms in designs:
             p_local = pitch + normal(0.0, variation.pitch_sigma_m)
             metrics = {}
-            failed = []
-            for mode in modes:
-                try:
-                    if t_local <= 0.0 or p_local <= 0.0:
-                        raise SolverError("perturbed geometry is non-physical")
+            if t_local <= 0.0 or p_local <= 0.0:  # non-physical: every mode fails
+                failed = modes
+            else:
+                failed, ln_p = [], None if full_resolve else math.log(p_local / pitch)
+                for mode, f_nom, s_h, s_p, ratio, q_r, k2 in terms:
                     if full_resolve:
-                        f_site = pitch_to_frequency(
-                            p_local, mode, PlateSpec(plate.material, t_local)
-                        )
+                        try:
+                            f_site = pitch_to_frequency(p_local, mode, local_plate)
+                        except (SolverError, DispersionRangeError):
+                            failed.append(mode)
+                            continue
                     else:
-                        f_nom, s_h, s_p = nominal[(mode, pitch)]
-                        f_site = f_nom * math.exp(
-                            s_h * math.log(t_local / plate.h)
-                            + s_p * math.log(p_local / pitch)
-                        )
-                    metrics[mode] = _mode_metrics(variation, mode, f_site)
-                except (SolverError, DispersionRangeError):
-                    failed.append(mode)
+                        f_site = f_nom * math.exp(s_h * ln_t + s_p * ln_p)
+                    metrics[mode] = ModeMetrics(f_site, f_site * ratio, q_r, k2)
             sites.append(WaferSite(placement.site_id, cx * 1e3, cy * 1e3, pitch, metrics,
                                    tuple(failed), t_local, p_local))
     return sites
@@ -461,6 +461,9 @@ def sites_json(sites, seed: int | None = None) -> str:
     return f'{{"sites": [\n{body}\n]{rest}}}'
 
 
+_METRIC_KEYS = ("f_r_hz", "f_a_hz", "q_r", "k_eff_sq")
+
+
 def _numbers(obj: dict, keys, path: str, default=None) -> list:
     """obj's values at keys; InputError names path.key of the first non-number (q_r may be inf)."""
     values = [obj.get(key, default) for key in keys]
@@ -469,6 +472,44 @@ def _numbers(obj: dict, keys, path: str, default=None) -> list:
             if not (key == "q_r" and value == math.inf):
                 json_number(value, f"{path}.{key}")
     return values
+
+
+def _checked_site(entry, path: str) -> list:
+    """_site's list, checking one value at a time in document order."""
+    entry = json_object(entry, path)
+    failed = entry.get("failed_modes", [])
+    if not isinstance(failed, list):
+        raise InputError(f"{path}.failed_modes must be an array")
+    metrics = {}
+    for mode, m in json_object(entry.get("metrics", {}), f"{path}.metrics").items():
+        at = f"{path}.metrics.{mode}"
+        metrics[mode] = ModeMetrics(*_numbers(json_object(m, at), _METRIC_KEYS, at))
+    (site_id,) = _numbers(entry, ("site_id",), path)
+    if site_id < 0 or site_id != int(site_id):
+        raise InputError(f"{path}.site_id must be a non-negative integer, got {site_id!r}")
+    return [metrics, failed, site_id, *_numbers(entry, ("x_mm", "y_mm", "pitch_m"), path),
+            *_numbers(entry, ("local_thickness_m", "local_pitch_m"), path, 0.0)]
+
+
+def _site(entry, path: str) -> list:
+    """[metrics, failed_modes, site_id, x, y, pitch, local thickness, local pitch]
+    of a site entry whose numbers pass one C-level check: an int or float each,
+    with a finite sum.  Any other entry goes through _checked_site."""
+    metrics = entry.get("metrics", {}) if type(entry) is dict else None
+    if (type(metrics) is dict and type(entry.get("failed_modes", [])) is list
+            and all(type(m) is dict for m in metrics.values())):
+        values = [m.get(key) for m in metrics.values() for key in _METRIC_KEYS]
+        values += [entry.get(key) for key in ("site_id", "x_mm", "y_mm", "pitch_m")]
+        values += [entry.get("local_thickness_m", 0.0), entry.get("local_pitch_m", 0.0)]
+        try:  # fsum overflows past the float range and raises on inf - inf
+            fast = set(map(type, values)) <= {int, float} and math.isfinite(math.fsum(values))
+        except (OverflowError, ValueError):
+            fast = False
+        if fast and values[-6] == int(values[-6]) >= 0:  # site_id a non-negative integer
+            quads = iter(values)  # each mode's four numbers, by position
+            return [{mode: ModeMetrics(*quad) for mode, quad in zip(metrics, zip(*[quads] * 4))},
+                    entry.get("failed_modes", []), *values[-6:]]
+    return _checked_site(entry, path)
 
 
 def sites_from_dict(doc: dict) -> list:
@@ -482,20 +523,7 @@ def sites_from_dict(doc: dict) -> list:
     seen = {}
     for i, entry in enumerate(doc["sites"]):
         path = f"sites[{i}]"
-        entry = json_object(entry, path)
-        failed = entry.get("failed_modes", [])
-        if not isinstance(failed, list):
-            raise InputError(f"{path}.failed_modes must be an array")
-        metrics = {}
-        for mode, m in json_object(entry.get("metrics", {}), f"{path}.metrics").items():
-            at = f"{path}.metrics.{mode}"
-            values = _numbers(json_object(m, at), ("f_r_hz", "f_a_hz", "q_r", "k_eff_sq"), at)
-            metrics[mode] = ModeMetrics(*values)
-        (site_id,) = _numbers(entry, ("site_id",), path)
-        if site_id < 0 or site_id != int(site_id):
-            raise InputError(f"{path}.site_id must be a non-negative integer, got {site_id!r}")
-        x, y, pitch = _numbers(entry, ("x_mm", "y_mm", "pitch_m"), path)
-        local = _numbers(entry, ("local_thickness_m", "local_pitch_m"), path, 0.0)
+        metrics, failed, site_id, x, y, pitch, *local = _site(entry, path)
         first = seen.setdefault((site_id, pitch), path)
         if first != path:
             raise InputError(f"{path} repeats the site_id {site_id!r} and pitch_m {pitch!r} "

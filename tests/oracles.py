@@ -1,5 +1,5 @@
-"""Independent reference implementations used to cross-check solver, reader and
-reticle output.
+"""Independent reference implementations used to cross-check solver, reader,
+reticle and wafer-map output.
 
 The residual here uses complex trigonometry directly (numpy complex sqrt,
 sin, cos) instead of the branch-split real forms in the package, so the two
@@ -12,7 +12,9 @@ import struct
 import numpy as np
 import pytest
 
-from lambkit.errors import GdsParseError, InputError, PackingError, TouchstoneParseError
+from lambkit.errors import (
+    DispersionRangeError, GdsParseError, InputError, PackingError, SolverError,
+    TouchstoneParseError, is_json_number, json_number, json_object, shown)
 from lambkit.gdsii import (
     ANGLE, BGNLIB, BGNSTR, BOUNDARY, DATATYPE, DB_UNIT_IN_METERS, ENDEL, ENDLIB, ENDSTR,
     GDS_VERSION, HEADER, LAYER, LIBNAME, SNAME, SREF, STRANS, STRNAME, UNITS, XY,
@@ -24,6 +26,7 @@ from lambkit.layout import (
 )
 from lambkit.record import astuple
 from lambkit.touchstone import FORMATS, FREQ_UNITS, TouchstoneFile
+from lambkit.waferstats import ModeMetrics, WaferSite
 
 _RAD = math.pi / 180.0
 
@@ -422,3 +425,119 @@ def build_reticle_reference(chip_lib, chip_cfg, layers, reticle_cfg):
                                  to_dbu(wx0) * DEMAG, to_dbu(wy0) * DEMAG)
     mask_lib.add(mask)
     return tuple(windows), mask_lib
+
+
+# ------------------------------------------------------------ wafer maps
+# The per-value loader and the per-mode simulation loop that waferstats had
+# before it checked each site's numbers in one pass and hoisted the per-die
+# terms: the loaders must agree on every document, down to the message of the
+# first fault, and the simulations on every site.
+
+
+def _numbers_reference(obj: dict, keys, path: str, default=None) -> list:
+    """obj's values at keys; InputError names path.key of the first non-number (q_r may be inf)."""
+    values = [obj.get(key, default) for key in keys]
+    if not all(map(is_json_number, values)):
+        for key, value in zip(keys, values):
+            if not (key == "q_r" and value == math.inf):
+                json_number(value, f"{path}.{key}")
+    return values
+
+
+def sites_from_dict_reference(doc: dict) -> list:
+    """Sites from a wafer map document, checking one value at a time."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("sites"), list):
+        raise InputError("wafer map document must be an object with a 'sites' array")
+    sites = []
+    seen = {}
+    for i, entry in enumerate(doc["sites"]):
+        path = f"sites[{i}]"
+        entry = json_object(entry, path)
+        failed = entry.get("failed_modes", [])
+        if not isinstance(failed, list):
+            raise InputError(f"{path}.failed_modes must be an array")
+        metrics = {}
+        for mode, m in json_object(entry.get("metrics", {}), f"{path}.metrics").items():
+            at = f"{path}.metrics.{mode}"
+            values = _numbers_reference(json_object(m, at), ("f_r_hz", "f_a_hz", "q_r", "k_eff_sq"),
+                                        at)
+            metrics[mode] = ModeMetrics(*values)
+        (site_id,) = _numbers_reference(entry, ("site_id",), path)
+        if site_id < 0 or site_id != int(site_id):
+            raise InputError(f"{path}.site_id must be a non-negative integer, got {site_id!r}")
+        x, y, pitch = _numbers_reference(entry, ("x_mm", "y_mm", "pitch_m"), path)
+        local = _numbers_reference(entry, ("local_thickness_m", "local_pitch_m"), path, 0.0)
+        first = seen.setdefault((site_id, pitch), path)
+        if first != path:
+            raise InputError(f"{path} repeats the site_id {site_id!r} and pitch_m {pitch!r} "
+                             f"of {first}")
+        sites.append(WaferSite(int(site_id), x, y, pitch, metrics, tuple(failed), *local))
+    return sites
+
+
+def _mode_metrics_reference(variation, mode: str, f_r: float) -> ModeMetrics:
+    entry = variation.mode_quality[mode]
+    k2 = float(entry["k_eff_sq"])
+    f_a = f_r * math.sqrt(1.0 + k2 / (1.0 - k2))
+    return ModeMetrics(f_r=f_r, f_a=f_a, q_r=float(entry["q_r"]), k_eff_sq=k2)
+
+
+def simulate_wafer_reference(variation, seed: int, pitches, plate, chip_cfg, wafer_cfg,
+                             full_resolve: bool = False) -> list:
+    """The wafer map of waferstats.simulate_wafer, every term taken per (site, mode)."""
+    from lambkit.dispersion import PlateSpec, pitch_to_frequency, sensitivity
+    from lambkit.layout import gen_wafer_map
+    from lambkit.rng import normal_stream
+
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise InputError(f"seed must be an integer, got {shown(seed)}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {shown(seed)}")
+    pitches = [float(p) for p in pitches]
+    if not pitches:
+        raise InputError("no designs to simulate")
+    if any(p <= 0.0 for p in pitches):
+        raise InputError("design pitches must be positive")
+    modes = tuple(variation.mode_quality)
+    placements = gen_wafer_map(chip_cfg, wafer_cfg)
+    if not placements:
+        usable = wafer_cfg.diameter_m - 2.0 * wafer_cfg.edge_exclusion_m
+        raise PackingError(
+            f"no chip fits the usable wafer diameter of {usable:g} m "
+            f"(edge exclusion {wafer_cfg.edge_exclusion_m:g} m)"
+        )
+    nominal = {(mode, pitch): (pitch_to_frequency(pitch, mode, plate),
+                               *sensitivity(plate, mode, math.pi / pitch))
+               for pitch in pitches for mode in modes}
+    radius = wafer_cfg.radius_m
+    sites = []
+    for i, placement in enumerate(placements):
+        normal = normal_stream(seed, i)
+        cx, cy = placement.center(chip_cfg)
+        r = math.hypot(cx, cy)
+        t_profile = variation.thickness_center_m - variation.thickness_edge_drop_m * (r / radius) ** 2
+        t_local = t_profile + normal(0.0, variation.thickness_noise_sigma_m)
+        for pitch in pitches:
+            p_local = pitch + normal(0.0, variation.pitch_sigma_m)
+            metrics = {}
+            failed = []
+            for mode in modes:
+                try:
+                    if t_local <= 0.0 or p_local <= 0.0:
+                        raise SolverError("perturbed geometry is non-physical")
+                    if full_resolve:
+                        f_site = pitch_to_frequency(
+                            p_local, mode, PlateSpec(plate.material, t_local)
+                        )
+                    else:
+                        f_nom, s_h, s_p = nominal[(mode, pitch)]
+                        f_site = f_nom * math.exp(
+                            s_h * math.log(t_local / plate.h)
+                            + s_p * math.log(p_local / pitch)
+                        )
+                    metrics[mode] = _mode_metrics_reference(variation, mode, f_site)
+                except (SolverError, DispersionRangeError):
+                    failed.append(mode)
+            sites.append(WaferSite(placement.site_id, cx * 1e3, cy * 1e3, pitch, metrics,
+                                   tuple(failed), t_local, p_local))
+    return sites

@@ -956,6 +956,23 @@ def test_stats_refuses_a_site_given_twice(tmp_path):
     assert not out.exists()
 
 
+_TWO_SITES = {"seed": 7, "sites": [
+    {"site_id": i, "x_mm": 0.0, "y_mm": 0.0, "pitch_m": 2e-6,
+     "metrics": {"S0": {"f_r_hz": 1e9 + i, "f_a_hz": 1.1e9, "q_r": 300.0, "k_eff_sq": 0.05}}}
+    for i in (0, 1)]}
+
+
+def test_stats_refuses_a_failed_mode_listed_twice(tmp_path, capsys):
+    # it warned "0 usable site(s), 2 excluded" for one site's one failure and exited 0
+    doc = json.loads(json.dumps(_TWO_SITES))
+    doc["sites"][0]["failed_modes"] = ["A0", "A0"]
+    (tmp_path / "sites.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["stats", str(tmp_path / "sites.json"), "--out", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: failed_modes repeats the mode 'A0'\n"
+    assert not out.exists()
+
+
 def test_stats_rejects_malformed_json(tmp_path):
     bad = tmp_path / "sites.json"
     bad.write_text("{nope")
@@ -1591,14 +1608,20 @@ FULL_STDOUT = (cli.EXIT_USAGE, "error: [Errno 28] No space left on device\n")
 @pytest.mark.parametrize("argv, written", [
     (["design"], "designs.json"),
     (["flow-check", "alscn-ti-adhesion"], "flow_report.json"),
+    (["disperse", "--points", "2"], "dispersion.csv"),
+    (["simulate-wafer", "--pitches", "2e-6"], "sites.json"),
+    (["stats", "sites.json"], "deviation.csv"),
 ])
 def test_failed_flush_ends_as_an_unbuffered_write_does(tmp_path, argv, written):
-    # buffered, the write fails in run()'s final flush, after the files are
-    # written; unbuffered, in the command's first print, which main() reports
+    # buffered, the write fails in run()'s final flush; unbuffered, in the
+    # command's first print, which main() reports.  Each command prints only
+    # after its files are written, so both runs leave them
+    (tmp_path / "sites.json").write_text(json.dumps(_TWO_SITES))
+    argv = [str(tmp_path / a) if a == "sites.json" else a for a in argv]
     for unbuffered in (False, True):
         out = tmp_path / f"unbuffered-{unbuffered}"
         assert run_on_dev_full(*argv, "--out", str(out), unbuffered=unbuffered) == FULL_STDOUT
-    assert (tmp_path / "unbuffered-False" / written).is_file()
+        assert (out / written).is_file(), unbuffered
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -23,6 +23,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from oracles import sites_from_dict_reference
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -99,7 +100,9 @@ def _mutated(draw, doc):
             # a number moved against the others: the checks across fields
             value = node[key]
             if isinstance(value, (int, float)) and not isinstance(value, bool):
-                node[key] = value * draw(st.sampled_from([10.0, 0.1, 1e3, 1e-3, -1.0]))
+                factor = draw(st.sampled_from([10.0, 0.1, 1e3, 1e-3, -1.0]))
+                # an int past the float range (10**400) stays as it is
+                node[key] = value * factor if abs(value) <= sys.float_info.max else value
         elif edit == "drop":
             del node[key]
         elif isinstance(node, dict):
@@ -146,6 +149,65 @@ def test_unedited_documents_load():
 @given(_mutated(_SITES))
 def test_sites_from_dict_raises_only_lambkit_errors(doc):
     _loads_or_lambkit_error(sites_from_dict, doc)
+
+
+_SITE_NUMBERS = [("site_id",), ("x_mm",), ("y_mm",), ("pitch_m",), ("local_thickness_m",),
+                 ("local_pitch_m",), *(("metrics", mode, key) for mode in ("S0", "A1")
+                                       for key in ("f_r_hz", "f_a_hz", "q_r", "k_eff_sq"))]
+
+
+@st.composite
+def _targeted(draw, doc):
+    """doc with 1-3 edits aimed at a one-pass number check: a lossless q_r,
+    a value that is not a finite JSON number, two values whose sum overflows
+    or is inf - inf, a site_id that is not a non-negative integer, a missing
+    key, a repeated (site_id, pitch_m) pair, f_r >= f_a, or failed modes that
+    repeat a mode or are not an array."""
+    doc = copy.deepcopy(doc)
+    sites = doc["sites"]
+    for _ in range(draw(st.integers(1, 3))):
+        site, other = draw(st.permutations(sites))[:2]
+        *parents, key = draw(st.sampled_from(_SITE_NUMBERS))
+        node = site
+        for k in parents:
+            node = node[k]
+        edit = draw(st.sampled_from(["value", "lossless", "pair", "site_id", "drop", "repeat",
+                                     "order", "failed"]))
+        if edit == "value":
+            node[key] = draw(st.sampled_from([True, 10**400, -(10**400), math.nan, math.inf,
+                                              -math.inf, 1e308, "1", None]))
+        elif edit == "lossless":
+            site["metrics"][draw(st.sampled_from(["S0", "A1"]))]["q_r"] = math.inf
+        elif edit == "pair":  # a sum past the float range, or inf - inf
+            a, b = draw(st.sampled_from([(1e308, 1e308), (math.inf, -math.inf)]))
+            node[key], site[draw(st.sampled_from(["x_mm", "y_mm", "local_pitch_m"]))] = a, b
+        elif edit == "site_id":
+            site["site_id"] = draw(st.sampled_from([0.5, -1, -0.5, 1.0, -0.0, 2**53 + 1.0]))
+        elif edit == "drop" and key in node:
+            del node[key]
+        elif edit == "repeat":
+            site["site_id"], site["pitch_m"] = other.get("site_id"), other.get("pitch_m")
+        elif edit == "order":
+            m = site["metrics"][draw(st.sampled_from(["S0", "A1"]))]
+            m["f_r_hz"] = m["f_a_hz"] * draw(st.sampled_from([1, 1.0, 1.5]))
+        elif edit == "failed":
+            site["failed_modes"] = draw(st.sampled_from([["S1", "S1"], ["A0", "S1", "A0"], "S1",
+                                                         {}, None]))
+    return doc
+
+
+def _outcome(load, doc):
+    try:
+        return load(doc)
+    except Exception as exc:  # the two loaders must fail alike, whatever the exception
+        return type(exc), str(exc)
+
+
+@settings(FUZZ, max_examples=300)
+@given(_targeted(_SITES) | _mutated(_SITES) | _targeted(_SITES).flatmap(_mutated))
+def test_sites_from_dict_equals_the_per_value_reference(doc):
+    # the same sites, or the same exception type and message
+    assert _outcome(sites_from_dict, doc) == _outcome(sites_from_dict_reference, doc)
 
 
 @FUZZ
@@ -241,20 +303,34 @@ def _edited_s1p(draw, files=_S1P):
     return "\n".join(lines) + "\n"
 
 
+def _byte_edits(size: int):
+    """1-4 edits of a byte string of about size bytes: ("byte", at, value)
+    overwrites a byte, ("cut", at, n) cuts a run and ("splice", at, data)
+    splices bytes in.  A failing example shows as these few edits."""
+    at = st.integers(0, size)
+    return st.lists(st.tuples(st.just("byte"), at, st.integers(0, 255))
+                    | st.tuples(st.just("cut"), at, st.integers(1, 16))
+                    | st.tuples(st.just("splice"), at, st.binary(min_size=1, max_size=8)),
+                    min_size=1, max_size=4)
+
+
+def _apply_edits(data: bytes, edits) -> bytes:
+    buf = bytearray(data)
+    for edit, at, what in edits:
+        at = min(at, len(buf))
+        if edit == "byte" and at < len(buf):
+            buf[at] = what
+        elif edit == "cut":
+            del buf[at:at + what]
+        elif edit == "splice":
+            buf[at:at] = what
+    return bytes(buf)
+
+
 @st.composite
 def _edited_bytes(draw, data):
     """data with 1-4 edits: a byte overwritten, a run cut, or bytes spliced in."""
-    buf = bytearray(data)
-    for _ in range(draw(st.integers(1, 4))):
-        at = draw(st.integers(0, len(buf)))
-        edit = draw(st.sampled_from(["byte", "cut", "splice"]))
-        if edit == "byte" and at < len(buf):
-            buf[at] = draw(st.integers(0, 255))
-        elif edit == "cut":
-            del buf[at:at + draw(st.integers(1, 16))]
-        else:
-            buf[at:at] = draw(st.binary(min_size=1, max_size=8))
-    return bytes(buf)
+    return _apply_edits(data, draw(_byte_edits(len(data))))
 
 
 _edited_s1p_bytes = _edited_s1p().map(str.encode).flatmap(_edited_bytes)
@@ -280,10 +356,12 @@ _CHIP_GDS = _chip_gds()
 
 
 @FUZZ
-@given(_edited_bytes(_CHIP_GDS))
-def test_read_gdsii_raises_only_gds_parse_errors(data):
+@given(_byte_edits(len(_CHIP_GDS)))
+def test_read_gdsii_raises_only_gds_parse_errors(edits):
+    # the edits, not the edited stream, are the example: a failure prints a
+    # few tuples instead of the whole chip's bytes
     try:
-        read_gdsii(data)
+        read_gdsii(_apply_edits(_CHIP_GDS, edits))
     except GdsParseError:
         pass
 

@@ -113,3 +113,51 @@ def test_replace_runs_post_init_again(module):
 def test_bad_arguments_raise_type_error(module, args, kwargs, why):
     with pytest.raises(TypeError, match=why):
         declare(module)(*args, **kwargs)
+
+
+def declare_defaults(module):
+    """A plain record whose every field has a default, one of them a default_factory."""
+
+    @module.dataclass
+    class Defaults:
+        label: str = "x"
+        tags: list = module.field(default_factory=list)
+
+    return Defaults
+
+
+@pytest.mark.parametrize("declared, args, kwargs", [
+    (declare, (), {"label": " a ", "tags": (1,), "width_m": 2.5}),
+    (declare_defaults, (), {}),
+    (declare, (2.5,), {}),
+    (declare_defaults, (), {"tags": [3]}),
+], ids=["keywords-only", "defaults-only", "default-factory", "factory-field-given"])
+def test_first_instance_matches_its_dataclass_twin(declared, args, kwargs):
+    # a record compiles its __init__ at its first instance: each case builds
+    # the first instance of a fresh class, then a second through that __init__
+    twin, ours = declared(dataclasses), declared(record)
+    for _ in range(2):
+        expected, got = twin(*args, **kwargs), ours(*args, **kwargs)
+        assert repr(got) == repr(expected)
+        assert record.astuple(got) == dataclasses.astuple(expected)
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((), {}), ((1.0,), {"depth_m": 2.0}), ((1.0,), {"width_m": 2.0}), ((1.0, "a", [], 4), {}),
+])
+def test_bad_arguments_raise_the_dataclass_message(args, kwargs):
+    messages = []
+    for module in (dataclasses, record):
+        with pytest.raises(TypeError) as exc:
+            declare(module)(*args, **kwargs)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+@BOTH
+def test_a_field_without_a_default_may_not_follow_one_with_a_default(module):
+    with pytest.raises(TypeError, match="non-default argument 'width_m' follows default argument"):
+        @module.dataclass
+        class Sample:
+            label: str = "x"
+            width_m: float = module.field(metadata={})

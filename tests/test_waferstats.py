@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from oracles import simulate_wafer_reference
 
 import lambkit
 from lambkit import mbvd, waferstats
@@ -412,6 +413,36 @@ def test_perturbed_failure_flags_site():
     assert all(s.metrics == {} for s in flagged)
     report = per_mode_deviation(sites)
     assert report.row("S0", 4.5e-6).excluded == len(flagged)
+
+
+_NOISY = replace(CFG.variation, thickness_noise_sigma_m=2.5e-7, pitch_sigma_m=1.5e-6)
+
+
+@pytest.mark.parametrize("model, pitches, full_resolve", [
+    (CFG.variation, [1.2e-6, 2e-6, 4.5e-6], False), (CFG.variation, [2e-6], True),
+    # noise that drives local thicknesses and pitches to zero or below
+    (_NOISY, [2e-6, 4.5e-6], False), (_NOISY, [2e-6], True),
+], ids=["first-order", "full-resolve", "noisy", "noisy-full-resolve"])
+def test_simulate_wafer_equals_the_per_mode_reference(model, pitches, full_resolve):
+    # the per-die terms are the same float operations in the same order
+    non_physical = 0
+    for seed in (0, 7, 401, 2024, 10**30):
+        args = (model, seed, pitches, CFG.plate, CFG.chip, CFG.wafer, full_resolve)
+        sites = simulate_wafer(*args)
+        assert sites == simulate_wafer_reference(*args)
+        assert sites_json(sites) == sites_json(simulate_wafer_reference(*args))
+        non_physical += sum(s.local_thickness_m <= 0.0 or s.local_pitch_m <= 0.0 for s in sites)
+    assert (non_physical > 0) == (model is _NOISY), non_physical
+
+
+def test_a_repeated_failed_mode_is_refused():
+    # group_sites counted such a site as two exclusions of one group
+    with pytest.raises(InputError, match=r"^failed_modes repeats the mode 'A0'$"):
+        make_site(0, {"S0": 1e9}, failed=("A0", "S1", "A0"))
+    doc = sites_to_dict([make_site(0, {"S0": 1e9}), make_site(1, {"S0": 1.1e9})])
+    doc["sites"][0]["failed_modes"] = ["A0", "A0"]
+    with pytest.raises(InputError, match="repeats the mode 'A0'"):
+        sites_from_dict(doc)
 
 
 def test_simulate_rejects_bad_designs():
