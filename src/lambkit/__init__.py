@@ -18,8 +18,8 @@ MODE_NAMES = ("A0", "A1", "S0", "S1")
 _EXPORTS = {
     "calibration": "ErrorBox apply_correction calibrate_file osl_solve",
     "config": "ToolkitConfig load_catalog load_config",
-    "design": "CapacitanceModel IdtSpec LayerBand ResonatorDesign layer_assignment "
-              "match_finger_count recommend_dose static_capacitance",
+    "design": "IdtSpec LayerBand ResonatorDesign layer_assignment match_finger_count "
+              "recommend_dose static_capacitance",
     "dispersion": "DispersionCurve PlateMaterial PlateSpec pitch_to_frequency "
                   "sensitivity solve_at_k solve_mode thin_plate_s0_velocity",
     "errors": "ConfigError InputError LambkitError",

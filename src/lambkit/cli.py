@@ -135,23 +135,11 @@ def _catalog_pitches(args) -> tuple:
 def _build_designs(args):
     """The config, and one impedance-matched design per requested pitch."""
     from .config import load_config
-    from .design import CapacitanceModel, match_finger_count
+    from .design import match_finger_count
 
     cfg = load_config(args.config)
     pitches = _catalog_pitches(args)
-    cap_model = CapacitanceModel(eps_r=cfg.eps_r, h_piezo=cfg.plate.h)
-    designs = [
-        match_finger_count(
-            pitch,
-            cfg.plate,
-            cap_model,
-            mode=args.mode,
-            target_impedance=cfg.matching.target_impedance_ohm,
-            max_fingers=cfg.matching.max_fingers,
-            dummy_count_per_side=cfg.matching.dummy_count_per_side,
-        )
-        for pitch in pitches
-    ]
+    designs = [match_finger_count(pitch, cfg, args.mode) for pitch in pitches]
     first_pitch = {}  # design id -> the pitch that took it
     for pitch, design in zip(pitches, designs):
         other = first_pitch.setdefault(design.design_id, pitch)
@@ -354,7 +342,7 @@ def cmd_fit(args) -> int:
             raise InputError(f"{first[stem]} and {path} share the output stem {stem!r}")
         first[stem] = path
     cal = _load_cal_files(args)
-    failures = []
+    failures, said = [], []
     for path, stem in zip(args.files, stems):
         try:
             files, metrics = _fit_one(path, stem, args, cal)
@@ -362,12 +350,12 @@ def cmd_fit(args) -> int:
             failures.append((os.path.basename(path), str(exc)))
             continue
         _write_files(args.out, files)
-        for i, m in enumerate(metrics):
-            _say(
-                args,
-                f"{stem} branch {i}: f_r {m.f_r:.6g} Hz, q_r {m.q_r:.4g}, "
-                f"k_eff_sq {m.k_eff_sq:.4g}",
-            )
+        said.extend(
+            f"{stem} branch {i}: f_r {m.f_r:.6g} Hz, q_r {m.q_r:.4g}, k_eff_sq {m.k_eff_sq:.4g}"
+            for i, m in enumerate(metrics)
+        )
+    for line in said:  # printed once every file is written, so a failed print loses none
+        _say(args, line)
     for name, why in failures:
         print(f"failed {name}: {why}", file=sys.stderr)
     _say(args, f"fitted {len(args.files) - len(failures)} of {len(args.files)} file(s)")

@@ -6,12 +6,13 @@ forms a vertical parallel-plate capacitor to the floating bottom electrode,
 adjacent opposite-polarity fingers couple in series through that plate
 (c_f/2 per pair), and the pairs add in parallel:
 
-    c_f = eps0 * eps_r * (aperture * finger_width) / h_piezo
+    c_f = eps0 * eps_r * (aperture * finger_width) / h
     C0  = (n_fingers / 2) * (c_f / 2)
 
-Fringing fields and busbar/pad parasitics are ignored; eps_r is a config
-parameter.  The as-fabricated finger counts shipped in the design catalog
-are reference metadata and are not reproduced by this model.
+with h the film thickness.  Fringing fields and busbar/pad parasitics are
+ignored; eps_r and h are config settings.  The as-fabricated finger counts
+shipped in the design catalog are reference metadata and are not
+reproduced by this model.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .dispersion import PlateSpec, pitch_to_frequency
+from .config import ToolkitConfig
+from .dispersion import pitch_to_frequency
 from .errors import DesignError, DoseRangeError, InputError, LayerAssignmentError
-from .record import dataclass
+from .record import dataclass, replace
 
 __all__ = [
     "EPS0",
     "IdtSpec",
-    "CapacitanceModel",
     "ResonatorDesign",
     "LayerBand",
     "static_capacitance",
@@ -59,21 +60,16 @@ class LayerBand(Enum):
 
 @dataclass(frozen=True)
 class IdtSpec:
-    """Interdigitated transducer geometry.  All lengths in meters."""
+    """Interdigitated transducer geometry.  All lengths in meters.  The
+    aperture, gap and finger width are fixed proportions of the pitch."""
 
     pitch: float
-    aperture: float
-    gap: float
     n_fingers: int
-    dummy_count_per_side: int = 3
+    dummy_count_per_side: int
 
     def __post_init__(self):
         if self.pitch <= 0:
             raise InputError("pitch must be positive")
-        if self.aperture <= 0:
-            raise InputError("aperture must be positive")
-        if self.gap < 0:
-            raise InputError("gap must be >= 0")
         if self.n_fingers < 2 or self.n_fingers % 2:
             raise InputError("n_fingers must be even and >= 2")
         if self.dummy_count_per_side < 0:
@@ -88,29 +84,18 @@ class IdtSpec:
         # metallization ratio fixed at 0.5
         return self.pitch / 2.0
 
+    @property
+    def aperture(self) -> float:
+        return APERTURE_WAVELENGTHS * self.wavelength
 
-@dataclass(frozen=True)
-class CapacitanceModel:
-    """Vertical-field plate-capacitor model through the floating bottom metal."""
-
-    eps_r: float
-    h_piezo: float
-
-    def __post_init__(self):
-        if self.eps_r <= 1:
-            raise InputError("eps_r must exceed 1")
-        if self.h_piezo <= 0:
-            raise InputError("h_piezo must be positive")
-
-    def finger_capacitance(self, aperture: float, finger_width: float) -> float:
-        """c_f of one finger over the floating bottom metal, in Farads."""
-        return EPS0 * self.eps_r * (aperture * finger_width) / self.h_piezo
+    @property
+    def gap(self) -> float:
+        return self.wavelength / 2.0
 
 
 @dataclass(frozen=True)
 class ResonatorDesign:
     idt: IdtSpec
-    plate: PlateSpec
     mode: str
     f_mid: float
     target_impedance: float
@@ -149,10 +134,17 @@ class ResonatorDesign:
         }
 
 
-def static_capacitance(idt: IdtSpec, cap_model: CapacitanceModel) -> float:
-    """Static IDT capacitance under the vertical-field model, in Farads."""
-    c_f = cap_model.finger_capacitance(idt.aperture, idt.finger_width)
-    return (idt.n_fingers / 2.0) * (c_f / 2.0)
+def _finger_capacitance(idt: IdtSpec, eps_r: float, h: float) -> float:
+    """c_f of one finger of idt over the floating bottom metal, in Farads."""
+    if eps_r <= 1:
+        raise InputError("eps_r must exceed 1")
+    return EPS0 * eps_r * (idt.aperture * idt.finger_width) / h
+
+
+def static_capacitance(idt: IdtSpec, eps_r: float, h: float) -> float:
+    """Static IDT capacitance under the vertical-field model, in Farads, for a
+    piezoelectric film of relative permittivity eps_r and thickness h."""
+    return (idt.n_fingers / 2.0) * (_finger_capacitance(idt, eps_r, h) / 2.0)
 
 
 def recommend_dose(finger_width: float) -> float:
@@ -185,53 +177,38 @@ def layer_assignment(pitch: float) -> LayerBand:
     )
 
 
-def match_finger_count(
-    pitch: float,
-    plate: PlateSpec,
-    cap_model: CapacitanceModel,
-    mode: str = "S0",
-    target_impedance: float = 200.0,
-    max_fingers: int = 1000,
-    dummy_count_per_side: int = 3,
-) -> ResonatorDesign:
-    """Smallest even finger count whose static reactance crosses the target.
+def match_finger_count(pitch: float, cfg: ToolkitConfig, mode: str) -> ResonatorDesign:
+    """Smallest even finger count whose static reactance crosses the target,
+    on the plate, eps_r and matching settings of cfg.
 
-    aperture = 10 * wavelength, gap = wavelength / 2.  f_mid is the solved
-    mode frequency at k = pi / pitch.  The achieved impedance lands within
-    one finger-pair quantization step below the target.
+    f_mid is the solved mode frequency at k = pi / pitch.  The achieved
+    impedance lands within one finger-pair quantization step below the target.
     """
-    if target_impedance <= 0:
+    matching = cfg.matching
+    target = matching.target_impedance_ohm
+    if target <= 0:  # a MatchingConfig built in process has no schema bounds
         raise InputError("target impedance must be positive")
     layer = layer_assignment(pitch)
-    f_mid = pitch_to_frequency(pitch, mode, plate)
-    wavelength = 2.0 * pitch
-    aperture = APERTURE_WAVELENGTHS * wavelength
-    gap = wavelength / 2.0
-    c_f = cap_model.finger_capacitance(aperture, pitch / 2.0)
+    f_mid = pitch_to_frequency(pitch, mode, cfg.plate)
+    pair = IdtSpec(pitch, 2, matching.dummy_count_per_side)
+    c_f = _finger_capacitance(pair, cfg.eps_r, cfg.plate.h)
     # need C0 = n c_f / 4 >= 1/(2 pi f Z)
-    c0_needed = 1.0 / (2.0 * math.pi * f_mid * target_impedance)
+    c0_needed = 1.0 / (2.0 * math.pi * f_mid * target)
     n_exact = 4.0 * c0_needed / c_f
     n = max(2, 2 * math.ceil(n_exact / 2.0))
-    if n > max_fingers:
+    if n > matching.max_fingers:
         raise DesignError(
             f"matching pitch {pitch * 1e9:.0f} nm needs {n} fingers, "
-            f"over the cap of {max_fingers}"
+            f"over the cap of {matching.max_fingers}"
         )
-    idt = IdtSpec(
-        pitch=pitch,
-        aperture=aperture,
-        gap=gap,
-        n_fingers=n,
-        dummy_count_per_side=dummy_count_per_side,
-    )
-    c0 = static_capacitance(idt, cap_model)
+    idt = replace(pair, n_fingers=n)
+    c0 = static_capacitance(idt, cfg.eps_r, cfg.plate.h)
     achieved = 1.0 / (2.0 * math.pi * f_mid * c0)
     return ResonatorDesign(
         idt=idt,
-        plate=plate,
         mode=mode,
         f_mid=f_mid,
-        target_impedance=target_impedance,
+        target_impedance=target,
         achieved_impedance=achieved,
         c0_estimate=c0,
         layer=layer,

@@ -35,6 +35,8 @@ __all__ = [
 
 FREQ_UNITS = {"hz": ("Hz", 1.0), "khz": ("kHz", 1e3), "mhz": ("MHz", 1e6), "ghz": ("GHz", 1e9)}
 FORMATS = ("RI", "MA", "DB")
+# what an option line that omits a field means
+DEFAULT_UNIT, DEFAULT_FMT, DEFAULT_Z0 = "GHz", "MA", 50.0
 _RAD = math.pi / 180.0
 
 
@@ -42,9 +44,9 @@ _RAD = math.pi / 180.0
 class TouchstoneFile:
     frequencies: np.ndarray  # Hz
     s11: np.ndarray  # complex
-    z0: float = 50.0
-    frequency_unit: str = "GHz"
-    fmt: str = "MA"
+    z0: float = DEFAULT_Z0
+    frequency_unit: str = DEFAULT_UNIT
+    fmt: str = DEFAULT_FMT
     comments: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -74,9 +76,8 @@ class TouchstoneFile:
 
 def _parse_option(line: str, lineno: int) -> tuple:
     """(unit name, unit scale, format, z0) from a "# ..." option line."""
-    unit_name, unit_scale = "GHz", 1e9
-    fmt = "MA"
-    z0 = 50.0
+    unit_name, unit_scale = FREQ_UNITS[DEFAULT_UNIT.lower()]
+    fmt, z0 = DEFAULT_FMT, DEFAULT_Z0
     tokens = line[1:].split()
     i = 0
     while i < len(tokens):
@@ -184,7 +185,6 @@ def parse_touchstone(text) -> TouchstoneFile:
                                        line=text.count(b"\n", 0, exc.start) + 1) from None
     comments = []
     seen_option = False
-    unit_name, unit_scale, fmt, z0 = "GHz", 1e9, "MA", 50.0
     tokens = []  # three per data row
     rows = []  # (line number, text) per data row, for error messages
     fault = None  # a line fault after data rows, raised if those rows are good
@@ -214,6 +214,8 @@ def parse_touchstone(text) -> TouchstoneFile:
             break
         tokens += cols
         rows.append((lineno, stripped))
+    if not seen_option:  # then no line was data: data before the option line raised
+        raise TouchstoneParseError("missing option line")
     n = len(rows)
     try:
         data = np.fromiter(map(float, tokens), float, 3 * n).reshape(n, 3)
@@ -225,8 +227,6 @@ def parse_touchstone(text) -> TouchstoneFile:
     f_hz = _checked_rows(data, rows, unit_scale, fmt)
     if fault is not None:
         raise fault
-    if not seen_option:
-        raise TouchstoneParseError("missing option line")
     if not n:
         raise TouchstoneParseError("no data points")
     return TouchstoneFile(
@@ -268,7 +268,7 @@ def serialize_touchstone(tf: TouchstoneFile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def s11_to_y(s, z0: float = 50.0):
+def s11_to_y(s, z0: float = DEFAULT_Z0):
     """One-port reflection to admittance: Y = (1/z0) (1 - s)/(1 + s)."""
     if not 0 < z0 < math.inf:
         raise InputError("reference impedance must be positive and finite")
@@ -279,7 +279,7 @@ def s11_to_y(s, z0: float = 50.0):
     return complex(y) if y.ndim == 0 else y
 
 
-def y_to_s11(y, z0: float = 50.0):
+def y_to_s11(y, z0: float = DEFAULT_Z0):
     """Inverse transform: S = (1 - z0 Y)/(1 + z0 Y)."""
     if not 0 < z0 < math.inf:
         raise InputError("reference impedance must be positive and finite")

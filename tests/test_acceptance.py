@@ -15,7 +15,7 @@ import pytest
 from oracles import lamb_roots_scan
 from lambkit.config import VariationConfig, load_catalog, load_config
 from lambkit.design import layer_assignment, match_finger_count, recommend_dose
-from lambkit.design import CapacitanceModel, LayerBand
+from lambkit.design import LayerBand
 from lambkit.dispersion import (
     PlateMaterial,
     PlateSpec,
@@ -395,12 +395,8 @@ def test_criterion_8_design_rules():
     for width in (375e-9, 500e-9, 1e-6, 2.25e-6):
         assert recommend_dose(width) == 20.50
 
-    cap_model = CapacitanceModel(eps_r=CFG.eps_r, h_piezo=CFG.plate.h)
     for pitch in CATALOG_PITCHES:
-        d = match_finger_count(
-            pitch, CFG.plate, cap_model,
-            target_impedance=CFG.matching.target_impedance_ohm,
-        )
+        d = match_finger_count(pitch, CFG, "S0")
         rel = abs(d.achieved_impedance - 200.0) / 200.0
         quantization = 2.0 / (d.idt.n_fingers - 2)
         assert rel <= quantization, f"pitch {pitch}: {rel:.4f} > {quantization:.4f}"

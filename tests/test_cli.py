@@ -1218,7 +1218,7 @@ def test_unexpected_exception_is_one_line_in_a_fresh_process():
 EXPORTS = {
     "calibration": "ErrorBox apply_correction calibrate_file osl_solve",
     "config": "ToolkitConfig load_catalog load_config",
-    "design": "CapacitanceModel IdtSpec LayerBand ResonatorDesign layer_assignment "
+    "design": "IdtSpec LayerBand ResonatorDesign layer_assignment "
               "match_finger_count recommend_dose static_capacitance",
     "dispersion": "MODE_NAMES DispersionCurve PlateMaterial PlateSpec pitch_to_frequency "
                   "sensitivity solve_at_k solve_mode thin_plate_s0_velocity",
@@ -1242,7 +1242,7 @@ def test_every_package_export_is_the_module_attribute():
     import lambkit
 
     names = [(m, n) for m, text in EXPORTS.items() for n in text.split()]
-    assert len(names) == 73
+    assert len(names) == 72
     assert sorted(lambkit.__all__) == sorted(n for _, n in names)
     for module, name in names:
         ns = {}
@@ -1611,13 +1611,19 @@ FULL_STDOUT = (cli.EXIT_USAGE, "error: [Errno 28] No space left on device\n")
     (["disperse", "--points", "2"], "dispersion.csv"),
     (["simulate-wafer", "--pitches", "2e-6"], "sites.json"),
     (["stats", "sites.json"], "deviation.csv"),
+    (["layout", "--pitches", "2e-6"], "chip.gds"),
+    (["fit", "d0.s1p", "d1.s1p"], "d1_metrics.json"),
 ])
 def test_failed_flush_ends_as_an_unbuffered_write_does(tmp_path, argv, written):
     # buffered, the write fails in run()'s final flush; unbuffered, in the
     # command's first print, which main() reports.  Each command prints only
-    # after its files are written, so both runs leave them
+    # after its files are written, so both runs leave them: fit too, whose
+    # first file's lines would otherwise come before its second file
     (tmp_path / "sites.json").write_text(json.dumps(_TWO_SITES))
-    argv = [str(tmp_path / a) if a == "sites.json" else a for a in argv]
+    dut, _ = write_dut(tmp_path)
+    for name in ("d0.s1p", "d1.s1p"):
+        shutil.copy(dut, tmp_path / name)
+    argv = [str(tmp_path / a) if a.endswith((".json", ".s1p")) else a for a in argv]
     for unbuffered in (False, True):
         out = tmp_path / f"unbuffered-{unbuffered}"
         assert run_on_dev_full(*argv, "--out", str(out), unbuffered=unbuffered) == FULL_STDOUT

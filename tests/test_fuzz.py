@@ -31,7 +31,7 @@ from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
 from lambkit import MODE_NAMES, cli  # noqa: E402
 from lambkit.config import ToolkitConfig, default_config_dict, load_catalog  # noqa: E402
-from lambkit.design import CapacitanceModel, match_finger_count  # noqa: E402
+from lambkit.design import match_finger_count  # noqa: E402
 from lambkit.errors import ConfigError, GdsParseError, LambkitError  # noqa: E402
 from lambkit.gdsii import read_gdsii, write_gdsii  # noqa: E402
 from lambkit.layout import gen_chip  # noqa: E402
@@ -347,8 +347,7 @@ def test_parse_touchstone_raises_only_lambkit_errors(text, data):
 
 def _chip_gds() -> bytes:
     cfg = ToolkitConfig.default()
-    cap = CapacitanceModel(eps_r=cfg.eps_r, h_piezo=cfg.plate.h)
-    design = match_finger_count(2e-6, cfg.plate, cap)
+    design = match_finger_count(2e-6, cfg, "S0")
     return write_gdsii(gen_chip([design], cfg.chip, cfg.layers))
 
 

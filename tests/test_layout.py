@@ -11,7 +11,7 @@ from oracles import build_reticle_reference, read_gdsii_reference
 
 from lambkit import cli
 from lambkit.config import LayerMap, ToolkitConfig
-from lambkit.design import CapacitanceModel, match_finger_count
+from lambkit.design import match_finger_count
 from lambkit.errors import (
     CoordinateError,
     GdsParseError,
@@ -40,7 +40,6 @@ from lambkit.layout import (
 from lambkit.record import astuple, fields
 
 CFG = ToolkitConfig.default()
-CAP = CapacitanceModel(eps_r=CFG.eps_r, h_piezo=CFG.plate.h)
 
 
 def square(layer=1, size=100, x=0, y=0):
@@ -291,10 +290,9 @@ def test_flatten_and_reticle_name_the_vertex_past_int32():
 # ---------------------------------------------------------------------------
 # IDT construction
 
-def make_design(pitch=2e-6, dummies=3):
-    return match_finger_count(
-        pitch, CFG.plate, CAP, dummy_count_per_side=dummies
-    )
+def make_design(pitch=2e-6, dummies=3, target=200.0):
+    matching = {"dummy_count_per_side": dummies, "target_impedance_ohm": target}
+    return match_finger_count(pitch, ToolkitConfig.from_dict({"matching": matching}), "S0")
 
 
 def test_idt_cell_counting_rule():
@@ -311,8 +309,7 @@ def test_idt_cell_counting_rule():
 def test_idt_two_finger_geometry():
     # n=2, pitch=1 um, aperture=20 um, no dummies: centers at 0 and 1 um,
     # widths 500 nm, plus two busbars
-    d = match_finger_count(1e-6, CFG.plate, CAP, target_impedance=1e9,
-                           dummy_count_per_side=0)
+    d = make_design(pitch=1e-6, dummies=0, target=1e9)
     assert d.idt.n_fingers == 2
     assert d.idt.aperture == pytest.approx(20e-6)
     cell, _, _ = gen_device_cells(d, CFG.layers)
@@ -401,7 +398,7 @@ def test_catalog_packs_on_chip():
     from lambkit.config import load_catalog
 
     designs = [
-        match_finger_count(p, CFG.plate, CAP)
+        match_finger_count(p, CFG, "S0")
         for p in load_catalog()["pitches_m"]
     ]
     lib = gen_chip(designs, CFG.chip, CFG.layers)
@@ -558,7 +555,7 @@ def _catalog_chips():
     jittered = [min(max(p * rng.uniform(0.97, 1.03), lo), hi) for p in pitches
                 for lo, hi in (SMALL_PITCH_RANGE, LARGE_PITCH_RANGE) if lo <= p <= hi]
     for catalog in (pitches, jittered, pitches[2:5]):
-        yield gen_chip([match_finger_count(p, CFG.plate, CAP) for p in catalog],
+        yield gen_chip([match_finger_count(p, CFG, "S0") for p in catalog],
                        CFG.chip, CFG.layers)
 
 
