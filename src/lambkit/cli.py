@@ -25,22 +25,23 @@ bytes.  main() pins OpenBLAS to one thread before a command imports numpy:
 starting its thread pool costs about 70 ms of each command, and the largest
 BLAS call here is a 14-column normal matrix.  An OPENBLAS_NUM_THREADS the user
 set wins, and a caller that has already loaded numpy keeps its environment.
-When its first argument names a subcommand, main() builds that subcommand's
-parser alone; the help and usage texts read as the full parser's do.  The
-lambkit script and python -m lambkit.cli end in run(): once stdout and stderr
-are flushed, os._exit skips the interpreter's teardown.  A flush that fails
-(a full or closed stdout) is reported as main() reports an OSError, with exit
-code 2 where the command's own was 0, so a buffered stdout ends as an
-unbuffered one does.  A tracer or profiler and main(argv) called in process
-end the usual way.
+main() reads a plain command line off the COMMANDS table: a subcommand, then
+its exact flags, their values and its positionals, none of them starting with
+"-".  Any other argv goes to argparse, imported only then, so help, usage
+errors and their texts are argparse's alone.  The lambkit script and python -m
+lambkit.cli end in run(): once stdout and stderr are flushed, os._exit skips
+the interpreter's teardown.  A flush that fails (a full or closed stdout) is
+reported as main() reports an OSError, with exit code 2 where the command's
+own was 0, so a buffered stdout ends as an unbuffered one does.  A tracer or
+profiler and main(argv) called in process end the usual way.
 """
 
-import argparse
 import atexit
 import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 from . import MODE_NAMES
 from .errors import (
@@ -457,78 +458,53 @@ def cmd_flow_check(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
-def _output(p) -> None:
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--quiet", action="store_true", help="suppress progress output")
+# One row per argument: its flag or positional name and add_argument's keywords,
+# which build_parser passes on and _plain_args reads itself
+_OUTPUT = (("--out", dict(default=".", help="output directory")),
+           ("--quiet", dict(action="store_true", default=False, help="suppress progress output")))
+_CONFIG = (("--config", dict(help="config JSON (defaults packaged)")),)
+_PITCH_SOURCE = (("--pitches", dict(help="comma-separated pitches in meters")),
+                 ("--catalog", dict(help="catalog JSON (defaults packaged)")))
+_DESIGN_MODE = (("--mode", dict(default="S0", choices=MODE_NAMES, help="design mode")),)
 
-
-def _config(p) -> None:
-    p.add_argument("--config", default=None, help="config JSON (defaults packaged)")
-
-
-def _pitch_source(p) -> None:
-    p.add_argument("--pitches", default=None, help="comma-separated pitches in meters")
-    p.add_argument("--catalog", default=None, help="catalog JSON (defaults packaged)")
-
-
-def _design_mode(p) -> None:
-    p.add_argument("--mode", default="S0", choices=MODE_NAMES, help="design mode")
-
-
-def _disperse_args(p) -> None:
-    p.add_argument("--pitch-min", type=float, default=1.0e-6)
-    p.add_argument("--pitch-max", type=float, default=4.5e-6)
-    p.add_argument("--points", type=int, default=40, help=f"grid size, 2 to {MAX_GRID_POINTS}")
-    p.add_argument("--modes", default=",".join(MODE_NAMES))
-
-
-def _layout_args(p) -> None:
-    p.add_argument("--wafer-map", action="store_true", help="also write the placement CSV")
-
-
-def _fit_args(p) -> None:
-    p.add_argument("files", nargs="+", help=".s1p measurement files")
-    p.add_argument("--branches", type=int, default=1, help="motional branch count")
-    p.add_argument("--cal-short", default=None, help="measured short standard .s1p")
-    p.add_argument("--cal-open", default=None, help="measured open standard .s1p")
-    p.add_argument("--cal-load", default=None, help="measured load standard .s1p")
-
-
-def _stats_args(p) -> None:
-    p.add_argument("sites", help="sites JSON from simulate-wafer or measurements")
-    p.add_argument("--heatmap", default=None, help="write heatmap.csv for MODE:PITCH_M")
-
-
-def _simulate_wafer_args(p) -> None:
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--full-resolve", action="store_true",
-                   help="evaluate dispersion per site instead of first-order propagation")
-
-
-def _flow_check_args(p) -> None:
-    p.add_argument("flow", help="flow JSON path or a packaged flow name")
-    p.add_argument("--rates", default=None, help="rate table JSON override")
-
-
-# name -> (help, the command, what adds its arguments, in help order)
+# name -> (help, the command, its arguments in help order)
 COMMANDS = {
-    "disperse": ("solve dispersion curves", cmd_disperse, (_config, _output, _disperse_args)),
+    "disperse": ("solve dispersion curves", cmd_disperse, _CONFIG + _OUTPUT + (
+        ("--pitch-min", dict(type=float, default=1.0e-6)),
+        ("--pitch-max", dict(type=float, default=4.5e-6)),
+        ("--points", dict(type=int, default=40, help=f"grid size, 2 to {MAX_GRID_POINTS}")),
+        ("--modes", dict(default=",".join(MODE_NAMES))))),
     "design": ("impedance-matched IDT designs", cmd_design,
-               (_config, _output, _pitch_source, _design_mode)),
+               _CONFIG + _OUTPUT + _PITCH_SOURCE + _DESIGN_MODE),
     "layout": ("chip GDSII, reticle, wafer map", cmd_layout,
-               (_config, _output, _pitch_source, _design_mode, _layout_args)),
-    "fit": ("fit mBVD models to .s1p files", cmd_fit, (_output, _fit_args)),
-    "stats": ("reduce a wafer sites JSON", cmd_stats, (_output, _stats_args)),
+               _CONFIG + _OUTPUT + _PITCH_SOURCE + _DESIGN_MODE + (("--wafer-map", dict(
+                   action="store_true", default=False, help="also write the placement CSV")),)),
+    "fit": ("fit mBVD models to .s1p files", cmd_fit, _OUTPUT + (
+        ("files", dict(nargs="+", help=".s1p measurement files")),
+        ("--branches", dict(type=int, default=1, help="motional branch count")),
+        ("--cal-short", dict(help="measured short standard .s1p")),
+        ("--cal-open", dict(help="measured open standard .s1p")),
+        ("--cal-load", dict(help="measured load standard .s1p")))),
+    "stats": ("reduce a wafer sites JSON", cmd_stats, _OUTPUT + (
+        ("sites", dict(help="sites JSON from simulate-wafer or measurements")),
+        ("--heatmap", dict(help="write heatmap.csv for MODE:PITCH_M")))),
     "simulate-wafer": ("seeded variation run", cmd_simulate_wafer,
-                       (_config, _output, _pitch_source, _simulate_wafer_args)),
-    "flow-check": ("rule-check a process flow", cmd_flow_check, (_output, _flow_check_args)),
+                       _CONFIG + _OUTPUT + _PITCH_SOURCE + (
+        ("--seed", dict(type=int, help="override the config seed")),
+        ("--full-resolve", dict(action="store_true", default=False, help=(
+            "evaluate dispersion per site instead of first-order propagation"))))),
+    "flow-check": ("rule-check a process flow", cmd_flow_check, _OUTPUT + (
+        ("flow", dict(help="flow JSON path or a packaged flow name")),
+        ("--rates", dict(help="rate table JSON override")))),
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
+def build_parser(command=None) -> "argparse.ArgumentParser":
     """The lambkit parser; given one of COMMANDS, with only its subparser.
     That parser's usage names every command, so its errors read as the full
     parser's do."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="lambkit",
         description="Lamb-wave resonator design, layout, fitting, and statistics.",
@@ -536,13 +512,55 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar=command and "{" + ",".join(COMMANDS) + "}")
-    for name, (help_text, func, arguments) in COMMANDS.items():
+    for name, (help_text, func, rows) in COMMANDS.items():
         if command in (None, name):
             p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-            for add in arguments:
-                add(p)
+            for arg, keywords in rows:
+                p.add_argument(arg, **keywords)
             p.set_defaults(func=func)
     return parser
+
+
+def _plain_args(argv):
+    """argparse's namespace for argv, or None where argparse must decide: help,
+    an error, `--`, an unknown or abbreviated flag, `=` on a store-true flag, a
+    token starting with "-" that is no flag, or positionals split by a flag."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, rows = COMMANDS[argv[0]]
+    spec = dict(rows)
+    values = {arg: keywords.get("default") for arg, keywords in rows}
+    at = []  # where each positional stands
+    tokens = enumerate(argv[1:])
+    for i, token in tokens:
+        if token[:1] != "-":
+            at.append(i)
+            continue
+        flag, eq, value = token.partition("=")
+        keywords = spec.get(flag)
+        if keywords is None or eq and "action" in keywords:
+            return None
+        if "action" in keywords:  # store_true
+            values[flag] = True
+            continue
+        if not eq:
+            value = next(tokens, (i, "-"))[1]  # a missing value reads as "-"
+        if value[:1] == "-" or value not in keywords.get("choices", (value,)):
+            return None
+        try:
+            values[flag] = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+    run = [argv[1 + i] for i in at]
+    if at and at[-1] - at[0] != len(at) - 1:  # a flag splits the run
+        return None
+    for arg, keywords in rows:
+        if arg[0] != "-":  # the command's one positional
+            if not run or len(run) > 1 and "nargs" not in keywords:
+                return None
+            values[arg], run = run if "nargs" in keywords else run[0], []
+    return None if run else SimpleNamespace(command=argv[0], func=func, **{
+        arg.lstrip("-").replace("-", "_"): value for arg, value in values.items()})
 
 
 def _exit_code(exc: LambkitError) -> int:
@@ -559,11 +577,13 @@ def main(argv=None) -> int:
     if "numpy" not in sys.modules:  # the variable is read once, as numpy loads
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
+    args = _plain_args(argv)
+    if args is None:  # argparse's result, or its help and usage texts
+        parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except LambkitError as exc:

@@ -1278,9 +1278,9 @@ def test_every_traced_name_is_a_module_attribute():
             f"lambkit.{module}.{name}"
 
 
-def loaded_by(*argv):
+def loaded_by(*argv, code=cli.EXIT_OK):
     """Names of the modules, dotted and top-level, loaded once main(argv)
-    returns, in a fresh process."""
+    returns code, in a fresh process."""
     proc = run_python("-c", (
         "import json, sys\n"
         "from lambkit import cli\n"
@@ -1288,7 +1288,7 @@ def loaded_by(*argv):
         "print(json.dumps([rc, sorted(sys.modules)]))\n"
     ), *argv)
     rc, modules = json.loads(proc.stdout.splitlines()[-1])
-    assert rc == cli.EXIT_OK, proc.stderr
+    assert rc == code, proc.stderr
     return set(modules) | {m.split(".")[0] for m in modules}
 
 
@@ -1351,6 +1351,60 @@ def test_commands_load_no_dataclasses_or_inspect(tmp_path, argv):
     # numpy imports inspect itself, so fit is held to dataclasses alone
     banned = {"dataclasses"} if argv[0] == "fit" else {"dataclasses", "inspect"}
     assert not loaded_by(*argv, *out) & banned
+
+
+# plain command lines: the commands above and each argv form the benchmark
+# runs, with stand-ins for the files they read
+PLAIN_ARGV = [*PACKAGED_MATERIAL_COMMANDS, ["stats", "SITES"], ["flow-check", "alscn-ti-adhesion"],
+              ["fit", "DUT"], ["design", "--catalog", "CATALOG"],
+              ["layout", "--catalog", "CATALOG", "--wafer-map"],
+              ["stats", "SITES", "--heatmap", "S0:2e-06"],
+              ["fit", "DUT", "DUT2", "--branches", "1", "--cal-short", "SHORT",
+               "--cal-open", "OPEN", "--cal-load", "LOAD"]]
+
+
+def write_inputs(tmp_path):
+    """Stand-in name -> the path of a file written for it."""
+    dut, f = write_dut(tmp_path)
+    shutil.copy(dut, tmp_path / "dut2.s1p")
+    (tmp_path / "catalog.json").write_text(json.dumps({"pitches_m": [1e-6, 2e-6]}))
+    paths = {"SITES": write_sites(tmp_path), "DUT": dut, "DUT2": str(tmp_path / "dut2.s1p"),
+             "CATALOG": str(tmp_path / "catalog.json")}
+    for name, gamma in (("SHORT", -1), ("OPEN", 1), ("LOAD", 0)):
+        paths[name] = write_s1p(tmp_path / f"{name}.s1p", f, np.full(f.size, gamma + 0j))
+    return paths
+
+
+@pytest.mark.parametrize("argv", PLAIN_ARGV, ids=" ".join)
+def test_plain_argv_loads_no_argparse(tmp_path, argv):
+    # argparse brings gettext, and its first translation lookup locale: about
+    # 4-5 ms of each command that only help and usage errors need
+    inputs = write_inputs(tmp_path)
+    argv = [inputs.get(a, a) for a in argv]
+    modules = loaded_by(*argv, "--out", str(tmp_path / "out"), "--quiet")
+    assert not modules & {"argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], cli.EXIT_OK),
+                                        (["disperse", "--bogus"], cli.EXIT_USAGE)])
+def test_help_and_usage_errors_load_argparse(argv, code):
+    assert "argparse" in loaded_by(*argv, code=code)
+
+
+def test_main_reads_a_plain_argv_without_a_parser(tmp_path, monkeypatch):
+    argv = ["flow-check", "alscn-ti-adhesion", "--out", str(tmp_path), "--quiet"]
+    help_text, func, rows = cli.COMMANDS["flow-check"]
+    given = []
+    monkeypatch.setitem(cli.COMMANDS, "flow-check",
+                        (help_text, lambda args: given.append(args) or func(args), rows))
+    want = vars(cli.build_parser().parse_args(argv))
+    built = []
+    full_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(a) or full_build(*a))
+    assert cli.main(argv) == cli.EXIT_OK
+    assert built == []
+    assert [vars(args) for args in given] == [want]
+    assert (tmp_path / "flow_report.json").is_file()
 
 
 def test_import_config_loads_no_numpy():
@@ -1418,11 +1472,10 @@ def test_dispersion_and_wafer_commands_load_no_scipy(tmp_path):
 
 
 def calibrated_fit_modules(tmp_path):
-    dut, f = write_dut(tmp_path)
-    cal = []
-    for flag, gamma in (("--cal-short", -1), ("--cal-open", 1), ("--cal-load", 0)):
-        cal += [flag, write_s1p(tmp_path / f"{flag[6:]}.s1p", f, np.full(f.size, gamma + 0j))]
-    modules = loaded_by("fit", dut, *cal, "--out", str(tmp_path), "--quiet")
+    inputs = write_inputs(tmp_path)
+    modules = loaded_by("fit", inputs["DUT"], "--cal-short", inputs["SHORT"], "--cal-open",
+                        inputs["OPEN"], "--cal-load", inputs["LOAD"], "--out", str(tmp_path),
+                        "--quiet")
     assert (tmp_path / "dut_metrics.json").exists()
     return modules
 

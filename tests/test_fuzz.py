@@ -8,18 +8,23 @@ one more test hands the loaders arbitrary JSON.  The same kind of edits hit
 the lines and bytes of synthetic .s1p files and the bytes of a generated
 chip's GDSII stream.  A few fresh-process CLI runs on edited files check what
 the user sees: an exit code from the registry, never 70, one stderr line on
-failure, and no traceback.  Fixed seeds and bounded example counts keep the
-run deterministic and short.
+failure, and no traceback.  Command lines drawn from the CLI's option table,
+with edits, must reach each command as argparse would hand them over, or end
+in the same usage error.  Fixed seeds and bounded example counts keep the run
+deterministic and short.
 """
 
 import copy
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -363,6 +368,119 @@ def test_read_gdsii_raises_only_gds_parse_errors(edits):
         read_gdsii(_apply_edits(_CHIP_GDS, edits))
     except GdsParseError:
         pass
+
+
+# --------------------------------------------------------------- CLI argv
+
+def _parse_outcome(parse, argv):
+    """What parse(argv) hands the commands, its exit code, stdout and stderr.
+    Each command is replaced by one that records vars() of its namespace, with
+    func as the name of the command that ran."""
+    given = []
+
+    def spy(name):
+        return lambda args: given.append({**vars(args), "func": name}) or cli.EXIT_OK
+
+    spies = {name: (help_text, spy(name), rows)
+             for name, (help_text, _, rows) in cli.COMMANDS.items()}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(cli.COMMANDS, spies), redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = parse(argv)
+        except SystemExit as exc:
+            code = cli.EXIT_USAGE if exc.code else cli.EXIT_OK
+    return given, code, out.getvalue(), err.getvalue()
+
+
+_PARSER = cli.build_parser()
+_NAME_OF = {func: name for name, (_, func, _) in cli.COMMANDS.items()}
+
+
+def _by_argparse(argv):
+    """The full parser's parse of argv, handed to the command it names."""
+    args = _PARSER.parse_args(argv)
+    return cli.COMMANDS[_NAME_OF[args.func]][1](args)
+
+
+_ROWS = {name: rows for name, (_, _, rows) in cli.COMMANDS.items()}
+_FLAGS = sorted({arg for rows in _ROWS.values() for arg, _ in rows if arg[0] == "-"})
+_WORDS = ["a.s1p", "x", "", "p q", "k=v", "S0:2e-06", "alscn-ti-adhesion"]
+# values of each shape, a few of them refused ("1_0" reads as 10, "s0" is no mode)
+_VALUES = {int: ["7", "40", " 3", "+2", "1_0", "0x7"],
+           float: ["2e-06", "4.5E-6", "inf", "7", "1_0.5"],
+           str: _WORDS, "choices": [*MODE_NAMES, "s0", "Z9", ""]}
+# what an edit puts in: a token argparse alone decides on, or any flag, or a
+# flag cut short
+_EDIT_TOKENS = (st.sampled_from(["--bogus", "--", "-h", "--help", "-1", "-2e-6", "-", "-x",
+                                 "1.5", "x", "Z9", "--quiet=1", "--wafer-map=", "--out=-o"])
+                | st.sampled_from(_FLAGS)
+                | st.sampled_from(_FLAGS).flatmap(lambda f: st.integers(3, len(f) - 1).map(
+                    lambda k: f[:k])))
+
+
+def _flag_tokens(draw, row):
+    """One flag of the table as tokens: bare, or with a value in either form."""
+    arg, keywords = row
+    if keywords.get("action") == "store_true":
+        return [arg]
+    value = draw(st.sampled_from(_VALUES["choices" if "choices" in keywords
+                                         else keywords.get("type", str)]))
+    return [f"{arg}={value}"] if draw(st.booleans()) else [arg, value]
+
+
+# fit, design and layout, whose rows hold a list positional or a choice, are
+# drawn twice as often as the other commands
+_COMMAND_DRAWS = sorted(_ROWS) + ["fit", "design", "layout"]
+
+
+@st.composite
+def _argv(draw):
+    """A command line drawn from the option table: flags in both value forms,
+    repeats, and a run of positionals among them that a flag may split; then,
+    in half the draws, one to three tokens inserted, replaced or deleted."""
+    command = draw(st.sampled_from(_COMMAND_DRAWS))
+    flags = [row for row in _ROWS[command] if row[0][0] == "-"]
+    items = [_flag_tokens(draw, row) for row in draw(st.lists(st.sampled_from(flags), max_size=5))]
+    if len(flags) < len(_ROWS[command]) and draw(st.integers(0, 3)):  # the positionals
+        run = draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3))
+        if len(run) > 1 and draw(st.booleans()):
+            cut = draw(st.integers(1, len(run) - 1))
+            run[cut:cut] = _flag_tokens(draw, draw(st.sampled_from(flags)))
+        items.insert(draw(st.integers(0, len(items))), run)
+    tokens = [token for item in items for token in item]
+    for _ in range(draw(st.integers(1, 3)) if draw(st.booleans()) else 0):
+        at = draw(st.integers(0, len(tokens)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        tokens[at:at + (edit != "insert")] = [] if edit == "delete" else [draw(_EDIT_TOKENS)]
+    return [command, *tokens]
+
+
+@settings(FUZZ, max_examples=1000)
+@given(_argv())
+def test_main_parses_argv_as_argparse_does(argv):
+    assert _parse_outcome(cli.main, argv) == _parse_outcome(_by_argparse, argv)
+
+
+@pytest.mark.parametrize("argv, parsed", [
+    (["fit", "a", "--branches", "1", "b"], None),
+    (["fit", "--branches", "1", "a", "b"], {"files": ["a", "b"]}),
+    (["disperse", "--points=40"], {"points": 40}),
+    (["disperse", "--quiet=1"], None),
+    (["stats", "s.json", "--heatmap=S0:2e-6", "--heatmap", "S1:1e-6"], {"heatmap": "S1:1e-6"}),
+    (["simulate-wafer", "--seed", "-1"], {"seed": -1}),  # which the command refuses
+    (["design", "--pitches", "-2e-6"], None),
+    (["flow-check", "--", "x"], {"flow": "x"}),
+])
+def test_main_keeps_argparse_semantics(argv, parsed):
+    # None: a usage error
+    outcome = _parse_outcome(cli.main, argv)
+    assert outcome == _parse_outcome(_by_argparse, argv)
+    given, code, _, err = outcome
+    if parsed is None:
+        assert (given, code) == ([], cli.EXIT_USAGE)
+        assert err.startswith("usage: lambkit") and ": error: " in err.splitlines()[-1]
+    else:
+        assert code == cli.EXIT_OK and parsed.items() <= given[0].items()
 
 
 # ---------------------------------------------------------- CLI, fresh process
