@@ -204,13 +204,12 @@ def cmd_design(args) -> int:
 
 
 def cmd_layout(args) -> int:
-    from .gdsii import read_gdsii, write_gdsii
+    from .gdsii import write_gdsii
     from .layout import build_reticle, gen_chip, gen_wafer_map
 
     cfg, designs = _build_designs(args)
     chip_lib = gen_chip(designs, cfg.chip, cfg.layers)
     chip_bytes = write_gdsii(chip_lib)
-    read_gdsii(chip_bytes)  # structural self-check before shipping the file
     windows, mask_lib = build_reticle(chip_lib, cfg.chip, cfg.layers, cfg.reticle)
     reticle_bytes = write_gdsii(mask_lib)
     placements = gen_wafer_map(cfg.chip, cfg.wafer)

@@ -122,7 +122,8 @@ class MissingRateError(FlowError):
 
 def read_json(path, what: str, error=InputError):
     """The JSON document in the file at ``path``; a missing file, bytes that
-    are not UTF-8 and text that is not JSON raise ``error`` naming ``what``."""
+    are not UTF-8 and text that is not JSON or nests deeper than the decoder
+    recurses raise ``error`` naming ``what``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -130,6 +131,8 @@ def read_json(path, what: str, error=InputError):
         raise error(f"{what} file not found: {path}") from None
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise error(f"{what} file is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise error(f"{what} file is not valid JSON: nested too deeply") from None
 
 
 def packaged_json(name: str):

@@ -7,11 +7,9 @@ byte stream is a pure function of the library content.
 
 Only the record set needed for mask interchange is supported: BOUNDARY
 polygons and SREF placements with right-angle rotations.  The reader is
-strict; any record outside the expected grammar is a parse error carrying
-the byte offset.  A rectangle's BOUNDARY element framed exactly as the writer
-frames it is decoded in one unpack; any other bytes take the record walk.  An
-axis-aligned counter-clockwise rectangle so decoded skips Polygon's full check,
-which it passes; any other four points get that check.
+strict: it walks the stream record by record, gives every polygon it decodes
+Polygon's full check, and reports any record outside the expected grammar as
+a parse error carrying the byte offset.
 """
 
 from __future__ import annotations
@@ -63,13 +61,6 @@ DT_ASCII = 0x06
 
 # fixed library/structure timestamp: 12 int16 (mod + access, y m d h m s)
 _TIMESTAMP = (2022, 1, 1, 0, 0, 0) * 2
-
-# a rectangle's BOUNDARY element as write_gdsii emits it: BOUNDARY and LAYER
-# headers, layer, DATATYPE record and XY header, five closed points, ENDEL
-_RECT = struct.Struct(">8sh10s10l4s")
-_RECT_FRAMING = (struct.pack(">HBBHBB", 4, BOUNDARY, DT_NONE, 6, LAYER, DT_INT16),
-                 struct.pack(">HBBhHBB", 6, DATATYPE, DT_INT16, 0, 44, XY, DT_INT32),
-                 struct.pack(">HBB", 4, ENDEL, DT_NONE))
 
 _REC_NAMES = {globals()[name]: name for name in (
     "HEADER BGNLIB LIBNAME UNITS ENDLIB BGNSTR STRNAME ENDSTR BOUNDARY SREF "
@@ -253,7 +244,7 @@ def _at(offset: int, make, *args, **kwargs):
 
 def read_gdsii(data: bytes):
     """Parse GDSII bytes back into a layout library."""
-    from .layout import Library, Cell, Polygon, Placement, _ccw_rectangle
+    from .layout import Library, Cell, Polygon, Placement
 
     p = _Parser(data)
     version = struct.unpack(">h", p.expect_sized(HEADER, 2))[0]
@@ -277,19 +268,7 @@ def read_gdsii(data: bytes):
         polygons = []
         placements = []
         while p.cur in (BOUNDARY, SREF):
-            off = p.offset
-            fits = p.cur == BOUNDARY and off + _RECT.size <= len(data)
-            rect = fits and _RECT.unpack_from(data, off)
-            if rect and (rect[0], rect[2], rect[13]) == _RECT_FRAMING and rect[3:5] == rect[11:13]:
-                # the records the walk below reads, checked as it checks them;
-                # the XY record, whose offset a polygon fault names, is at off + 16
-                p.end = off + _RECT.size
-                p.advance()
-                x0, y0, x1, y1, x2, y2, x3, y3 = xy = rect[3:11]
-                verts = ((x0, y0), (x1, y1), (x2, y2), (x3, y3))
-                polygons.append(Polygon._trusted(rect[1], verts) if _ccw_rectangle(*xy)
-                                else _at(off + 16, Polygon, rect[1], verts))
-            elif p.cur == BOUNDARY:
+            if p.cur == BOUNDARY:
                 p.expect(BOUNDARY)
                 layer = struct.unpack(">h", p.expect_sized(LAYER, 2))[0]
                 p.expect(DATATYPE)

@@ -6,11 +6,12 @@ de-embedding twins from a single frame.
 All coordinates are integer database units of 1 nm within int32; this module
 is the only place that range is checked.  Polygons are stored open (closure
 vertex is added at serialization) and must be simple and counter-clockwise.
-`Polygon(...)` runs the full check; copies, the generators' rectangles and the
-rectangles `read_gdsii` decodes are valid by construction and get only the
-range check.  Each copy, from `translated`, `rotated`, `scaled`, `flatten` or
-`build_reticle`, is one composed map: right-angle turn, integer magnification
-and offset; `build_reticle` maps each cell's own polygons per placement.
+`Polygon(...)` runs the full check, as `read_gdsii` does for every polygon it
+decodes; copies and the generators' rectangles are valid by construction and
+get only the range check.  Each copy, from `translated`, `rotated`, `scaled`,
+`flatten` or `build_reticle`, is one composed map: right-angle turn, integer
+magnification and offset; `build_reticle` maps each cell's own polygons per
+placement.
 """
 
 from __future__ import annotations
@@ -99,13 +100,6 @@ def _segments_cross(p1, p2, p3, p4) -> bool:
     if o4 == 0 and _on_segment(*p3, *p4, *p2):
         return True
     return False
-
-
-def _ccw_rectangle(x0, y0, x1, y1, x2, y2, x3, y3) -> bool:
-    """True if the four points are an axis-aligned counter-clockwise rectangle
-    of positive extent: a polygon that passes every check of Polygon's."""
-    return ((y0 == y1 and x1 == x2 and y2 == y3 and x3 == x0 and (x1 - x0) * (y2 - y1) > 0)
-            or (x0 == x1 and y1 == y2 and x2 == x3 and y3 == y0 and (x1 - x2) * (y1 - y0) > 0))
 
 
 @dataclass(frozen=True)

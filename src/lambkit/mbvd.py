@@ -184,7 +184,6 @@ class FitResult:
     model: MbvdModel
     residual_norm: float
     nfev: int
-    njev: int
     status: int
     confidence_scale: dict = field(default_factory=dict)
 
@@ -194,6 +193,10 @@ class FitResult:
 
     @property
     def iterations(self) -> int:
+        return self.nfev
+
+    @property
+    def njev(self) -> int:  # each evaluation returns f and J
         return self.nfev
 
     def report_dict(self) -> dict:
@@ -233,8 +236,7 @@ def _find_peaks(values: np.ndarray, n: int, window: int):
     if cand.size < n:
         raise FitPeakError(found=int(cand.size), requested=n)
     # a stable sort of ascending indices keeps the lower index first on ties
-    picked = sorted(cand[np.argsort(-sm[cand], kind="stable")[:n]].tolist())
-    return picked, sm
+    return sorted(cand[np.argsort(-sm[cand], kind="stable")[:n]].tolist())
 
 
 def _initial_model(trace: AdmittanceTrace, n_branches: int):
@@ -254,7 +256,7 @@ def _initial_model(trace: AdmittanceTrace, n_branches: int):
     if n_branches > 0:
         # Resonances are conductance peaks: c_0 adds nothing to Re(Y), so its
         # w*c_0 background cannot outrank a weak branch as it does in |Y|.
-        peaks, _ = _find_peaks(np.maximum(y.real, 0.0), n_branches, _MEDIAN_WINDOW)
+        peaks = _find_peaks(np.maximum(y.real, 0.0), n_branches, _MEDIAN_WINDOW)
         mag = np.abs(y)
         sm = _sliding_median(mag, _MEDIAN_WINDOW)
         for j, i_pk in enumerate(peaks):
@@ -340,13 +342,14 @@ def _levenberg_marquardt(fun_jac, x0, xtol, ftol, max_nfev):
     scaling and Nielsen's damping update (Madsen, Nielsen & Tingleff 2004,
     section 3.2).  ``fun_jac(x)`` returns (f, J).
 
-    Returns (x, f, J, nfev, njev, status), f and J at the returned x.  status
-    2: the scaled step |D h| <= xtol |D x|; 1: the actual and the predicted
-    reduction are both <= ftol * cost; 0: max_nfev evaluations made.
+    Returns (x, f, J, nfev, status), f and J at the returned x, nfev the calls
+    of ``fun_jac``.  status 2: the scaled step |D h| <= xtol |D x|; 1: the
+    actual and the predicted reduction are both <= ftol * cost; 0: max_nfev
+    evaluations made.
     """
     x = np.asarray(x0, dtype=float)
     f, jac = fun_jac(x)
-    nfev = njev = 1
+    nfev = 1
     cost = f @ f
     a, g = jac.T @ jac, jac.T @ f
     # D^2 is the running maximum of diag(J^T J), as MINPACK keeps it
@@ -365,10 +368,9 @@ def _levenberg_marquardt(fun_jac, x0, xtol, ftol, max_nfev):
             continue
         dnorm = math.sqrt(d2 @ (h * h))
         if dnorm <= xtol * math.sqrt(d2 @ (x * x)):
-            return x, f, jac, nfev, njev, 2
+            return x, f, jac, nfev, 2
         f_new, jac_new = fun_jac(x + h)
         nfev += 1
-        njev += 1
         cost_new = f_new @ f_new
         predicted = -(h @ (2.0 * g + a @ h))
         actual = cost - cost_new if math.isfinite(cost_new) else -math.inf
@@ -382,8 +384,8 @@ def _levenberg_marquardt(fun_jac, x0, xtol, ftol, max_nfev):
         else:
             mu, nu = mu * nu, 2.0 * nu
         if converged:
-            return x, f, jac, nfev, njev, 1
-    return x, f, jac, nfev, njev, 0
+            return x, f, jac, nfev, 1
+    return x, f, jac, nfev, 0
 
 
 def fit_mbvd(trace: AdmittanceTrace, n_branches: int) -> FitResult:
@@ -410,7 +412,7 @@ def fit_mbvd(trace: AdmittanceTrace, n_branches: int) -> FitResult:
     with np.errstate(all="ignore"):
         inv_jw, inv_absy = 1.0 / jw, 1.0 / absy
         c0, rs, branches = _initial_model(trace, n_branches)
-        x, fun, jac, nfev, njev, status = _levenberg_marquardt(
+        x, fun, jac, nfev, status = _levenberg_marquardt(
             lambda theta: _residual_jacobian(theta, jw, inv_jw, y, inv_absy),
             _pack(c0, rs, branches),
             xtol=_STEP_TOL,
@@ -426,7 +428,7 @@ def fit_mbvd(trace: AdmittanceTrace, n_branches: int) -> FitResult:
         confidence = {name: float(math.sqrt(max(var, 0.0))) for name, var in zip(names, np.diag(cov))}
     except np.linalg.LinAlgError:
         confidence = {name: math.inf for name in names}
-    result = FitResult(model, norm, nfev, njev, status, confidence)
+    result = FitResult(model, norm, nfev, status, confidence)
     if status == 0:
         raise FitConvergenceError(
             f"iteration cap reached after {nfev} evaluations", model=model, report=result

@@ -4,8 +4,9 @@ Only the S-parameter one-port subset is handled.  The option line
 "# <unit> S <format> R <z0>" is parsed case-insensitively with tokens in
 any order; omitted fields default to GHz, MA, 50 Ohm.  Full-line "!"
 comments are preserved (serialized ahead of the option line); inline
-comments are stripped.  All points are converted to real/imaginary form
-internally.
+comments are stripped.  Lines end at LF, CRLF or a lone CR, and at no other
+character that str.splitlines breaks at (form feed, NEL, U+2028, ...).  All
+points are converted to real/imaginary form internally.
 
 The parser reads each line once to sort it and collect its data tokens,
 converts all tokens with one ``map(float, ...)`` (so exactly Python's float
@@ -181,14 +182,18 @@ def parse_touchstone(text) -> TouchstoneFile:
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise TouchstoneParseError(f"byte {text[exc.start]:#04x} is not UTF-8",
-                                       line=text.count(b"\n", 0, exc.start) + 1) from None
+            head = text[: exc.start]
+            raise TouchstoneParseError(
+                f"byte {text[exc.start]:#04x} is not UTF-8",
+                line=head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1) from None
     comments = []
     seen_option = False
     tokens = []  # three per data row
     rows = []  # (line number, text) per data row, for error messages
     fault = None  # a line fault after data rows, raised if those rows are good
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.strip()
         if not stripped:
             continue

@@ -7,6 +7,7 @@ paths share no code.  Roots are located by brute-force dense sign scans.
 """
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -117,7 +118,7 @@ def parse_touchstone_reference(text) -> TouchstoneFile:
     unit_name = "GHz"
     fmt = "MA"
     z0 = 50.0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(re.split("\r\n|\r|\n", text), start=1):
         stripped = raw.strip()
         if not stripped:
             continue

@@ -513,28 +513,6 @@ def test_a_failed_layout_writes_no_file(tmp_path, capsys, doc, code, message):
     assert not out.exists()
 
 
-def test_layout_rereads_its_chip_stream_before_writing(tmp_path, capsys, monkeypatch):
-    # a writer that drops the first rectangle's closing vertex: the self-check
-    # read of chip.gds refuses the stream, and no file is written
-    from lambkit import gdsii
-
-    write, at = gdsii.write_gdsii, []
-
-    def unclosed(library):
-        data = write(library)
-        at.append(data.index(bytes([0, 44, gdsii.XY, 3])))  # a 5-point XY record
-        return (data[:at[-1]] + bytes([0, 36, gdsii.XY, 3]) + data[at[-1] + 4:at[-1] + 36]
-                + data[at[-1] + 44:])
-
-    monkeypatch.setattr(gdsii, "write_gdsii", unclosed)
-    out = tmp_path / "out"
-    argv = ["layout", "--pitches", "2e-6", "--wafer-map", "--out", str(out)]
-    assert cli.main(argv) == cli.EXIT_USAGE
-    assert capsys.readouterr() == (
-        "", f"error: BOUNDARY XY list is not closed (byte offset {at[0]})\n")
-    assert len(at) == 1 and not out.exists()
-
-
 # --------------------------------------------------------------------- fit
 
 
@@ -1060,6 +1038,25 @@ def test_json_file_that_is_not_utf8_is_usage_error(tmp_path, command):
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.strip().splitlines()
     assert "is not valid JSON" in line
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["design", "--config", "{doc}", "--pitches", "2e-6"], "config"),
+    (["design", "--catalog", "{doc}"], "catalog"),
+    (["stats", "{doc}"], "sites"),
+    (["flow-check", "{doc}"], "flow"),
+    (["flow-check", "alscn-aln-adhesion", "--rates", "{doc}"], "rates"),
+])
+def test_json_nested_past_the_decoder_is_usage_error(tmp_path, capsys, argv, what):
+    # json.load raises RecursionError, not a ValueError, when arrays or
+    # objects nest deeper than the interpreter's recursion limit
+    doc, out = tmp_path / "doc.json", tmp_path / "out"
+    for text in ("[" * 995 + "]" * 995, '{"a": ' * 200_000 + "1" + "}" * 200_000):
+        doc.write_text(text)
+        code = cli.main([a.format(doc=doc) for a in argv] + ["--out", str(out)])
+        assert (code, capsys.readouterr()) == (
+            cli.EXIT_USAGE, ("", f"error: {what} file is not valid JSON: nested too deeply\n"))
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("pitch", ["nan", "inf", "1e400"])

@@ -6,11 +6,12 @@ catalog and default config, a small sites document) with one to three edits
 at random paths, so the fuzz reaches the checks behind the first type test;
 one more test hands the loaders arbitrary JSON.  The same kind of edits hit
 the lines and bytes of synthetic .s1p files and the bytes of a generated
-chip's GDSII stream.  A few fresh-process CLI runs on edited files check what
-the user sees: an exit code from the registry, never 70, one stderr line on
-failure, and no traceback.  Command lines drawn from the CLI's option table,
-with edits, must reach each command as argparse would hand them over, or end
-in the same usage error.  Fixed seeds and bounded example counts keep the run
+chip's GDSII stream, and the chip and reticle libraries of drawn catalogs must
+read back from their streams as built.  A few fresh-process CLI runs on edited
+files check what the user sees: an exit code from the registry, never 70, one
+stderr line on failure, and no traceback.  Command lines drawn from the CLI's
+option table, with edits, must reach each command as argparse would hand them
+over, or end in the same usage error.  Fixed seeds and bounded example counts keep the run
 deterministic and short.
 """
 
@@ -39,7 +40,7 @@ from lambkit.config import ToolkitConfig, default_config_dict, load_catalog  # n
 from lambkit.design import match_finger_count  # noqa: E402
 from lambkit.errors import ConfigError, GdsParseError, LambkitError  # noqa: E402
 from lambkit.gdsii import read_gdsii, write_gdsii  # noqa: E402
-from lambkit.layout import gen_chip  # noqa: E402
+from lambkit.layout import build_reticle, gen_chip  # noqa: E402
 from lambkit.mbvd import MbvdModel, MotionalBranch, StaticNetwork  # noqa: E402
 from lambkit.processflow import DEFAULT_RATES, RateTable, steps_from_dict  # noqa: E402
 from lambkit.touchstone import (  # noqa: E402
@@ -368,6 +369,39 @@ def test_read_gdsii_raises_only_gds_parse_errors(edits):
         read_gdsii(_apply_edits(_CHIP_GDS, edits))
     except GdsParseError:
         pass
+
+
+def _contents(lib):
+    """Everything a library holds: its name, and each cell's name, polygons
+    (layer and vertices) and placements, in order."""
+    return lib.name, [(c.name, [(p.layer, p.vertices) for p in c.polygons], c.placements)
+                      for c in lib.cells]
+
+
+@st.composite
+def _catalogs(draw):
+    """(config, designs): one to three pitches from each exposure band, in
+    whole nm, a mode, a dummy count and a chip size that the packer fits."""
+    raw = default_config_dict()
+    raw["matching"]["dummy_count_per_side"] = draw(st.integers(0, 5))
+    raw["chip"]["width_m"], raw["chip"]["height_m"] = draw(
+        st.sampled_from([(0.017, 0.003), (0.006, 0.002), (0.012, 0.0034), (0.021, 0.0022)]))
+    cfg = ToolkitConfig.from_dict(raw)
+    pitches = (draw(st.lists(st.integers(500, 1000), min_size=1, max_size=3, unique=True))
+               + draw(st.lists(st.integers(1500, 4500), min_size=1, max_size=3, unique=True)))
+    mode = draw(st.sampled_from(["S0", "S1", "A1"]))
+    return cfg, [match_finger_count(nm / 1e9, cfg, mode) for nm in pitches]
+
+
+@settings(FUZZ, max_examples=30)
+@given(_catalogs())
+def test_generated_libraries_round_trip_through_gdsii(catalog):
+    # what layout writes reads back as built: chip.gds and reticle.gds
+    cfg, designs = catalog
+    chip = gen_chip(designs, cfg.chip, cfg.layers)
+    _, mask = build_reticle(chip, cfg.chip, cfg.layers, cfg.reticle)
+    for lib in (chip, mask):
+        assert _contents(read_gdsii(write_gdsii(lib))) == _contents(lib)
 
 
 # --------------------------------------------------------------- CLI argv

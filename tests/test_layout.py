@@ -652,9 +652,9 @@ def test_packaged_layout_builds_no_throwaway_polygons(monkeypatch):
     assert len(built) == len(mask_lib["RETICLE"].polygons) > 2000
     assert set(built) == {"trusted"}
     built.clear()
-    back = read_gdsii(chip_bytes)
-    assert built.count("checked") == 0
-    assert built.count("trusted") == sum(len(c.polygons) for c in back.cells) > 1000
+    back = read_gdsii(chip_bytes)  # the reader checks each polygon it decodes, once
+    assert built.count("trusted") == 0
+    assert built.count("checked") == sum(len(c.polygons) for c in back.cells) > 1000
 
 
 # ---------------------------------------------------------------------------
@@ -1014,8 +1014,8 @@ def _aimed_edit(rng, data: bytes, element: list, field: str) -> bytes:
 
 
 def test_reader_mutations_fail_as_the_record_walk_does(packaged_streams):
-    # read_gdsii decodes a canonical rectangle in one unpack; whatever the
-    # bytes, it must give the record walk's outcome: error, message and offset
+    # whatever the bytes, read_gdsii must give the outcome of the oracle's
+    # record walk: error, message and offset
     rng = np.random.default_rng(2028)
     fields = ["closing vertex", "vertex order"] + [f"{r} {part}" for r in _ELEMENT
                                    for part in ("length", "type", "datatype")]

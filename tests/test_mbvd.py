@@ -234,7 +234,7 @@ def test_peak_median_matches_scipy_median_filter():
         mag = np.abs(rng.standard_normal(n)) * 10.0 ** rng.uniform(-6, 6)
         if rng.random() < 0.3:
             mag = np.round(mag, 1)  # ties
-        _, sm = mbvd._find_peaks(mag, 0, window)
+        sm = mbvd._sliding_median(mag, window)
         want = median_filter(mag, size=window, mode="nearest")
         assert np.array_equal(sm.view(np.int64), want.view(np.int64))
 
@@ -258,7 +258,7 @@ def test_fit_report_counts_evaluations():
     res = fit_mbvd(mbvd_admittance(make_model(r_s=0.5), np.linspace(0.9e9, 1.2e9, 400)), 1)
     report = res.report_dict()
     assert report["iterations"] == report["nfev"] == res.nfev > 1
-    assert report["njev"] == res.njev >= 1
+    assert report["njev"] == res.njev == res.nfev
     assert report["status"] in (1, 2) and report["converged"] is True
     json.dumps(report)
 
@@ -353,18 +353,18 @@ def _rosenbrock(x):
 
 
 def test_levenberg_marquardt_solves_rosenbrock():
-    x, fun, jac, nfev, njev, status = mbvd._levenberg_marquardt(
+    x, fun, jac, nfev, status = mbvd._levenberg_marquardt(
         _rosenbrock, np.array([-1.2, 1.0]), xtol=1e-12, ftol=1e-14, max_nfev=500)
     assert status in (1, 2)
     np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-8)
     np.testing.assert_array_equal(fun, _rosenbrock(x)[0])
     np.testing.assert_array_equal(jac, _rosenbrock(x)[1])
-    assert nfev == njev <= 500
+    assert nfev <= 500
 
 
 def test_levenberg_marquardt_stops_at_evaluation_cap():
     x0 = np.array([-1.2, 1.0])
-    x, fun, _, nfev, _, status = mbvd._levenberg_marquardt(_rosenbrock, x0, 1e-12, 1e-14, 8)
+    x, fun, _, nfev, status = mbvd._levenberg_marquardt(_rosenbrock, x0, 1e-12, 1e-14, 8)
     assert (status, nfev) == (0, 8)
     assert fun @ fun < _rosenbrock(x0)[0] @ _rosenbrock(x0)[0]
 
@@ -376,7 +376,7 @@ def test_levenberg_marquardt_backs_off_non_finite_trials():
             return np.array([math.nan]), np.array([[math.nan]])
         return np.array([math.atan(x[0])]), np.array([[1.0 / (1.0 + x[0] ** 2)]])
 
-    x, fun, _, _, _, status = mbvd._levenberg_marquardt(fun_jac, np.array([3.0]), 1e-12, 1e-14, 200)
+    x, fun, _, _, status = mbvd._levenberg_marquardt(fun_jac, np.array([3.0]), 1e-12, 1e-14, 200)
     assert status in (1, 2)
     assert abs(x[0]) < 1e-8 and np.all(np.isfinite(fun))
 
@@ -387,7 +387,7 @@ def test_levenberg_marquardt_keeps_a_parameter_without_influence():
     def fun_jac(x):
         return np.array([x[0] - 2.0, 3.0 * (x[0] - 2.0)]), np.array([[1.0, 0.0], [3.0, 0.0]])
 
-    x, _, _, _, _, status = mbvd._levenberg_marquardt(fun_jac, np.array([0.0, 5.0]), 1e-12, 1e-14, 100)
+    x, _, _, _, status = mbvd._levenberg_marquardt(fun_jac, np.array([0.0, 5.0]), 1e-12, 1e-14, 100)
     assert status in (1, 2)
     assert x[0] == pytest.approx(2.0, abs=1e-10) and x[1] == 5.0
 

@@ -217,7 +217,10 @@ _BAD_TOKENS = ("nan", "-inf", "Infinity", "abc", "1e999", "7000", "6000", "0", "
                "1_0", "-0.0", "1e-320", "1e300", "0x10", "--1")
 _BAD_LINES = ("# GHz S RI R 50", "# hz s db r 0", "# ghz s ma r", "# ghz s ri r x", "# mhz y ri",
               "#", "1 2", "1 2 3 4", "x y z", "5 1 1", "1e300 0 0", "! c", "", "  ! ", "0.5 1 1",
-              "0 1 1", "-1 0 0")
+              "0 1 1", "-1 0 0",
+              # characters str.splitlines breaks at, which end no Touchstone line
+              "! c\x0c1 2 3", "1 1 1 ! c\x852 0 0", "5 1 1\u20283 1 1", "\x0b", "1 2\x1c3",
+              "2 2 2 ! \x1d", "\x1e9 9 9\u2029")
 
 
 def _mutate(rng, lines: list) -> list:
@@ -280,11 +283,31 @@ def test_parse_earliest_faulty_line_wins():
         "-1 0 0\n": (3, "frequency -1.0 not positive and finite in Hz"),
         "0 0 0\n": (3, "frequency 0.0 not positive and finite in Hz"),
         "1e300 0 0\n": (3, "frequency 1e+300 not positive and finite in Hz"),
+        # a lone CR ends a line as LF and CRLF do
+        "2 0 0\r3 0\n": (4, "expected 3 columns"),
+        "2 0 0\r\r\n3 0\n": (5, "expected 3 columns"),
     }
+    # no other character ends a line: these run on into the comment they follow
+    for brk in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"):
+        cases[f"2 0 0 ! c{brk}\n3 0\n"] = (4, "expected 3 columns, found 2")
+        cases[f"! note{brk}x\n2 x 0\n"] = (4, "non-numeric data '2 x 0'")
     for tail, (line, what) in cases.items():
         with pytest.raises(TouchstoneParseError) as exc:
             parse_touchstone(head + tail)
-        assert exc.value.line == line and what in str(exc.value), tail
+        assert exc.value.line == line and what in str(exc.value), repr(tail)
+
+
+def test_parse_breaks_lines_only_at_lf_crlf_and_cr():
+    # NEL and form feed sit inside a comment, not at the start of a data line
+    tf = parse_touchstone("# ghz s ri r 50\n1 0.1 0.2 ! c\x852 0.3 0.4\n")
+    assert tf.frequencies.tolist() == [1e9]
+    tf = parse_touchstone("# ghz s ri r 50\n! note\x0c1.5 0.1 0.2\n1 0.1 0.2\n")
+    assert tf.frequencies.tolist() == [1e9] and tf.comments == ("note\x0c1.5 0.1 0.2",)
+    # the line of a byte that is not UTF-8 is counted by the same rule
+    for text, line in ((b"#\r\n1 1 1\r\xff", 3), (b"#\r\r\xff", 3), (b"! \x0c\xc2\x85\n\xff", 2)):
+        with pytest.raises(TouchstoneParseError) as exc:
+            parse_touchstone(text)
+        assert exc.value.line == line and "byte 0xff is not UTF-8" in str(exc.value), text
 
 
 def test_s11_to_y_values():
