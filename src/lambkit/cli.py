@@ -17,14 +17,12 @@ that can fail has passed, and maps failures onto a stable exit-code registry:
 Subcommands import what they run in their own bodies, and no command loads
 scipy.  The records are lambkit.record classes, so no command imports the
 standard dataclass module (with inspect) or compiles a class's methods at
-start-up.  On the packaged material only fit loads numpy: design, layout and
-simulate-wafer read dispersion off the packaged lattice table, disperse polishes
-the roots it brackets (scanning only off it), and wafer draws are numpy's
-SeedSequence/PCG64/ziggurat streams in the stdlib, so a seed gives the same
-bytes.  main() pins OpenBLAS to one thread before a command imports numpy:
-starting its thread pool costs about 70 ms of each command, and the largest
-BLAS call here is a 14-column normal matrix.  An OPENBLAS_NUM_THREADS the user
-set wins, and a caller that has already loaded numpy keeps its environment.
+start-up.  Where the lattice walk reaches only fit loads numpy: dispersion is read and
+polished on a lattice walked from k*h -> 0 (lambkit.dispersion names where the scan
+still runs), and wafer draws are numpy's streams in the stdlib: same seed, same bytes.
+main() pins OpenBLAS to one thread before a command imports numpy (its pool
+takes about 70 ms to start; the largest BLAS call is a 14-column matrix).  A
+user's OPENBLAS_NUM_THREADS wins, and a caller with numpy loaded keeps its own.
 main() reads a plain command line off the COMMANDS table: a subcommand, then
 its exact flags, their values and its positionals, none of them starting with
 "-".  Any other argv goes to argparse, imported only then, so help, usage
@@ -128,9 +126,11 @@ def _parse_modes(text: str) -> tuple:
 def _catalog_pitches(args) -> tuple:
     from .config import load_catalog
 
-    if args.pitches is not None:
-        return _parse_pitches(args.pitches)
-    return tuple(load_catalog(args.catalog)["pitches_m"])
+    if args.pitches is None:
+        return tuple(load_catalog(args.catalog)["pitches_m"])
+    if args.catalog is not None:
+        raise InputError("give --pitches or --catalog, not both")
+    return _parse_pitches(args.pitches)
 
 
 def _build_designs(args):

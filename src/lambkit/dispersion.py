@@ -14,10 +14,11 @@ across the sign changes.  Hyperbolic factors are rescaled by exp(-|x|*hh)
 to avoid overflow; the rescaling is a positive common factor per term and
 preserves both roots and signs.
 
-solve_at_k scans for roots.  pitch_to_frequency and sensitivity read a
-per-mode master lattice of its nodes, the only interpolator here.  The packaged
-material's lattice ships solved in data/lattice.json; lookups there solve
-nothing, and solve_grid polishes the roots it brackets: no numpy is loaded.
+solve_at_k scans for roots with numpy.  pitch_to_frequency and sensitivity read a per-mode
+master lattice of nodes, the only interpolator here; solve_grid polishes the roots it brackets
+(A0 from k*h 0.197 up).  The packaged material's nodes ship in data/lattice.json; any material's
+others continue from the k*h -> 0 limits without numpy, except outside k*h 0.03-20 and at a
+seed whose limit bracket holds no root (S1 near v_l = 2*v_t).
 """
 
 from __future__ import annotations
@@ -333,8 +334,8 @@ class DispersionCurve:
 
 def solve_grid(plate: PlateSpec, mode: str, ks) -> tuple:
     """(solved ks, their frequencies in Hz, (k_lo, k_hi) gaps) of one mode over ks,
-    a positive, finite, strictly increasing list: _table_root where the packaged
-    table applies, else solve_at_k; a run of points where either fails is a gap."""
+    a positive, finite, strictly increasing list: _table_root where the lattice
+    walk applies, else solve_at_k; a run of points where either fails is a gap."""
     if not all(0.0 < k < math.inf for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
         raise InputError("k grid must be positive, finite and strictly increasing")
     out_k, out_f, gaps = [], [], []
@@ -361,18 +362,54 @@ def solve_mode(plate: PlateSpec, mode: str, k_grid) -> DispersionCurve:
 # k*h = exp(j / _LATTICE_DENSITY) holds ln F (None: no reliable root).  Nodes
 # depend only on (material, mode, j), so the shared memo cannot make results
 # order-dependent.  The memo of the packaged table's material starts from the
-# table's nodes; any other node is solved when first needed.
+# table's nodes; any other node is solved when first needed (_solve_node).
 _LATTICE_DENSITY = 64
 _LATTICE: dict = {}
+_SEEDS = range(-105, -102)  # k*h 0.194 to 0.200
+_WALK = range(-225, 193)  # k*h 0.0297 to 20.1
+# relative half-widths of a polish bracket, narrowest first; a seed's widen to 1e-2
+_WIDTHS = (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
 
 
-def _solve_node(material: PlateMaterial, mode: str, j: int):
-    """ln F at lattice node j, solved on a unit-thickness plate; None where
-    solve_at_k raises SolverError."""
+def _polish(plate: PlateSpec, mode: str, k: float, w0: float, widths: tuple):
+    """Frequency in Hz of mode at k: _brentq in [w0*(1 - d), w0*(1 + d)], d the
+    narrowest of widths that brackets a sign change; None where none does."""
+    args = (k, plate, _mode_family(mode))
+    for d in widths:
+        lo, hi = w0 * (1.0 - d), w0 * (1.0 + d)
+        if _scalar_residual(lo, *args) * _scalar_residual(hi, *args) < 0.0:
+            return _brentq(_scalar_residual, lo, hi, args) / (2.0 * math.pi)
+    return None
+
+
+def _solve_node(material: PlateMaterial, mode: str, j: int, nodes: dict):
+    """ln F at lattice node j on a unit-thickness plate, memoised in nodes: a seed polished
+    around its k*h -> 0 limit (Graff, Wave Motion in Elastic Solids, plate chapter), another
+    node of _WALK around the quadratic through its 3 neighbours towards the seeds (Allgower
+    & Georg, Numerical Continuation Methods); solve_at_k's elsewhere or with no bracket."""
+    if j in nodes:
+        return nodes[j]
+    plate, k, w0 = PlateSpec(material, 1.0), math.exp(j / _LATTICE_DENSITY), None
+    side = (j > _SEEDS[-1]) - (j < _SEEDS[0])  # 1 above the seeds, -1 below
+    if j in _SEEDS:
+        v_p, v_t = thin_plate_s0_velocity(material), material.v_t
+        w0 = {"S0": v_p * k, "A0": v_p * k * k / math.sqrt(12.0), "A1": math.pi * v_t,
+              "S1": math.pi * min(2.0 * v_t, material.v_l)}[mode]
+    elif j in _WALK:
+        i = j - side
+        while i not in nodes and i not in _SEEDS:
+            i -= side
+        for n in range(i, j, side):  # the nodes between j and the seeds, nearest them first
+            _solve_node(material, mode, n, nodes)
+        y1, y2, y3 = (_solve_node(material, mode, j - n * side, nodes) for n in (1, 2, 3))
+        if None not in (y1, y2, y3):
+            w0 = 2.0 * math.pi * math.exp(3.0 * (y1 - y2) + y3)
+    f = w0 and _polish(plate, mode, k, w0, _WIDTHS + (1e-2,) if j in _SEEDS else _WIDTHS)
     try:
-        return math.log(solve_at_k(PlateSpec(material, 1.0), mode, math.exp(j / _LATTICE_DENSITY)))
+        nodes[j] = math.log(f or solve_at_k(plate, mode, k))
     except SolverError:
-        return None
+        nodes[j] = None
+    return nodes[j]
 
 
 @functools.cache
@@ -400,9 +437,7 @@ def _lattice_eval(plate: PlateSpec, mode: str, k: float):
     j0 = math.floor(u)
     ys = []
     for j in range(j0 - 1, j0 + 3):
-        if j not in nodes:
-            nodes[j] = _solve_node(plate.material, mode, j)
-        if nodes[j] is None:
+        if _solve_node(plate.material, mode, j, nodes) is None:
             raise DispersionRangeError(f"no reliable {mode} root near k*h = {kh:.6g}")
         ys.append(nodes[j])
     # the cubic through nodes t = -1, 0, 1, 2, in powers of t = u - j0
@@ -416,24 +451,17 @@ def _lattice_eval(plate: PlateSpec, mode: str, k: float):
 
 
 def _table_root(plate: PlateSpec, mode: str, k: float):
-    """Frequency in Hz of mode at k: _brentq in [w0*(1 - d), w0*(1 + d)] around the
-    packaged table's w0 (good to about 1e-7), d the narrowest of 1e-8 .. 1e-3 that
-    brackets a sign change.  None where none does, or the table does not apply:
-    another material, or a stencil node outside the table (solved cold) or rootless."""
-    args = (k, plate, _mode_family(mode))
-    kh = k * plate.h
-    material, j_min, ln_f = _packaged_table()
-    if plate.material != material or not 0.0 < kh < math.inf:
+    """Frequency in Hz of mode at k, _polish'ed around the lattice's (good to about 1e-7); None
+    where the cubic's nodes leave _WALK or, for A0, go below the seeds (cancellation noise puts
+    its polish up to 4e-11 off the scan's there), where one has no root, or none brackets."""
+    kh, lo = k * plate.h, _SEEDS[1] if mode == "A0" else _WALK[1]
+    if not 0.0 < kh < math.inf or not lo <= math.log(kh) * _LATTICE_DENSITY < _WALK[-2]:
         return None
-    i = math.floor(math.log(kh) * _LATTICE_DENSITY) - j_min  # _lattice_eval's j0, as a table index
-    if not 0 < i < len(ln_f[mode]) - 2 or None in ln_f[mode][i - 1:i + 3]:
+    try:
+        w0 = 2.0 * math.pi * math.exp(_lattice_eval(plate, mode, k)[0]) / plate.h
+    except DispersionRangeError:
         return None
-    w0 = 2.0 * math.pi * math.exp(_lattice_eval(plate, mode, k)[0]) / plate.h
-    for d in (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3):
-        lo, hi = w0 * (1.0 - d), w0 * (1.0 + d)
-        if _scalar_residual(lo, *args) * _scalar_residual(hi, *args) < 0.0:
-            return _brentq(_scalar_residual, lo, hi, args) / (2.0 * math.pi)
-    return None
+    return _polish(plate, mode, k, w0, _WIDTHS)
 
 
 def pitch_to_frequency(pitch: float, mode: str, plate: PlateSpec) -> float:

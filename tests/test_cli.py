@@ -332,6 +332,20 @@ def test_overflowing_scan_exits_3_with_one_line(tmp_path, capsys, argv, message)
     assert (proc.returncode, proc.stderr, proc.stdout) == (cli.EXIT_SOLVER, message + "\n", "")
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["simulate-wafer", "--full-resolve", "--pitches", "1e-12"], cli.EXIT_OK),
+    (["disperse", "--pitch-min", "1e-12", "--pitch-max", "2e-12", "--points", "3"], cli.EXIT_OK),
+    (["simulate-wafer", "--pitches", "1e-300"], cli.EXIT_SOLVER),
+    (["simulate-wafer", "--pitches", "1e300"], cli.EXIT_SOLVER),
+])
+def test_exit_codes_outside_the_lattice_walk(tmp_path, capsys, argv, code):
+    # k*h far outside the walk's 0.03-20: the scan solves these nodes and points
+    assert cli.main([*argv, "--out", str(tmp_path)]) == code
+    if argv[0] == "disperse":
+        assert [line for line in capsys.readouterr().out.splitlines() if "solved" in line] \
+            == [f"{mode}: 3 of 3 points solved" for mode in cli.MODE_NAMES]
+
+
 @pytest.mark.parametrize("argv, doc, where", [
     (["layout"], {"chip": {"margin_m": float("nan")}}, "chip/margin_m"),
     (["design"], {"capacitance": {"eps_r": float("nan")}}, "capacitance/eps_r"),
@@ -866,6 +880,20 @@ def test_repeated_pitch_or_mode_is_usage_error(tmp_path, argv, catalog, stderr):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["design", "layout", "simulate-wafer"])
+def test_pitches_with_catalog_is_usage_error(tmp_path, monkeypatch, capsys, command):
+    # the catalog would be ignored, so naming one that does not exist must fail too
+    argv = [command, "--pitches", "2e-6", "--catalog", str(tmp_path / "nonexistent.json")]
+    stderr = "error: give --pitches or --catalog, not both\n"
+    out = tmp_path / "out"
+    proc = run_cli(*argv, "--out", str(out))
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_USAGE, stderr)
+    monkeypatch.setattr(cli, "_plain_args", lambda argv: None)  # argparse reads the same argv
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == stderr
+    assert not out.exists()
+
+
 def test_stats_reproduces_simulation_report(tmp_path, capsys):
     sim = tmp_path / "sim"
     assert cli.main(
@@ -1334,6 +1362,18 @@ def test_commands_on_the_packaged_material_load_no_numpy(tmp_path, argv):
     assert not modules & {"numpy", "scipy", "jsonschema"}
 
 
+@pytest.mark.parametrize("material", [{"v_t_m_s": 3267.0},
+                                      {"v_l_m_s": 11000.0, "v_t_m_s": 6000.0}],
+                         ids=["3267", "11000-6000"])
+@pytest.mark.parametrize("argv", PACKAGED_MATERIAL_COMMANDS)
+def test_commands_on_other_materials_load_no_numpy(tmp_path, argv, material):
+    # another material walks its lattice nodes from the k*h -> 0 limits
+    (tmp_path / "cfg.json").write_text(json.dumps({"material": material}))
+    modules = loaded_by(*argv, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path),
+                        "--quiet")
+    assert not modules & {"numpy", "scipy", "jsonschema"}
+
+
 @pytest.mark.parametrize("argv", [["--help"], *PACKAGED_MATERIAL_COMMANDS, ["stats"],
                                   ["flow-check", "alscn-ti-adhesion"], ["fit"]])
 def test_commands_load_no_dataclasses_or_inspect(tmp_path, argv):
@@ -1436,10 +1476,10 @@ def test_other_material_solves_its_lattice_nodes(tmp_path, monkeypatch):
     calls = count_solves(monkeypatch)
     assert cli.main(["design", "--config", str(tmp_path / "cfg.json"), "--pitches", "2e-6",
                      "--out", str(tmp_path), "--quiet"]) == cli.EXIT_OK
-    assert len(calls) == 4  # the cubic's 4 nodes, none of them from the table
-    assert {plate.material.v_t for plate, _, _ in calls} == {3267.0}
+    assert calls == []  # the cubic's 4 nodes, none of them from the table, are walked
+    assert {material.v_t for material, _ in dispersion._LATTICE} == {3267.0}
     design, = json.loads((tmp_path / "designs.json").read_text())["designs"]
-    assert design["f_mid_hz"] == 1442159119.889364  # as before the table shipped
+    assert design["f_mid_hz"] == 1442159119.889364  # as when each node was scanned
 
 
 def test_a_config_restating_the_packaged_velocities_reads_the_table(tmp_path, monkeypatch):
@@ -1502,12 +1542,9 @@ BLAS_PROBE = (
 
 
 def blas_probe(tmp_path, preset):
-    # no command but fit loads numpy on the packaged material; disperse on
-    # another material scans its roots with numpy
-    (tmp_path / "cfg.json").write_text(json.dumps({"material": {"v_t_m_s": 3267.0}}))
-    proc = run_python("-c", BLAS_PROBE, "disperse", "--config", str(tmp_path / "cfg.json"),
-                      "--points", "2", "--out", str(tmp_path), "--quiet",
-                      env={"OPENBLAS_NUM_THREADS": preset})
+    # fit loads numpy on every material
+    proc = run_python("-c", BLAS_PROBE, "fit", write_dut(tmp_path)[0], "--out", str(tmp_path),
+                      "--quiet", env={"OPENBLAS_NUM_THREADS": preset})
     rc, numpy_loaded, value, threads = json.loads(proc.stdout.splitlines()[-1])
     assert (rc, numpy_loaded) == (cli.EXIT_OK, True), proc.stderr
     return value, threads

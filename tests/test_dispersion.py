@@ -263,8 +263,98 @@ def test_packaged_lattice_table_equals_a_fresh_solve():
     for mode in MODE_NAMES:
         for j, stored in enumerate(ln_f[mode], j_min):
             # the same double, or None (null) where the solve raises SolverError
-            assert stored == dispersion._solve_node(material, mode, j), (
-                f"{mode} node {j} is stale: re-run tools/lattice_table.py")
+            try:
+                fresh = math.log(solve_at_k(PlateSpec(material, 1.0), mode,
+                                            math.exp(j / dispersion._LATTICE_DENSITY)))
+            except SolverError:
+                fresh = None
+            assert stored == fresh, f"{mode} node {j} is stale: re-run tools/lattice_table.py"
+
+
+# ------------------------------------------------ lattice walk against the scan
+
+# 20 materials with v_l/v_t over [1.5, 3.0], one in each twentieth of it, and 4
+# within 2 % of 2.0, where S1 and S2 leave their common k*h -> 0 limit
+# min(v_t, v_l/2) so close together that S1's seed must come from solve_at_k
+_RNG = np.random.default_rng(20261020)
+WALK_MATERIALS = [PlateMaterial(ratio * v_t, v_t) for ratio, v_t in zip(
+    [*(1.5 + 0.075 * (np.arange(20) + _RNG.uniform(size=20))).tolist(),
+     *_RNG.uniform(1.96, 2.04, 4).tolist()],
+    _RNG.uniform(2000.0, 6500.0, 24).tolist())]
+# every node with k*h in [0.03, 20]
+WALK_NODES = range(math.ceil(64 * math.log(0.03)), math.floor(64 * math.log(20.0)) + 1)
+
+
+def walked_nodes(material, mode, order=WALK_NODES):
+    nodes = {}
+    for j in order:
+        dispersion._solve_node(material, mode, j, nodes)
+    return nodes
+
+
+# the sweep, each with A0's band bound (below), and v_l/v_t 1.3 and 3.5 beyond it, as
+# PlateMaterial takes any v_t < v_l.  As v_l/v_t falls the band widens: at 1.3 and k*h
+# 0.0316 A0's walked node is 3.4e-8 and its scanned one 2.0e-8 from the 60-digit root.
+# No node of these materials is rootless: test_a_rootless_node_is_scanned_around makes one
+WALK_CASES = [*((m, 5e-8) for m in WALK_MATERIALS), (PlateMaterial(3900.0, 3000.0), 1e-7),
+              (PlateMaterial(10500.0, 3000.0), 5e-8)]
+
+
+@pytest.mark.parametrize("i", range(len(WALK_CASES)))
+def test_lattice_walk_matches_the_scan(i):
+    material, a0_band_rtol = WALK_CASES[i]
+    for mode in MODE_NAMES:
+        nodes = walked_nodes(material, mode)
+        for j in WALK_NODES:
+            kh = math.exp(j / dispersion._LATTICE_DENSITY)
+            try:
+                ref = solve_at_k(PlateSpec(material, 1.0), mode, kh)
+            except SolverError:
+                ref = None
+            assert (nodes[j] is None) == (ref is None), (mode, j)
+            # A0 below k*h 0.1 sits in the residual's cancellation band, walk and scan alike
+            rtol = a0_band_rtol if mode == "A0" and kh < 0.1 else 1e-9
+            assert ref is None or abs(math.exp(nodes[j]) / ref - 1.0) <= rtol, (mode, j)
+
+
+
+def test_a_rootless_node_is_scanned_around(monkeypatch):
+    material, mode = WALK_MATERIALS[0], "S0"
+    clean = walked_nodes(material, mode)
+    ks = {j: math.exp(j / dispersion._LATTICE_DENSITY) for j in WALK_NODES}
+    solve, polish, scanned = dispersion.solve_at_k, dispersion._polish, []
+
+    def scan(plate, mode, k):  # node -50 has no root
+        scanned.append(k)
+        if k == ks[-50]:
+            raise SolverError("no root")
+        return solve(plate, mode, k)
+
+    monkeypatch.setattr(dispersion, "solve_at_k", scan)
+    monkeypatch.setattr(dispersion, "_polish", lambda *a: None if a[2] == ks[-50] else polish(*a))
+    monkeypatch.setattr(dispersion, "_LATTICE", {})
+    nodes = walked_nodes(material, mode)
+    # the three nodes the walk would continue from it are scanned; it resumes above them
+    assert nodes[-50] is None and scanned == [ks[j] for j in (-50, -49, -48, -47)]
+    for j in (-49, -48, -47):
+        assert nodes[j] == math.log(solve(PlateSpec(material, 1.0), mode, ks[j]))
+    assert all(nodes[j] == clean[j] for j in WALK_NODES if j < -50)
+    assert all(abs(nodes[j] - clean[j]) < 1e-9 for j in WALK_NODES if j > -50)
+    plate, k = PlateSpec(material, 1.0), math.exp(-49.5 / dispersion._LATTICE_DENSITY)
+    with pytest.raises(DispersionRangeError):
+        dispersion._lattice_eval(plate, mode, k)
+    assert dispersion._table_root(plate, mode, k) is None
+    assert solve_grid(plate, mode, [k]) == ([k], [solve(plate, mode, k)], [])
+
+
+def test_lattice_walk_is_independent_of_fill_order():
+    shuffled = list(WALK_NODES)
+    np.random.default_rng(7).shuffle(shuffled)
+    for material in (WALK_MATERIALS[0], WALK_MATERIALS[-1]):
+        for mode in MODE_NAMES:
+            ascending = walked_nodes(material, mode)
+            assert walked_nodes(material, mode, WALK_NODES[::-1]) == ascending
+            assert walked_nodes(material, mode, shuffled) == ascending
 
 
 # ---------------------------------------------- table-bracketed root polish
@@ -305,16 +395,29 @@ def test_table_polish_falls_back_to_the_scan(monkeypatch):
     def off_centre(*args):  # the table's root 1 % off: no bracket up to 1e-3 changes sign
         return lattice_eval(*args)[0] + 0.01, None
 
+    def falls_back(plate, mode, ks):
+        assert [dispersion._table_root(plate, mode, k) for k in ks] == [None] * len(ks)
+        del scans[:]
+        assert solve_grid(plate, mode, ks) == (ks, [solve_at_k(plate, mode, k) for k in ks], [])
+        assert len(scans) == len(ks)
+        del scans[:]
+
     scans = count_scans(monkeypatch)
-    for plate, ks, patch in ((other, default_ks, None), (DEVICE_PLATE, below_ks, None),
-                             (DEVICE_PLATE, default_ks, off_centre)):
-        if patch:
-            monkeypatch.setattr(dispersion, "_lattice_eval", patch)
+    # another material, and the packaged one off its table, polish on the walked lattice,
+    # except A0 below its seeds, where the polish would sit in cancellation noise
+    for plate, ks in ((other, default_ks), (DEVICE_PLATE, below_ks)):
         for mode in MODE_NAMES:
-            assert [dispersion._table_root(plate, mode, k) for k in ks] == [None] * len(ks)
-            del scans[:]
-            assert solve_grid(plate, mode, ks) == (ks, [solve_at_k(plate, mode, k) for k in ks], [])
-            assert len(scans) == len(ks)
+            if (mode, ks) == ("A0", below_ks):
+                falls_back(plate, mode, ks)
+                continue
+            solved, fs, gaps = solve_grid(plate, mode, ks)
+            assert scans == [] and solved == ks and gaps == []
+            assert fs == [dispersion._table_root(plate, mode, k) for k in ks]
+            for k, f in zip(ks, fs):
+                assert f == pytest.approx(solve_at_k(plate, mode, k), rel=1e-12, abs=0.0)
+    monkeypatch.setattr(dispersion, "_lattice_eval", off_centre)
+    for mode in MODE_NAMES:
+        falls_back(DEVICE_PLATE, mode, default_ks)
 
 
 @pytest.mark.parametrize("ks", [[2e6, 2e6], [3e6, 2e6], [0.0, 2e6], [2e6, math.inf],

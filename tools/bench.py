@@ -6,7 +6,7 @@
     python3 tools/bench.py --compare OLD.json NEW.json   # compares two files, measures nothing
 
 Run it from anywhere; it measures the sources of the checkout it sits in.
-A full run takes about eight minutes and needs numpy only inside the
+A full run takes about ten minutes and needs numpy only inside the
 benchmark it runs.  It measures two things:
 
 * each workload of BENCHMARK.json through perfbench/run.py, unchanged: three
@@ -16,7 +16,7 @@ benchmark it runs.  It measures two things:
   workload does not reach that layer or the tracer misses work it does;
 * fresh ``python -m lambkit.cli`` processes, in the environment perfbench
   gives its commands (every PYTHON* variable stripped, ``.pyc`` files
-  present): the interpreter floor ``python3 -c pass`` 21 times and eight
+  present): the interpreter floor ``python3 -c pass`` 21 times and twelve
   commands 15 times each, in rounds whose order rotates.  What a command
   costs is its time less the floor's in the same round, with the median and
   quartiles of those 15 differences: on a shared machine the floor jumps
@@ -53,7 +53,10 @@ FLOOR_RUNS = 21
 COMMAND_RUNS = 15
 WORSE = 0.20
 # The commands timed as fresh processes.  SITES is the sites.json that
-# `simulate-wafer --seed 7` writes before the timing starts.
+# `simulate-wafer --seed 7` writes before the timing starts, and V_T_3267 a
+# config whose material is the packaged one with v_t 1 m/s higher: its
+# dispersion nodes are walked, not read off the packaged table.
+V_T_3267 = {"material": {"v_t_m_s": 3267.0}}
 COMMANDS = {
     "--help": ["--help"],
     "flow-check": ["flow-check", "alscn-ti-adhesion"],
@@ -64,6 +67,11 @@ COMMANDS = {
         ["simulate-wafer", "--full-resolve", "--pitches", "2e-6"],
     "layout --wafer-map": ["layout", "--wafer-map"],
     "simulate-wafer --seed 7": ["simulate-wafer", "--seed", "7"],
+    "design --pitches 2e-6 (v_t 3267)": ["design", "--pitches", "2e-6", "--config", "V_T_3267"],
+    "disperse (v_t 3267)": ["disperse", "--config", "V_T_3267"],
+    "simulate-wafer --seed 7 (v_t 3267)": ["simulate-wafer", "--seed", "7", "--config", "V_T_3267"],
+    "simulate-wafer --full-resolve --pitches 2e-6 (v_t 3267)":
+        ["simulate-wafer", "--full-resolve", "--pitches", "2e-6", "--config", "V_T_3267"],
 }
 
 
@@ -161,9 +169,13 @@ def time_commands(log) -> dict:
         env = stripped_env(scratch)
         out = os.path.join(scratch, "out")
         sites_dir = os.path.join(scratch, "sites")
+        files = {"SITES": os.path.join(sites_dir, "sites.json"),
+                 "V_T_3267": os.path.join(scratch, "v_t_3267.json")}
+        with open(files["V_T_3267"], "w") as fh:
+            json.dump(V_T_3267, fh)
         cases = {"floor": ["-c", "pass"]}
         for name, argv in COMMANDS.items():
-            argv = [os.path.join(sites_dir, "sites.json") if a == "SITES" else a for a in argv]
+            argv = [files.get(a, a) for a in argv]
             tail = [] if argv == ["--help"] else ["--out", out, "--quiet"]
             cases[name] = ["-m", "lambkit.cli", *argv, *tail]
         # writes the sites.json that stats reads, and every .pyc the commands load
