@@ -10,8 +10,9 @@ full_resolve (the CLI's --full-resolve), at each site's own geometry, both
 from the memoised dispersion lattice.  Every draw comes from a per-die stream
 spawned from one master seed: numpy's SeedSequence/PCG64/ziggurat streams,
 reproduced in the stdlib by lambkit.rng, so a seed gives the same bytes as
-with numpy.  The model is the config's variation section; each mode's q_r and
-k_eff_sq come from its mode_quality, whose one home is the packaged config.
+with numpy.  The model is the config's variation section, with each mode's
+q_r and k_eff_sq from its mode_quality.  The site records hold plain ints and
+floats, so sites_json writes each site line from them as json.dumps would.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import math
 import sys
 from functools import reduce
-from operator import add
+from operator import add, index, itemgetter
 from typing import TYPE_CHECKING
 
 from . import MODE_NAMES
@@ -67,10 +68,18 @@ def _sum(x) -> float:
     return _sum(x[:half]) + _sum(x[half:])
 
 
-def _mean_std(x) -> tuple:
-    """Mean and population standard deviation of a list of floats."""
-    mean = _sum(x) / len(x)
-    return mean, math.sqrt(_sum([d * d for d in (v - mean for v in x)]) / len(x))
+def _mean_std(x, mean=None) -> tuple:
+    """Mean and population standard deviation of a list of floats, about mean if given."""
+    mean = _sum(x) / len(x) if mean is None else mean
+    return mean, math.sqrt(_sum([(d := v - mean) * d for v in x]) / len(x))
+
+
+def _relstd(x, mean: float) -> float:
+    """relstd of x, whose mean is given."""
+    spread = _mean_std(x, mean)[1]
+    # identical values can leave rounding dust when the pairwise-summed mean
+    # lands an ulp off; snap that to an honest zero
+    return 0.0 if spread <= 16.0 * sys.float_info.epsilon * mean else spread / mean * 100.0
 
 
 def relstd(values) -> float:
@@ -83,17 +92,25 @@ def relstd(values) -> float:
         raise StatisticsError(f"relstd needs >= 2 values, got {len(values)}")
     if not all(v > 0.0 for v in values):
         raise StatisticsError("relstd needs strictly positive values")
-    mean, spread = _mean_std(values)
-    # identical values can leave rounding dust when the pairwise-summed mean
-    # lands an ulp off; snap that to an honest zero
-    if spread <= 16.0 * sys.float_info.epsilon * mean:
-        return 0.0
-    return spread / mean * 100.0
+    return _relstd(values, _sum(values) / len(values))
+
+
+def _plain(record, names, inf_ok=None) -> None:
+    """Store record's named fields as plain ints and floats, whose repr is what json.dumps
+    writes; InputError names the first that is_json_number refuses (inf_ok may be +inf)."""
+    fields = record.__dict__
+    for name in names:
+        value = fields[name]
+        if not (is_json_number(value) or (name == inf_ok and value == math.inf
+                                          and isinstance(value, float))):
+            raise InputError(f"{name} must be a finite number, got {shown(value)}")
+        fields[name] = float(value) if isinstance(value, float) else int(value)
 
 
 @dataclass(frozen=True)
 class ModeMetrics:
-    """Per-branch scalar metrics.  q_r is math.inf for a lossless branch."""
+    """Per-branch scalar metrics, stored as plain floats or ints (a numpy float
+    as the float it equals).  q_r is math.inf for a lossless branch."""
 
     f_r: float
     f_a: float
@@ -101,16 +118,26 @@ class ModeMetrics:
     k_eff_sq: float
 
     def __post_init__(self):
-        if not (0 < self.f_r < self.f_a < math.inf):
+        f_r, f_a, q_r, k_eff_sq = self.f_r, self.f_a, self.q_r, self.k_eff_sq
+        if not type(f_r) is type(f_a) is type(q_r) is type(k_eff_sq) is float:
+            _plain(self, ("f_r", "f_a", "q_r", "k_eff_sq"), "q_r")
+        if not (0 < f_r < f_a < math.inf):
             raise InputError("need 0 < f_r < f_a < inf")
-        if not self.q_r > 0:
+        if not q_r > 0:
             raise InputError("q_r must be positive")
-        if not 0 < self.k_eff_sq < 1:
+        if not 0 < k_eff_sq < 1:
             raise InputError("k_eff_sq must be in (0, 1)")
 
     def to_dict(self) -> dict:
         return {"f_r_hz": self.f_r, "f_a_hz": self.f_a, "q_r": self.q_r,
                 "k_eff_sq": self.k_eff_sq}
+
+
+_MODES = frozenset(MODE_NAMES)
+_is_mode_metrics = ModeMetrics.__instancecheck__
+_SITE_NUMBERS = ("x_mm", "y_mm", "pitch_m", "local_thickness_m", "local_pitch_m")
+_site_numbers = itemgetter("site_id", *_SITE_NUMBERS)
+_id_and_f = itemgetter(0, 1)
 
 
 @dataclass(frozen=True)
@@ -120,8 +147,8 @@ class WaferSite:
     Coordinates are die centers in mm from the wafer center.  Modes whose
     perturbed evaluation failed are listed once each in failed_modes and carry
     no metrics.  local_thickness_m / local_pitch_m echo the sampled values for
-    validation; 0 means unknown (hand-built site).
-    """
+    validation; 0 means unknown (hand-built site).  Numbers are stored as in
+    ModeMetrics, and site_id as a plain int."""
 
     site_id: int
     x_mm: float
@@ -133,21 +160,26 @@ class WaferSite:
     local_pitch_m: float = 0.0
 
     def __post_init__(self):
-        if isinstance(self.site_id, bool) or not hasattr(self.site_id, "__index__") or self.site_id < 0:
-            raise InputError(f"site_id must be a non-negative integer, got {shown(self.site_id)}")
-        if not 0.0 < self.pitch_m < math.inf:
-            raise InputError("site pitch must be positive and finite")
-        if not (math.isfinite(self.x_mm) and math.isfinite(self.y_mm)):
-            raise InputError("site coordinates must be finite")
-        if not (math.isfinite(self.local_thickness_m) and math.isfinite(self.local_pitch_m)):
-            raise InputError("local thickness and pitch must be finite")
-        metrics = dict(self.metrics)
-        for mode, m in metrics.items():
-            if mode not in MODE_NAMES:
-                raise InputError(f"unknown mode {mode!r} in site metrics")
-            if not isinstance(m, ModeMetrics):
-                raise InputError("site metrics values must be ModeMetrics")
-        failed = tuple(self.failed_modes)
+        fields = self.__dict__
+        site_id, x, y, pitch, thickness, local_pitch = _site_numbers(fields)
+        if type(site_id) is not int:  # a numpy integer is stored as the int it equals
+            usable = hasattr(site_id, "__index__") and not isinstance(site_id, bool)
+            fields["site_id"] = index(site_id) if usable else -1
+        if not 0 <= self.site_id <= sys.float_info.max:  # and a JSON number, as every field
+            raise InputError(f"site_id must be a non-negative integer, got {shown(site_id)}")
+        if not (type(x) is type(y) is type(pitch) is type(thickness) is type(local_pitch) is float
+                and math.isfinite(x + y + pitch + thickness + local_pitch)):
+            _plain(self, _SITE_NUMBERS)  # also where a sum of finite floats overflowed
+        if not pitch > 0.0:
+            raise InputError("site pitch must be positive")
+        metrics = fields["metrics"] = dict(self.metrics)
+        if not (metrics.keys() <= _MODES and all(map(_is_mode_metrics, metrics.values()))):
+            for mode, m in metrics.items():  # name the fault
+                if mode not in _MODES:
+                    raise InputError(f"unknown mode {mode!r} in site metrics")
+                if not isinstance(m, ModeMetrics):
+                    raise InputError("site metrics values must be ModeMetrics")
+        failed = fields["failed_modes"] = tuple(self.failed_modes)
         if failed:
             for i, mode in enumerate(failed):
                 if mode not in MODE_NAMES:
@@ -156,8 +188,6 @@ class WaferSite:
                     raise InputError(f"failed_modes repeats the mode {mode!r}")
             if set(failed) & set(metrics):
                 raise InputError("a mode cannot both fail and carry metrics")
-        object.__setattr__(self, "metrics", metrics)
-        object.__setattr__(self, "failed_modes", failed)
 
 
 @dataclass(frozen=True)
@@ -193,8 +223,9 @@ class SiteGroups(tuple):
 
 
 def group_sites(sites) -> SiteGroups:
-    """((mode, pitch), [ModeMetrics], n_excluded) for every group with at least
-    two usable sites, sorted by (mode, pitch), and one warning per omitted group.
+    """((mode, pitch), metrics, f_values, f_mean, n_excluded) for every group with
+    at least two usable sites, sorted by (mode, pitch), and one warning per
+    omitted group.  f_values are the group's f_r and f_mean their mean.
 
     Metrics are sorted by (site_id, f_r) so every aggregate is evaluated in the
     same order no matter how the caller ordered the sites.
@@ -208,23 +239,21 @@ def group_sites(sites) -> SiteGroups:
     excluded: dict = {}
     for site in sites:
         for mode, m in site.metrics.items():
-            groups.setdefault((mode, site.pitch_m), []).append((site.site_id, m))
+            groups.setdefault((mode, site.pitch_m), []).append((site.site_id, m.f_r, m))
         for mode in site.failed_modes:
             key = (mode, site.pitch_m)
             excluded[key] = excluded.get(key, 0) + 1
             groups.setdefault(key, [])
-    usable = []
-    warnings = []
+    usable, warnings = [], []
     for key in sorted(groups):
-        values = sorted(groups[key], key=lambda item: (item[0], item[1].f_r))
+        values = sorted(groups[key], key=_id_and_f)
         n_excl = excluded.get(key, 0)
         if len(values) < 2:
-            warnings.append(
-                f"group ({key[0]}, {key[1] * 1e9:.6g} nm): "
-                f"{len(values)} usable site(s), {n_excl} excluded; omitted"
-            )
+            warnings.append(f"group ({key[0]}, {key[1] * 1e9:.6g} nm): "
+                            f"{len(values)} usable site(s), {n_excl} excluded; omitted")
             continue
-        usable.append((key, [m for _, m in values], n_excl))
+        _, fs, ms = zip(*values)
+        usable.append((key, ms, fs, _sum(fs) / len(fs), n_excl))
     return SiteGroups((usable, tuple(warnings)))
 
 
@@ -235,11 +264,8 @@ def per_mode_deviation(sites) -> DeviationReport:
     sites are omitted with a warning entry instead of a row.
     """
     groups, warnings = group_sites(sites)
-    rows = []
-    for (mode, pitch), ms, n_excl in groups:
-        values = [m.f_r for m in ms]
-        rows.append(DeviationRow(mode=mode, pitch_m=pitch, mean_f_hz=_sum(values) / len(values),
-                                 relstd_pct=relstd(values), n=len(values), excluded=n_excl))
+    rows = [DeviationRow(mode, pitch, f_mean, _relstd(fs, f_mean), len(fs), n_excl)
+            for (mode, pitch), _, fs, f_mean, n_excl in groups]
     return DeviationReport(tuple(rows), warnings)
 
 
@@ -268,23 +294,17 @@ class TrendSeries:
     def summary_lines(self) -> list:
         lines = []
         for mode in sorted(self.points):
-            pts = self.points[mode]
-            qs = [p.q_mean for p in pts]
-            ks = [p.k_mean for p in pts]
-            if len(qs) >= 3 and (max(qs) - min(qs)) <= self.PLATEAU_REL_SPREAD * (
-                sum(qs) / len(qs)
-            ):
-                lines.append(f"{mode}: q_r plateau near {sum(qs) / len(qs):.3g}")
+            qs = [p.q_mean for p in self.points[mode]]
+            ks = [p.k_mean for p in self.points[mode]]
+            q_mean = sum(qs) / len(qs)
+            if len(qs) >= 3 and (max(qs) - min(qs)) <= self.PLATEAU_REL_SPREAD * q_mean:
+                lines.append(f"{mode}: q_r plateau near {q_mean:.3g}")
             else:
                 lines.append(f"{mode}: q_r spans {min(qs):.3g}..{max(qs):.3g}")
-            if len(ks) >= 2 and all(a > b for a, b in zip(ks, ks[1:])):
-                lines.append(
-                    f"{mode}: k_eff_sq decreasing from {ks[0]:.3g} to {ks[-1]:.3g}"
-                )
-            elif len(ks) >= 2 and all(a < b for a, b in zip(ks, ks[1:])):
-                lines.append(
-                    f"{mode}: k_eff_sq increasing from {ks[0]:.3g} to {ks[-1]:.3g}"
-                )
+            steps = list(zip(ks, ks[1:]))
+            if steps and (all(a > b for a, b in steps) or all(a < b for a, b in steps)):
+                trend = "decreasing" if ks[0] > ks[1] else "increasing"
+                lines.append(f"{mode}: k_eff_sq {trend} from {ks[0]:.3g} to {ks[-1]:.3g}")
             else:
                 lines.append(f"{mode}: k_eff_sq spans {min(ks):.3g}..{max(ks):.3g}")
         return lines
@@ -294,17 +314,14 @@ def metrics_vs_frequency(sites) -> TrendSeries:
     """Aggregate q_r and k_eff_sq bands per (mode, pitch), ordered by mean f_r."""
     groups, warnings = group_sites(sites)
     per_mode: dict = {}
-    for (mode, pitch), ms, _ in groups:
-        fs = [m.f_r for m in ms]
+    for (mode, pitch), ms, _, f_mean, _ in groups:
         q_mean, q_std = _mean_std([m.q_r for m in ms])
         k_mean, k_std = _mean_std([m.k_eff_sq for m in ms])
         per_mode.setdefault(mode, []).append(TrendPoint(
-            mode=mode, pitch_m=pitch, mean_f_hz=_sum(fs) / len(fs), q_mean=q_mean, q_std=q_std,
+            mode=mode, pitch_m=pitch, mean_f_hz=f_mean, q_mean=q_mean, q_std=q_std,
             k_mean=k_mean, k_std=k_std, n=len(ms)))
-    for mode, pts in per_mode.items():
-        pts.sort(key=lambda p: p.mean_f_hz)
-        per_mode[mode] = tuple(pts)
-    return TrendSeries(per_mode, warnings)
+    return TrendSeries({mode: tuple(sorted(pts, key=lambda p: p.mean_f_hz))
+                        for mode, pts in per_mode.items()}, warnings)
 
 
 def simulate_wafer(
@@ -397,71 +414,54 @@ def simulate_wafer(
 
 
 def deviation_csv_rows(report: DeviationReport) -> list:
-    rows = ["mode,pitch,mean_f_Hz,relstd_pct,n"]
-    for r in report.rows:
-        rows.append(
-            f"{r.mode},{r.pitch_m:.9g},{r.mean_f_hz:.10g},{r.relstd_pct:.8g},{r.n}"
-        )
-    return rows
+    return ["mode,pitch,mean_f_Hz,relstd_pct,n",
+            *(f"{r.mode},{r.pitch_m:.9g},{r.mean_f_hz:.10g},{r.relstd_pct:.8g},{r.n}"
+              for r in report.rows)]
 
 
 def trend_csv_rows(series: TrendSeries) -> list:
-    rows = ["mode,pitch,mean_f_Hz,q_mean,q_std,k_eff_sq_mean,k_eff_sq_std,n"]
-    for mode in sorted(series.points):
-        for p in series.points[mode]:
-            rows.append(
-                f"{p.mode},{p.pitch_m:.9g},{p.mean_f_hz:.10g},"
-                f"{p.q_mean:.8g},{p.q_std:.8g},{p.k_mean:.8g},{p.k_std:.8g},{p.n}"
-            )
-    return rows
+    return ["mode,pitch,mean_f_Hz,q_mean,q_std,k_eff_sq_mean,k_eff_sq_std,n",
+            *(f"{p.mode},{p.pitch_m:.9g},{p.mean_f_hz:.10g},"
+              f"{p.q_mean:.8g},{p.q_std:.8g},{p.k_mean:.8g},{p.k_std:.8g},{p.n}"
+              for mode in sorted(series.points) for p in series.points[mode])]
 
 
 def heatmap_csv_rows(sites, mode: str, pitch_m: float) -> list:
     """Heatmap-ready rows for one (mode, pitch) group, in site order."""
-    rows = ["x_mm,y_mm,f_Hz"]
-    for site in sites:
-        if not math.isclose(site.pitch_m, pitch_m, rel_tol=1e-9):
-            continue
-        m = site.metrics.get(mode)
-        if m is None:
-            continue
-        rows.append(f"{site.x_mm:.6g},{site.y_mm:.6g},{m.f_r:.10g}")
-    return rows
+    return ["x_mm,y_mm,f_Hz", *(f"{s.x_mm:.6g},{s.y_mm:.6g},{s.metrics[mode].f_r:.10g}"
+                                for s in sites if mode in s.metrics
+                                and math.isclose(s.pitch_m, pitch_m, rel_tol=1e-9))]
 
 
-def sites_to_dict(sites, seed: int | None = None) -> dict:
-    """JSON document for a wafer map; echoes the seed that produced it."""
-    doc: dict = {"sites": []}
-    if seed is not None:
-        doc["seed"] = int(seed)
-    for s in sites:
-        entry = {
-            "site_id": s.site_id,
-            "x_mm": s.x_mm,
-            "y_mm": s.y_mm,
-            "pitch_m": s.pitch_m,
-            "metrics": {mode: m.to_dict() for mode, m in sorted(s.metrics.items())},
-        }
-        if s.failed_modes:
-            entry["failed_modes"] = list(s.failed_modes)
-        if s.local_thickness_m:
-            entry["local_thickness_m"] = s.local_thickness_m
-        if s.local_pitch_m:
-            entry["local_pitch_m"] = s.local_pitch_m
-        doc["sites"].append(entry)
-    return doc
+def _site_json(s) -> str:
+    metrics = ", ".join([f'"{mode}": {{"f_r_hz": {m.f_r!r}, "f_a_hz": {m.f_a!r}, '
+                         f'"q_r": {m.q_r!r}, "k_eff_sq": {m.k_eff_sq!r}}}'
+                         for mode, m in sorted(s.metrics.items())])
+    failed = f', "failed_modes": {json.dumps(list(s.failed_modes))}' if s.failed_modes else ""
+    thickness = f', "local_thickness_m": {s.local_thickness_m!r}' if s.local_thickness_m else ""
+    pitch = f', "local_pitch_m": {s.local_pitch_m!r}' if s.local_pitch_m else ""
+    return (f'{{"site_id": {s.site_id!r}, "x_mm": {s.x_mm!r}, "y_mm": {s.y_mm!r}, '
+            f'"pitch_m": {s.pitch_m!r}, "metrics": {{{metrics}}}{failed}{thickness}{pitch}}}')
 
 
 def sites_json(sites, seed: int | None = None) -> str:
-    """sites_to_dict as JSON text, one site per line, each from json.dumps with
-    default settings: the C encoder, and Infinity for a lossless q_r."""
-    doc = sites_to_dict(sites, seed)
-    body = ",\n".join(map(json.dumps, doc.pop("sites")))
-    rest = "".join(f", {json.dumps(key)}: {json.dumps(value)}" for key, value in doc.items())
-    return f'{{"sites": [\n{body}\n]{rest}}}'
+    """JSON document for a wafer map, one site per line, that echoes the seed.
+    Each line is what json.dumps writes for the site's object: records hold
+    plain ints and floats, whose repr json.dumps writes, mode names need no
+    escapes, and a lossless q_r, a site's one non-finite number, reads Infinity."""
+    body = ",\n".join(map(_site_json, sites)).replace('"q_r": inf,', '"q_r": Infinity,')
+    seed = "" if seed is None else f', "seed": {int(seed)!r}'
+    return f'{{"sites": [\n{body}\n]{seed}}}'
+
+
+def sites_to_dict(sites, seed: int | None = None) -> dict:
+    """sites_json's document as Python objects."""
+    return json.loads(sites_json(sites, seed))
 
 
 _METRIC_KEYS = ("f_r_hz", "f_a_hz", "q_r", "k_eff_sq")
+_metric_values = itemgetter(*_METRIC_KEYS)
+_site_values = itemgetter("site_id", "x_mm", "y_mm", "pitch_m")
 
 
 def _numbers(obj: dict, keys, path: str, default=None) -> list:
@@ -475,7 +475,8 @@ def _numbers(obj: dict, keys, path: str, default=None) -> list:
 
 
 def _checked_site(entry, path: str) -> list:
-    """_site's list, checking one value at a time in document order."""
+    """[metrics, failed_modes, site_id, x, y, pitch, local thickness, local
+    pitch] of a site entry, checking one value at a time in document order."""
     entry = json_object(entry, path)
     failed = entry.get("failed_modes", [])
     if not isinstance(failed, list):
@@ -491,42 +492,39 @@ def _checked_site(entry, path: str) -> list:
             *_numbers(entry, ("local_thickness_m", "local_pitch_m"), path, 0.0)]
 
 
-def _site(entry, path: str) -> list:
-    """[metrics, failed_modes, site_id, x, y, pitch, local thickness, local pitch]
-    of a site entry whose numbers pass one C-level check: an int or float each,
-    with a finite sum.  Any other entry goes through _checked_site."""
-    metrics = entry.get("metrics", {}) if type(entry) is dict else None
-    if (type(metrics) is dict and type(entry.get("failed_modes", [])) is list
-            and all(type(m) is dict for m in metrics.values())):
-        values = [m.get(key) for m in metrics.values() for key in _METRIC_KEYS]
-        values += [entry.get(key) for key in ("site_id", "x_mm", "y_mm", "pitch_m")]
-        values += [entry.get("local_thickness_m", 0.0), entry.get("local_pitch_m", 0.0)]
-        try:  # fsum overflows past the float range and raises on inf - inf
-            fast = set(map(type, values)) <= {int, float} and math.isfinite(math.fsum(values))
-        except (OverflowError, ValueError):
-            fast = False
-        if fast and values[-6] == int(values[-6]) >= 0:  # site_id a non-negative integer
-            quads = iter(values)  # each mode's four numbers, by position
-            return [{mode: ModeMetrics(*quad) for mode, quad in zip(metrics, zip(*[quads] * 4))},
-                    entry.get("failed_modes", []), *values[-6:]]
-    return _checked_site(entry, path)
+def _site(entry):
+    """The WaferSite of a site entry that holds every key, with values the
+    records take as they are; None for any other entry."""
+    if type(entry) is dict and type(entry.get("failed_modes", [])) is list:
+        try:  # a missing key, an array or string for an object, a value a record refuses
+            metrics = {mode: ModeMetrics(*_metric_values(m))
+                       for mode, m in entry.get("metrics", {}).items()}
+            return WaferSite(*_site_values(entry), metrics, tuple(entry.get("failed_modes", ())),
+                             entry.get("local_thickness_m", 0.0), entry.get("local_pitch_m", 0.0))
+        except (AttributeError, KeyError, TypeError, InputError):
+            pass
+    return None
 
 
 def sites_from_dict(doc: dict) -> list:
     """Sites from a wafer map document; InputError names the JSON path of a
     bad value.  Every number must be finite, except a q_r of Infinity: the
-    lossless branch of ModeMetrics, which sites_to_dict writes that way.  A
+    lossless branch of ModeMetrics, which sites_json writes that way.  A
     repeated (site_id, pitch_m) pair, one site counted twice, is an InputError."""
     if not isinstance(doc, dict) or not isinstance(doc.get("sites"), list):
         raise InputError("wafer map document must be an object with a 'sites' array")
-    sites = []
-    seen = {}
+    sites, seen = [], {}
     for i, entry in enumerate(doc["sites"]):
         path = f"sites[{i}]"
-        metrics, failed, site_id, x, y, pitch, *local = _site(entry, path)
+        site = _site(entry)
+        if site is None:  # the first bad value, then a repeat, then the site's own checks
+            metrics, failed, site_id, x, y, pitch, *local = _checked_site(entry, path)
+        else:
+            site_id, pitch = site.site_id, site.pitch_m
         first = seen.setdefault((site_id, pitch), path)
         if first != path:
             raise InputError(f"{path} repeats the site_id {site_id!r} and pitch_m {pitch!r} "
                              f"of {first}")
-        sites.append(WaferSite(int(site_id), x, y, pitch, metrics, tuple(failed), *local))
+        sites.append(site if site is not None else
+                     WaferSite(int(site_id), x, y, pitch, metrics, tuple(failed), *local))
     return sites

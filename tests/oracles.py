@@ -6,9 +6,13 @@ sin, cos) instead of the branch-split real forms in the package, so the two
 paths share no code.  Roots are located by brute-force dense sign scans.
 """
 
+import json
 import math
 import re
 import struct
+import sys
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -27,7 +31,8 @@ from lambkit.layout import (
 )
 from lambkit.record import astuple
 from lambkit.touchstone import FORMATS, FREQ_UNITS, TouchstoneFile
-from lambkit.waferstats import ModeMetrics, WaferSite
+from lambkit.waferstats import (
+    DeviationReport, DeviationRow, ModeMetrics, TrendPoint, TrendSeries, WaferSite)
 
 _RAD = math.pi / 180.0
 
@@ -474,6 +479,121 @@ def sites_from_dict_reference(doc: dict) -> list:
                              f"of {first}")
         sites.append(WaferSite(int(site_id), x, y, pitch, metrics, tuple(failed), *local))
     return sites
+
+
+# The renderer and the reductions that waferstats had before it wrote each site
+# line from the records and kept each group's f values and their mean: the
+# renderer must give the same bytes, and the reductions the same doubles.
+
+
+def sites_to_dict_reference(sites, seed=None) -> dict:
+    """JSON document for a wafer map, built value by value from the records."""
+    doc = {"sites": []}
+    if seed is not None:
+        doc["seed"] = int(seed)
+    for s in sites:
+        entry = {
+            "site_id": s.site_id,
+            "x_mm": s.x_mm,
+            "y_mm": s.y_mm,
+            "pitch_m": s.pitch_m,
+            "metrics": {mode: {"f_r_hz": m.f_r, "f_a_hz": m.f_a, "q_r": m.q_r,
+                               "k_eff_sq": m.k_eff_sq}
+                        for mode, m in sorted(s.metrics.items())},
+        }
+        if s.failed_modes:
+            entry["failed_modes"] = list(s.failed_modes)
+        if s.local_thickness_m:
+            entry["local_thickness_m"] = s.local_thickness_m
+        if s.local_pitch_m:
+            entry["local_pitch_m"] = s.local_pitch_m
+        doc["sites"].append(entry)
+    return doc
+
+
+def sites_json_reference(sites, seed=None) -> str:
+    """sites_to_dict_reference as JSON text, one site per line, each from json.dumps."""
+    doc = sites_to_dict_reference(sites, seed)
+    body = ",\n".join(map(json.dumps, doc.pop("sites")))
+    rest = "".join(f", {json.dumps(key)}: {json.dumps(value)}" for key, value in doc.items())
+    return f'{{"sites": [\n{body}\n]{rest}}}'
+
+
+def _sum_reference(x) -> float:
+    """numpy's pairwise sum (loops_utils.h.src)."""
+    n = len(x)
+    if n < 8:
+        return reduce(add, x, 0.0)
+    if n <= 128:
+        m = n - n % 8
+        r = [reduce(add, x[j:m:8]) for j in range(8)]
+        return reduce(add, x[m:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    half = n // 2 - n // 2 % 8
+    return _sum_reference(x[:half]) + _sum_reference(x[half:])
+
+
+def _mean_std_reference(x) -> tuple:
+    mean = _sum_reference(x) / len(x)
+    return mean, math.sqrt(_sum_reference([d * d for d in (v - mean for v in x)]) / len(x))
+
+
+def relstd_reference(values) -> float:
+    values = [float(v) for v in values]
+    mean, spread = _mean_std_reference(values)
+    if spread <= 16.0 * sys.float_info.epsilon * mean:
+        return 0.0
+    return spread / mean * 100.0
+
+
+def group_sites_reference(sites) -> tuple:
+    """([((mode, pitch), [ModeMetrics], n_excluded)], warnings), the metrics
+    sorted by (site_id, f_r)."""
+    groups, excluded = {}, {}
+    for site in sites:
+        for mode, m in site.metrics.items():
+            groups.setdefault((mode, site.pitch_m), []).append((site.site_id, m))
+        for mode in site.failed_modes:
+            key = (mode, site.pitch_m)
+            excluded[key] = excluded.get(key, 0) + 1
+            groups.setdefault(key, [])
+    usable, warnings = [], []
+    for key in sorted(groups):
+        values = sorted(groups[key], key=lambda item: (item[0], item[1].f_r))
+        n_excl = excluded.get(key, 0)
+        if len(values) < 2:
+            warnings.append(f"group ({key[0]}, {key[1] * 1e9:.6g} nm): "
+                            f"{len(values)} usable site(s), {n_excl} excluded; omitted")
+            continue
+        usable.append((key, [m for _, m in values], n_excl))
+    return usable, tuple(warnings)
+
+
+def per_mode_deviation_reference(sites) -> DeviationReport:
+    groups, warnings = group_sites_reference(sites)
+    rows = []
+    for (mode, pitch), ms, n_excl in groups:
+        values = [m.f_r for m in ms]
+        rows.append(DeviationRow(mode=mode, pitch_m=pitch,
+                                 mean_f_hz=_sum_reference(values) / len(values),
+                                 relstd_pct=relstd_reference(values), n=len(values),
+                                 excluded=n_excl))
+    return DeviationReport(tuple(rows), warnings)
+
+
+def metrics_vs_frequency_reference(sites) -> TrendSeries:
+    groups, warnings = group_sites_reference(sites)
+    per_mode = {}
+    for (mode, pitch), ms, _ in groups:
+        fs = [m.f_r for m in ms]
+        q_mean, q_std = _mean_std_reference([m.q_r for m in ms])
+        k_mean, k_std = _mean_std_reference([m.k_eff_sq for m in ms])
+        per_mode.setdefault(mode, []).append(TrendPoint(
+            mode=mode, pitch_m=pitch, mean_f_hz=_sum_reference(fs) / len(fs), q_mean=q_mean,
+            q_std=q_std, k_mean=k_mean, k_std=k_std, n=len(ms)))
+    for mode, pts in per_mode.items():
+        pts.sort(key=lambda p: p.mean_f_hz)
+        per_mode[mode] = tuple(pts)
+    return TrendSeries(per_mode, warnings)
 
 
 def _mode_metrics_reference(variation, mode: str, f_r: float) -> ModeMetrics:

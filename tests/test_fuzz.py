@@ -29,7 +29,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from oracles import sites_from_dict_reference
+from oracles import sites_from_dict_reference, sites_json_reference
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -45,7 +45,7 @@ from lambkit.mbvd import MbvdModel, MotionalBranch, StaticNetwork  # noqa: E402
 from lambkit.processflow import DEFAULT_RATES, RateTable, steps_from_dict  # noqa: E402
 from lambkit.touchstone import (  # noqa: E402
     TouchstoneFile, parse_touchstone, serialize_touchstone, y_to_s11)
-from lambkit.waferstats import sites_from_dict  # noqa: E402
+from lambkit.waferstats import ModeMetrics, WaferSite, sites_from_dict, sites_json  # noqa: E402
 
 # Hypothesis caches what it learns from the sources under its home directory;
 # keep that out of the working tree (removed when the interpreter exits)
@@ -214,6 +214,57 @@ def _outcome(load, doc):
 def test_sites_from_dict_equals_the_per_value_reference(doc):
     # the same sites, or the same exception type and message
     assert _outcome(sites_from_dict, doc) == _outcome(sites_from_dict_reference, doc)
+
+
+# Sites as the records take them, for the sites.json writer: every kind of
+# number a record holds, edge values first, and floats as numpy.float64 too.
+_finite = (st.sampled_from([-0.0, 0.0, 5e-324, 1e300, -1e300])
+           | st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**6, 10**6))
+_positive = (st.sampled_from([5e-324, 1e300, 2e-6]) | st.floats(min_value=5e-324, max_value=1e300)
+             | st.integers(1, 10**12))
+_seeds = st.sampled_from([None, 0, 2**63 - 1]) | st.integers(0, 2**64)
+
+
+@st.composite
+def _wafer_sites(draw):
+    as_float = draw(st.sampled_from([float, np.float64]))
+
+    def number(strategy):
+        value = draw(strategy)
+        return as_float(value) if isinstance(value, float) else value
+
+    sites = []
+    for site_id in draw(st.lists(st.integers(0, 2**63 - 1), max_size=4, unique=True)):
+        modes = draw(st.permutations(MODE_NAMES))
+        n_metrics = draw(st.integers(0, len(modes)))
+        n_failed = draw(st.integers(0, len(modes) - n_metrics))
+        metrics = {}
+        for mode in modes[:n_metrics]:
+            f_r = number(_positive)
+            metrics[mode] = ModeMetrics(
+                f_r, number(st.floats(min_value=f_r, max_value=1.7e308, exclude_min=True)),
+                number(st.just(math.inf) | st.floats(min_value=0.0, exclude_min=True)),
+                number(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+        sites.append(WaferSite(
+            draw(st.sampled_from([int, np.int64]))(site_id), number(_finite), number(_finite),
+            number(_positive), metrics, modes[n_metrics:n_metrics + n_failed],
+            number(_finite), number(_finite)))
+    return sites
+
+
+@FUZZ
+@given(_wafer_sites(), _seeds)
+def test_sites_json_writes_what_json_dumps_writes(sites, seed):
+    # the writer renders the records itself; json.dumps of each site's object is its oracle
+    assert sites_json(sites, seed) == sites_json_reference(sites, seed)
+
+
+@FUZZ
+@given(_wafer_sites(), _seeds)
+def test_sites_json_reads_back_as_the_same_sites(sites, seed):
+    doc = json.loads(sites_json(sites, seed))
+    assert sites_from_dict(doc) == sites
+    assert doc.get("seed") == seed
 
 
 @FUZZ

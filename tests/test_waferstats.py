@@ -9,7 +9,8 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import simulate_wafer_reference
+from oracles import (
+    metrics_vs_frequency_reference, per_mode_deviation_reference, simulate_wafer_reference)
 
 import lambkit
 from lambkit import mbvd, waferstats
@@ -326,6 +327,54 @@ def test_report_commands_group_the_sites_once(tmp_path, monkeypatch, command):
     assert grouped == [False, True, True]
 
 
+def _report_cases():
+    """Site lists whose reductions the reference must match: simulated maps,
+    constant groups, two-site groups, omitted groups and lossless branches."""
+    simulated = simulate_wafer(CFG.variation, SEED, [2e-6, 4.5e-6], CFG.plate, CFG.chip,
+                               CFG.wafer)
+    noisy = simulate_wafer(replace(CFG.variation, pitch_sigma_m=4.5e-6), SEED, [4.5e-6],
+                           CFG.plate, CFG.chip, CFG.wafer)
+    constant = [make_site(i, {"S0": 3.3e9, "A0": 1.1e9}, pitch=p)
+                for p in (1e-6, 2e-6) for i in range(130 if p == 1e-6 else 9)]
+    two_site = [make_site(i, {"S0": 1e9 + 7e5 * i, "A1": 4e9 - 3e6 * i}, pitch=p)
+                for p in (1.5e-6, 3e-6) for i in range(2)]
+    omitted = [make_site(0, {"S0": 1e9}), make_site(1, {}, failed=("S0", "A0")),
+               make_site(2, {"S0": 1.01e9, "A0": 5e8}), make_site(3, {"S1": 2e9}, pitch=4e-6),
+               make_site(4, {}, pitch=7e-6, failed=("A1",))]
+    lossless = [WaferSite(i, 0.0, 0.0, 2e-6, {"S0": make_metrics(1e9 + i, q_r=q)})
+                for i, q in enumerate([math.inf, 300.0, math.inf])]
+    lossless += [WaferSite(i, 0.0, 0.0, 4e-6, {"S0": make_metrics(5e8 + i, q_r=math.inf)})
+                 for i in range(2)]
+    return {"simulated": simulated, "noisy": noisy, "constant": constant,
+            "two-site": two_site, "omitted": omitted, "lossless": lossless}
+
+
+@pytest.mark.parametrize("case", ["simulated", "noisy", "constant", "two-site", "omitted",
+                                  "lossless"])
+def test_reductions_equal_the_reference_bit_for_bit(case):
+    # the reports as they were before each group kept its f values and their
+    # mean, in any site order; repr tells every double apart, a NaN q_std too
+    sites = _report_cases()[case]
+    rng = np.random.default_rng(3)
+    for order in [sites, sites[::-1], *(list(rng.permutation(sites)) for _ in range(3))]:
+        report = per_mode_deviation(order)
+        assert repr(report) == repr(per_mode_deviation_reference(order))
+        assert repr(metrics_vs_frequency(order)) == repr(metrics_vs_frequency_reference(order))
+        # relstd of a group's f_r is the relstd_pct its row reports
+        groups, warnings = group_sites(order)
+        assert warnings == report.warnings and len(groups) == len(report.rows)
+        for (key, ms, fs, f_mean, _), row in zip(groups, report.rows):
+            assert key == (row.mode, row.pitch_m) and f_mean == row.mean_f_hz
+            assert list(fs) == [m.f_r for m in ms]
+            assert relstd([m.f_r for m in ms]) == row.relstd_pct
+    if case == "constant":
+        assert all(row.relstd_pct == 0.0 for row in report.rows)
+    if case == "omitted":
+        assert len(report.warnings) == 3
+    if case == "lossless":
+        assert [p.q_mean for p in metrics_vs_frequency(sites).points["S0"]] == [math.inf] * 2
+
+
 # ---------------------------------------------------------------- simulate
 
 
@@ -613,6 +662,41 @@ def test_sites_from_dict_reports_the_first_of_several_faults(faults, message):
 def test_wafer_site_rejects_what_the_loader_rejects(field, value):
     with pytest.raises(InputError):
         replace(make_site(0, {"S0": 1e9}), **{field: value})
+
+
+@pytest.mark.parametrize("args, field", [
+    ((True, 2.0, 300.0, 0.05), "f_r"), ((1e9, 1.1e9, True, 0.05), "q_r"),
+    (("1e9", 1.1e9, 300.0, 0.05), "f_r"), ((1e9, 1.1e9, 300.0, "0.05"), "k_eff_sq"),
+    ((1e9, 10**400, 300.0, 0.05), "f_a"), ((1e9, 1.1e9, 10**400, 0.05), "q_r"),
+], ids=["bool", "bool-q_r", "str", "str-k_eff_sq", "huge-int", "huge-int-q_r"])
+def test_mode_metrics_take_only_json_numbers(args, field):
+    # what sites.json cannot carry back is refused with the field's name
+    with pytest.raises(InputError, match=f"^{field} must be a finite number, got "):
+        ModeMetrics(*args)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("x_mm", True), ("local_pitch_m", False), ("y_mm", "2.5"), ("local_thickness_m", "4e-7"),
+    ("pitch_m", 10**400), ("local_thickness_m", -10**400),
+], ids=["bool", "bool-local", "str", "str-local", "huge-int-pitch", "huge-int-local"])
+def test_wafer_site_takes_only_json_numbers(field, value):
+    with pytest.raises(InputError, match=f"^{field} must be a finite number, got "):
+        replace(make_site(0, {"S0": 1e9}), **{field: value})
+
+
+def test_records_store_numpy_numbers_as_plain_ones():
+    # a record renders through repr, which spells a numpy scalar np.float64(...)
+    m = ModeMetrics(np.float64(1e9), np.float64(1.1e9), np.float64(math.inf), np.float64(0.05))
+    assert [type(v) for v in (m.f_r, m.f_a, m.q_r, m.k_eff_sq)] == [float] * 4
+    assert m == ModeMetrics(1e9, 1.1e9, math.inf, 0.05)
+    site = WaferSite(np.int64(3), np.float64(1.5), -2, np.float64(2e-6), {"S0": m},
+                     local_thickness_m=np.float64(4.2e-7))
+    assert type(site.site_id) is int and type(site.x_mm) is float and type(site.y_mm) is int
+    assert type(site.local_thickness_m) is float
+    line = sites_json([site]).splitlines()[1]
+    assert line.startswith('{"site_id": 3, "x_mm": 1.5, "y_mm": -2, "pitch_m": 2e-06, ')
+    assert '"q_r": Infinity' in line and '"local_thickness_m": 4.2e-07}' in line
+    assert sites_from_dict(json.loads(sites_json([site]))) == [site]
 
 
 def test_mode_metrics_reject_an_infinite_antiresonance():
