@@ -44,7 +44,7 @@ from types import SimpleNamespace
 from . import MODE_NAMES
 from .errors import (
     CoordinateError, DesignError, DispersionRangeError, InputError, LambkitError,
-    PackingError, SensitivityError, SolverError, StatisticsError, read_json,
+    PackingError, SensitivityError, SolverError, StatisticsError, is_json_number, read_json, shown,
 )
 
 EXIT_OK = 0
@@ -419,7 +419,10 @@ def cmd_stats(args) -> int:
     heatmap = _parse_heatmap(args.heatmap) if args.heatmap else None
     doc = read_json(args.sites, "sites")
     sites = sites_from_dict(doc)
-    _write_reports(args, sites, {}, heatmap, [f"seed {doc['seed']}"] if "seed" in doc else [])
+    seed = doc.get("seed", 0)  # the config's seed rule: an integral finite number >= 0, no bool
+    if not (is_json_number(seed) and seed >= 0 and seed == int(seed)):
+        raise InputError(f"seed must be an integer >= 0, got {shown(seed)}")
+    _write_reports(args, sites, {}, heatmap, [f"seed {int(seed)}"] if "seed" in doc else [])
     return EXIT_OK
 
 
@@ -498,10 +501,9 @@ COMMANDS = {
 }
 
 
-def build_parser(command=None) -> "argparse.ArgumentParser":
-    """The lambkit parser; given one of COMMANDS, with only its subparser.
-    That parser's usage names every command, so its errors read as the full
-    parser's do."""
+def build_parser() -> "argparse.ArgumentParser":
+    """The lambkit parser, with one subparser per row of COMMANDS.  main() builds
+    it only for help and usage errors, whose texts are argparse's."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -509,14 +511,12 @@ def build_parser(command=None) -> "argparse.ArgumentParser":
         description="Lamb-wave resonator design, layout, fitting, and statistics.",
         allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=command and "{" + ",".join(COMMANDS) + "}")
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, func, rows) in COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-            for arg, keywords in rows:
-                p.add_argument(arg, **keywords)
-            p.set_defaults(func=func)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for arg, keywords in rows:
+            p.add_argument(arg, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -578,9 +578,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _plain_args(argv)
     if args is None:  # argparse's result, or its help and usage texts
-        parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code else EXIT_OK
     try:

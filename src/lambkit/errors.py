@@ -113,7 +113,9 @@ class StatisticsError(LambkitError, ValueError):
 
 
 class FlowError(LambkitError, ValueError):
-    """Process flow is structurally invalid (not rule violations, which are data)."""
+    """A flow the stack refuses: empty, no substrate deposit first, a develop with no
+    resist on top, an etch target not exposed or etched through the substrate, or
+    (MissingRateError) a missing rate.  Step values are ProcessStep's to refuse."""
 
 
 class MissingRateError(FlowError):

@@ -9,9 +9,10 @@ strip) in one pass and turns each hit into a structured violation.  The
 registry alone gives each rule its severity, chemistry class and watched
 material.  One routine, ``_strip_from_top``, takes layers off the top of the
 stack: the mask erosion of an etch, an ash and a remover bath.  ``ProcessStep``
-holds every step-value rule; the loader only adds the ``steps[i]`` path.  No
-topography: patterned layers keep their full thickness and simply stop
-blocking the layers below them.
+holds every rule on one step's values, so a bad step is refused as it loads
+(the loader adds the ``steps[i]`` path) and ``simulate_stack`` decides only
+stack faults.  No topography: patterned layers keep their full thickness and
+simply stop blocking the layers below them.
 """
 
 from __future__ import annotations
@@ -55,9 +56,8 @@ __all__ = [
 
 ADDITIVE_KINDS = ("deposit", "spin_coat")
 _ETCH_KINDS = ("etch_dry", "etch_ibe", "etch_vapor", "etch_wet")
-# Subtractive kinds must name a chemistry or carry an angle/time recipe.
-_SUBTRACTIVE_KINDS = ("develop", *_ETCH_KINDS, "strip_ash", "strip_wet")
-STEP_KINDS = (*ADDITIVE_KINDS, "expose", *_SUBTRACTIVE_KINDS, "release")
+STEP_KINDS = (*ADDITIVE_KINDS, "expose", "develop", *_ETCH_KINDS, "strip_ash", "strip_wet",
+              "release")
 
 RESIST_MATERIALS = frozenset({"M108Y", "M35G"})
 BARC_MATERIALS = frozenset({"DS-K101", "DUV42-P"})
@@ -121,17 +121,24 @@ def classify_chemistry(chemistry: str) -> str:
 _STEP_TEXT = frozenset({"kind", "material", "chemistry", "tool", "note"})
 _STEP_NUMBERS = frozenset({"thickness_m", "temperature_c", "duration_s", "repeats", "pulses"})
 _STEP_COUNTS = ("repeats", "pulses")  # integers; 2.0 counts as 2, as in the config
+_CHEMISTRY_OF_KIND = {  # step kind -> (the chemistry classes it takes, as a message names them)
+    "develop": (("developer",), "a developer"),
+    "strip_ash": (("oxygen", "forming_gas"), "an O2 or forming-gas plasma"),
+    "strip_wet": (("remover", "rinse"), "a remover bath or a rinse"),
+    "release": (("xef2",), "XeF2"),
+}
 
 
 @dataclass(frozen=True)
 class ProcessStep:
     """One fabrication step, and the one home of every step-value rule.
 
-    ``thickness_m`` is required for additive kinds.  Subtractive kinds need a
-    chemistry or, for ion-beam etching, an angle/time ``recipe`` whose segments
-    are (angle_deg, seconds) pairs repeated ``repeats`` times.  ``note`` and
-    ``tool`` are carried verbatim into reports.  Each InputError message is led
-    by the field it names.
+    ``thickness_m`` is required for additive kinds.  An etch needs its target, a
+    beam time > 0 and a chemistry or, for ion-beam etching, an angle/time
+    ``recipe`` whose segments are (angle_deg, seconds) pairs repeated ``repeats``
+    times; ``_CHEMISTRY_OF_KIND`` gives the chemistries the other subtractive
+    kinds and release take.  ``note`` and ``tool`` are carried verbatim into
+    reports.  Each InputError message is led by the field it names.
     """
 
     kind: str
@@ -160,13 +167,12 @@ class ProcessStep:
         if self.kind not in STEP_KINDS:
             raise InputError(f"kind must be one of {', '.join(STEP_KINDS)}, "
                              f"got {shown(self.kind)}")
-        if self.kind in ADDITIVE_KINDS:
-            if not self.material:
-                raise InputError(f"material must be named for a {self.kind} step")
-            if not (self.thickness_m > 0.0):
-                raise InputError(f"thickness_m must be > 0 for a {self.kind} step")
-        if self.kind in _SUBTRACTIVE_KINDS and not self.chemistry and not self.recipe:
-            raise InputError(f"chemistry or recipe must be given for a {self.kind} step")
+        if self.kind in (*ADDITIVE_KINDS, *_ETCH_KINDS) and not self.material:
+            raise InputError(f"material must be named for the {self.kind} step")
+        if self.kind in ADDITIVE_KINDS and not self.thickness_m > 0.0:
+            raise InputError(f"thickness_m must be > 0 for a {self.kind} step")
+        if self.kind in _ETCH_KINDS and not self.chemistry and not self.recipe:
+            raise InputError(f"chemistry or recipe must be given for an {self.kind} step")
         for key, low in (("duration_s", 0), ("repeats", 1), ("pulses", 0)):
             if getattr(self, key) < low:
                 raise InputError(f"{key} must be >= {low}")
@@ -182,6 +188,14 @@ class ProcessStep:
                 raise InputError(f"recipe[{j}] angle must be within +-90 deg, "
                                  f"got {shown(angle)}")
         object.__setattr__(self, "recipe", tuple((float(a), float(t)) for a, t in self.recipe))
+        classes, named = _CHEMISTRY_OF_KIND.get(self.kind, ((), ""))
+        if classes and self.chemistry_class not in classes:
+            raise InputError(f"chemistry must be {named} for a {self.kind} step, "
+                             f"got {shown(self.chemistry)}")
+        if self.kind == "strip_ash" and self.temperature_c is None:
+            raise InputError("temperature_c must be given for a strip_ash step")
+        if self.kind in _ETCH_KINDS and not self.beam_time_s > 0.0:
+            raise InputError(f"duration_s must be > 0 for an {self.kind} step without a recipe")
 
     @property
     def chemistry_class(self) -> str:
@@ -485,13 +499,8 @@ def _strip_from_top(layers, floor, rate_of, seconds, removed_note, notes) -> flo
 
 
 def _apply_etch(layers, step, rates, notes):
-    target = step.material
-    if not target:
-        raise FlowError(f"{step.kind} step must name the target material")
+    target, duration_s = step.material, step.beam_time_s
     process = "ibe" if step.kind == "etch_ibe" else step.chemistry_class
-    duration_s = step.beam_time_s
-    if duration_s <= 0.0:
-        raise FlowError(f"{step.kind} of {target} has no etch time")
     rate = rates.rate(target, process)
 
     reachable = _exposed_indices(layers)
@@ -531,7 +540,7 @@ def _apply_etch(layers, step, rates, notes):
                         duration_s, "mask {} fully consumed during etch", notes)
 
 
-def _apply_develop(layers, step, notes):
+def _apply_develop(layers, notes):
     top = layers[-1]
     if top.material not in RESIST_MATERIALS:
         raise FlowError("develop requires a photoresist as the top layer")
@@ -546,10 +555,6 @@ def _apply_develop(layers, step, notes):
 
 
 def _apply_strip_ash(layers, step, rates, notes):
-    if step.chemistry_class not in ("oxygen", "forming_gas"):
-        raise FlowError("strip_ash chemistry must be an O2 or forming-gas plasma")
-    if step.temperature_c is None:
-        raise FlowError("strip_ash needs a plate temperature")
     rate = rates.ashing_rate(step.temperature_c)
     left_s = _strip_from_top(layers, 0,
                              lambda top: rate if top.material in ORGANIC_MATERIALS else None,
@@ -559,12 +564,9 @@ def _apply_strip_ash(layers, step, rates, notes):
 
 
 def _apply_strip_wet(layers, step, notes):
-    cls = step.chemistry_class
-    if cls == "rinse":
+    if step.chemistry_class == "rinse":
         notes.append("rinse")
         return
-    if cls != "remover":
-        raise FlowError("strip_wet chemistry must be a remover bath or a rinse")
     # the bath lifts every soluble resist on top whatever its thickness
     before = len(layers)
     _strip_from_top(layers, 0,
@@ -602,9 +604,7 @@ def simulate_stack(flow, rates: RateTable = DEFAULT_RATES) -> list:
         elif step.kind == "expose":
             notes.append(f"exposed {step.material or layers[-1].material}")
         elif step.kind == "develop":
-            if step.chemistry_class != "developer":
-                raise FlowError("develop chemistry must be a developer")
-            _apply_develop(layers, step, notes)
+            _apply_develop(layers, notes)
         elif step.kind in _ETCH_KINDS:
             _apply_etch(layers, step, rates, notes)
         elif step.kind == "strip_ash":
@@ -612,8 +612,6 @@ def simulate_stack(flow, rates: RateTable = DEFAULT_RATES) -> list:
         elif step.kind == "strip_wet":
             _apply_strip_wet(layers, step, notes)
         elif step.kind == "release":
-            if step.chemistry_class != "xef2":
-                raise FlowError("release chemistry must be XeF2")
             if step.pulses >= RELEASE_MIN_PULSES:
                 suspended = True
                 notes.append(f"suspended after {step.pulses} pulses")

@@ -467,10 +467,9 @@ _site_values = itemgetter("site_id", "x_mm", "y_mm", "pitch_m")
 def _numbers(obj: dict, keys, path: str, default=None) -> list:
     """obj's values at keys; InputError names path.key of the first non-number (q_r may be inf)."""
     values = [obj.get(key, default) for key in keys]
-    if not all(map(is_json_number, values)):
-        for key, value in zip(keys, values):
-            if not (key == "q_r" and value == math.inf):
-                json_number(value, f"{path}.{key}")
+    for key, value in zip(keys, values):
+        if not (key == "q_r" and value == math.inf):
+            json_number(value, f"{path}.{key}")
     return values
 
 

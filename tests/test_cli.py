@@ -82,14 +82,14 @@ PARSE_ONLY = [[name, flag] for name in cli.COMMANDS for flag in ("--help", "--bo
 
 @pytest.mark.parametrize("argv", PARSE_ONLY, ids=" ".join)
 def test_main_parses_as_the_full_parser_does(argv, capsys, monkeypatch):
-    # main builds only the named command's subparser; help and errors are the full parser's
+    # main builds the full parser only here; help and errors are its own
     monkeypatch.setenv("COLUMNS", "80")
     want = _parse_outcome(lambda a: cli.build_parser().parse_args(a), argv, capsys)
     built = []
     full_build = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(a) or full_build(*a))
     assert _parse_outcome(cli.main, argv, capsys) == want
-    assert built == [(argv[0] if argv and argv[0] in cli.COMMANDS else None,)]
+    assert built == [()]
     assert want[2] == (cli.EXIT_OK if "--help" in argv else cli.EXIT_USAGE)
 
 
@@ -363,6 +363,20 @@ def test_non_finite_config_number_is_usage_error(tmp_path, argv, doc, where):
     assert proc.stderr.startswith(f"error: config invalid at {where}: ")
     assert len(proc.stderr.splitlines()) == 1
     assert not any(p.name != "cfg.json" for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1]", "config root must be a JSON object"),
+    ('{"wafer": {"diameter_m": 0.01, "edge_exclusion_m": 0.005}}',
+     "edge exclusion consumes the whole wafer"),
+])
+def test_config_fault_the_schema_does_not_name_is_usage_error(tmp_path, capsys, text, message):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(text)
+    assert cli.main(["layout", "--wafer-map", "--config", str(cfg), "--pitches", "2e-6",
+                     "--out", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, doc, value", [
@@ -977,6 +991,36 @@ def test_stats_refuses_a_failed_mode_listed_twice(tmp_path, capsys):
     assert cli.main(["stats", str(tmp_path / "sites.json"), "--out", str(out)]) == cli.EXIT_USAGE
     assert capsys.readouterr().err == "error: failed_modes repeats the mode 'A0'\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text, shown", [
+    ("[1, 2]", "[1, 2]"), ("true", "True"), ("-3", "-3"), ("1e400", "inf"), ("7.5", "7.5"),
+    ('"7"', "'7'"), ("null", "None"), ("NaN", "nan"),
+])
+def test_stats_refuses_a_seed_the_config_would_refuse(tmp_path, capsys, text, shown):
+    # it echoed "seed [1, 2]" and exited 0
+    sites = tmp_path / "sites.json"
+    sites.write_text(json.dumps({**_TWO_SITES, "seed": "@"}).replace('"@"', text))
+    out = tmp_path / "out"
+    assert cli.main(["stats", str(sites), "--out", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: seed must be an integer >= 0, got {shown}\n")
+    assert not out.exists()
+
+
+def test_stats_echoes_an_accepted_seed_as_an_integer(tmp_path, capsys):
+    def run(doc, name):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        out = tmp_path / name
+        assert cli.main(["stats", str(tmp_path / f"{name}.json"), "--out", str(out)]) == 0
+        stdout, stderr = capsys.readouterr()
+        return stdout, stderr, {p.name: p.read_bytes() for p in out.iterdir()}
+
+    bare = {"sites": _TWO_SITES["sites"]}
+    want_out, want_err, want_files = run(bare, "bare")
+    assert not want_out.startswith("seed")
+    for seed, echo in ((0, "0"), (7, "7"), (7.0, "7")):
+        assert run({**bare, "seed": seed}, f"seed{seed!r}") == (
+            f"seed {echo}\n" + want_out, want_err, want_files)
 
 
 def test_stats_rejects_malformed_json(tmp_path):

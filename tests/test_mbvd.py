@@ -381,6 +381,19 @@ def test_levenberg_marquardt_backs_off_non_finite_trials():
     assert abs(x[0]) < 1e-8 and np.all(np.isfinite(fun))
 
 
+def test_levenberg_marquardt_stops_when_no_damping_gives_a_finite_step():
+    # J^T J overflows, so every damped system has a non-finite solution; mu
+    # grows until mu * nu overflows and the start comes back with status 0
+    jac = np.array([[1e200, 1e200], [1e200, -1e200]])
+    fun_jac = lambda x: (np.array([1.0, 1.0]), jac)
+    x0 = np.array([1.0, 2.0])
+    with np.errstate(all="ignore"):  # as fit_mbvd calls it
+        x, _, jac_out, nfev, status = mbvd._levenberg_marquardt(fun_jac, x0, 1e-12, 1e-14, 100)
+    assert (status, nfev) == (0, 1)
+    np.testing.assert_array_equal(x, x0)
+    np.testing.assert_array_equal(jac_out, jac)
+
+
 def test_levenberg_marquardt_keeps_a_parameter_without_influence():
     # an all-zero Jacobian column makes J^T J singular; the unit scale for
     # that column keeps the damped system solvable and the parameter still

@@ -136,6 +136,63 @@ def test_step_constructor_checks_every_value_the_loader_checks(changes, message)
         ProcessStep(**{"kind": "deposit", "material": "Al", "thickness_m": 75 * NM, **changes})
 
 
+DROP = object()  # the field is taken out of the step
+
+# (index of a step in the packaged alscn-ti-adhesion flow, field, value, message)
+STEP_RULES = [
+    (6, "chemistry", "O2 plasma",
+     "chemistry must be a developer for a develop step, got 'O2 plasma'"),
+    (9, "chemistry", "Remover 1165",
+     "chemistry must be an O2 or forming-gas plasma for a strip_ash step, got 'Remover 1165'"),
+    (10, "chemistry", "O2",
+     "chemistry must be a remover bath or a rinse for a strip_wet step, got 'O2'"),
+    (30, "chemistry", "anhydrous HF",
+     "chemistry must be XeF2 for a release step, got 'anhydrous HF'"),
+    (9, "temperature_c", DROP, "temperature_c must be given for a strip_ash step"),
+    (7, "material", DROP, "material must be named for the etch_ibe step"),
+    (18, "duration_s", 0, "duration_s must be > 0 for an etch_dry step without a recipe"),
+]
+STEP_RULE_IDS = [f"steps[{index}].{field}" for index, field, *_ in STEP_RULES]
+
+
+def _edited_flow_doc(index, field, value):
+    doc = steps_to_dict(packaged_flow("alscn-ti-adhesion"))
+    if value is DROP:
+        del doc["steps"][index][field]
+    else:
+        doc["steps"][index][field] = value
+    return doc
+
+
+@pytest.mark.parametrize("index, field, value, message", STEP_RULES, ids=STEP_RULE_IDS)
+def test_step_refuses_a_value_its_kind_does_not_take(index, field, value, message):
+    good = steps_to_dict(packaged_flow("alscn-ti-adhesion"))["steps"][index]
+    assert ProcessStep(**good).to_dict() == good
+    bad = _edited_flow_doc(index, field, value)["steps"][index]
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        ProcessStep(**bad)
+
+
+@pytest.mark.parametrize("index, field, value, message", STEP_RULES, ids=STEP_RULE_IDS)
+def test_flow_check_names_the_step_a_rule_refuses(tmp_path, capsys, index, field, value,
+                                                  message):
+    # the simulator raised these without a step, e.g. "develop chemistry must be a developer"
+    path, out = tmp_path / "flow.json", tmp_path / "out"
+    path.write_text(json.dumps(_edited_flow_doc(index, field, value)))
+    assert cli.main(["flow-check", str(path), "--out", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: steps[{index}].{message}\n")
+    assert not out.exists()
+
+
+def test_a_step_fault_wins_over_a_stack_fault_of_an_earlier_step():
+    doc = {"steps": [substrate().to_dict(), {"kind": "develop", "chemistry": "TMA238WA"},
+                     {"kind": "release", "chemistry": "O2", "pulses": 50}]}
+    with pytest.raises(InputError, match=r"^steps\[2\]\.chemistry must be XeF2"):
+        steps_from_dict(doc)
+    with pytest.raises(FlowError, match="^develop requires a photoresist as the top layer$"):
+        simulate_stack(steps_from_dict({"steps": doc["steps"][:2]}))
+
+
 def test_classify_chemistry():
     cases = {
         "TMA238WA": "developer",

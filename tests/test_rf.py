@@ -1,6 +1,7 @@
 """Touchstone parsing/serialization and one-port OSL calibration."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -122,6 +123,16 @@ def test_touchstone_file_refuses_non_finite_values(frequencies, s11, z0, why):
     # parse_touchstone refuses these too; this is the library caller's path
     with pytest.raises(InputError, match=why):
         TouchstoneFile(frequencies, s11, z0)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"s11": [0.1]}, "frequency and S11 lengths differ"),
+    ({"frequency_unit": "THz"}, "unknown frequency unit 'THz'"),
+    ({"fmt": "ri"}, "unknown format 'ri'"),
+])
+def test_touchstone_file_refuses_what_a_file_cannot_hold(changes, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        TouchstoneFile(**{"frequencies": [1e9, 2e9], "s11": [0.1, 0.2], **changes})
 
 
 @pytest.mark.parametrize("transform", [s11_to_y, y_to_s11])
@@ -375,6 +386,15 @@ def test_osl_degenerate_standards():
     f = np.array([1e9])
     with pytest.raises(CalibrationError):
         osl_solve(f, [0.5], [0.5], [0.0])
+
+
+@pytest.mark.parametrize("f, short", [
+    ([1e9, 2e9], [-1.0]),  # one standard is short of the grid
+    ([[1e9, 2e9]], [[-1.0, -1.0]]),  # one shape, but not one axis
+])
+def test_osl_solve_refuses_arrays_off_one_shared_axis(f, short):
+    with pytest.raises(InputError, match="^frequency and standard arrays must share one shape$"):
+        osl_solve(f, short, np.ones_like(short), np.zeros_like(short))
 
 
 def _random_box(seed, n):

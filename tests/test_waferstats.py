@@ -223,6 +223,8 @@ def test_wafer_site_validation():
         make_site(0, {"Q9": 1e9})
     with pytest.raises(InputError):
         make_site(0, {"S0": 1e9}, failed=("S0",))
+    with pytest.raises(InputError, match="^site metrics values must be ModeMetrics$"):
+        replace(make_site(0, {"S0": 1e9}), metrics={"S0": 1e9})
 
 
 def test_deviation_row_invariants():
@@ -265,6 +267,8 @@ def test_single_site_group_omitted():
     assert [r.mode for r in report.rows] == ["S0"]
     assert len(report.warnings) == 1
     assert "1 usable site(s)" in report.warnings[0]
+    with pytest.raises(KeyError, match=r"no group \(A0, 4e-06\)"):
+        report.row("A0", 4e-6)
 
 
 def test_fit_failures_excluded_and_counted():
