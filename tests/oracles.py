@@ -1,9 +1,17 @@
-"""Independent reference implementations used to cross-check solver, reader,
-reticle and wafer-map output.
+"""Reference implementations that tests compare lambkit with.  Each is written
+unlike its twin in the package; ``python3 tools/oracle_twins.py`` rates how
+closely each copies it.
 
-The residual here uses complex trigonometry directly (numpy complex sqrt,
-sin, cos) instead of the branch-split real forms in the package, so the two
-paths share no code.  Roots are located by brute-force dense sign scans.
+- Lamb roots: complex trigonometry and dense sign scans, not branch-split real
+  forms and the lattice.  OSL: one solve per point.  Touchstone: line by line.
+- GDSII: every record framed first, then the list walked against a table of
+  allowed successors, not the reader's one-record cursor.
+- Reticle: the chip flattened and grouped by layer, each copy's turn, scale
+  and offset written out and fully checked, not one map per placement.
+- Wafer maps: waferstats as it was before it was made fast: the per-value
+  loader, the value-by-value renderer, the reductions over kept group values
+  and the per-(site, mode) loop.  ``_sum_reference`` is numpy's pairwise sum
+  on purpose, so that the reductions give numpy's doubles.
 """
 
 import json
@@ -21,13 +29,12 @@ from lambkit.errors import (
     DispersionRangeError, GdsParseError, InputError, PackingError, SolverError,
     TouchstoneParseError, is_json_number, json_number, json_object, shown)
 from lambkit.gdsii import (
-    ANGLE, BGNLIB, BGNSTR, BOUNDARY, DATATYPE, DB_UNIT_IN_METERS, ENDEL, ENDLIB, ENDSTR,
-    GDS_VERSION, HEADER, LAYER, LIBNAME, SNAME, SREF, STRANS, STRNAME, UNITS, XY,
-    _REC_NAMES, decode_real8,
+    ANGLE, BGNLIB, BGNSTR, BOUNDARY, DATATYPE, ENDEL, ENDLIB, ENDSTR, HEADER, LAYER, LIBNAME,
+    SNAME, SREF, STRANS, STRNAME, UNITS, XY, decode_real8,
 )
 from lambkit.layout import (
-    _TURNS, _WINDOW_GAP, CHIP_CELL_NAME, DEMAG, RETICLE_CELL_NAME, Cell, Library, Placement,
-    Polygon, _mapped, to_dbu,
+    _WINDOW_GAP, CHIP_CELL_NAME, DEMAG, RETICLE_CELL_NAME, Cell, Library, Placement, Polygon,
+    to_dbu,
 )
 from lambkit.record import astuple
 from lambkit.touchstone import FORMATS, FREQ_UNITS, TouchstoneFile
@@ -223,186 +230,115 @@ def parse_touchstone_reference(text) -> TouchstoneFile:
     )
 
 
-# ---------------------------------------------------------------------------
-# GDSII: the record-by-record reader
+# ----------------------- GDSII, from Calma's GDSII Stream Format Manual, release 6.0
 
-def _rec_name(rectype: int) -> str:
-    return _REC_NAMES.get(rectype, f"0x{rectype:02X}")
+_GDS_NAME = {t: f"0x{t:02X}" for t in range(256)} | {globals()[name]: name for name in (
+    "HEADER BGNLIB LIBNAME UNITS ENDLIB BGNSTR STRNAME ENDSTR BOUNDARY SREF LAYER DATATYPE XY "
+    "ENDEL SNAME STRANS ANGLE").split()}
+# record type (None: the stream's start) -> its payload size (None: any; an SREF's XY
+# is 8), then the types that may follow it; "expected" names the last of them
+_GRAMMAR = {
+    None: (None, HEADER), HEADER: (2, BGNLIB), BGNLIB: (None, LIBNAME), LIBNAME: (None, UNITS),
+    UNITS: (16, BGNSTR, ENDLIB), BGNSTR: (None, STRNAME), STRNAME: (None, BOUNDARY, SREF, ENDSTR),
+    BOUNDARY: (None, LAYER), LAYER: (2, DATATYPE), DATATYPE: (None, XY), XY: (None, ENDEL),
+    SREF: (None, SNAME), SNAME: (None, STRANS, XY), STRANS: (2, ANGLE), ANGLE: (8, XY),
+    ENDEL: (None, BOUNDARY, SREF, ENDSTR), ENDSTR: (None, BGNSTR, ENDLIB), ENDLIB: (None,),
+}
 
 
-class _Parser:
-    """Record cursor: ``cur`` is the type of the record at ``offset`` (None at
-    the end of the stream, where ``offset`` is the stream length) and
-    ``payload`` its data.  advance() frames the next record, so a framing
-    fault surfaces only when the cursor reaches it."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.end = 0  # offset just past the current record
-        self.advance()
-
-    def advance(self):
-        off = self.offset = self.end
-        if off >= len(self.data):
-            self.cur = None
-            return
-        if len(self.data) - off < 4:
-            raise GdsParseError("truncated record header", offset=off)
-        length, self.cur = struct.unpack_from(">HB", self.data, off)
+def _gds_records(data: bytes) -> tuple:
+    """([(offset, type, payload)] of the records before the first framing fault, that fault)."""
+    header = struct.Struct(">HB").unpack_from
+    records, off = [], 0
+    while off < len(data):
+        if off + 4 > len(data):
+            return records, GdsParseError("truncated record header", off)
+        length, rectype = header(data, off)
         if length < 4 or length % 2:
-            raise GdsParseError(f"bad record length {length}", offset=off)
-        if off + length > len(self.data):
-            raise GdsParseError("record runs past end of stream", offset=off)
-        self.payload = self.data[off + 4 : off + length]
-        self.end = off + length
-
-    def expect(self, rectype: int) -> bytes:
-        if self.cur is None:
-            raise GdsParseError(
-                f"unexpected end of stream, wanted {_rec_name(rectype)}",
-                offset=self.offset,
-            )
-        if self.cur != rectype:
-            raise GdsParseError(
-                f"expected {_rec_name(rectype)}, found {_rec_name(self.cur)}",
-                offset=self.offset,
-            )
-        payload = self.payload
-        self.advance()
-        return payload
-
-    def expect_sized(self, rectype: int, size: int) -> bytes:
-        """expect() for a record whose payload is exactly ``size`` bytes."""
-        off = self.offset
-        payload = self.expect(rectype)
-        if len(payload) != size:
-            raise GdsParseError(f"{_rec_name(rectype)} payload must be {size} bytes", offset=off)
-        return payload
-
-
-def _parse_ascii(payload: bytes, offset: int) -> str:
-    try:
-        return payload.rstrip(b"\0").decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise GdsParseError(f"non-ascii string payload: {exc}", offset=offset)
-
-
-def _at(offset: int, make, *args, **kwargs):
-    """make(*args, **kwargs), with an InputError from its checks re-raised as
-    a GdsParseError at the offset of the record the value came from."""
-    try:
-        return make(*args, **kwargs)
-    except InputError as exc:
-        raise GdsParseError(str(exc), offset=offset) from exc
+            return records, GdsParseError(f"bad record length {length}", off)
+        if off + length > len(data):
+            return records, GdsParseError("record runs past end of stream", off)
+        records.append((off, rectype, data[off + 4:off + length]))
+        off += length
+    return records, None
 
 
 def read_gdsii_reference(data: bytes):
-    """The record-by-record GDSII reader: every element is walked through the
-    cursor, one record at a time.
-
-    Every error type, message and offset of ``read_gdsii`` must match this;
-    so must its cells, polygons and placements.
-    """
-
-    p = _Parser(data)
-    version = struct.unpack(">h", p.expect_sized(HEADER, 2))[0]
-    if version != GDS_VERSION:
-        raise GdsParseError(f"unsupported stream version {version}", offset=0)
-    p.expect(BGNLIB)
-    name_off = p.offset
-    libname = _parse_ascii(p.expect(LIBNAME), name_off)
-    units_off = p.offset
-    _, mm = struct.unpack(">QQ", p.expect_sized(UNITS, 16))
-    dbu_m = decode_real8(mm)
-    if not math.isclose(dbu_m, DB_UNIT_IN_METERS, rel_tol=1e-9):
-        raise GdsParseError(
-            f"database unit {dbu_m} m unsupported (expected 1 nm)", offset=units_off
-        )
-    cells = []
-    while p.cur == BGNSTR:
-        p.expect(BGNSTR)
-        cell_off = p.offset
-        cellname = _parse_ascii(p.expect(STRNAME), cell_off)
-        polygons = []
-        placements = []
-        while p.cur in (BOUNDARY, SREF):
-            if p.cur == BOUNDARY:
-                p.expect(BOUNDARY)
-                layer = struct.unpack(">h", p.expect_sized(LAYER, 2))[0]
-                p.expect(DATATYPE)
-                xy_off = p.offset
-                xy = p.expect(XY)
-                if len(xy) % 8 or len(xy) < 32:
-                    raise GdsParseError(
-                        "BOUNDARY XY needs at least 4 closed points", offset=xy_off
-                    )
-                coords = struct.unpack(f">{len(xy) // 4}l", xy)
-                pts = list(zip(coords[0::2], coords[1::2]))
-                if pts[0] != pts[-1]:
-                    raise GdsParseError(
-                        "BOUNDARY XY list is not closed", offset=xy_off
-                    )
-                p.expect(ENDEL)
-                polygons.append(_at(xy_off, Polygon, layer=layer, vertices=pts[:-1]))
-            else:
-                p.expect(SREF)
-                sname_off = p.offset
-                sname = _parse_ascii(p.expect(SNAME), sname_off)
-                rotation = 0
-                if p.cur == STRANS:
-                    strans_off = p.offset
-                    if struct.unpack(">H", p.expect_sized(STRANS, 2))[0] != 0:
-                        raise GdsParseError(
-                            "mirror/magnification flags unsupported", offset=strans_off
-                        )
-                    ang_off = p.offset
-                    angle = decode_real8(struct.unpack(">Q", p.expect_sized(ANGLE, 8))[0])
-                    rotation = int(round(angle))
-                    if rotation not in (0, 90, 180, 270) or not math.isclose(
-                        angle, rotation, abs_tol=1e-9
-                    ):
-                        raise GdsParseError(
-                            f"rotation {angle} not a right angle", offset=ang_off
-                        )
-                x, y = struct.unpack(">2l", p.expect_sized(XY, 8))
-                p.expect(ENDEL)
-                placements.append(
-                    Placement(cell_name=sname, x=x, y=y, rotation=rotation)
-                )
-        p.expect(ENDSTR)
-        cells.append((cell_off, _at(cell_off, Cell, cellname, polygons, placements)))
-    end_off = p.offset
-    p.expect(ENDLIB)
-    if p.cur is not None:
-        raise GdsParseError("data after ENDLIB", offset=p.offset)
-    lib = _at(name_off, Library, name=libname)
-    for cell_off, cell in cells:
-        _at(cell_off, lib.add, cell)
-    _at(end_off, lib.validate)  # references resolve once every cell is read
+    """GDSII bytes to a layout library.  The walk checks each record's type,
+    size, then values; as the reader frames a record when it takes the one
+    before, a framing fault is raised as the walk takes the last framed one."""
+    records, fault = _gds_records(data)
+    prev, at, text, cells = None, {}, {}, []  # at: type -> offset of its latest record
+    try:  # a constructor's InputError names the record its value came from: `blame`
+        for i, (off, rectype, payload) in enumerate(records):
+            _, *follow = _GRAMMAR[prev]
+            if rectype not in follow:
+                raise GdsParseError(f"expected {_GDS_NAME[follow[-1]]}, found {_GDS_NAME[rectype]}"
+                                    if follow else "data after ENDLIB", off)
+            if fault and i == len(records) - 1:
+                raise fault
+            size = 8 if rectype == XY and kind == SREF else _GRAMMAR[rectype][0]
+            if size not in (None, len(payload)):
+                raise GdsParseError(f"{_GDS_NAME[rectype]} payload must be {size} bytes", off)
+            prev, at[rectype] = rectype, off
+            if rectype in (BOUNDARY, SREF):  # the element records first: most of a stream
+                kind, turn = rectype, 0
+            elif rectype == LAYER:
+                layer = int.from_bytes(payload, "big", signed=True)
+            elif rectype == XY:  # an SREF's point, or a BOUNDARY's with the first again last
+                if kind == BOUNDARY and (len(payload) % 8 or len(payload) < 32):
+                    raise GdsParseError("BOUNDARY XY needs at least 4 closed points", off)
+                coords = struct.unpack(f">{len(payload) // 4}l", payload)
+                points = list(zip(coords[0::2], coords[1::2]))
+                if points[0] != points[-1]:
+                    raise GdsParseError("BOUNDARY XY list is not closed", off)
+            elif rectype == ENDEL:
+                blame = at[XY]
+                elements[kind].append(Polygon(layer, points[:-1]) if kind == BOUNDARY
+                                      else Placement(text[SNAME], *points[0], turn))
+            elif rectype == BGNSTR:
+                elements = {BOUNDARY: [], SREF: []}
+            elif rectype == ENDSTR:
+                blame = at[STRNAME]
+                cells.append((blame, Cell(text[STRNAME], elements[BOUNDARY], elements[SREF])))
+            elif rectype in (LIBNAME, STRNAME, SNAME):  # ASCII, NUL-padded to an even length
+                try:
+                    text[rectype] = payload.rstrip(b"\0").decode("ascii")
+                except UnicodeDecodeError as exc:
+                    raise GdsParseError(f"non-ascii string payload: {exc}", off)
+            elif rectype == STRANS and any(payload):
+                raise GdsParseError("mirror/magnification flags unsupported", off)
+            elif rectype == ANGLE:  # degrees, counter-clockwise
+                turn = round(angle := decode_real8(int.from_bytes(payload, "big")))
+                if turn not in (0, 90, 180, 270) or not math.isclose(angle, turn, abs_tol=1e-9):
+                    raise GdsParseError(f"rotation {angle} not a right angle", off)
+            elif rectype == HEADER and (version := struct.unpack(">h", payload)[0]) != 600:
+                raise GdsParseError(f"unsupported stream version {version}", off)
+            elif rectype == UNITS and not math.isclose(  # user unit, then database unit in m
+                    metres := decode_real8(int.from_bytes(payload[8:], "big")), 1e-9, rel_tol=1e-9):
+                raise GdsParseError(f"database unit {metres} m unsupported (expected 1 nm)", off)
+        if prev != ENDLIB:  # a stream that frames no record raises its framing fault here
+            raise fault or GdsParseError("unexpected end of stream, wanted "
+                                         + _GDS_NAME[_GRAMMAR[prev][-1]], len(data))
+        blame = at[LIBNAME]
+        lib = Library(name=text[LIBNAME])
+        for blame, cell in cells:
+            lib.add(cell)
+        blame = at[ENDLIB]
+        lib.validate()
+    except InputError as exc:
+        raise GdsParseError(str(exc), blame) from exc
     return lib
 
 
-# ---------------------------------------------------------------------------
-# Reticle: the chip flattened into polygons, grouped by layer, then each
-# window's group magnified and moved
+# --------------------------------------------------------------------- reticle
 
-def flatten_reference(lib, cell_name: str) -> list:
-    """All polygons of a cell with placements resolved, in pre-order: one
-    mapped copy per polygon and placement level."""
-    lib.validate()
-    if cell_name not in lib:
-        raise InputError(f"unknown cell {cell_name!r}")
-    out = []
-    stack = [(cell_name, 0, 0, 0)]
-    while stack:
-        name, dx, dy, rotation = stack.pop()
-        cell = lib[name]
-        out += _mapped(cell.polygons, rotation, 1, dx, dy)
-        a, b, c, d = _TURNS[rotation]
-        for ref in reversed(cell.placements):  # popped in placement order
-            stack.append((ref.cell_name, dx + a * ref.x + b * ref.y,
-                          dy + c * ref.x + d * ref.y, (rotation + ref.rotation) % 360))
-    return out
+
+def _turned(x: int, y: int, rotation: int) -> tuple:
+    """(x, y) turned counter-clockwise about the origin by a right angle."""
+    for _ in range(rotation // 90):
+        x, y = -y, x
+    return x, y
 
 
 def build_reticle_reference(chip_lib, chip_cfg, layers, reticle_cfg):
@@ -413,31 +349,37 @@ def build_reticle_reference(chip_lib, chip_cfg, layers, reticle_cfg):
     cw, ch = chip_cfg.width_m, chip_cfg.height_m
     n = len(layer_ids)
     total_h = n * ch + (n - 1) * _WINDOW_GAP
-    x0 = (wf - cw) / 2.0
-    y0 = (hf - total_h) / 2.0
+    x0, y0 = (wf - cw) / 2.0, (hf - total_h) / 2.0
     if x0 < 0 or y0 < 0:
         raise PackingError(f"{n} chip windows ({cw * 1e3:g} x {total_h * 1e3:g} mm) exceed "
                            f"the image field ({wf * 1e3:g} x {hf * 1e3:g} mm)")
-    windows = [(x0, y, x0 + cw, y + ch)
-               for y in (y0 + i * (ch + _WINDOW_GAP) for i in range(n))]
-    windows[-1] = (*windows[-1][:3], min(windows[-1][3], hf))
-    by_layer = {}
-    for poly in flatten_reference(chip_lib, CHIP_CELL_NAME):
-        by_layer.setdefault(poly.layer, []).append(poly)
+    windows = [(x0, y, x0 + cw, y + ch) for y in (y0 + i * (ch + _WINDOW_GAP) for i in range(n))]
+    windows[-1] = (*windows[-1][:3], min(windows[-1][3], hf))  # the top one clamped to the field
+    chip_lib.validate()
+    if CHIP_CELL_NAME not in chip_lib:
+        raise InputError(f"unknown cell {CHIP_CELL_NAME!r}")
+    by_layer, stack = {}, [(CHIP_CELL_NAME, 0, 0, 0)]  # the chip flattened, in pre-order
+    while stack:
+        name, dx, dy, rotation = stack.pop()
+        for poly in chip_lib[name].polygons:
+            turned = (_turned(x, y, rotation) for x, y in poly.vertices)
+            by_layer.setdefault(poly.layer, []).append(
+                Polygon(poly.layer, [(dx + x, dy + y) for x, y in turned]))
+        for ref in reversed(chip_lib[name].placements):  # popped in placement order
+            x, y = _turned(ref.x, ref.y, rotation)
+            stack.append((ref.cell_name, dx + x, dy + y, (rotation + ref.rotation) % 360))
     mask_lib = Library(name="RETICLE_MASK")
     mask = Cell(name=RETICLE_CELL_NAME)
     for layer_id, (wx0, wy0, _, _) in zip(layer_ids, windows):
-        mask.polygons += _mapped(by_layer.get(layer_id, ()), 0, DEMAG,
-                                 to_dbu(wx0) * DEMAG, to_dbu(wy0) * DEMAG)
+        ox, oy = to_dbu(wx0) * DEMAG, to_dbu(wy0) * DEMAG  # the window at reticle scale
+        for p in by_layer.get(layer_id, ()):
+            mask.polygons.append(Polygon(p.layer, [(DEMAG * x + ox, DEMAG * y + oy)
+                                                   for x, y in p.vertices]))
     mask_lib.add(mask)
     return tuple(windows), mask_lib
 
 
 # ------------------------------------------------------------ wafer maps
-# The per-value loader and the per-mode simulation loop that waferstats had
-# before it checked each site's numbers in one pass and hoisted the per-die
-# terms: the loaders must agree on every document, down to the message of the
-# first fault, and the simulations on every site.
 
 
 def _numbers_reference(obj: dict, keys, path: str, default=None) -> list:
@@ -480,10 +422,6 @@ def sites_from_dict_reference(doc: dict) -> list:
         sites.append(WaferSite(int(site_id), x, y, pitch, metrics, tuple(failed), *local))
     return sites
 
-
-# The renderer and the reductions that waferstats had before it wrote each site
-# line from the records and kept each group's f values and their mean: the
-# renderer must give the same bytes, and the reductions the same doubles.
 
 
 def sites_to_dict_reference(sites, seed=None) -> dict:

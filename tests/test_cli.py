@@ -7,7 +7,9 @@ import json
 import math
 import os
 import pkgutil
+import re
 import runpy
+import shlex
 import shutil
 import subprocess
 import sys
@@ -1805,3 +1807,41 @@ def test_console_script_and_module_run_the_same_entry():
     guard = [node for node in tree.body if isinstance(node, ast.If)
              and ast.unparse(node.test) == "__name__ == '__main__'"]
     assert [ast.unparse(stmt) for stmt in guard[0].body] == ["run()"]
+
+
+# ------------------------------------------------------------------ README
+
+
+def _readme_blocks(language: str) -> list:
+    """The fenced code blocks of README.md in one language."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    return re.findall(rf"^```{language}\n(.*?)^```", readme.read_text(encoding="utf-8"),
+                      re.M | re.S)
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    # every `lambkit ...` line of README, in order, with the inputs it names
+    # written first, then the "Library use" block
+    from lambkit.processflow import DEFAULT_RATES
+
+    monkeypatch.chdir(tmp_path)
+    f = np.linspace(0.8e9, 1.3e9, 400)
+    one = synth_model()
+    two = MbvdModel(static_net=one.static_net,
+                    branches=(*one.branches, MotionalBranch(r_m=20.0, l_m=2.4e-6, c_m=8e-15)))
+    for name, model in (("dut1", two), ("dut2", two), ("dut", one)):
+        write_s1p(tmp_path / f"{name}.s1p", f, y_to_s11(model.admittance(f)))
+    for name, gamma in (("short", -1), ("open", 1), ("load", 0)):
+        write_s1p(tmp_path / f"{name}.s1p", f, np.full(f.size, gamma, dtype=complex))
+    (tmp_path / "my_flow.json").write_text(
+        json.dumps(steps_to_dict(packaged_flow("alscn-ti-adhesion"))))
+    (tmp_path / "my_rates.json").write_text(json.dumps(DEFAULT_RATES.to_dict()))
+    lines = [shlex.split(line)[1:] for block in _readme_blocks("sh")
+             for line in block.splitlines() if line.startswith("lambkit ")]
+    assert [argv[0] for argv in lines] == ["disperse", "design", "design", "layout", "fit",
+                                           "fit", "simulate-wafer", "simulate-wafer", "stats",
+                                           "flow-check", "flow-check"]
+    for argv in lines:
+        assert cli.main(argv) == cli.EXIT_OK, (argv, capsys.readouterr().err)
+    (library_use,) = _readme_blocks("python")
+    exec(compile(library_use, "README.md", "exec"), {})

@@ -903,8 +903,21 @@ def test_unclosed_boundary_rejected():
             struct.pack_into(">l", data, pos + 4 + 32, 999)
             break
         pos += length
-    with pytest.raises(GdsParseError):
+    with pytest.raises(GdsParseError) as exc:
         read_gdsii(bytes(data))
+    assert (str(exc.value), exc.value.offset) == (
+        f"BOUNDARY XY list is not closed (byte offset {pos})", pos)
+
+
+@pytest.mark.parametrize("coords", [(0, 0, 100, 0, 0, 0), (0, 0, 100, 0, 100, 100, 0)],
+                         ids=["3 closed points", "28 bytes"])
+def test_boundary_xy_of_fewer_than_4_closed_points_is_refused_at_its_offset(coords):
+    data, offset = _with_payload(write_gdsii(_fuzz_library()), 0x10,
+                                 struct.pack(f">{len(coords)}l", *coords))
+    with pytest.raises(GdsParseError) as exc:
+        read_gdsii(data)
+    assert (str(exc.value), exc.value.offset) == (
+        f"BOUNDARY XY needs at least 4 closed points (byte offset {offset})", offset)
 
 
 def _fuzz_library():
